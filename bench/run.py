@@ -127,11 +127,12 @@ def environment(seed: int) -> dict:
     }
 
 
-def timed_loop(workload, seconds: float) -> list[float]:
-    """Closed loop of workload units for ``seconds``; returns each unit's rate."""
+def timed_loop(workload, seconds: float, min_steps: int = 0) -> list[float]:
+    """Closed loop of workload units for ``seconds``, and until at least
+    ``min_steps`` steps were timed; returns each unit's rate."""
     deadline = time.perf_counter() + seconds
     rates: list[float] = []
-    while len(rates) < MIN_UNITS or time.perf_counter() < deadline:
+    while len(rates) < MIN_UNITS or time.perf_counter() < deadline or len(workload.step_ms()) < min_steps:
         rates.append(workload.unit())
     return rates
 
@@ -139,7 +140,7 @@ def timed_loop(workload, seconds: float) -> list[float]:
 def run(args, spec: dict, workdir: Path) -> tuple[dict, dict]:
     """Returns (final line, report)."""
     import spans
-    from stats import median, tail_percentile
+    from stats import TAIL_BEYOND, median, tail_percentile
     from workloads import Checks, make_workload
 
     checks = Checks()
@@ -155,7 +156,7 @@ def run(args, spec: dict, workdir: Path) -> tuple[dict, dict]:
                     "env": environment(args.seed), "import_s": import_s, "setup_times_s": setup_times}
 
     if not args.trace:
-        rates = timed_loop(workload, args.seconds)
+        rates = timed_loop(workload, args.seconds, min_steps=2 * TAIL_BEYOND)
         units += len(rates)
         steps = workload.step_ms()
         percentile, tail, samples = tail_percentile(steps)

@@ -35,7 +35,7 @@ from maria.model import build_model, make_batch
 
 # Sized so that final loss and AUC vary little from seed to seed: on 4096
 # instances the batch-64 model overfits and its final loss spread 30% between
-# seeds, on 12288 it spreads about 10%.
+# seeds, on 12288 it spreads 10-20%.
 TRAIN_COUNT = 12288
 HELDOUT_COUNT = 2048
 EPOCHS = 2
@@ -43,9 +43,10 @@ WARM_UP_COUNT = 2048
 EVAL_BATCH = 512  # the `maria eval` default
 HELDOUT_SEED_OFFSET = 1_000_003  # held-out log: disjoint generator stream, same ground truth
 # The held-out AUC must recover at least this share of the Bayes AUC's lift
-# over chance: both models recover more than 0.65 of it on every seed tried,
-# while a broken forward pass or optimizer recovers close to none.
-AUC_FLOOR_SHARE = 0.4
+# over chance. Over 20 seeds maria recovered at least 0.55 of it (AUC 0.76
+# against a Bayes AUC of 0.97), over 30 seeds mmoe at least 0.77; a broken
+# forward pass or optimizer recovers close to none.
+AUC_FLOOR_SHARE = 0.25
 
 
 class Checks:
@@ -186,15 +187,16 @@ class Workload:
         self.kind, self.batch_size, self.seed = kind, batch_size, seed
         self.checks = checks
         self.data: Data | None = None
-        self.generated = [0, 0.0]  # instances and seconds over all set-ups
+        self.gen_count = 0  # instances generated over all set-ups
+        self.gen_seconds = 0.0
 
     def _generate(self) -> None:
         self.data = generate_data(self.seed, self.batch_size)
-        self.generated[0] += self.data.gen_count
-        self.generated[1] += self.data.gen_seconds
+        self.gen_count += self.data.gen_count
+        self.gen_seconds += self.data.gen_seconds
 
     def gen_rate(self) -> float:
-        return self.generated[0] / self.generated[1]
+        return self.gen_count / self.gen_seconds
 
 
 class TrainWorkload(Workload):
