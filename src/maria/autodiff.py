@@ -10,7 +10,7 @@ are reproducible bit for bit and noise can be recorded and replayed
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class Graph:
         self.nodes: list[Value] = []
         self.rng = np.random.default_rng(seed)
         self.clamp_events = 0
+        # Nodes at or past this index hold all-zero grads: they were born
+        # zero and no backward has written them since the last clear.
+        self._grads_written = 0
         # "context" = everything a forward pass consumes besides node data:
         # sampled noise and gradient-frozen views. Recording it and replaying
         # it bit for bit lets finite differences probe exactly the partial
@@ -118,10 +121,14 @@ class Graph:
     def truncate(self, mark: int) -> None:
         """Drop every node created at or after ``mark`` (parameters stay if older)."""
         del self.nodes[mark:]
+        self._grads_written = min(self._grads_written, mark)
 
     def zero_grads(self) -> None:
-        for node in self.nodes:
+        """Zero every grad that a :func:`backward` may have written since the
+        last clear; younger nodes are still zero from birth."""
+        for node in self.nodes[: self._grads_written]:
             node.grad[...] = 0.0
+        self._grads_written = 0
 
     # -- noise source and frozen views --------------------------------------
     def uniform(self, shape: tuple[int, ...]) -> Array:
@@ -279,6 +286,33 @@ def matmul(a: Value, b: Value) -> Value:
             b.grad += _unbroadcast(gb, b.shape)
 
     return _node(a.graph, out, (a, b), "matmul", backward)
+
+
+def affine(x: Value, w: Value, b: Value) -> Value:
+    """``x @ w + b`` as one node, bit for bit equal to ``add(matmul(x, w), b)``.
+
+    ``x`` is 2-d or carries stacked leading axes; ``w`` is 2-d and ``b`` 1-d.
+    A 2-d ``x`` runs one GEMM each way. A stacked ``x`` keeps numpy's
+    per-matrix products: one GEMM over the flattened rows sums in another
+    order, and its last bits would change training runs.
+    """
+    if (
+        x.data.ndim < 2 or w.data.ndim != 2 or b.data.ndim != 1
+        or x.shape[-1] != w.shape[0] or b.shape[0] != w.shape[1]
+    ):
+        raise _shape_error("affine", x.shape, w.shape, b.shape)
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def backward(g: Array) -> None:
+        if x.requires_grad:
+            x.grad += np.matmul(g, w.data.T)
+        if w.requires_grad:
+            w.grad += _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(g, b.shape)
+
+    return _node(x.graph, out, (x, w, b), "affine", backward)
 
 
 def concat(parts: Sequence[Value], axis: int = -1) -> Value:
@@ -549,12 +583,9 @@ def backward(loss: Value) -> None:
         if needed[i]:
             for p in nodes[i].parents:
                 needed[p.index] = True
+    loss.graph._grads_written = max(loss.graph._grads_written, loss.index + 1)
     loss.grad[...] = 1.0
     for i in range(loss.index, -1, -1):
         node = nodes[i]
         if needed[i] and node.requires_grad and node._backward is not None:
             node._backward(node.grad)
-
-
-def parameters_of(values: Iterable[Value]) -> list[Value]:
-    return [v for v in values if v.requires_grad]

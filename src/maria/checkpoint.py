@@ -18,8 +18,11 @@ headers before any tensor is trusted.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -35,9 +38,27 @@ class CheckpointError(ValueError):
     """Unreadable, corrupted, or incompatible checkpoint file."""
 
 
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
+    """Binary handle on a temp file beside ``path``. The file replaces
+    ``path`` only after the body returns and its bytes reach the disk, so a
+    write that fails leaves the old file as it was and no temp file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path: str | Path, spec: dict, params: list[tuple[str, np.ndarray]], meta: dict | None = None) -> None:
     header = canonical_json({"spec": spec, "meta": meta or {}}).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_writer(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(hashlib.sha256(header).digest())

@@ -149,7 +149,8 @@ def cmd_train(args) -> int:
         "eval": final.to_dict(),
     }
     metrics_file = Path(str(args.model_out) + ".metrics.json")
-    metrics_file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with checkpoint.atomic_writer(metrics_file) as fh:
+        fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     if args.json:
         _emit(doc)
     else:

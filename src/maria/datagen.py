@@ -410,86 +410,107 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
     manifest_path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _require(condition: bool, lineno: int, message: str) -> None:
-    if not condition:
-        raise DataError(f"line {lineno}: {message}")
-
-
-def _parse_ids(raw, lineno, name, count, bound):
-    _require(isinstance(raw, list) and len(raw) == count, lineno, f"{name}: expected {count} ids")
-    for v in raw:
-        _require(isinstance(v, int) and 0 <= v < bound, lineno, f"{name}: id {v!r} outside [0, {bound})")
-    return tuple(raw)
-
-
-def _parse_instance(obj, lineno: int, manifest: DatasetManifest) -> Instance:
-    _require(isinstance(obj, dict), lineno, "instance is not a JSON object")
-    missing = _INSTANCE_KEYS - obj.keys()
-    extra = obj.keys() - _INSTANCE_KEYS
-    _require(not missing, lineno, f"missing keys {sorted(missing)}")
-    _require(not extra, lineno, f"unexpected keys {sorted(extra)}")
+def _instance_parser(manifest: DatasetManifest):
+    """Per-file instance validator: resolves the manifest's vocab, schema and
+    trigger kinds once, and formats a message only for a check that fails.
+    ``parse(obj, lineno)`` returns the Instance or raises ``line N: ...``."""
     vocab = manifest.vocab_sizes()
     schema = manifest.feature_schema()
-
-    sid = obj["scenario"]
-    _require(isinstance(sid, int) and 0 <= sid < vocab.scenarios, lineno, f"scenario: {sid!r} outside [0, {vocab.scenarios})")
-    user = obj["user"]
-    _require(isinstance(user, int) and 0 <= user < vocab.users, lineno, f"user: {user!r} outside [0, {vocab.users})")
-    user_attrs = _parse_ids(obj["user_attrs"], lineno, "user_attrs", schema.user_attr_count, vocab.user_attrs)
-
-    raw_beh = obj["behavior"]
-    _require(isinstance(raw_beh, list) and 1 <= len(raw_beh) <= schema.max_behavior_len, lineno,
-             f"behavior: expected 1..{schema.max_behavior_len} entries")
-    behavior = []
-    for entry in raw_beh:
-        _require(isinstance(entry, list) and len(entry) == 2, lineno, "behavior: entries are [item, [attrs]] pairs")
-        item, attrs = entry
-        _require(isinstance(item, int) and 0 <= item < vocab.items, lineno, f"behavior: item {item!r} outside [0, {vocab.items})")
-        behavior.append((item, _parse_ids(attrs, lineno, "behavior attrs", schema.item_attr_count, vocab.item_attrs)))
-
-    target = obj["target_item"]
-    _require(isinstance(target, int) and 0 <= target < vocab.items, lineno, f"target_item: {target!r} outside [0, {vocab.items})")
-    target_attrs = _parse_ids(obj["target_attrs"], lineno, "target_attrs", schema.item_attr_count, vocab.item_attrs)
-
-    raw_trig = obj["trigger"]
+    n_scenarios, n_users, n_items = vocab.scenarios, vocab.users, vocab.items
+    max_len, image_dim = schema.max_behavior_len, schema.image_dim
     kind_by_scenario = {p.scenario_id: p.trigger_kind for p in manifest.profiles}
-    expected_kind = kind_by_scenario.get(sid)
-    if manifest.trigger_mode == "recommendation":
-        _require(raw_trig is None, lineno, "trigger: must be null in a trigger-free dataset")
-        trigger = None
-    else:
-        _require(isinstance(raw_trig, dict) and "kind" in raw_trig, lineno, "trigger: expected an object with a kind")
-        kind = raw_trig["kind"]
-        _require(kind == expected_kind, lineno, f"trigger: kind {kind!r} does not match scenario {sid} ({expected_kind})")
-        if kind == "image":
-            vec = raw_trig.get("vec")
-            _require(isinstance(vec, list) and len(vec) == schema.image_dim, lineno,
-                     f"trigger: vec needs {schema.image_dim} floats")
-            _require(all(isinstance(v, (int, float)) for v in vec), lineno, "trigger: vec entries must be numbers")
-            _require(set(raw_trig) == {"kind", "vec"}, lineno, "trigger: image payload holds kind and vec only")
-            trigger = TriggerImage(vec=tuple(float(v) for v in vec))
+    trigger_free = manifest.trigger_mode == "recommendation"
+
+    def ids(raw, lineno, name, count, bound):
+        if not (isinstance(raw, list) and len(raw) == count):
+            raise DataError(f"line {lineno}: {name}: expected {count} ids")
+        for v in raw:
+            if not (isinstance(v, int) and 0 <= v < bound):
+                raise DataError(f"line {lineno}: {name}: id {v!r} outside [0, {bound})")
+        return tuple(raw)
+
+    def parse(obj, lineno: int) -> Instance:
+        if not isinstance(obj, dict):
+            raise DataError(f"line {lineno}: instance is not a JSON object")
+        if obj.keys() != _INSTANCE_KEYS:
+            missing = _INSTANCE_KEYS - obj.keys()
+            if missing:
+                raise DataError(f"line {lineno}: missing keys {sorted(missing)}")
+            raise DataError(f"line {lineno}: unexpected keys {sorted(obj.keys() - _INSTANCE_KEYS)}")
+
+        sid = obj["scenario"]
+        if not (isinstance(sid, int) and 0 <= sid < n_scenarios):
+            raise DataError(f"line {lineno}: scenario: {sid!r} outside [0, {n_scenarios})")
+        user = obj["user"]
+        if not (isinstance(user, int) and 0 <= user < n_users):
+            raise DataError(f"line {lineno}: user: {user!r} outside [0, {n_users})")
+        user_attrs = ids(obj["user_attrs"], lineno, "user_attrs", schema.user_attr_count, vocab.user_attrs)
+
+        raw_beh = obj["behavior"]
+        if not (isinstance(raw_beh, list) and 1 <= len(raw_beh) <= max_len):
+            raise DataError(f"line {lineno}: behavior: expected 1..{max_len} entries")
+        behavior = []
+        for entry in raw_beh:
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise DataError(f"line {lineno}: behavior: entries are [item, [attrs]] pairs")
+            item, attrs = entry
+            if not (isinstance(item, int) and 0 <= item < n_items):
+                raise DataError(f"line {lineno}: behavior: item {item!r} outside [0, {n_items})")
+            behavior.append((item, ids(attrs, lineno, "behavior attrs", schema.item_attr_count, vocab.item_attrs)))
+
+        target = obj["target_item"]
+        if not (isinstance(target, int) and 0 <= target < n_items):
+            raise DataError(f"line {lineno}: target_item: {target!r} outside [0, {n_items})")
+        target_attrs = ids(obj["target_attrs"], lineno, "target_attrs", schema.item_attr_count, vocab.item_attrs)
+
+        raw_trig = obj["trigger"]
+        if trigger_free:
+            if raw_trig is not None:
+                raise DataError(f"line {lineno}: trigger: must be null in a trigger-free dataset")
+            trigger = None
         else:
-            item = raw_trig.get("item")
-            _require(isinstance(item, int) and 0 <= item < vocab.items, lineno, f"trigger: item {item!r} outside [0, {vocab.items})")
-            attrs = _parse_ids(raw_trig.get("attrs"), lineno, "trigger attrs", schema.trigger_attr_count, vocab.trigger_attrs)
-            _require(set(raw_trig) == {"kind", "item", "attrs"}, lineno, "trigger: product payload holds kind, item, attrs only")
-            trigger = TriggerProduct(item=item, attrs=attrs)
+            if not (isinstance(raw_trig, dict) and "kind" in raw_trig):
+                raise DataError(f"line {lineno}: trigger: expected an object with a kind")
+            kind = raw_trig["kind"]
+            expected_kind = kind_by_scenario.get(sid)
+            if kind != expected_kind:
+                raise DataError(f"line {lineno}: trigger: kind {kind!r} does not match scenario {sid} ({expected_kind})")
+            if kind == "image":
+                vec = raw_trig.get("vec")
+                if not (isinstance(vec, list) and len(vec) == image_dim):
+                    raise DataError(f"line {lineno}: trigger: vec needs {image_dim} floats")
+                if not all(isinstance(v, (int, float)) for v in vec):
+                    raise DataError(f"line {lineno}: trigger: vec entries must be numbers")
+                if raw_trig.keys() != {"kind", "vec"}:
+                    raise DataError(f"line {lineno}: trigger: image payload holds kind and vec only")
+                trigger = TriggerImage(vec=tuple(map(float, vec)))
+            else:
+                item = raw_trig.get("item")
+                if not (isinstance(item, int) and 0 <= item < n_items):
+                    raise DataError(f"line {lineno}: trigger: item {item!r} outside [0, {n_items})")
+                attrs = ids(raw_trig.get("attrs"), lineno, "trigger attrs", schema.trigger_attr_count, vocab.trigger_attrs)
+                if raw_trig.keys() != {"kind", "item", "attrs"}:
+                    raise DataError(f"line {lineno}: trigger: product payload holds kind, item, attrs only")
+                trigger = TriggerProduct(item=item, attrs=attrs)
 
-    context = _parse_ids(obj["context"], lineno, "context", schema.context_attr_count, vocab.context_attrs)
-    label = obj["label"]
-    _require(label in (0, 1), lineno, f"label: {label!r} is not 0 or 1")
+        context = ids(obj["context"], lineno, "context", schema.context_attr_count, vocab.context_attrs)
+        label = obj["label"]
+        if label not in (0, 1):
+            raise DataError(f"line {lineno}: label: {label!r} is not 0 or 1")
 
-    return Instance(
-        scenario=sid,
-        user=user,
-        user_attrs=user_attrs,
-        behavior=tuple(behavior),
-        target_item=target,
-        target_attrs=target_attrs,
-        trigger=trigger,
-        context=context,
-        label=label,
-    )
+        return Instance(
+            scenario=sid,
+            user=user,
+            user_attrs=user_attrs,
+            behavior=tuple(behavior),
+            target_item=target,
+            target_attrs=target_attrs,
+            trigger=trigger,
+            context=context,
+            label=label,
+        )
+
+    return parse
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
@@ -530,6 +551,7 @@ def read_jsonl(path: str | Path) -> Dataset:
     """Load and validate a dataset; errors carry the 1-based line number."""
     path = Path(path)
     manifest = read_manifest(path)
+    parse = _instance_parser(manifest)
     instances: list[Instance] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -539,7 +561,7 @@ def read_jsonl(path: str | Path) -> Dataset:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            instances.append(_parse_instance(obj, lineno, manifest))
+            instances.append(parse(obj, lineno))
     if len(instances) != manifest.count:
         raise DataError(
             f"{path}: holds {len(instances)} instances but the manifest says {manifest.count} (truncated file?)"

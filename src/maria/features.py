@@ -147,15 +147,6 @@ class FeatureScaling:
     def parameters(self):
         return self.net.parameters()
 
-    def parameter_count(self) -> int:
-        return self.net.parameter_count()
-
-
-def feature_scale(
-    q: Value, layout: FieldLayout, e_u: Value, e_x: Value, e_s: Value, fs: FeatureScaling
-) -> tuple[Value, Value]:
-    return fs.forward(q, layout, e_u, e_x, e_s)
-
 
 def refiner_width(field_width: int, compression: float) -> int:
     return max(1, math.ceil(field_width * compression))
@@ -249,15 +240,6 @@ class FieldRefinement:
                 out.extend(refiner.parameters())
         return out
 
-    def parameter_count(self) -> int:
-        return sum(v.size for _, v in self.parameters())
-
-
-def refine_all(
-    q_s: Value, layout: FieldLayout, e_s: Value, fr: FieldRefinement, mode: str, trace: dict | None = None
-) -> Value:
-    return fr.forward(q_s, layout, e_s, mode, trace)
-
 
 class FieldCorrelation:
     """Pairwise dot products between fields projected to a common width."""
@@ -296,13 +278,6 @@ class FieldCorrelation:
         for name in self.projections:
             out.extend(self.projections[name].parameters())
         return out
-
-    def parameter_count(self) -> int:
-        return sum(v.size for _, v in self.parameters())
-
-
-def correlate_fields(q_s: Value, layout: FieldLayout, fcm: FieldCorrelation) -> Value:
-    return fcm.forward(q_s, layout)
 
 
 def adaptive_features(

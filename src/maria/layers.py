@@ -44,10 +44,6 @@ class EmbeddingTable:
         return [(self.name, self.weights)]
 
 
-def embed_lookup(table: EmbeddingTable, ids) -> Value:
-    return table.lookup(ids)
-
-
 _ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 
@@ -89,7 +85,7 @@ class Fcn:
             raise ShapeError(f"fcn {self.name!r}: input width {x.shape[-1]}, expected {self.in_dim}")
         h = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = ad.add(ad.matmul(h, w), b)
+            h = ad.affine(h, w, b)
             if act == "relu":
                 h = ad.relu(h)
             elif act == "sigmoid":
@@ -102,13 +98,6 @@ class Fcn:
             out.append((f"{self.name}.w{i}", w))
             out.append((f"{self.name}.b{i}", b))
         return out
-
-    def parameter_count(self) -> int:
-        return sum(v.size for _, v in self.parameters())
-
-
-def fcn_forward(net: Fcn, x: Value) -> Value:
-    return net.forward(x)
 
 
 def layer_norm(x: Value, gain: Value, bias: Value, eps: float = 1e-5) -> Value:

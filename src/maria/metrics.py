@@ -19,16 +19,14 @@ def auc(scores, labels) -> float | None:
     if positives == 0 or negatives == 0:
         return None
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    # average rank within each tie group, 1-based
-    i = 0
-    while i < sorted_scores.size:
-        j = i
-        while j + 1 < sorted_scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Tie groups are runs of equal sorted scores; the run [i, j] gets the
+    # average 1-based rank 0.5 * (i + j) + 1. NaN equals nothing, so each
+    # NaN is a run of its own.
+    run_start = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    run_end = np.append(run_start[1:], scores.size) - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (run_start + run_end) + 1.0, run_end - run_start + 1)
     positive_rank_sum = float(np.sum(ranks[labels == 1.0]))
     return (positive_rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)
 

@@ -57,7 +57,3 @@ class Adam:
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= lr * update
-
-
-def adam_step(optimizer: Adam) -> None:
-    optimizer.step()

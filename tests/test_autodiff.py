@@ -57,6 +57,28 @@ def test_zero_grads_and_data_length_invariant():
         assert not node.grad.any()
 
 
+def test_zero_grads_after_truncate_and_a_longer_step():
+    # The second step builds more nodes than the first, so its backward
+    # writes grads past everything the first step left behind.
+    g = ad.Graph(seed=0)
+    x = g.parameter(np.linspace(-1.0, 1.0, 6).reshape(3, 2))
+    mark = g.mark()
+    ad.backward(ad.sum_all(ad.mul(x, x)))
+    g.truncate(mark)
+    h = ad.relu(ad.add(x, x))
+    loss = ad.sum_all(ad.mul(ad.sigmoid(h), ad.add(h, x)))
+    ad.backward(loss)
+    assert all(node.grad.any() for node in g.nodes)
+    g.zero_grads()
+    for node in g.nodes:
+        assert not node.grad.any()
+    # Truncating drops the written nodes, not the parameters they wrote to.
+    ad.backward(loss)
+    g.truncate(mark)
+    g.zero_grads()
+    assert not x.grad.any()
+
+
 # ---------------------------------------------------------------------------
 # backward: hand oracle and finite differences
 # ---------------------------------------------------------------------------
@@ -386,3 +408,78 @@ def test_softmax_normalizes_and_is_positive(xs):
     out = ad.softmax_last(g.constant(np.array(xs)))
     assert abs(out.data.sum() - 1.0) <= 1e-12
     assert (out.data >= 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# affine: one node for x @ w + b
+# ---------------------------------------------------------------------------
+
+def _affine_case(g: ad.Graph, seed: int, lead: tuple[int, ...], d_in: int, d_out: int):
+    rng = np.random.default_rng(seed)
+    x = g.parameter(rng.normal(size=lead + (d_in,)))
+    w = g.parameter(rng.normal(size=(d_in, d_out)))
+    b = g.parameter(rng.normal(size=(d_out,)))
+    weights = g.constant(rng.normal(size=lead + (d_out,)))
+    return x, w, b, weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lead=st.one_of(
+        st.tuples(st.integers(1, 6)),
+        st.tuples(st.integers(1, 4), st.integers(1, 5)),
+    ),
+    d_in=st.integers(1, 6),
+    d_out=st.integers(1, 6),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_affine_equals_matmul_plus_bias(lead, d_in, d_out, seed):
+    outputs, grads = [], []
+    for fused in (True, False):
+        g = ad.Graph(seed=0)
+        x, w, b, weights = _affine_case(g, seed, lead, d_in, d_out)
+        out = ad.affine(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+        ad.backward(ad.sum_all(ad.mul(out, weights)))
+        outputs.append(out.data)
+        grads.append([x.grad, w.grad, b.grad])
+    # The same numpy products in the same order: equal bit for bit.
+    np.testing.assert_array_equal(outputs[0], outputs[1])
+    for fused_grad, composed_grad in zip(*grads):
+        np.testing.assert_array_equal(fused_grad, composed_grad)
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)])
+def test_affine_gradients_match_central_differences(lead):
+    g = ad.Graph(seed=0)
+    x, w, b, weights = _affine_case(g, 5, lead, 4, 3)
+
+    def build() -> ad.Value:
+        return ad.sum_all(ad.mul(ad.sigmoid(ad.affine(x, w, b)), weights))
+
+    ad.backward(build())
+
+    def run() -> float:
+        m = g.mark()
+        out = float(build().data)
+        g.truncate(m)
+        return out
+
+    for p in (x, w, b):
+        assert max_rel_err(p.grad.copy(), fd_gradient(run, p.data)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "x_shape, w_shape, b_shape",
+    [
+        ((4,), (4, 3), (3,)),          # x needs a row axis
+        ((2, 4), (5, 3), (3,)),        # inner widths differ
+        ((2, 4), (4, 3), (2,)),        # bias width differs
+        ((2, 4), (4, 3), (1, 3)),      # bias is not 1-d
+        ((2, 4), (2, 4, 3), (3,)),     # weight is not 2-d
+    ],
+)
+def test_affine_rejects_bad_shapes(x_shape, w_shape, b_shape):
+    g = ad.Graph(seed=0)
+    x, w, b = (g.constant(np.zeros(shape)) for shape in (x_shape, w_shape, b_shape))
+    with pytest.raises(ad.ShapeError, match="affine"):
+        ad.affine(x, w, b)

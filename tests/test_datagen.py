@@ -207,6 +207,91 @@ def test_trigger_validation_on_read(tmp_path):
         datagen.read_jsonl(path)
 
 
+def _set_trigger(key, value):
+    def mutate(obj):
+        obj["trigger"][key] = value
+    return mutate
+
+
+# (trigger kind of the mutated line, mutation, message after "line N: ")
+_READ_RULES = [
+    ("product", lambda o: o.clear() or o.update(a=1), "missing keys ['behavior', 'context', 'label', 'scenario', "
+     "'target_attrs', 'target_item', 'trigger', 'user', 'user_attrs']"),
+    ("product", lambda o: o.pop("context"), "missing keys ['context']"),
+    ("product", lambda o: o.update(extra=1, more=2), "unexpected keys ['extra', 'more']"),
+    ("product", lambda o: o.update(scenario=7), "scenario: 7 outside [0, 2)"),
+    ("product", lambda o: o.update(scenario="0"), "scenario: '0' outside [0, 2)"),
+    ("product", lambda o: o.update(user=-1), "user: -1 outside [0, 30)"),
+    ("product", lambda o: o.update(user_attrs=[1]), "user_attrs: expected 2 ids"),
+    ("product", lambda o: o.update(user_attrs=[1, "x"]), "user_attrs: id 'x' outside [0, 15)"),
+    ("product", lambda o: o.update(behavior=[]), "behavior: expected 1..4 entries"),
+    ("product", lambda o: o.update(behavior=[[1]]), "behavior: entries are [item, [attrs]] pairs"),
+    ("product", lambda o: o.update(behavior=[[50, [1, 2]]]), "behavior: item 50 outside [0, 50)"),
+    ("product", lambda o: o.update(behavior=[[1, [1, 15]]]), "behavior attrs: id 15 outside [0, 15)"),
+    ("product", lambda o: o.update(behavior=[[1, None]]), "behavior attrs: expected 2 ids"),
+    ("product", lambda o: o.update(target_item=2.5), "target_item: 2.5 outside [0, 50)"),
+    ("product", lambda o: o.update(target_attrs=[1, 2, 3]), "target_attrs: expected 2 ids"),
+    ("product", lambda o: o.update(trigger=None), "trigger: expected an object with a kind"),
+    ("product", lambda o: o.update(trigger={"item": 1}), "trigger: expected an object with a kind"),
+    ("image", _set_trigger("kind", "product"), "trigger: kind 'product' does not match scenario 0 (image)"),
+    ("image", _set_trigger("vec", [0.5]), "trigger: vec needs 8 floats"),
+    ("image", _set_trigger("vec", [0.5] * 7 + ["a"]), "trigger: vec entries must be numbers"),
+    ("image", _set_trigger("x", 1), "trigger: image payload holds kind and vec only"),
+    ("product", _set_trigger("item", 99), "trigger: item 99 outside [0, 50)"),
+    ("product", _set_trigger("attrs", [10]), "trigger attrs: id 10 outside [0, 10)"),
+    ("product", _set_trigger("attrs", 3), "trigger attrs: expected 1 ids"),
+    ("product", _set_trigger("vec", []), "trigger: product payload holds kind, item, attrs only"),
+    ("product", lambda o: o.update(context=[0, 10]), "context: id 10 outside [0, 10)"),
+    ("product", lambda o: o.update(label=2), "label: 2 is not 0 or 1"),
+    ("product", lambda o: o.update(label=None), "label: None is not 0 or 1"),
+]
+
+
+@pytest.mark.parametrize("kind, mutate, message", _READ_RULES)
+def test_each_read_rule_names_its_line(tmp_path, kind, mutate, message):
+    cfg = small_cfg(**{
+        "scenario.0.trigger_kind": "image", "scenario.1.trigger_kind": "product",
+        "dim.trigger": "8", "schema.image_dim": "8", "gen.count": "12",
+    })
+    dataset, _ = datagen.generate(cfg)
+    path = tmp_path / "d.jsonl"
+    datagen.write_jsonl(dataset, path)
+    lines = path.read_text().splitlines()
+    # the last line of the wanted kind, so earlier lines must all pass
+    k = max(i for i, inst in enumerate(dataset.instances) if inst.scenario == ("image", "product").index(kind))
+    obj = json.loads(lines[k])
+    mutate(obj)
+    lines[k] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as err:
+        datagen.read_jsonl(path)
+    assert str(err.value) == f"line {k + 1}: {message}"
+
+
+def test_read_rules_outside_the_instance_object(tmp_path):
+    path = write_small(tmp_path)
+    lines = path.read_text().splitlines()
+    for bad, message in [("[1, 2]", "instance is not a JSON object"), ("   ", "blank line inside dataset")]:
+        path.write_text("\n".join(lines[:4] + [bad] + lines[5:]) + "\n")
+        with pytest.raises(DataError) as err:
+            datagen.read_jsonl(path)
+        assert str(err.value) == f"line 5: {message}"
+
+    rec_cfg = small_cfg(**{
+        "scenario.0.trigger_kind": "none", "scenario.1.trigger_kind": "none",
+        "schema.trigger_attrs": "0", "gen.count": "5",
+    })
+    dataset, _ = datagen.generate(rec_cfg)
+    datagen.write_jsonl(dataset, path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[2])
+    obj["trigger"] = {"kind": "product", "item": 1, "attrs": []}
+    path.write_text("\n".join(lines[:2] + [json.dumps(obj)] + lines[3:]) + "\n")
+    with pytest.raises(DataError) as err:
+        datagen.read_jsonl(path)
+    assert str(err.value) == "line 3: trigger: must be null in a trigger-free dataset"
+
+
 def test_batch_iter_partitions_and_shuffles():
     cfg = small_cfg(**{"gen.count": "53"})
     dataset, _ = datagen.generate(cfg)

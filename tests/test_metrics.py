@@ -26,6 +26,46 @@ def test_auc_matches_pairwise_oracle_on_seeded_cases():
     assert checked > 100
 
 
+def _auc_by_tie_loop(scores, labels):
+    """Reference: average ranks built one tie group at a time."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    positives = int(np.sum(labels == 1.0))
+    negatives = labels.size - positives
+    return (float(np.sum(ranks[labels == 1.0])) - positives * (positives + 1) / 2.0) / (positives * negatives)
+
+
+@pytest.mark.parametrize("case", ["long_tie_run", "all_ties", "distinct", "nan_and_signed_zero"])
+def test_auc_equals_tie_loop_exactly(case):
+    rng = np.random.default_rng(3)
+    n = 301
+    labels = rng.integers(0, 2, size=n).astype(np.float64)
+    scores = rng.normal(size=n)
+    if case == "long_tie_run":
+        scores[40:260] = 0.25
+    elif case == "all_ties":
+        scores[:] = 0.7
+    elif case == "nan_and_signed_zero":
+        scores[::7] = np.nan
+        scores[1::5] = 0.0
+        scores[2::5] = -0.0
+    assert metrics.auc(scores, labels) == _auc_by_tie_loop(scores, labels)
+    if case != "nan_and_signed_zero":
+        assert abs(metrics.auc(scores, labels) - pairwise_auc(scores, labels)) <= 1e-12
+    if case == "all_ties":
+        assert metrics.auc(scores, labels) == 0.5
+
+
 def test_auc_known_values():
     assert metrics.auc([0.1, 0.4, 0.9], [0, 0, 1]) == 1.0
     assert metrics.auc([0.9, 0.4, 0.1], [0, 0, 1]) == 0.0
