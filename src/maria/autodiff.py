@@ -124,8 +124,14 @@ class Graph:
         self._grads_written = min(self._grads_written, mark)
 
     def zero_grads(self) -> None:
-        """Zero every grad that a :func:`backward` may have written since the
-        last clear; younger nodes are still zero from birth."""
+        """Zero every grad that :func:`backward` may have written since the
+        last clear; younger nodes are still zero from birth.
+
+        Only :func:`backward` marks grads as written. A grad set any other
+        way (by hand, or by running a node's backward recipe directly) is
+        cleared here only if a backward has reached that node since the last
+        clear; otherwise clearing it is the caller's job.
+        """
         for node in self.nodes[: self._grads_written]:
             node.grad[...] = 0.0
         self._grads_written = 0

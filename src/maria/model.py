@@ -57,65 +57,60 @@ class Batch:
 
 
 def make_batch(instances: list[Instance], vocab: VocabSizes, schema: FeatureSchema, trigger_mode: str) -> Batch:
-    """Column arrays for one mini-batch. Behaviour sequences are left-padded
-    with the reserved row, so the newest behaviour sits in the last slot."""
     b = len(instances)
     m = schema.max_behavior_len
     big_l, big_p, big_o = schema.user_attr_count, schema.item_attr_count, schema.trigger_attr_count
+    pad_item, pad_item_attr, pad_trig_attr = vocab.items, vocab.item_attrs, vocab.trigger_attrs
 
-    lengths = np.array([len(inst.behavior) for inst in instances], dtype=np.int64)
-    bad_length = np.flatnonzero((lengths < 1) | (lengths > m))
-    triggers = [inst.trigger for inst in instances]
-    is_image = np.array([isinstance(t, TriggerImage) for t in triggers], dtype=bool)
-    is_product = np.array([isinstance(t, TriggerProduct) for t in triggers], dtype=bool)
-    if trigger_mode == "recommendation":
-        bad_trigger = np.flatnonzero([t is not None for t in triggers])
-        trigger_problem = "trigger present in a trigger-free model"
-    else:
-        bad_trigger = np.flatnonzero(~(is_image | is_product))
-        trigger_problem = "missing trigger in a trigger-driven model"
-    # Report the first bad row, and within one row the behaviour before the trigger.
-    if bad_length.size and (not bad_trigger.size or bad_length[0] <= bad_trigger[0]):
-        i = int(bad_length[0])
-        raise ValueError(f"instance {i}: behavior length {lengths[i]} outside [1, {m}]")
-    if bad_trigger.size:
-        raise ValueError(f"instance {int(bad_trigger[0])}: {trigger_problem}")
-
-    # One scatter places every behaviour: row r's k-th entry goes to column m - len_r + k.
-    rows = np.repeat(np.arange(b), lengths)
-    starts = np.cumsum(lengths) - lengths
-    cols = m - lengths[rows] + (np.arange(rows.size) - starts[rows])
-    beh_items = np.full((b, m), vocab.items, dtype=np.int64)
-    beh_attrs = np.full((b, m, big_p), vocab.item_attrs, dtype=np.int64)
+    scenario = np.empty(b, dtype=np.int64)
+    user = np.empty(b, dtype=np.int64)
+    user_attrs = np.empty((b, big_l), dtype=np.int64)
+    beh_items = np.full((b, m), pad_item, dtype=np.int64)
+    beh_attrs = np.full((b, m, big_p), pad_item_attr, dtype=np.int64)
     valid = np.zeros((b, m), dtype=np.float64)
-    beh_items[rows, cols] = [item for inst in instances for item, _ in inst.behavior]
-    beh_attrs[rows, cols] = np.array(
-        [attrs for inst in instances for _, attrs in inst.behavior], dtype=np.int64
-    ).reshape(rows.size, big_p)
-    valid[rows, cols] = 1.0
-
+    target = np.empty(b, dtype=np.int64)
+    target_attrs = np.empty((b, big_p), dtype=np.int64)
+    is_image = np.zeros(b, dtype=bool)
     image_vecs = np.zeros((b, schema.image_dim), dtype=np.float64)
     trig_items = np.zeros(b, dtype=np.int64)
-    trig_attrs = np.full((b, big_o), vocab.trigger_attrs, dtype=np.int64)
-    # Trigger-free batches passed the check above with no trigger at all.
-    if is_image.any():
-        image_vecs[is_image] = [t.vec for t in triggers if isinstance(t, TriggerImage)]
-    if is_product.any():
-        products = [t for t in triggers if isinstance(t, TriggerProduct)]
-        trig_items[is_product] = [t.item for t in products]
-        trig_attrs[is_product] = np.array([t.attrs for t in products], dtype=np.int64).reshape(-1, big_o)
+    trig_attrs = np.full((b, big_o), pad_trig_attr, dtype=np.int64)
+    context = np.empty((b, schema.context_attr_count), dtype=np.int64)
+    labels = np.empty(b, dtype=np.float64)
+
+    for i, inst in enumerate(instances):
+        scenario[i] = inst.scenario
+        user[i] = inst.user
+        user_attrs[i] = inst.user_attrs
+        length = len(inst.behavior)
+        if not (1 <= length <= m):
+            raise ValueError(f"instance {i}: behavior length {length} outside [1, {m}]")
+        for k, (item, attrs) in enumerate(inst.behavior):
+            col = m - length + k
+            beh_items[i, col] = item
+            beh_attrs[i, col] = attrs
+            valid[i, col] = 1.0
+        target[i] = inst.target_item
+        target_attrs[i] = inst.target_attrs
+        context[i] = inst.context
+        labels[i] = inst.label
+        if trigger_mode == "recommendation":
+            if inst.trigger is not None:
+                raise ValueError(f"instance {i}: trigger present in a trigger-free model")
+        elif isinstance(inst.trigger, TriggerImage):
+            is_image[i] = True
+            image_vecs[i] = inst.trigger.vec
+        elif isinstance(inst.trigger, TriggerProduct):
+            trig_items[i] = inst.trigger.item
+            trig_attrs[i] = inst.trigger.attrs
+        else:
+            raise ValueError(f"instance {i}: missing trigger in a trigger-driven model")
 
     return Batch(
-        size=b,
-        scenario=np.array([inst.scenario for inst in instances], dtype=np.int64),
-        user=np.array([inst.user for inst in instances], dtype=np.int64),
-        user_attrs=np.array([inst.user_attrs for inst in instances], dtype=np.int64).reshape(b, big_l),
+        size=b, scenario=scenario, user=user, user_attrs=user_attrs,
         beh_items=beh_items, beh_attrs=beh_attrs, valid=valid,
-        target=np.array([inst.target_item for inst in instances], dtype=np.int64),
-        target_attrs=np.array([inst.target_attrs for inst in instances], dtype=np.int64).reshape(b, big_p),
+        target=target, target_attrs=target_attrs,
         is_image=is_image, image_vecs=image_vecs, trig_items=trig_items, trig_attrs=trig_attrs,
-        context=np.array([inst.context for inst in instances], dtype=np.int64).reshape(b, schema.context_attr_count),
-        labels=np.array([inst.label for inst in instances], dtype=np.float64),
+        context=context, labels=labels,
     )
 
 

@@ -79,6 +79,18 @@ def test_zero_grads_after_truncate_and_a_longer_step():
     assert not x.grad.any()
 
 
+def test_zero_grads_clears_what_backward_wrote_not_hand_set_grads():
+    g = ad.Graph(seed=0)
+    x = g.parameter([1.0, 2.0])
+    x.grad[...] = 5.0  # no backward since the graph was built
+    g.zero_grads()
+    np.testing.assert_array_equal(x.grad, [5.0, 5.0])
+    ad.backward(ad.sum_all(ad.mul(x, x)))
+    np.testing.assert_array_equal(x.grad, [7.0, 9.0])
+    g.zero_grads()
+    assert not x.grad.any()
+
+
 # ---------------------------------------------------------------------------
 # backward: hand oracle and finite differences
 # ---------------------------------------------------------------------------
