@@ -105,7 +105,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict, list[tuple[str, np.nd
         header = _read_exact(fh, hlen, "header")
         if hashlib.sha256(header).digest() != stored_digest:
             raise CheckpointError(f"{path}: header digest mismatch (corrupted file?)")
-        doc = json.loads(header.decode("utf-8"))
+        try:
+            doc = json.loads(header.decode("utf-8"))
+            spec, meta = doc["spec"], doc["meta"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: header is not a spec and meta document ({type(exc).__name__}: {exc})") from exc
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
         params: list[tuple[str, np.ndarray]] = []
         for _ in range(count):
@@ -120,7 +124,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict, list[tuple[str, np.nd
             params.append((name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy()))
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last parameter")
-    return doc["spec"], doc["meta"], params
+    return spec, meta, params
 
 
 def save_model(path: str | Path, model, meta: dict | None = None) -> None:
@@ -131,7 +135,10 @@ def load_model(path: str | Path, seed: int = 0):
     """Rebuild the saved model; returns (model, graph, meta)."""
     spec, meta, params = load_checkpoint(path)
     graph = Graph(seed=seed)
-    model = model_from_spec(graph, spec, seed=seed)
+    try:
+        model = model_from_spec(graph, spec, seed=seed)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: spec cannot build a model ({type(exc).__name__}: {exc})") from exc
     named = dict(model.named_parameters())
     saved_names = [name for name, _ in params]
     if set(named) != set(saved_names):

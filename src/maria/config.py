@@ -465,23 +465,3 @@ def compat_digest_parts(vocab: dict, schema: dict, trigger_mode: str) -> str:
 
 def data_compat_digest(cfg: RunConfig) -> str:
     return compat_digest_parts(vars(cfg.vocab), vars(cfg.schema), cfg.trigger_mode)
-
-
-def model_spec_dict(cfg: RunConfig, kind: str = "maria") -> dict:
-    """Everything needed to rebuild a model with identical structure."""
-    model = dict(vars(cfg.model))
-    model["tower_dims"] = list(cfg.model.tower_dims)
-    model["refiner_counts"] = dict(cfg.model.refiner_counts)
-    return {
-        "kind": kind,
-        "vocab": vars(cfg.vocab),
-        "schema": vars(cfg.schema),
-        "dims": vars(cfg.dims),
-        "model": model,
-        "flags": vars(cfg.flags),
-        "trigger_mode": cfg.trigger_mode,
-    }
-
-
-def config_digest(cfg: RunConfig, kind: str = "maria") -> str:
-    return sha256_hex(canonical_json(model_spec_dict(cfg, kind)))

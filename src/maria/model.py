@@ -7,8 +7,9 @@ On top sit the adaptive feature stages (scaling, refinement, correlation),
 a scenario-gated expert mixture, and per-scenario towers fused with a
 shared tower whose weight comes from scenario-embedding similarity.
 
-Baselines (hard sharing, shared bottom, expert mixture) reuse the same
-bottom so that comparisons isolate the head architecture.
+The baselines (hard sharing, shared bottom, expert mixture) are head
+presets of the same ``MariaModel`` class: the full model with stages
+removed, over the same bottom, so that comparisons isolate the head.
 """
 
 from __future__ import annotations
@@ -353,7 +354,19 @@ class _MixtureHead:
 
 
 class MariaModel:
-    kind = "maria"
+    """One ranker for every model kind; ``kind`` picks the head preset.
+
+    maria: the adaptive stages ``flags`` leave on, an expert mixture (gated
+    under ``flags.nl``, one expert otherwise), per-scenario towers, and the
+    shared tower under ``flags.st``.
+    mmoe: a gated expert mixture, then per-scenario towers.
+    shared_bottom: per-scenario towers on the raw field vector.
+    hard_sharing: one tower for every scenario.
+
+    Baselines ignore ``flags`` and record the defaults. Modules are built in
+    one fixed order (bottom, fs, fr, fcm, mixture, towers, shared, head), so
+    each kind draws the same initial values and names as its parameters.
+    """
 
     def __init__(
         self,
@@ -365,7 +378,14 @@ class MariaModel:
         settings: ModelSettings,
         flags: AblationFlags,
         trigger_mode: str,
+        kind: str = "maria",
     ):
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+        maria = kind == "maria"
+        if not maria:
+            flags = AblationFlags()
+        self.kind = kind
         self.graph = graph
         self.vocab, self.schema, self.dims = vocab, schema, dims
         self.settings, self.flags, self.trigger_mode = settings, flags, trigger_mode
@@ -378,31 +398,30 @@ class MariaModel:
                 graph, rng, layout, dims.user, dims.item, dims.scenario,
                 settings.scale_hidden, settings.scale_ceiling, "adaptive.fs",
             )
-            if flags.fs else None
+            if maria and flags.fs else None
         )
         self.fr = (
             ft.FieldRefinement(
                 graph, rng, layout, dims.scenario, settings.refiner_counts,
                 settings.refiner_compression, settings.gumbel_temperature, flags.gs, "adaptive.fr",
             )
-            if flags.fr else None
+            if maria and flags.fr else None
         )
         self.fcm = (
             ft.FieldCorrelation(graph, rng, layout, settings.correlation_dim, "adaptive.fcm")
-            if flags.fcm else None
+            if maria and flags.fcm else None
         )
-        fused_width = (self.fr.out_width if self.fr else layout.width) + (self.fcm.out_width if self.fcm else 0)
-        self.mixture = _MixtureHead(graph, rng, fused_width, settings, dims.scenario, gated=flags.nl)
+        width = (self.fr.out_width if self.fr else layout.width) + (self.fcm.out_width if self.fcm else 0)
+        self.mixture = None
+        if kind in ("maria", "mmoe"):
+            self.mixture = _MixtureHead(graph, rng, width, settings, dims.scenario, gated=flags.nl)
+            width = self.mixture.out_width
 
         tw = list(settings.tower_dims)
         acts = ["relu"] * len(tw)
-        self.towers = [
-            Fcn(graph, rng, self.mixture.out_width, tw, acts, f"towers.scenario{s}")
-            for s in range(vocab.scenarios)
-        ]
-        self.shared_tower = (
-            Fcn(graph, rng, self.mixture.out_width, tw, acts, "towers.shared") if flags.st else None
-        )
+        tower_count = 1 if kind == "hard_sharing" else vocab.scenarios
+        self.towers = [Fcn(graph, rng, width, tw, acts, f"towers.scenario{s}") for s in range(tower_count)]
+        self.shared_tower = Fcn(graph, rng, width, tw, acts, "towers.shared") if maria and flags.st else None
         self.head = Fcn(graph, rng, tw[-1], [1], ["sigmoid"], "head")
 
     def _coupling(self, scenario: np.ndarray) -> Value:
@@ -426,26 +445,27 @@ class MariaModel:
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         out = self.bottom.encode(batch)
         trace: dict = {}
-        fused, alpha = ft.adaptive_features(
+        h, alpha = ft.adaptive_features(
             out.q, out.layout, out.e_user, out.e_item, out.e_scenario,
             self.fs, self.fr, self.fcm, mode, trace if mode == "eval" else None,
         )
-        mixed = self.mixture.forward(fused, out.e_scenario)
-        specific = _grouped_towers(self.towers, mixed, batch.scenario)
-        if self.shared_tower is not None:
-            shared = self.shared_tower.forward(mixed)
-            fused_tower = ad.add(specific, ad.mul(shared, self._coupling(batch.scenario)))
+        if self.mixture is not None:
+            h = self.mixture.forward(h, out.e_scenario)
+        if len(self.towers) == 1:
+            tower_out = self.towers[0].forward(h)
         else:
-            fused_tower = specific
-        score = ad.reshape(self.head.forward(fused_tower), (batch.size,))
+            tower_out = _grouped_towers(self.towers, h, batch.scenario)
+        if self.shared_tower is not None:
+            shared = self.shared_tower.forward(h)
+            tower_out = ad.add(tower_out, ad.mul(shared, self._coupling(batch.scenario)))
+        score = ad.reshape(self.head.forward(tower_out), (batch.size,))
         return ForwardResult(score=score, alpha=alpha, trace=trace)
 
     def named_parameters(self) -> list[tuple[str, Value]]:
         out = list(self.bottom.parameters())
-        for module in (self.fs, self.fr, self.fcm):
+        for module in (self.fs, self.fr, self.fcm, self.mixture):
             if module is not None:
                 out.extend(module.parameters())
-        out.extend(self.mixture.parameters())
         for tower in self.towers:
             out.extend(tower.parameters())
         if self.shared_tower is not None:
@@ -457,82 +477,37 @@ class MariaModel:
         return [v for _, v in self.named_parameters()]
 
     def parameter_summary(self) -> dict[str, int]:
-        return _summarize(self.named_parameters())
+        summary = {group: 0 for group, _ in _SUMMARY_GROUPS}
+        for name, value in self.named_parameters():
+            summary[group_of_parameter(name)] += value.size
+        summary["total"] = sum(summary.values())
+        return summary
 
     def spec(self) -> dict:
-        return _spec_dict(self.kind, self.vocab, self.schema, self.dims, self.settings, self.flags, self.trigger_mode)
+        """Everything ``model_from_spec`` needs to rebuild the same structure."""
+        model = dict(vars(self.settings))
+        model["tower_dims"] = list(self.settings.tower_dims)
+        model["refiner_counts"] = dict(self.settings.refiner_counts)
+        return {
+            "kind": self.kind,
+            "vocab": dict(vars(self.vocab)),
+            "schema": dict(vars(self.schema)),
+            "dims": dict(vars(self.dims)),
+            "model": model,
+            "flags": dict(vars(self.flags)),
+            "trigger_mode": self.trigger_mode,
+        }
 
 
-class BaselineModel:
-    """Reference heads over the same encoder bottom.
+class BaselineModel(MariaModel):
+    """Constructor preset for the baseline kinds; all logic is MariaModel's."""
 
-    hard_sharing: one tower for every scenario.
-    shared_bottom: per-scenario towers on the raw field vector.
-    mmoe: scenario-gated expert mixture, then per-scenario towers.
-    """
+    forward = MariaModel.forward  # bench/spans.py patches forward in this class's own namespace
 
-    def __init__(
-        self,
-        graph: Graph,
-        rng: np.random.Generator,
-        vocab: VocabSizes,
-        schema: FeatureSchema,
-        dims: EmbedDims,
-        settings: ModelSettings,
-        kind: str,
-        trigger_mode: str,
-    ):
+    def __init__(self, graph, rng, vocab, schema, dims, settings, kind: str, trigger_mode: str):
         if kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINE_KINDS}")
-        self.kind = kind
-        self.graph = graph
-        self.vocab, self.schema, self.dims = vocab, schema, dims
-        self.settings, self.trigger_mode = settings, trigger_mode
-        self.flags = AblationFlags()
-        self.bottom = EncoderBottom(graph, rng, vocab, schema, dims, settings, trigger_mode)
-        self.layout = self.bottom.static_layout()
-        in_width = self.layout.width
-        tw = list(settings.tower_dims)
-        acts = ["relu"] * len(tw)
-        self.mixture = None
-        if kind == "mmoe":
-            self.mixture = _MixtureHead(graph, rng, in_width, settings, dims.scenario, gated=True)
-            in_width = self.mixture.out_width
-        tower_count = 1 if kind == "hard_sharing" else vocab.scenarios
-        self.towers = [Fcn(graph, rng, in_width, tw, acts, f"towers.scenario{s}") for s in range(tower_count)]
-        self.head = Fcn(graph, rng, tw[-1], [1], ["sigmoid"], "head")
-
-    def forward(self, batch: Batch, mode: str = "train") -> ForwardResult:
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        out = self.bottom.encode(batch)
-        h = out.q
-        if self.mixture is not None:
-            h = self.mixture.forward(h, out.e_scenario)
-        if len(self.towers) == 1:
-            tower_out = self.towers[0].forward(h)
-        else:
-            tower_out = _grouped_towers(self.towers, h, batch.scenario)
-        score = ad.reshape(self.head.forward(tower_out), (batch.size,))
-        return ForwardResult(score=score, alpha=None, trace={})
-
-    def named_parameters(self) -> list[tuple[str, Value]]:
-        out = list(self.bottom.parameters())
-        if self.mixture is not None:
-            out.extend(self.mixture.parameters())
-        for tower in self.towers:
-            out.extend(tower.parameters())
-        out.extend(self.head.parameters())
-        return out
-
-    def parameter_values(self) -> list[Value]:
-        return [v for _, v in self.named_parameters()]
-
-    def parameter_summary(self) -> dict[str, int]:
-        return _summarize(self.named_parameters())
-
-    def spec(self) -> dict:
-        return _spec_dict(self.kind, self.vocab, self.schema, self.dims, self.settings, self.flags, self.trigger_mode)
+        super().__init__(graph, rng, vocab, schema, dims, settings, AblationFlags(), trigger_mode, kind)
 
 
 _SUMMARY_GROUPS = (
@@ -556,53 +531,21 @@ def group_of_parameter(name: str) -> str:
     raise ValueError(f"parameter {name!r} matches no summary group")
 
 
-def _summarize(named: list[tuple[str, Value]]) -> dict[str, int]:
-    summary = {group: 0 for group, _ in _SUMMARY_GROUPS}
-    total = 0
-    for name, value in named:
-        total += value.size
-        summary[group_of_parameter(name)] += value.size
-    summary["total"] = total
-    return summary
-
-
-def _spec_dict(kind, vocab, schema, dims, settings, flags, trigger_mode) -> dict:
-    model = dict(vars(settings))
-    model["tower_dims"] = list(settings.tower_dims)
-    model["refiner_counts"] = dict(settings.refiner_counts)
-    return {
-        "kind": kind,
-        "vocab": dict(vars(vocab)),
-        "schema": dict(vars(schema)),
-        "dims": dict(vars(dims)),
-        "model": model,
-        "flags": dict(vars(flags)),
-        "trigger_mode": trigger_mode,
-    }
-
-
-def build_model(graph: Graph, cfg: RunConfig, kind: str = "maria", seed: int | None = None):
+def build_model(graph: Graph, cfg: RunConfig, kind: str = "maria", seed: int | None = None) -> MariaModel:
     """Construct a model of the given kind from a resolved run config."""
     rng = np.random.default_rng(cfg.train.seed if seed is None else seed)
-    if kind == "maria":
-        return MariaModel(graph, rng, cfg.vocab, cfg.schema, cfg.dims, cfg.model, cfg.flags, cfg.trigger_mode)
-    return BaselineModel(graph, rng, cfg.vocab, cfg.schema, cfg.dims, cfg.model, kind, cfg.trigger_mode)
+    return MariaModel(graph, rng, cfg.vocab, cfg.schema, cfg.dims, cfg.model, cfg.flags, cfg.trigger_mode, kind)
 
 
-def model_from_spec(graph: Graph, spec: dict, seed: int = 0):
+def model_from_spec(graph: Graph, spec: dict, seed: int = 0) -> MariaModel:
     """Rebuild a model with the exact structure recorded by ``spec()``."""
-    vocab = VocabSizes(**spec["vocab"])
-    schema = FeatureSchema(**spec["schema"])
-    dims = EmbedDims(**spec["dims"])
     raw = dict(spec["model"])
     raw["tower_dims"] = tuple(raw["tower_dims"])
-    settings = ModelSettings(**raw)
-    flags = AblationFlags(**spec["flags"])
-    rng = np.random.default_rng(seed)
-    kind = spec["kind"]
-    if kind == "maria":
-        return MariaModel(graph, rng, vocab, schema, dims, settings, flags, spec["trigger_mode"])
-    return BaselineModel(graph, rng, vocab, schema, dims, settings, kind, spec["trigger_mode"])
+    return MariaModel(
+        graph, np.random.default_rng(seed),
+        VocabSizes(**spec["vocab"]), FeatureSchema(**spec["schema"]), EmbedDims(**spec["dims"]),
+        ModelSettings(**raw), AblationFlags(**spec["flags"]), spec["trigger_mode"], spec["kind"],
+    )
 
 
 def bce_loss(score: Value, labels: np.ndarray) -> Value:

@@ -237,7 +237,7 @@ def evaluate(model, instances: list[Instance], batch_size: int = 512, workers: i
         )
 
     refiner_hist: dict[str, np.ndarray] = {}
-    fr = getattr(model, "fr", None)
+    fr = model.fr
     if fr is not None:
         n_s = model.vocab.scenarios
         for fname, count in fr.counts.items():

@@ -1,12 +1,16 @@
 """End-to-end command exercises: files on disk, exit codes, JSON output."""
 
+import hashlib
 import json
+import struct
 import subprocess
 import sys
 
 import pytest
 
-from maria import cli, config
+from maria import checkpoint, cli, config
+from maria.autodiff import Graph
+from maria.model import build_model
 
 TINY = [
     "--set", "vocab.users=20", "--set", "vocab.items=30",
@@ -166,6 +170,45 @@ def test_eval_rejects_mismatched_dataset(data_files, tmp_path, capsys):
     assert code == 0
     code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(other))
     assert code == 2 and "incompatible" in err
+
+
+def test_eval_of_a_checkpoint_whose_spec_cannot_build_a_model_exits_3(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    code, _, _ = run(capsys, "gen-data", *TINY, "--out", str(data), "--count", "40")
+    assert code == 0
+    overrides = dict(p.split("=", 1) for p in TINY[1::2])
+    model = build_model(Graph(seed=0), config.build_run_config({}, overrides))
+    params = [(n, v.data) for n, v in model.named_parameters()]
+
+    def eval_with(spec):
+        path = tmp_path / "m.ckpt"
+        checkpoint.save_checkpoint(path, spec, params)
+        return run(capsys, "eval", "--model", str(path), "--data", str(data))
+
+    code, _, _ = eval_with(model.spec())
+    assert code == 0
+    unknown_kind = {**model.spec(), "kind": "bogus"}
+    missing_key = {k: v for k, v in model.spec().items() if k != "vocab"}
+    unknown_field = model.spec()
+    unknown_field["model"]["bogus_width"] = 3
+    wrong_type = model.spec()
+    wrong_type["model"]["refiner_counts"] = [1, 2]
+    for spec, cause in (
+        (unknown_kind, "ValueError"), (missing_key, "KeyError"),
+        (unknown_field, "TypeError"), (wrong_type, "AttributeError"),
+    ):
+        code, _, err = eval_with(spec)
+        assert code == 3, err
+        assert "spec cannot build a model" in err and cause in err
+
+    header = b'{"spec": {}}'  # passes its digest, but has no meta
+    raw = tmp_path / "raw.ckpt"
+    raw.write_bytes(
+        checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + hashlib.sha256(header).digest()
+        + struct.pack("<I", len(header)) + header + struct.pack("<I", 0)
+    )
+    code, _, err = run(capsys, "eval", "--model", str(raw), "--data", str(data))
+    assert code == 3 and "KeyError" in err
 
 
 def test_gradcheck_pass_fail_and_bad_group(capsys):

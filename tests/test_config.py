@@ -3,7 +3,9 @@
 import pytest
 
 from maria import config
+from maria.autodiff import Graph
 from maria.config import ConfigError, build_run_config, parse_config_file
+from maria.model import build_model
 
 
 def test_defaults_build_and_expose_expected_values():
@@ -126,13 +128,21 @@ def test_disable_flags():
         build_run_config({"train.disable": "xx"})
 
 
+def _spec_digest(cfg, kind="maria"):
+    return config.sha256_hex(config.canonical_json(build_model(Graph(seed=0), cfg, kind=kind).spec()))
+
+
 def test_digests_track_structure_not_training():
     base = build_run_config()
     same = build_run_config({"train.learning_rate": "0.9"})
     other = build_run_config({"model.experts": "7"})
-    assert config.config_digest(base) == config.config_digest(same)
-    assert config.config_digest(base) != config.config_digest(other)
-    assert config.config_digest(base, kind="maria") != config.config_digest(base, kind="mmoe")
+    assert _spec_digest(base) == _spec_digest(same)
+    assert _spec_digest(base) != _spec_digest(other)
+    assert _spec_digest(base, kind="maria") != _spec_digest(base, kind="mmoe")
+    # baselines record the default flags, so an ablation leaves their spec alone
+    ablated = build_run_config({"train.disable": "fs"})
+    assert _spec_digest(base) != _spec_digest(ablated)
+    assert _spec_digest(base, kind="mmoe") == _spec_digest(ablated, kind="mmoe")
     # data compatibility ignores model internals entirely
     assert config.data_compat_digest(base) == config.data_compat_digest(other)
     vocab_change = build_run_config({"vocab.items": "999"})

@@ -1,5 +1,7 @@
 """Model assembly: forward oracle, gradients, grouping, coupling, baselines, checkpoints."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,13 @@ def test_ablated_model_collapses_to_mixture_baseline():
     names_a = [n for n, _ in stripped.named_parameters()]
     names_b = [n for n, _ in mmoe.named_parameters()]
     assert names_a == names_b
+    for (_, a), (_, b) in zip(stripped.named_parameters(), mmoe.named_parameters()):
+        assert np.array_equal(a.data, b.data)
+    dataset, _ = datagen.generate(cfg_off)
+    batch = make_batch(dataset.instances, cfg_off.vocab, cfg_off.schema, cfg_off.trigger_mode)
+    score_a = stripped.forward(batch, mode="eval").score.data
+    score_b = mmoe.forward(batch, mode="eval").score.data
+    assert np.array_equal(score_a, score_b)
 
 
 def test_disabling_shared_tower_removes_exactly_its_parameters():
@@ -376,6 +385,42 @@ def test_baselines_share_bottom_structure():
     assert kinds["hard_sharing"]["scenario_towers"] < kinds["shared_bottom"]["scenario_towers"]
     with pytest.raises(ValueError, match="unknown baseline"):
         BaselineModel(Graph(seed=0), np.random.default_rng(0), cfg.vocab, cfg.schema, cfg.dims, cfg.model, "bad", "search")
+    with pytest.raises(ValueError, match="unknown baseline"):
+        BaselineModel(Graph(seed=0), np.random.default_rng(0), cfg.vocab, cfg.schema, cfg.dims, cfg.model, "maria", "search")
+    with pytest.raises(ValueError, match="unknown model kind"):
+        build_model(Graph(seed=0), cfg, kind="bad")
+
+
+# sha256 of an untrained checkpoint at the tiny config, seed 3. The bytes come
+# from RNG draws only (no BLAS), so a change means the construction order,
+# the parameter names or the spec record changed.
+UNTRAINED_CHECKPOINT_SHA256 = {
+    "maria": "0c5504e973548e639533435e8e74a146ae818d1b488cd53d0df4450e81795bdf",
+    "mmoe": "5f41f4535d0cb9a4bb8d5cddc062e26cab5fd749da8b44015bdcada870718a31",
+    "shared_bottom": "8c0d800d1a520c5b4732ed88446494de8be46c44bc6d7d133875a71154bb6c39",
+    "hard_sharing": "6c78b33735abead58038d6ff645cb69e755016e1ab9a0b22eb9c4f9c507c242c",
+}
+
+
+def _checkpoint_sha256(model, path) -> str:
+    ckpt.save_model(path, model)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(UNTRAINED_CHECKPOINT_SHA256))
+def test_untrained_checkpoint_bytes_are_pinned(kind, tmp_path):
+    path = tmp_path / "model.ckpt"
+    model = build_model(Graph(seed=0), tiny_cfg(), kind=kind, seed=3)
+    assert _checkpoint_sha256(model, path) == UNTRAINED_CHECKPOINT_SHA256[kind]
+    if kind != "maria":
+        # baselines ignore the ablation flags, and the preset class builds the same model
+        flagged = build_model(Graph(seed=0), tiny_cfg(**{"train.disable": "nl,st"}), kind=kind, seed=3)
+        assert _checkpoint_sha256(flagged, path) == UNTRAINED_CHECKPOINT_SHA256[kind]
+        cfg = tiny_cfg()
+        preset = BaselineModel(
+            Graph(seed=0), np.random.default_rng(3), cfg.vocab, cfg.schema, cfg.dims, cfg.model, kind, cfg.trigger_mode
+        )
+        assert _checkpoint_sha256(preset, path) == UNTRAINED_CHECKPOINT_SHA256[kind]
 
 
 def test_bce_loss_reference_values():
@@ -420,8 +465,8 @@ def test_checkpoint_round_trip_and_digest(tmp_path):
     after = loaded.forward(batch, mode="eval").score.data
     assert np.array_equal(before, after)
 
-    spec_digest = cfgmod.sha256_hex(cfgmod.canonical_json(model.spec()))
-    assert spec_digest == cfgmod.config_digest(cfg, kind="maria")
+    rebuilt = build_model(Graph(seed=0), cfg, kind="maria", seed=1)
+    assert cfgmod.canonical_json(loaded.spec()) == cfgmod.canonical_json(rebuilt.spec())
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
