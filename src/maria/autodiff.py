@@ -3,8 +3,11 @@
 A :class:`Graph` owns an append-only arena of :class:`Value` nodes. Nodes are
 appended in creation order, so the arena index is a valid topological order
 and :func:`backward` is a single reverse sweep over it. All buffers are numpy
-float64. The graph also owns the random source used for Gumbel noise, so runs
-are reproducible bit for bit and noise can be recorded and replayed
+float64. A grad buffer is made on first use: the first contribution backward
+adds to a node becomes its buffer, and a read of a node that has none makes
+a zero one. A forward pass alone, as in eval, allocates no grad bytes. The
+graph also owns the random source used for Gumbel noise, so runs are
+reproducible bit for bit and noise can be recorded and replayed
 (finite-difference checks need the same noise on every perturbed pass).
 """
 
@@ -26,9 +29,13 @@ def _shape_error(op: str, *shapes: tuple) -> ShapeError:
 
 
 class Value:
-    """One node of the computation: a float64 buffer plus its backward recipe."""
+    """One node of the computation: a float64 buffer plus its backward recipe.
 
-    __slots__ = ("graph", "index", "data", "grad", "op", "parents", "requires_grad", "_backward")
+    ``grad`` has no buffer behind it until backward contributes to the node
+    or something reads it (see :attr:`grad`).
+    """
+
+    __slots__ = ("graph", "index", "data", "_grad", "op", "parents", "requires_grad", "_backward")
 
     def __init__(
         self,
@@ -41,12 +48,20 @@ class Value:
     ):
         self.graph = graph
         self.data = data
-        self.grad = np.zeros_like(data)
+        self._grad: Array | None = None
         self.parents = parents
         self.op = op
         self.requires_grad = requires_grad
         self._backward = backward
         self.index = graph._register(self)
+
+    @property
+    def grad(self) -> Array:
+        """d loss / d node, full-shape float64; an all-zero buffer is made on
+        the first read of a node that has none."""
+        if self._grad is None:
+            self._grad = np.zeros(self.data.shape)
+        return self._grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,8 +108,8 @@ class Graph:
         self.nodes: list[Value] = []
         self.rng = np.random.default_rng(seed)
         self.clamp_events = 0
-        # Nodes at or past this index hold all-zero grads: they were born
-        # zero and no backward has written them since the last clear.
+        # Nodes at or past this index hold no grad that a backward wrote
+        # since the last clear: no buffer, or zeros that a read made.
         self._grads_written = 0
         # "context" = everything a forward pass consumes besides node data:
         # sampled noise and gradient-frozen views. Recording it and replaying
@@ -124,8 +139,9 @@ class Graph:
         self._grads_written = min(self._grads_written, mark)
 
     def zero_grads(self) -> None:
-        """Zero every grad that :func:`backward` may have written since the
-        last clear; younger nodes are still zero from birth.
+        """Clear every grad that :func:`backward` may have written since the
+        last clear, by dropping its buffer; younger nodes have none yet, or
+        zeros that a read made. A dropped grad reads as zeros again.
 
         Only :func:`backward` marks grads as written. A grad set any other
         way (by hand, or by running a node's backward recipe directly) is
@@ -133,7 +149,7 @@ class Graph:
         clear; otherwise clearing it is the caller's job.
         """
         for node in self.nodes[: self._grads_written]:
-            node.grad[...] = 0.0
+            node._grad = None
         self._grads_written = 0
 
     # -- noise source and frozen views --------------------------------------
@@ -213,6 +229,28 @@ def _node(
     return Value(graph, data, parents, op, requires, backward if requires else None)
 
 
+def _accumulate(node: Value, contribution: Array, g: Array) -> None:
+    """``node.grad += contribution``, making the buffer on the first one.
+
+    A first contribution that the recipe has just computed becomes the
+    buffer itself. One that is ``g`` (the consumer's own grad), a view, a
+    numpy scalar, a broadcast or not C-ordered is copied into a new buffer.
+    Either way the values pass through ``+ 0.0``, which turns -0.0 into
+    +0.0: the buffer holds the same bits as a zero-filled one that took the
+    contribution.
+    """
+    buf = node._grad
+    if buf is not None:
+        buf += contribution
+    elif (
+        contribution is g or type(contribution) is not np.ndarray or contribution.base is not None
+        or contribution.shape != node.data.shape or not contribution.flags.c_contiguous
+    ):
+        node._grad = np.add(contribution, 0.0, out=np.empty(node.data.shape))
+    else:
+        node._grad = np.add(contribution, 0.0, out=contribution)
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     extra = grad.ndim - len(shape)
@@ -221,7 +259,8 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    # A reshaped view would make _accumulate copy what it could adopt.
+    return grad if grad.shape == shape else grad.reshape(shape)
 
 
 def _broadcastable(a: tuple, b: tuple) -> bool:
@@ -241,9 +280,9 @@ def add(a: Value, b: Value) -> Value:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape), g)
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.shape)
+            _accumulate(b, _unbroadcast(g, b.shape), g)
 
     return _node(a.graph, a.data + b.data, (a, b), "add", backward)
 
@@ -254,9 +293,9 @@ def sub(a: Value, b: Value) -> Value:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape), g)
         if b.requires_grad:
-            b.grad -= _unbroadcast(g, b.shape)
+            _accumulate(b, -_unbroadcast(g, b.shape), g)
 
     return _node(a.graph, a.data - b.data, (a, b), "sub", backward)
 
@@ -267,9 +306,9 @@ def mul(a: Value, b: Value) -> Value:
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.shape)
+            _accumulate(a, _unbroadcast(g * b.data, a.shape), g)
         if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.shape)
+            _accumulate(b, _unbroadcast(g * a.data, b.shape), g)
 
     return _node(a.graph, a.data * b.data, (a, b), "mul", backward)
 
@@ -286,10 +325,10 @@ def matmul(a: Value, b: Value) -> Value:
     def backward(g: Array) -> None:
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a.grad += _unbroadcast(ga, a.shape)
+            _accumulate(a, _unbroadcast(ga, a.shape), g)
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b.grad += _unbroadcast(gb, b.shape)
+            _accumulate(b, _unbroadcast(gb, b.shape), g)
 
     return _node(a.graph, out, (a, b), "matmul", backward)
 
@@ -312,11 +351,11 @@ def affine(x: Value, w: Value, b: Value) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += np.matmul(g, w.data.T)
+            _accumulate(x, np.matmul(g, w.data.T), g)
         if w.requires_grad:
-            w.grad += _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
+            _accumulate(w, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape), g)
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.shape)
+            _accumulate(b, _unbroadcast(g, b.shape), g)
 
     return _node(x.graph, out, (x, w, b), "affine", backward)
 
@@ -341,9 +380,9 @@ def concat(parts: Sequence[Value], axis: int = -1) -> Value:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 if axis == -1:
-                    p.grad += g[..., lo:hi]
+                    _accumulate(p, g[..., lo:hi], g)
                 else:
-                    p.grad += g[lo:hi]
+                    _accumulate(p, g[lo:hi], g)
 
     out = np.concatenate([p.data for p in parts], axis=axis)
     return _node(parts[0].graph, out, tuple(parts), "concat", backward)
@@ -391,7 +430,7 @@ def reshape(x: Value, shape: tuple[int, ...]) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g.reshape(x.shape)
+            _accumulate(x, g.reshape(x.shape), g)
 
     return _node(x.graph, out, (x,), "reshape", backward)
 
@@ -402,7 +441,7 @@ def transpose_last2(x: Value) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += np.swapaxes(g, -1, -2)
+            _accumulate(x, np.swapaxes(g, -1, -2), g)
 
     return _node(x.graph, np.swapaxes(x.data, -1, -2).copy(), (x,), "transpose_last2", backward)
 
@@ -412,7 +451,7 @@ def sigmoid(x: Value) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g * out * (1.0 - out)
+            _accumulate(x, g * out * (1.0 - out), g)
 
     return _node(x.graph, out, (x,), "sigmoid", backward)
 
@@ -422,7 +461,7 @@ def relu(x: Value) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g * (x.data > 0.0)
+            _accumulate(x, g * (x.data > 0.0), g)
 
     return _node(x.graph, out, (x,), "relu", backward)
 
@@ -435,7 +474,7 @@ def softmax_last(x: Value) -> Value:
     def backward(g: Array) -> None:
         if x.requires_grad:
             inner = (g * out).sum(axis=-1, keepdims=True)
-            x.grad += out * (g - inner)
+            _accumulate(x, out * (g - inner), g)
 
     return _node(x.graph, out, (x,), "softmax_last", backward)
 
@@ -443,7 +482,7 @@ def softmax_last(x: Value) -> Value:
 def log(x: Value) -> Value:
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g / x.data
+            _accumulate(x, g / x.data, g)
 
     return _node(x.graph, np.log(x.data), (x,), "log", backward)
 
@@ -453,7 +492,7 @@ def sqrt(x: Value) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g / (2.0 * out)
+            _accumulate(x, g / (2.0 * out), g)
 
     return _node(x.graph, out, (x,), "sqrt", backward)
 
@@ -463,7 +502,7 @@ def power(x: Value, exponent: float) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g * exponent * x.data ** (exponent - 1.0)
+            _accumulate(x, g * exponent * x.data ** (exponent - 1.0), g)
 
     return _node(x.graph, out, (x,), "power", backward)
 
@@ -473,7 +512,7 @@ def scale(x: Value, c: float) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g * c
+            _accumulate(x, g * c, g)
 
     return _node(x.graph, x.data * c, (x,), "scale", backward)
 
@@ -483,7 +522,7 @@ def shift(x: Value, c: float) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g
+            _accumulate(x, g, g)
 
     return _node(x.graph, x.data + c, (x,), "shift", backward)
 
@@ -495,7 +534,7 @@ def clamp(x: Value, lo: float, hi: float) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g * inside
+            _accumulate(x, g * inside, g)
 
     return _node(x.graph, out, (x,), "clamp", backward)
 
@@ -503,7 +542,7 @@ def clamp(x: Value, lo: float, hi: float) -> Value:
 def sum_all(x: Value) -> Value:
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g
+            _accumulate(x, g, g)
 
     return _node(x.graph, np.asarray(x.data.sum()), (x,), "sum_all", backward)
 
@@ -513,7 +552,7 @@ def mean_all(x: Value) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g / n
+            _accumulate(x, g / n, g)
 
     return _node(x.graph, np.asarray(x.data.mean()), (x,), "mean_all", backward)
 
@@ -521,7 +560,7 @@ def mean_all(x: Value) -> Value:
 def sum_last(x: Value, keepdims: bool = False) -> Value:
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x.grad += g if keepdims else np.expand_dims(g, -1)
+            _accumulate(x, g if keepdims else np.expand_dims(g, -1), g)
 
     return _node(x.graph, x.data.sum(axis=-1, keepdims=keepdims), (x,), "sum_last", backward)
 
@@ -532,7 +571,7 @@ def mean_last(x: Value, keepdims: bool = False) -> Value:
     def backward(g: Array) -> None:
         gg = g if keepdims else np.expand_dims(g, -1)
         if x.requires_grad:
-            x.grad += gg / n
+            _accumulate(x, gg / n, g)
 
     return _node(x.graph, x.data.mean(axis=-1, keepdims=keepdims), (x,), "mean_last", backward)
 
@@ -574,7 +613,7 @@ def argmax_one_hot(logits: Value) -> Value:
 
 
 def backward(loss: Value) -> None:
-    """Accumulate d loss / d node into every reachable node's grad buffer.
+    """Accumulate d loss / d node into every reachable node's grad.
 
     Single reverse sweep over the arena: creation order is topological, so by
     the time a node's recipe runs, every consumer has already added its
@@ -590,7 +629,7 @@ def backward(loss: Value) -> None:
             for p in nodes[i].parents:
                 needed[p.index] = True
     loss.graph._grads_written = max(loss.graph._grads_written, loss.index + 1)
-    loss.grad[...] = 1.0
+    loss._grad = np.ones(loss.data.shape)
     for i in range(loss.index, -1, -1):
         node = nodes[i]
         if needed[i] and node.requires_grad and node._backward is not None:

@@ -18,16 +18,14 @@ headers before any tensor is trusted.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
-from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from .autodiff import Graph
 from .config import canonical_json
+from .fileio import atomic_writer
 from .model import model_from_spec
 
 MAGIC = b"MARIA1"
@@ -36,32 +34,6 @@ VERSION = 1
 
 class CheckpointError(ValueError):
     """Unreadable, corrupted, or incompatible checkpoint file."""
-
-
-@contextmanager
-def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
-    """Binary handle on a temp file beside ``path``. The file replaces
-    ``path`` only after the body returns and its bytes reach the disk, so a
-    write that fails leaves the old file as it was and no temp file behind.
-    On POSIX the directory is synced after the rename, so the new entry
-    survives a power loss too."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        if os.name == "posix":
-            dir_fd = os.open(path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_checkpoint(path: str | Path, spec: dict, params: list[tuple[str, np.ndarray]], meta: dict | None = None) -> None:

@@ -16,6 +16,7 @@ from .autodiff import Graph
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig
 from .datagen import DataError, Dataset
+from .fileio import atomic_writer
 from .model import BASELINE_KINDS, build_model
 
 EXIT_OK = 0
@@ -149,7 +150,7 @@ def cmd_train(args) -> int:
         "eval": final.to_dict(),
     }
     metrics_file = Path(str(args.model_out) + ".metrics.json")
-    with checkpoint.atomic_writer(metrics_file) as fh:
+    with atomic_writer(metrics_file) as fh:
         fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     if args.json:
         _emit(doc)

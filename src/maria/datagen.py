@@ -29,6 +29,7 @@ from .config import (
     VocabSizes,
     compat_digest_parts,
 )
+from .fileio import atomic_writer
 
 MANIFEST_SUFFIX = ".manifest.json"
 _INSTANCE_KEYS = {
@@ -401,13 +402,22 @@ def manifest_to_json(m: DatasetManifest) -> dict:
 
 
 def write_jsonl(dataset: Dataset, path: str | Path) -> None:
-    """One JSON object per line, plus a sibling ``<path>.manifest.json``."""
+    """One JSON object per line, plus a sibling ``<path>.manifest.json``.
+
+    Both files are written through :func:`atomic_writer`, so a write that
+    fails leaves the old pair in place. The data file is renamed first and
+    the manifest right after; only a crash between the two renames leaves a
+    new data file beside the old manifest.
+    """
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for inst in dataset.instances:
-            fh.write(json.dumps(_instance_to_json(inst), separators=(",", ":")) + "\n")
-    doc = manifest_to_json(dataset.manifest)
-    manifest_path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    manifest = (json.dumps(manifest_to_json(dataset.manifest), indent=2) + "\n").encode("utf-8")
+    with atomic_writer(manifest_path(path)) as mfh:
+        with atomic_writer(path) as fh:
+            fh.writelines(
+                (json.dumps(_instance_to_json(inst), separators=(",", ":")) + "\n").encode("utf-8")
+                for inst in dataset.instances
+            )
+        mfh.write(manifest)
 
 
 def _instance_parser(manifest: DatasetManifest):

@@ -495,3 +495,114 @@ def test_affine_rejects_bad_shapes(x_shape, w_shape, b_shape):
     x, w, b = (g.constant(np.zeros(shape)) for shape in (x_shape, w_shape, b_shape))
     with pytest.raises(ad.ShapeError, match="affine"):
         ad.affine(x, w, b)
+
+
+# ---------------------------------------------------------------------------
+# grad buffers made on first use
+# ---------------------------------------------------------------------------
+
+# Each recipe maps operands of shape (3, 4) (plus the side parameters w, b)
+# to a (3, 4) Value. Together they reach every primitive's backward. The
+# comments mark the recipes that hand a parent g itself or a view of g, which
+# must be copied rather than adopted when it is the parent's first
+# contribution.
+_ROWS, _COLS = 3, 4
+_RECIPES = [
+    lambda x, y, s: ad.add(x, y),  # g itself
+    lambda x, y, s: ad.sub(x, y),  # g itself (negated for y)
+    lambda x, y, s: ad.mul(x, y),
+    lambda x, y, s: ad.matmul(ad.matmul(x, ad.transpose_last2(y)), x),  # transpose_last2: view
+    lambda x, y, s: ad.affine(x, s["w"], s["b"]),
+    lambda x, y, s: ad.slice_last(ad.concat([x, y], axis=-1), s["lo"], s["lo"] + _COLS),  # concat: view
+    lambda x, y, s: ad.take_rows(ad.concat([x, y], axis=0), s["rows"]),  # concat axis 0: view
+    lambda x, y, s: ad.reshape(ad.reshape(x, (_COLS, _ROWS)), (_ROWS, _COLS)),  # view
+    lambda x, y, s: ad.add(x, ad.sum_last(y, keepdims=True)),  # sum_last: g itself, broadcast
+    lambda x, y, s: ad.mul(x, ad.reshape(ad.sum_last(y), (_ROWS, 1))),  # sum_last: expand_dims view
+    lambda x, y, s: ad.add(x, ad.mean_last(y, keepdims=True)),
+    lambda x, y, s: ad.mul(y, ad.reshape(ad.mean_last(x), (_ROWS, 1))),
+    lambda x, y, s: ad.mul(x, ad.dot_last(x, y)),
+    lambda x, y, s: ad.shift(x, s["c"]),  # view: g itself
+    lambda x, y, s: ad.add(ad.scale(x, 2.0), ad.shift(x, s["c"])),  # fan-out: x takes g itself first
+    lambda x, y, s: ad.scale(x, s["c"]),
+    lambda x, y, s: ad.add(x, ad.sum_all(y)),  # sum_all: g itself, broadcast
+    lambda x, y, s: ad.mul(x, ad.mean_all(y)),
+    lambda x, y, s: ad.sigmoid(x),
+    lambda x, y, s: ad.relu(x),  # g * mask: -0.0 where g < 0 is masked
+    lambda x, y, s: ad.softmax_last(x),
+    lambda x, y, s: ad.clamp(x, -0.5, 0.5),
+    lambda x, y, s: ad.log(ad.shift(ad.mul(x, x), 1.0)),
+    lambda x, y, s: ad.sqrt(ad.shift(ad.mul(y, y), 1.0)),
+    lambda x, y, s: ad.power(ad.shift(ad.mul(x, x), 1.0), 1.5),
+    lambda x, y, s: ad.mul(ad.stop_gradient(x), y),
+]
+
+
+def _build_program(program, seed):
+    """One graph per call with the same data: leaves, the program's nodes,
+    and a weighted sum of the newest node and of every third node from the
+    first parameter on. Operands are counted back from the newest node, so
+    nodes often have several consumers (fan-out)."""
+    rng = np.random.default_rng(seed)
+    g = ad.Graph(seed=0)
+    side = {"w": g.parameter(rng.normal(size=(_COLS, _COLS))), "b": g.parameter(rng.normal(size=(_COLS,)))}
+    pool = [g.constant(rng.normal(size=(_ROWS, _COLS)))]
+    pool += [g.parameter(rng.normal(size=(_ROWS, _COLS))) for _ in range(2)]
+    for op, i, j, k in program:
+        side.update(lo=k % (_COLS + 1), rows=rng.integers(0, 2 * _ROWS, size=_ROWS), c=float(rng.normal()))
+        pool.append(_RECIPES[op](pool[-1 - i % len(pool)], pool[-1 - j % len(pool)], side))
+    total = ad.mul(pool[-1], g.constant(rng.normal(size=(_ROWS, _COLS))))
+    for v in pool[1 : len(pool) - 1 : 3]:
+        total = ad.add(total, ad.mul(v, g.constant(rng.normal(size=(_ROWS, _COLS)))))
+    return g, ad.sum_all(total)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    program=st.lists(
+        st.tuples(st.integers(0, len(_RECIPES) - 1), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+        min_size=1, max_size=12,
+    ),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_grads_made_on_first_use_equal_the_zero_start_path_bit_for_bit(program, seed):
+    zero_graph, zero_loss = _build_program(program, seed)
+    for node in zero_graph.nodes:
+        node.grad  # every node gets a zero buffer, so backward only adds
+    ad.backward(zero_loss)
+
+    graph, loss = _build_program(program, seed)
+    assert all(node._grad is None for node in graph.nodes)
+    # A node's grad is final when its recipe runs; parents that take more
+    # contributions afterwards must not write through into it.
+    final: dict[int, bytes] = {}
+    for node in graph.nodes:
+        if node._backward is not None:
+            def recorded(g, recipe=node._backward, index=node.index):
+                recipe(g)
+                final[index] = g.tobytes()
+
+            node._backward = recorded
+    ad.backward(loss)
+
+    assert final
+    for index, snapshot in final.items():
+        assert graph.nodes[index].grad.tobytes() == snapshot, f"node {index} changed after its recipe ran"
+    for mine, ref in zip(graph.nodes, zero_graph.nodes):
+        # tobytes tells -0.0 from +0.0; the dtype and shape must match too.
+        assert mine.grad.dtype == ref.grad.dtype and mine.grad.shape == ref.grad.shape
+        assert mine.grad.tobytes() == ref.grad.tobytes(), f"{mine.op} node {mine.index}"
+
+
+def test_a_grad_handed_down_whole_is_copied_not_shared():
+    # shift hands h its own grad as h's first contribution; scale, which
+    # runs later in the sweep, adds into h. shift's grad must not move.
+    g = ad.Graph(seed=0)
+    x = g.parameter([1.0, -2.0, 3.0])
+    h = ad.mul(x, x)
+    scaled = ad.scale(h, 2.0)
+    shifted = ad.shift(h, 1.0)
+    weights = g.constant([0.5, -1.0, 4.0])
+    ad.backward(ad.sum_all(ad.add(ad.mul(shifted, weights), scaled)))
+    np.testing.assert_array_equal(shifted.grad, [0.5, -1.0, 4.0])
+    np.testing.assert_array_equal(h.grad, [2.5, 1.0, 6.0])
+    np.testing.assert_array_equal(x.grad, [5.0, -4.0, 36.0])

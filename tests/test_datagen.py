@@ -133,6 +133,34 @@ def test_write_read_round_trip(tmp_path):
     assert loaded.manifest == dataset.manifest
 
 
+def test_failed_write_leaves_the_old_data_and_manifest(tmp_path, monkeypatch):
+    path = tmp_path / "train.jsonl"
+    old, _ = datagen.generate(small_cfg(**{"gen.count": "30"}))
+    datagen.write_jsonl(old, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    new, _ = datagen.generate(small_cfg(**{"gen.count": "40", "gen.seed": "9"}))
+
+    real = datagen._instance_to_json
+    written = []
+
+    def fail_midway(inst):
+        if len(written) == 20:
+            raise RuntimeError("midway")
+        written.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(datagen, "_instance_to_json", fail_midway)
+    with pytest.raises(RuntimeError, match="midway"):
+        datagen.write_jsonl(new, path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert datagen.read_jsonl(path).instances == old.instances
+
+    monkeypatch.setattr(datagen, "_instance_to_json", real)
+    datagen.write_jsonl(new, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.jsonl", "train.jsonl.manifest.json"]
+    assert datagen.read_jsonl(path).manifest == new.manifest
+
+
 def test_image_vec_floats_survive_round_trip(tmp_path):
     cfg = small_cfg(**{
         "scenario.0.trigger_kind": "image", "scenario.1.trigger_kind": "image",

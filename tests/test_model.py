@@ -12,6 +12,7 @@ from maria import config as cfgmod
 from maria import datagen, model as mdl
 from maria.autodiff import Graph
 from maria.config import build_run_config
+from maria.fileio import atomic_writer
 from maria.model import BaselineModel, bce_loss, build_model, make_batch
 
 
@@ -509,7 +510,7 @@ def test_failed_writes_leave_the_old_file_and_no_temp_file(tmp_path):
     metrics_file = tmp_path / "model.ckpt.metrics.json"
     metrics_file.write_text("{}\n")
     with pytest.raises(RuntimeError, match="midway"):
-        with ckpt.atomic_writer(metrics_file) as fh:
+        with atomic_writer(metrics_file) as fh:
             fh.write(b'{"partial": ')
             raise RuntimeError("midway")
     assert metrics_file.read_text() == "{}\n"
@@ -529,7 +530,7 @@ def test_atomic_writer_syncs_the_file_then_its_directory(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", recording_fsync)
     path = tmp_path / "model.ckpt.metrics.json"
-    with ckpt.atomic_writer(path) as fh:
+    with atomic_writer(path) as fh:
         fh.write(b"{}\n")
     assert path.read_bytes() == b"{}\n"
     assert synced == ([False, True] if os.name == "posix" else [False])

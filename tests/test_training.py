@@ -8,7 +8,7 @@ import pytest
 from maria import datagen, training
 from maria.autodiff import Graph
 from maria.config import build_run_config
-from maria.model import build_model
+from maria.model import build_model, make_batch
 from maria.training import TrainingDiverged, ablate, evaluate, gradient_check, train
 
 
@@ -144,6 +144,38 @@ def test_evaluate_is_side_effect_free_and_reports_scenarios():
         assert hist.shape[0] == cfg.vocab.scenarios
         assert hist.sum() == 500  # one pick per instance per field
     assert report.to_dict()["count"] == 500
+
+
+def test_eval_makes_no_grad_buffers_and_leaves_training_unchanged():
+    cfg = learnable_overrides(**{"train.epochs": "2", "gen.count": "400"})
+    dataset, graph, model = make_run(cfg)
+    batch = make_batch(dataset.instances[:64], model.vocab, model.schema, model.trigger_mode)
+    mark = graph.mark()
+    model.forward(batch, mode="eval")
+    assert len(graph) > mark
+    assert all(node._grad is None for node in graph.nodes)
+    graph.truncate(mark)
+
+    # evaluate truncates after each batch: look at every node first.
+    unbuffered = []
+    truncate = graph.truncate
+
+    def checked_truncate(m):
+        unbuffered.append(len(graph) > m and all(node._grad is None for node in graph.nodes))
+        truncate(m)
+
+    graph.truncate = checked_truncate
+    evaluate(model, dataset.instances, batch_size=64)
+    del graph.truncate
+    assert len(unbuffered) == 7 and all(unbuffered)
+
+    report = train(graph, model, dataset.instances, cfg.train)
+    ref_ds, ref_graph, ref_model = make_run(cfg)
+    ref = train(ref_graph, ref_model, ref_ds.instances, cfg.train)
+    assert report.step_losses == ref.step_losses
+    for (n1, v1), (n2, v2) in zip(model.named_parameters(), ref_model.named_parameters()):
+        assert n1 == n2
+        assert np.array_equal(v1.data, v2.data)
 
 
 def test_evaluate_workers_match_serial():
