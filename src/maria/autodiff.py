@@ -74,32 +74,6 @@ class Value:
     def __repr__(self) -> str:
         return f"Value(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; scalars go through scale/shift so the tape stays lean.
-    def __add__(self, other: "Value | float") -> "Value":
-        if isinstance(other, Value):
-            return add(self, other)
-        return shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Value | float") -> "Value":
-        if isinstance(other, Value):
-            return sub(self, other)
-        return shift(self, -float(other))
-
-    def __mul__(self, other: "Value | float") -> "Value":
-        if isinstance(other, Value):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Value":
-        return scale(self, -1.0)
-
-    def __matmul__(self, other: "Value") -> "Value":
-        return matmul(self, other)
-
 
 class Graph:
     """Arena of Values plus the seeded noise source for one model build."""
@@ -487,16 +461,6 @@ def log(x: Value) -> Value:
     return _node(x.graph, np.log(x.data), (x,), "log", backward)
 
 
-def sqrt(x: Value) -> Value:
-    out = np.sqrt(x.data)
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            _accumulate(x, g / (2.0 * out), g)
-
-    return _node(x.graph, out, (x,), "sqrt", backward)
-
-
 def power(x: Value, exponent: float) -> Value:
     out = x.data ** exponent
 
@@ -545,16 +509,6 @@ def sum_all(x: Value) -> Value:
             _accumulate(x, g, g)
 
     return _node(x.graph, np.asarray(x.data.sum()), (x,), "sum_all", backward)
-
-
-def mean_all(x: Value) -> Value:
-    n = x.data.size
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            _accumulate(x, g / n, g)
-
-    return _node(x.graph, np.asarray(x.data.mean()), (x,), "mean_all", backward)
 
 
 def sum_last(x: Value, keepdims: bool = False) -> Value:

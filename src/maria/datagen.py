@@ -117,19 +117,17 @@ class Dataset:
 # stable signals
 # ---------------------------------------------------------------------------
 
-def stable_unit(*keys) -> float:
-    """Deterministic value in [-1, 1] keyed by the given ints/strings."""
-    payload = "\x1f".join(str(k) for k in keys).encode("utf-8")
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    (word,) = struct.unpack("<Q", digest)
-    return word / float(2**64 - 1) * 2.0 - 1.0
-
-
 def _stable_int(*keys) -> int:
+    """Deterministic 64-bit word keyed by the given ints/strings."""
     payload = "\x1f".join(str(k) for k in keys).encode("utf-8")
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     (word,) = struct.unpack("<Q", digest)
     return word
+
+
+def stable_unit(*keys) -> float:
+    """Deterministic value in [-1, 1] keyed by the given ints/strings."""
+    return _stable_int(*keys) / float(2**64 - 1) * 2.0 - 1.0
 
 
 def profiles_from_config(cfg: RunConfig) -> tuple[ScenarioProfile, ...]:
@@ -174,43 +172,23 @@ def profiles_from_config(cfg: RunConfig) -> tuple[ScenarioProfile, ...]:
 
 
 class _Catalogs:
-    """Memoized deterministic attribute lists and latent signals."""
+    """Memoized deterministic attribute ids of users ("uattr") and of items
+    as targets or behaviors ("iattr") or as product triggers ("tattr")."""
 
     def __init__(self, vocab: VocabSizes, schema: FeatureSchema):
-        self.vocab = vocab
-        self.schema = schema
-        self._user_attrs: dict[int, tuple[int, ...]] = {}
-        self._item_attrs: dict[int, tuple[int, ...]] = {}
-        self._trigger_attrs: dict[int, tuple[int, ...]] = {}
+        self._sizes = {
+            "uattr": (schema.user_attr_count, vocab.user_attrs),
+            "iattr": (schema.item_attr_count, vocab.item_attrs),
+            "tattr": (schema.trigger_attr_count, vocab.trigger_attrs),
+        }
+        self._memo: dict[tuple[str, int], tuple[int, ...]] = {}
 
-    def user_attrs(self, user: int) -> tuple[int, ...]:
-        got = self._user_attrs.get(user)
+    def attrs(self, kind: str, key: int) -> tuple[int, ...]:
+        got = self._memo.get((kind, key))
         if got is None:
-            got = tuple(
-                _stable_int("uattr", user, j) % self.vocab.user_attrs
-                for j in range(self.schema.user_attr_count)
-            )
-            self._user_attrs[user] = got
-        return got
-
-    def item_attrs(self, item: int) -> tuple[int, ...]:
-        got = self._item_attrs.get(item)
-        if got is None:
-            got = tuple(
-                _stable_int("iattr", item, j) % self.vocab.item_attrs
-                for j in range(self.schema.item_attr_count)
-            )
-            self._item_attrs[item] = got
-        return got
-
-    def trigger_attrs(self, item: int) -> tuple[int, ...]:
-        got = self._trigger_attrs.get(item)
-        if got is None:
-            got = tuple(
-                _stable_int("tattr", item, j) % self.vocab.trigger_attrs
-                for j in range(self.schema.trigger_attr_count)
-            )
-            self._trigger_attrs[item] = got
+            count, vocab_size = self._sizes[kind]
+            got = tuple(_stable_int(kind, key, j) % vocab_size for j in range(count))
+            self._memo[kind, key] = got
         return got
 
 
@@ -280,13 +258,13 @@ def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
         user = int(rng.integers(0, vocab.users))
         length = int(rng.integers(1, schema.max_behavior_len + 1))
         beh_items = rng.choice(vocab.items, size=length, p=popularity[sid])
-        behavior = tuple((int(it), catalogs.item_attrs(int(it))) for it in beh_items)
+        behavior = tuple((int(it), catalogs.attrs("iattr", int(it))) for it in beh_items)
         target = int(rng.choice(vocab.items, p=popularity[sid]))
         if profile.trigger_kind == "image":
             trigger = TriggerImage(vec=tuple(float(v) for v in rng.uniform(-1.0, 1.0, schema.image_dim)))
         elif profile.trigger_kind == "product":
             trig_item = int(rng.choice(vocab.items, p=popularity[sid]))
-            trigger = TriggerProduct(item=trig_item, attrs=catalogs.trigger_attrs(trig_item))
+            trigger = TriggerProduct(item=trig_item, attrs=catalogs.attrs("tattr", trig_item))
         else:
             trigger = None
         context = tuple(int(c) for c in rng.integers(0, vocab.context_attrs, size=schema.context_attr_count))
@@ -294,10 +272,10 @@ def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
         inst = Instance(
             scenario=sid,
             user=user,
-            user_attrs=catalogs.user_attrs(user),
+            user_attrs=catalogs.attrs("uattr", user),
             behavior=behavior,
             target_item=target,
-            target_attrs=catalogs.item_attrs(target),
+            target_attrs=catalogs.attrs("iattr", target),
             trigger=trigger,
             context=context,
             label=0,
@@ -524,37 +502,52 @@ def _instance_parser(manifest: DatasetManifest):
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
+    """Load a dataset's manifest; any manifest that cannot be decoded, or
+    whose keys or types cannot build the vocabulary, schema and scenario
+    profiles, raises DataError naming the manifest path."""
     mpath = manifest_path(path)
     if not mpath.exists():
         raise DataError(f"missing manifest {mpath}")
-    doc = json.loads(mpath.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(mpath.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise DataError(f"{mpath}: unreadable manifest ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{mpath}: manifest is not a JSON object")
     if doc.get("version") != 1:
         raise DataError(f"{mpath}: unsupported manifest version {doc.get('version')!r}")
-    profiles = tuple(
-        ScenarioProfile(
-            scenario_id=p["scenario_id"],
-            traffic_share=p["traffic_share"],
-            noise_std=p["noise_std"],
-            trigger_kind=p["trigger_kind"],
-            label_bias=p["label_bias"],
-            behavior_tilt=p["behavior_tilt"],
-            field_importance=tuple(p["field_importance"]),
-            label_weights=tuple(p["label_weights"]),
+    try:
+        profiles = tuple(
+            ScenarioProfile(
+                scenario_id=p["scenario_id"],
+                traffic_share=p["traffic_share"],
+                noise_std=p["noise_std"],
+                trigger_kind=p["trigger_kind"],
+                label_bias=p["label_bias"],
+                behavior_tilt=p["behavior_tilt"],
+                field_importance=tuple(p["field_importance"]),
+                label_weights=tuple(p["label_weights"]),
+            )
+            for p in doc["profiles"]
         )
-        for p in doc["profiles"]
-    )
-    return DatasetManifest(
-        vocab=doc["vocab"],
-        schema=doc["schema"],
-        trigger_mode=doc["trigger_mode"],
-        seed=doc["seed"],
-        count=doc["count"],
-        scenario_counts={int(k): v for k, v in doc["scenario_counts"].items()},
-        positive_rates=doc["positive_rates"],
-        bayes_auc=doc["bayes_auc"],
-        compat_digest=doc["compat_digest"],
-        profiles=profiles,
-    )
+        manifest = DatasetManifest(
+            vocab=doc["vocab"],
+            schema=doc["schema"],
+            trigger_mode=doc["trigger_mode"],
+            seed=doc["seed"],
+            count=doc["count"],
+            scenario_counts={int(k): v for k, v in doc["scenario_counts"].items()},
+            positive_rates=doc["positive_rates"],
+            bayes_auc=doc["bayes_auc"],
+            compat_digest=doc["compat_digest"],
+            profiles=profiles,
+        )
+        sizes = vars(manifest.vocab_sizes()) | vars(manifest.feature_schema())
+        if not all(type(v) is int for v in sizes.values()):
+            raise TypeError("vocab and schema sizes must be integers")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{mpath}: malformed manifest ({type(exc).__name__}: {exc})") from exc
+    return manifest
 
 
 def read_jsonl(path: str | Path) -> Dataset:
@@ -563,15 +556,26 @@ def read_jsonl(path: str | Path) -> Dataset:
     manifest = read_manifest(path)
     parse = _instance_parser(manifest)
     instances: list[Instance] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                raise DataError(f"line {lineno}: blank line inside dataset")
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            instances.append(parse(obj, lineno))
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.strip():
+                    raise DataError(f"line {lineno}: blank line inside dataset")
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                instances.append(parse(obj, lineno))
+    except UnicodeDecodeError:
+        # Decoding line by line would slow every read by about 7%; the text
+        # reader decodes whole chunks instead, so find the bad line here.
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"line {lineno}: not UTF-8 ({exc.reason})") from exc
+        raise
     if len(instances) != manifest.count:
         raise DataError(
             f"{path}: holds {len(instances)} instances but the manifest says {manifest.count} (truncated file?)"

@@ -1,10 +1,11 @@
 """Scenario-adaptive feature transforms over a concatenated field vector.
 
-The assembled input is a single (batch, width) vector made of five fields
-(behavior summary, user, target item, trigger, context). A FieldLayout maps
-byte-for-byte where each field and each feature element (one id embedding,
-one attribute embedding, ...) lives, so the transforms below can address
-individual elements:
+The assembled input is a single (batch, width) vector made of the fields
+behavior summary, user, target item, trigger and, when the schema has
+context slots, context. A FieldLayout maps byte-for-byte where each field
+and each feature element (one id embedding, one attribute embedding, ...)
+lives. It is fixed when the model is built, and each transform below keeps
+what it needs of it from its constructor:
 
 * feature scaling: one learned multiplier per feature element, conditioned
   on a frozen view of the input plus user/item/scenario embeddings;
@@ -26,8 +27,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Value
 from .layers import Fcn
-
-FIELD_NAMES = ("behavior", "user", "item", "trigger", "context")
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,20 @@ class FieldLayout:
                 raise ValueError(f"field {f.name!r}: element widths do not cover the field")
             cursor += f.width
 
+    @classmethod
+    def from_widths(cls, parts: Sequence[tuple[str, Sequence[int]]]) -> "FieldLayout":
+        """Lay named fields end to end; each part is (name, element_widths)."""
+        fields = []
+        cursor = 0
+        for name, widths in parts:
+            start = cursor
+            elements = []
+            for w in widths:
+                elements.append(ElementSpan(cursor, w))
+                cursor += w
+            fields.append(FieldSpec(name, start, cursor - start, tuple(elements)))
+        return cls(tuple(fields))
+
     @property
     def width(self) -> int:
         last = self.fields[-1]
@@ -81,31 +94,6 @@ class FieldLayout:
             if f.name == name:
                 return f
         raise KeyError(name)
-
-
-def assemble_fields(parts: Sequence[tuple[str, Value, Sequence[int]]]) -> tuple[Value, FieldLayout]:
-    """Concatenate named field vectors and build the matching layout.
-
-    Each part is (name, value, element_widths); the widths must sum to the
-    value's last-axis width.
-    """
-    specs = []
-    cursor = 0
-    for name, value, widths in parts:
-        if sum(widths) != value.shape[-1]:
-            raise ValueError(
-                f"field {name!r}: element widths {list(widths)} sum to {sum(widths)}, "
-                f"value width is {value.shape[-1]}"
-            )
-        elements = []
-        inner = cursor
-        for w in widths:
-            elements.append(ElementSpan(inner, w))
-            inner += w
-        specs.append(FieldSpec(name, cursor, value.shape[-1], tuple(elements)))
-        cursor = inner
-    combined = ad.concat([value for _, value, _ in parts], axis=-1)
-    return combined, FieldLayout(tuple(specs))
 
 
 class FeatureScaling:
@@ -132,14 +120,15 @@ class FeatureScaling:
         if ceiling <= 0:
             raise ValueError("feature scaling: ceiling must be positive")
         self.ceiling = float(ceiling)
+        self.spans = layout.element_spans()
         in_dim = layout.width + user_dim + item_dim + scenario_dim
         self.net = Fcn(graph, rng, in_dim, [hidden, layout.element_count], ["relu", "linear"], f"{name}.net")
 
-    def forward(self, q: Value, layout: FieldLayout, e_u: Value, e_x: Value, e_s: Value) -> tuple[Value, Value]:
+    def forward(self, q: Value, e_u: Value, e_x: Value, e_s: Value) -> tuple[Value, Value]:
         net_in = ad.concat([ad.stop_gradient(q), e_u, e_x, e_s], axis=-1)
         alpha = ad.scale(ad.sigmoid(self.net.forward(net_in)), self.ceiling)
         scaled = []
-        for j, el in enumerate(layout.element_spans()):
+        for j, el in enumerate(self.spans):
             piece = ad.slice_last(q, el.offset, el.offset + el.width)
             scaled.append(ad.mul(piece, ad.slice_last(alpha, j, j + 1)))
         return ad.concat(scaled, axis=-1), alpha
@@ -180,6 +169,7 @@ class FieldRefinement:
             raise ValueError("field refinement: compression must lie in (0, 1]")
         self.temperature = float(temperature)
         self.use_gumbel = use_gumbel
+        self.fields = layout.fields
         self.counts: dict[str, int] = {}
         self.selectors: dict[str, Fcn] = {}
         self.refiners: dict[str, list[Fcn]] = {}
@@ -225,9 +215,9 @@ class FieldRefinement:
             slots.append(ad.mul(refiner.forward(field_value), ad.slice_last(beta, k, k + 1)))
         return ad.concat(slots, axis=-1)
 
-    def forward(self, q_s: Value, layout: FieldLayout, e_s: Value, mode: str, trace: dict | None = None) -> Value:
+    def forward(self, q_s: Value, e_s: Value, mode: str, trace: dict | None = None) -> Value:
         refined = []
-        for f in layout.fields:
+        for f in self.fields:
             piece = ad.slice_last(q_s, f.offset, f.offset + f.width)
             refined.append(self.refine_field(f.name, piece, e_s, mode, trace))
         return ad.concat(refined, axis=-1)
@@ -255,6 +245,7 @@ class FieldCorrelation:
         if projection_dim <= 0:
             raise ValueError("field correlation: projection_dim must be positive")
         self.projection_dim = projection_dim
+        self.fields = layout.fields
         self.projections: dict[str, Fcn] = {
             f.name: Fcn(graph, rng, f.width, [projection_dim], ["linear"], f"{name}.{f.name}")
             for f in layout.fields
@@ -262,9 +253,9 @@ class FieldCorrelation:
         n = len(layout.fields)
         self.out_width = n * (n - 1) // 2
 
-    def forward(self, q_s: Value, layout: FieldLayout) -> Value:
+    def forward(self, q_s: Value) -> Value:
         projected = []
-        for f in layout.fields:
+        for f in self.fields:
             piece = ad.slice_last(q_s, f.offset, f.offset + f.width)
             projected.append(self.projections[f.name].forward(piece))
         pairs = []
@@ -282,7 +273,6 @@ class FieldCorrelation:
 
 def adaptive_features(
     q: Value,
-    layout: FieldLayout,
     e_u: Value,
     e_x: Value,
     e_s: Value,
@@ -303,9 +293,9 @@ def adaptive_features(
     alpha = None
     q_s = q
     if fs is not None:
-        q_s, alpha = fs.forward(q, layout, e_u, e_x, e_s)
-    q_r = fr.forward(q_s, layout, e_s, mode, trace) if fr is not None else q_s
+        q_s, alpha = fs.forward(q, e_u, e_x, e_s)
+    q_r = fr.forward(q_s, e_s, mode, trace) if fr is not None else q_s
     if fcm is not None:
-        q_c = fcm.forward(q_s, layout)
+        q_c = fcm.forward(q_s)
         return ad.concat([q_r, q_c], axis=-1), alpha
     return q_r, alpha

@@ -108,7 +108,7 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float = 1e-5) -> Value:
     return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
 
 
-def _additive_mask(graph: Graph, valid, batched: bool) -> Value | None:
+def _additive_mask(graph: Graph, valid) -> Value | None:
     """(batch, 1, length) additive mask constant from a 0/1 validity array."""
     if valid is None:
         return None
@@ -197,7 +197,7 @@ def transformer_encode(
         if seq.data.ndim != 2:
             raise ShapeError(f"transformer_encode: expected 2-d or 3-d input, got {seq.shape}")
         seq = ad.reshape(seq, (1,) + seq.shape)
-    mask = _additive_mask(seq.graph, valid, batched)
+    mask = _additive_mask(seq.graph, valid)
     collect: list | None = [] if return_attention else None
     out = block.forward(seq, mask, collect)
     if not batched:
@@ -236,7 +236,7 @@ class SequenceEncoder:
             raise ShapeError(f"sequence encoder: length {length} exceeds capacity {self.capacity}")
         pos = ad.take_rows(self.positions, np.arange(length))
         h = ad.add(seq, pos)
-        mask = _additive_mask(seq.graph, valid, batched=seq.data.ndim == 3)
+        mask = _additive_mask(seq.graph, valid)
         for block in self.blocks:
             h = block.forward(h, mask)
         return h

@@ -22,6 +22,7 @@ from . import autodiff as ad
 from . import features as ft
 from .autodiff import Graph, Value
 from .config import (
+    FIELD_ORDER,
     AblationFlags,
     EmbedDims,
     FeatureSchema,
@@ -118,7 +119,6 @@ def make_batch(instances: list[Instance], vocab: VocabSizes, schema: FeatureSche
 @dataclass
 class BottomOutput:
     q: Value
-    layout: ft.FieldLayout
     e_user: Value
     e_item: Value
     e_scenario: Value
@@ -182,36 +182,17 @@ class EncoderBottom:
         self.sim_net = Fcn(
             graph, rng, self.trigger_head_width + self.item_width, [1], ["linear"], f"{name}.trigger_sim"
         )
-
-    def field_parts_widths(self) -> list[tuple[str, list[int]]]:
-        d = self.dims
-        s = self.schema
-        if self.trigger_mode == "search":
-            trig = [d.trigger] + [d.attr] * s.trigger_attr_count
-        else:
-            trig = [self.item_width]
-        parts = [
-            ("behavior", [self.item_width]),
-            ("user", [d.user] + [d.attr] * s.user_attr_count),
-            ("item", [d.item] + [d.attr] * s.item_attr_count),
-            ("trigger", trig),
+        # Element widths per field in FIELD_ORDER; a schema without context
+        # slots has no context field.
+        d, s = dims, schema
+        widths = [
+            [self.item_width],
+            [d.user] + [d.attr] * s.user_attr_count,
+            [d.item] + [d.attr] * s.item_attr_count,
+            [d.trigger] + [d.attr] * s.trigger_attr_count if trigger_mode == "search" else [self.item_width],
+            [d.context] * s.context_attr_count,
         ]
-        if s.context_attr_count:
-            parts.append(("context", [d.context] * s.context_attr_count))
-        return parts
-
-    def static_layout(self) -> ft.FieldLayout:
-        specs = []
-        cursor = 0
-        for fname, widths in self.field_parts_widths():
-            elements = []
-            inner = cursor
-            for w in widths:
-                elements.append(ft.ElementSpan(inner, w))
-                inner += w
-            specs.append(ft.FieldSpec(fname, cursor, sum(widths), tuple(elements)))
-            cursor = inner
-        return ft.FieldLayout(tuple(specs))
+        self.layout = ft.FieldLayout.from_widths([(n, w) for n, w in zip(FIELD_ORDER, widths) if w])
 
     def _flat_attr(self, table: EmbeddingTable, ids: np.ndarray, count: int, width: int) -> Value:
         emb = table.lookup(ids)
@@ -274,19 +255,12 @@ class EncoderBottom:
 
         pooled = trigger_attention(head, encoded, self.sim_net, batch.valid)
 
-        widths = dict(self.field_parts_widths())
-        parts = [
-            ("behavior", pooled, widths["behavior"]),
-            ("user", user_field, widths["user"]),
-            ("item", item_field, widths["item"]),
-            ("trigger", trig_field, widths["trigger"]),
-        ]
+        values = {"behavior": pooled, "user": user_field, "item": item_field, "trigger": trig_field}
         if self.context_tab is not None:
-            ctx = self._flat_attr(self.context_tab, batch.context, s.context_attr_count, d.context)
-            parts.append(("context", ctx, widths["context"]))
+            values["context"] = self._flat_attr(self.context_tab, batch.context, s.context_attr_count, d.context)
         e_scenario = self.scenario_tab.lookup(batch.scenario)
-        q, layout = ft.assemble_fields(parts)
-        return BottomOutput(q=q, layout=layout, e_user=e_user, e_item=e_item, e_scenario=e_scenario)
+        q = ad.concat([values[f.name] for f in self.layout.fields], axis=-1)
+        return BottomOutput(q=q, e_user=e_user, e_item=e_item, e_scenario=e_scenario)
 
     def parameters(self):
         out = []
@@ -390,8 +364,7 @@ class MariaModel:
         self.vocab, self.schema, self.dims = vocab, schema, dims
         self.settings, self.flags, self.trigger_mode = settings, flags, trigger_mode
         self.bottom = EncoderBottom(graph, rng, vocab, schema, dims, settings, trigger_mode)
-        layout = self.bottom.static_layout()
-        self.layout = layout
+        layout = self.layout = self.bottom.layout
 
         self.fs = (
             ft.FeatureScaling(
@@ -446,7 +419,7 @@ class MariaModel:
         out = self.bottom.encode(batch)
         trace: dict = {}
         h, alpha = ft.adaptive_features(
-            out.q, out.layout, out.e_user, out.e_item, out.e_scenario,
+            out.q, out.e_user, out.e_item, out.e_scenario,
             self.fs, self.fr, self.fcm, mode, trace if mode == "eval" else None,
         )
         if self.mixture is not None:

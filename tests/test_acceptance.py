@@ -77,7 +77,7 @@ def test_criterion_2_stop_gradient_isolation():
     # the scaling multipliers see the assembled vector only through the
     # gradient-frozen view, so a loss on them alone must leave the sequence
     # encoder untouched
-    _, alpha = model.fs.forward(out.q, out.layout, out.e_user, out.e_item, out.e_scenario)
+    _, alpha = model.fs.forward(out.q, out.e_user, out.e_item, out.e_scenario)
     graph.zero_grads()
     ad.backward(ad.sum_all(alpha))
     encoder = [(n, v) for n, v in model.named_parameters() if n.startswith("bottom.encoder.")]
@@ -149,7 +149,7 @@ def test_criterion_5_analytic_invariants():
     for v, _ in saved:
         v.data[...] = 0.0
     out = model.bottom.encode(batch)
-    scaled, _ = model.fs.forward(out.q, out.layout, out.e_user, out.e_item, out.e_scenario)
+    scaled, _ = model.fs.forward(out.q, out.e_user, out.e_item, out.e_scenario)
     checks.append(("scaling identity at zeroed net", float(np.max(np.abs(scaled.data - out.q.data))) <= 1e-15))
     for v, data in saved:
         v.data[...] = data
@@ -159,9 +159,9 @@ def test_criterion_5_analytic_invariants():
     checks.append(("alpha strictly inside (0, 2)", bool(np.all(a > 0.0) and np.all(a < 2.0))))
 
     out = model.bottom.encode(batch)
-    q_s, _ = model.fs.forward(out.q, out.layout, out.e_user, out.e_item, out.e_scenario)
+    q_s, _ = model.fs.forward(out.q, out.e_user, out.e_item, out.e_scenario)
     sums_ok, onehot_ok = True, True
-    for f in out.layout.fields:
+    for f in model.layout.fields:
         piece = ad.slice_last(q_s, f.offset, f.offset + f.width)
         scores = ad.sigmoid(
             model.fr.selectors[f.name].forward(ad.concat([piece, out.e_scenario], axis=-1))
@@ -174,7 +174,7 @@ def test_criterion_5_analytic_invariants():
     checks.append(("selection weights sum to 1 in training", sums_ok))
     checks.append(("selection exactly one-hot at evaluation", onehot_ok))
 
-    checks.append(("10 correlation terms for 5 fields", model.fcm.out_width == 10 and len(out.layout.fields) == 5))
+    checks.append(("10 correlation terms for 5 fields", model.fcm.out_width == 10 and len(model.layout.fields) == 5))
 
     gates = ad.softmax_last(model.mixture.gate.forward(out.e_scenario))
     checks.append(("expert gate sums to 1", float(np.max(np.abs(gates.data.sum(axis=-1) - 1.0))) <= 1e-12))
@@ -189,7 +189,7 @@ def test_criterion_5_analytic_invariants():
     score = model.forward(batch, mode="eval").score
     out2 = model.bottom.encode(batch)
     fused, _ = ft.adaptive_features(
-        out2.q, out2.layout, out2.e_user, out2.e_item, out2.e_scenario,
+        out2.q, out2.e_user, out2.e_item, out2.e_scenario,
         model.fs, model.fr, model.fcm, "eval", None,
     )
     mixed = model.mixture.forward(fused, out2.e_scenario)

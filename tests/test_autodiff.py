@@ -1,5 +1,7 @@
 """Autodiff core: forward values, gradients vs central differences, invariants."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,7 +132,8 @@ def _random_composite(g: ad.Graph, params: list[ad.Value], rng: np.random.Genera
     r = ad.reshape(joined, (10,))
     picked = ad.take_rows(joined, np.array([0, 1, 1]))
     total = ad.add(ad.sum_all(ad.power(ad.shift(ad.mean_last(picked), 2.0), 2.0)), ad.sum_all(r))
-    return ad.add(total, ad.sum_all(ad.sqrt(ad.shift(ad.mean_all(ad.mul(h, h)), 1.0))))
+    mean_sq = ad.scale(ad.sum_all(ad.mul(h, h)), 1.0 / h.size)
+    return ad.add(total, ad.sum_all(ad.power(ad.shift(mean_sq, 1.0), 0.5)))
 
 
 def test_gradients_match_central_differences_on_composites():
@@ -234,7 +237,7 @@ def test_reverse_sweep_agrees_with_independent_topological_backward():
                 pool.append(ad.relu(ad.sub(x, y)))
             else:
                 pool.append(ad.softmax_last(x))
-        loss = ad.sum_all(sum(pool[3:], start=pool[0]))
+        loss = ad.sum_all(functools.reduce(ad.add, pool[3:], pool[0]))
         want = _reference_grads(loss)
         g.zero_grads()
         ad.backward(loss)
@@ -525,13 +528,11 @@ _RECIPES = [
     lambda x, y, s: ad.add(ad.scale(x, 2.0), ad.shift(x, s["c"])),  # fan-out: x takes g itself first
     lambda x, y, s: ad.scale(x, s["c"]),
     lambda x, y, s: ad.add(x, ad.sum_all(y)),  # sum_all: g itself, broadcast
-    lambda x, y, s: ad.mul(x, ad.mean_all(y)),
     lambda x, y, s: ad.sigmoid(x),
     lambda x, y, s: ad.relu(x),  # g * mask: -0.0 where g < 0 is masked
     lambda x, y, s: ad.softmax_last(x),
     lambda x, y, s: ad.clamp(x, -0.5, 0.5),
     lambda x, y, s: ad.log(ad.shift(ad.mul(x, x), 1.0)),
-    lambda x, y, s: ad.sqrt(ad.shift(ad.mul(y, y), 1.0)),
     lambda x, y, s: ad.power(ad.shift(ad.mul(x, x), 1.0), 1.5),
     lambda x, y, s: ad.mul(ad.stop_gradient(x), y),
 ]

@@ -100,6 +100,59 @@ def test_missing_data_file_exits_3(tmp_path, capsys):
     assert code == 3 and "nope.jsonl" in err
 
 
+def _truncate(raw: bytes) -> bytes:
+    return raw[: len(raw) // 2]
+
+
+def _without_profiles(raw: bytes) -> bytes:
+    doc = json.loads(raw)
+    del doc["profiles"]
+    return json.dumps(doc).encode("utf-8")
+
+
+def _string_vocab_size(raw: bytes) -> bytes:
+    doc = json.loads(raw)
+    doc["vocab"]["items"] = str(doc["vocab"]["items"])
+    return json.dumps(doc).encode("utf-8")
+
+
+def _bad_byte_on_line_3(raw: bytes) -> bytes:
+    lines = raw.split(b"\n")
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][2:]
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "target, corrupt, message",
+    [
+        ("manifest", _truncate, "unreadable manifest"),
+        ("manifest", lambda raw: b"[1, 2]", "manifest is not a JSON object"),
+        ("manifest", _without_profiles, "malformed manifest (KeyError: 'profiles')"),
+        ("manifest", _string_vocab_size, "malformed manifest (TypeError: vocab and schema sizes must be integers)"),
+        ("manifest", lambda raw: raw.replace(b'"vocab"', b'"voc\xffab"'), "unreadable manifest"),
+        ("data", _bad_byte_on_line_3, "line 3: not UTF-8"),
+    ],
+    ids=[
+        "truncated_manifest", "list_manifest", "manifest_without_profiles", "string_vocab_size",
+        "manifest_not_utf8", "data_not_utf8",
+    ],
+)
+def test_eval_of_a_corrupt_dataset_exits_3(tmp_path, capsys, target, corrupt, message):
+    data = tmp_path / "d.jsonl"
+    code, _, _ = run(capsys, "gen-data", *TINY, "--out", str(data), "--count", "20")
+    assert code == 0
+    ckpt = tmp_path / "m.ckpt"
+    overrides = dict(p.split("=", 1) for p in TINY[1::2])
+    checkpoint.save_model(ckpt, build_model(Graph(seed=0), config.build_run_config({}, overrides)))
+    path = tmp_path / "d.jsonl.manifest.json" if target == "manifest" else data
+    path.write_bytes(corrupt(path.read_bytes()))
+    code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(data))
+    assert code == 3, err
+    assert message in err
+    if target == "manifest":
+        assert str(path) in err
+
+
 def test_train_eval_round_trip(data_files, tmp_path, capsys):
     train, heldout = data_files
     ckpt = tmp_path / "model.ckpt"

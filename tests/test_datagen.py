@@ -1,5 +1,6 @@
 """Generator determinism, ground-truth behavior, and file round-trips."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -159,6 +160,20 @@ def test_failed_write_leaves_the_old_data_and_manifest(tmp_path, monkeypatch):
     datagen.write_jsonl(new, path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.jsonl", "train.jsonl.manifest.json"]
     assert datagen.read_jsonl(path).manifest == new.manifest
+
+
+def test_written_dataset_and_manifest_bytes_are_pinned(tmp_path):
+    # A small image/product dataset and its manifest, byte for byte: the keyed
+    # hashes, the attribute catalogs and serialization must all leave them be.
+    dataset, _ = datagen.generate(small_cfg(**{"gen.count": "64", "scenario.0.trigger_kind": "image"}))
+    path = tmp_path / "pin.jsonl"
+    datagen.write_jsonl(dataset, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "07d0e110de13cbc8f4353dab7e215d001c76916bcc65676edab1fe740b50afae"
+    )
+    assert hashlib.sha256(datagen.manifest_path(path).read_bytes()).hexdigest() == (
+        "790a90e5014de13a804994bd4e0f058d2b25b92c4311577ec15008e7e1973cc3"
+    )
 
 
 def test_image_vec_floats_survive_round_trip(tmp_path):

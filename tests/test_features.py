@@ -6,7 +6,14 @@ from helpers import fd_gradient, max_rel_err
 
 from maria import autodiff as ad
 from maria import features as ft
+from maria.config import FIELD_ORDER
 from maria.layers import Fcn
+
+
+def concat_fields(parts):
+    """Concatenate (name, value, element_widths) parts and lay out their fields."""
+    q = ad.concat([value for _, value, _ in parts], axis=-1)
+    return q, ft.FieldLayout.from_widths([(name, widths) for name, _, widths in parts])
 
 
 def make_layout(widths_by_field=None):
@@ -21,10 +28,10 @@ def make_layout(widths_by_field=None):
     parts = []
     g = ad.Graph(seed=0)
     rng = np.random.default_rng(0)
-    for name in ft.FIELD_NAMES:
+    for name in FIELD_ORDER:
         widths = widths_by_field[name]
         parts.append((name, g.constant(rng.normal(size=(4, sum(widths)))), widths))
-    q, layout = ft.assemble_fields(parts)
+    q, layout = concat_fields(parts)
     return g, q, layout
 
 
@@ -55,14 +62,13 @@ def test_element_count_formula_for_instance_like_layout():
         ("trigger", g.constant(np.zeros((2, d_t + O * d_a))), [d_t] + [d_a] * O),
         ("context", g.constant(np.zeros((2, Nc * d_c))), [d_c] * Nc),
     ]
-    _, layout = ft.assemble_fields(parts)
+    _, layout = concat_fields(parts)
     assert layout.element_count == L + P + O + Nc + 4
 
 
-def test_assemble_rejects_inconsistent_widths():
-    g = ad.Graph(seed=0)
+def test_from_widths_rejects_empty_elements():
     with pytest.raises(ValueError, match="user"):
-        ft.assemble_fields([("user", g.constant(np.zeros((2, 5))), [2, 2])])
+        ft.FieldLayout.from_widths([("user", [2, 0])])
 
 
 def test_layout_rejects_gaps_and_overlaps():
@@ -88,7 +94,7 @@ def test_scaling_identity_at_zero_parameters():
         p.data[...] = 0.0
     e = g.constant(np.random.default_rng(2).normal(size=(4, 3)))
     s = g.constant(np.random.default_rng(3).normal(size=(4, 2)))
-    scaled, alpha = fs.forward(q, layout, e, e, s)
+    scaled, alpha = fs.forward(q, e, e, s)
     assert np.abs(alpha.data - 1.0).max() <= 1e-15
     assert np.abs(scaled.data - q.data).max() <= 1e-15
     assert scaled.shape == q.shape
@@ -103,7 +109,7 @@ def test_scaling_multipliers_stay_inside_open_interval():
         p.data[...] = rng.normal(scale=1.0, size=p.shape)
     e = g.constant(rng.normal(size=(4, 3)))
     s = g.constant(rng.normal(size=(4, 2)))
-    _, alpha = fs.forward(q, layout, e, e, s)
+    _, alpha = fs.forward(q, e, e, s)
     assert alpha.data.min() > 0.0 and alpha.data.max() < ceiling
     assert alpha.shape == (4, layout.element_count)
 
@@ -121,12 +127,12 @@ def test_scaling_frozen_branch_blocks_gradient_to_input():
         ("trigger", ad.slice_last(src, 18, 23), [3, 2]),
         ("context", ad.slice_last(src, 23, 27), [2, 2]),
     ]
-    q, layout = ft.assemble_fields(parts)
+    q, layout = concat_fields(parts)
     fs = build_fs(g, layout, rng)
     e_u = g.parameter(rng.normal(size=(4, 3)))
     e_x = g.parameter(rng.normal(size=(4, 3)))
     e_s = g.parameter(rng.normal(size=(4, 2)))
-    _, alpha = fs.forward(q, layout, e_u, e_x, e_s)
+    _, alpha = fs.forward(q, e_u, e_x, e_s)
     ad.backward(ad.sum_all(alpha))
     assert not src.grad.any()
     assert e_u.grad.any() and e_x.grad.any() and e_s.grad.any()
@@ -145,7 +151,7 @@ def test_scaling_gradients_match_central_differences():
             ("trigger", ad.slice_last(src, 18, 23), [3, 2]),
             ("context", ad.slice_last(src, 23, 27), [2, 2]),
         ]
-        return ft.assemble_fields(parts)
+        return concat_fields(parts)
 
     q, layout = build()
     fs = build_fs(g, layout, rng)
@@ -155,7 +161,7 @@ def test_scaling_gradients_match_central_differences():
 
     def run_graph():
         q2, _ = build()
-        scaled, _ = fs.forward(q2, layout, e_u, e_x, e_s)
+        scaled, _ = fs.forward(q2, e_u, e_x, e_s)
         return ad.sum_all(ad.sigmoid(scaled))
 
     # record the frozen view so finite differences probe the same partial
@@ -192,7 +198,7 @@ def build_fr(g, layout, rng, counts=None, temperature=0.5, use_gumbel=True):
 def test_single_refiner_weight_is_exactly_one():
     g, q, layout = make_layout()
     rng = np.random.default_rng(7)
-    fr = build_fr(g, layout, rng, counts={n: 1 for n in ft.FIELD_NAMES})
+    fr = build_fr(g, layout, rng, counts={n: 1 for n in FIELD_ORDER})
     e_s = g.constant(rng.normal(size=(4, 2)))
     field = ad.slice_last(q, 0, 6)
     out = fr.refine_field("behavior", field, e_s, mode="train")
@@ -221,7 +227,7 @@ def test_eval_selection_zeroes_unselected_slots_exactly():
 def test_training_weights_sum_to_one_and_eval_is_one_hot():
     g, q, layout = make_layout()
     rng = np.random.default_rng(9)
-    fr = build_fr(g, layout, rng, counts={n: 3 for n in ft.FIELD_NAMES})
+    fr = build_fr(g, layout, rng, counts={n: 3 for n in FIELD_ORDER})
     e_s = g.constant(rng.normal(size=(4, 2)))
     spec = layout.field("item")
     field = ad.slice_last(q, spec.offset, spec.offset + spec.width)
@@ -239,9 +245,9 @@ def test_eval_trace_records_argmax_choices():
     fr = build_fr(g, layout, rng)
     e_s = g.constant(rng.normal(size=(4, 2)))
     trace: dict = {}
-    fr.forward(q, layout, e_s, mode="eval", trace=trace)
+    fr.forward(q, e_s, mode="eval", trace=trace)
     choices = trace["refiner_choice"]
-    assert set(choices) == set(ft.FIELD_NAMES)
+    assert set(choices) == set(FIELD_ORDER)
     assert choices["user"].shape == (4,)
     assert set(np.unique(choices["user"])) <= {0, 1}
 
@@ -259,7 +265,7 @@ def test_refinement_gradients_with_frozen_noise():
             ("trigger", ad.slice_last(src, 18, 23), [3, 2]),
             ("context", ad.slice_last(src, 23, 27), [2, 2]),
         ]
-        return ft.assemble_fields(parts)
+        return concat_fields(parts)
 
     _, layout = assemble()
     fr = build_fr(g, layout, rng, temperature=0.8)
@@ -267,7 +273,7 @@ def test_refinement_gradients_with_frozen_noise():
 
     def run_graph():
         q2, _ = assemble()
-        return ad.sum_all(ad.sigmoid(fr.forward(q2, layout, e_s, mode="train")))
+        return ad.sum_all(ad.sigmoid(fr.forward(q2, e_s, mode="train")))
 
     g.record_context()
     ad.backward(run_graph())
@@ -310,7 +316,7 @@ def test_correlation_emits_all_pairs_in_field_order():
     g, q, layout = make_layout()
     rng = np.random.default_rng(13)
     fcm = ft.FieldCorrelation(g, rng, layout, projection_dim=3)
-    out = fcm.forward(q, layout)
+    out = fcm.forward(q)
     assert out.shape == (4, 10)  # C(5,2)
     projected = []
     for f in layout.fields:
@@ -339,14 +345,14 @@ def test_correlation_gradients_match_central_differences():
             ("trigger", ad.slice_last(src, 18, 23), [3, 2]),
             ("context", ad.slice_last(src, 23, 27), [2, 2]),
         ]
-        return ft.assemble_fields(parts)
+        return concat_fields(parts)
 
     _, layout = assemble()
     fcm = ft.FieldCorrelation(g, rng, layout, projection_dim=3)
 
     def run_graph():
         q2, _ = assemble()
-        return ad.sum_all(ad.sigmoid(fcm.forward(q2, layout)))
+        return ad.sum_all(ad.sigmoid(fcm.forward(q2)))
 
     ad.backward(run_graph())
     for p in [src] + [v for _, v in fcm.parameters()]:
@@ -375,24 +381,24 @@ def test_adaptive_features_composes_and_supports_disabling():
     e_x = g.constant(rng.normal(size=(4, 3)))
     e_s = g.constant(rng.normal(size=(4, 2)))
 
-    full, alpha = ft.adaptive_features(q, layout, e_u, e_x, e_s, fs, fr, fcm, mode="eval")
+    full, alpha = ft.adaptive_features(q, e_u, e_x, e_s, fs, fr, fcm, mode="eval")
     assert full.shape == (4, fr.out_width + fcm.out_width)
     assert alpha.shape == (4, layout.element_count)
 
-    no_fs, alpha2 = ft.adaptive_features(q, layout, e_u, e_x, e_s, None, fr, fcm, mode="eval")
+    no_fs, alpha2 = ft.adaptive_features(q, e_u, e_x, e_s, None, fr, fcm, mode="eval")
     assert alpha2 is None and no_fs.shape == full.shape
 
-    no_fr, _ = ft.adaptive_features(q, layout, e_u, e_x, e_s, fs, None, fcm, mode="eval")
+    no_fr, _ = ft.adaptive_features(q, e_u, e_x, e_s, fs, None, fcm, mode="eval")
     assert no_fr.shape == (4, layout.width + fcm.out_width)
 
-    no_fcm, _ = ft.adaptive_features(q, layout, e_u, e_x, e_s, fs, fr, None, mode="eval")
+    no_fcm, _ = ft.adaptive_features(q, e_u, e_x, e_s, fs, fr, None, mode="eval")
     assert no_fcm.shape == (4, fr.out_width)
 
-    bare, _ = ft.adaptive_features(q, layout, e_u, e_x, e_s, None, None, None, mode="eval")
+    bare, _ = ft.adaptive_features(q, e_u, e_x, e_s, None, None, None, mode="eval")
     np.testing.assert_array_equal(bare.data, q.data)
 
     with pytest.raises(ValueError, match="mode"):
-        ft.adaptive_features(q, layout, e_u, e_x, e_s, None, None, None, mode="predict")
+        ft.adaptive_features(q, e_u, e_x, e_s, None, None, None, mode="predict")
 
 
 def test_adaptive_features_end_to_end_gradients_with_frozen_noise():
@@ -408,7 +414,7 @@ def test_adaptive_features_end_to_end_gradients_with_frozen_noise():
             ("trigger", ad.slice_last(src, 18, 23), [3, 2]),
             ("context", ad.slice_last(src, 23, 27), [2, 2]),
         ]
-        return ft.assemble_fields(parts)
+        return concat_fields(parts)
 
     _, layout = assemble()
     fs = build_fs(g, layout, rng)
@@ -420,7 +426,7 @@ def test_adaptive_features_end_to_end_gradients_with_frozen_noise():
 
     def run_graph():
         q2, _ = assemble()
-        out, _ = ft.adaptive_features(q2, layout, e_u, e_x, e_s, fs, fr, fcm, mode="train")
+        out, _ = ft.adaptive_features(q2, e_u, e_x, e_s, fs, fr, fcm, mode="train")
         return ad.sum_all(ad.sigmoid(out))
 
     g.record_context()

@@ -9,7 +9,7 @@ from helpers import max_rel_err
 from maria import autodiff as ad
 from maria import checkpoint as ckpt
 from maria import config as cfgmod
-from maria import datagen, model as mdl
+from maria import datagen, model as mdl, training
 from maria.autodiff import Graph
 from maria.config import build_run_config
 from maria.fileio import atomic_writer
@@ -210,9 +210,9 @@ def test_forward_matches_straight_line_oracle():
 def test_layout_element_count_matches_schema():
     cfg, graph, model, batch = build_tiny()
     out = model.bottom.encode(batch)
-    assert out.layout.element_count == cfg.schema.element_count
-    assert out.layout.width == model.layout.width
-    assert [f.name for f in out.layout.fields] == ["behavior", "user", "item", "trigger", "context"]
+    assert model.layout.element_count == cfg.schema.element_count
+    assert out.q.shape[-1] == model.layout.width
+    assert [f.name for f in model.layout.fields] == ["behavior", "user", "item", "trigger", "context"]
 
 
 def test_scores_are_probabilities_and_deterministic_in_eval():
@@ -304,12 +304,35 @@ def test_recommendation_mode_forward():
     graph = Graph(seed=1)
     model = build_model(graph, cfg, seed=3)
     batch = make_batch(dataset.instances, cfg.vocab, cfg.schema, cfg.trigger_mode)
-    out = model.bottom.encode(batch)
-    trig = out.layout.field("trigger")
+    trig = model.layout.field("trigger")
     assert len(trig.elements) == 1
     assert trig.width == cfg.dims.item + cfg.schema.item_attr_count * cfg.dims.attr
     result = model.forward(batch, mode="eval")
     assert np.all((result.score.data > 0) & (result.score.data < 1))
+
+
+def test_four_field_layout_without_attribute_or_context_slots():
+    cfg = tiny_cfg(**{"schema.user_attrs": "0", "schema.item_attrs": "0", "schema.context_attrs": "0"})
+    dataset, _ = datagen.generate(cfg)
+    graph = Graph(seed=5)
+    model = build_model(graph, cfg, seed=7)
+    assert [f.name for f in model.layout.fields] == ["behavior", "user", "item", "trigger"]
+    assert model.layout.element_count == cfg.schema.element_count
+    assert model.fcm.out_width == 6
+
+    before = [v.data.copy() for v in model.parameter_values()]
+    report = training.train(graph, model, dataset.instances, cfg.train)
+    assert len(report.step_losses) == 1 and np.isfinite(report.step_losses[0])
+    assert any(not np.array_equal(b, v.data) for b, v in zip(before, model.parameter_values()))
+
+    batch = make_batch(dataset.instances, cfg.vocab, cfg.schema, cfg.trigger_mode)
+    result = model.forward(batch, mode="eval")
+    assert np.all((result.score.data > 0) & (result.score.data < 1))
+    choices = result.trace["refiner_choice"]
+    assert list(choices) == ["behavior", "user", "item", "trigger"]
+    for name, picked in choices.items():
+        assert picked.shape == (batch.size,)
+        assert np.all((picked >= 0) & (picked < model.fr.counts[name]))
 
 
 def test_make_batch_validation():
