@@ -73,6 +73,7 @@ class BenchmarkReport:
     train_bayes: float
     eval_bayes: float
     seconds: float
+    gen_seconds: float  # generating the train and eval logs
     user_divergences: list[float] = field(default_factory=list)  # full model, per seed
 
     def gap(self, kind: str) -> float | None:
@@ -100,6 +101,7 @@ class BenchmarkReport:
             "train_bayes": self.train_bayes,
             "eval_bayes": self.eval_bayes,
             "seconds": self.seconds,
+            "gen_seconds": self.gen_seconds,
         }
 
     def summary(self) -> str:
@@ -136,9 +138,11 @@ def run_benchmark(
     started = time.perf_counter()
     train_ds, _ = datagen.generate(benchmark_config(train_count, TRAIN_DATA_SEED))
     eval_ds, _ = datagen.generate(benchmark_config(eval_count, EVAL_DATA_SEED))
+    gen_seconds = time.perf_counter() - started
     if log_fn:
         log_fn(
-            f"data ready: {train_count} train / {eval_count} eval, "
+            f"data ready: {train_count} train / {eval_count} eval in {gen_seconds:.1f}s "
+            f"({(train_count + eval_count) / gen_seconds:.0f} inst/s), "
             f"eval bayes auc {eval_ds.manifest.bayes_auc['overall']:.4f}"
         )
 
@@ -180,5 +184,6 @@ def run_benchmark(
         train_bayes=train_ds.manifest.bayes_auc["overall"],
         eval_bayes=eval_ds.manifest.bayes_auc["overall"],
         seconds=time.perf_counter() - started,
+        gen_seconds=gen_seconds,
         user_divergences=divergences,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -236,21 +237,29 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _parse_typed(key: str, kind: str, raw: str):
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
+        return value
+
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return finite(raw)
         if kind == "float_or_empty":
-            return None if raw == "" else float(raw)
+            return None if raw == "" else finite(raw)
         if kind == "str":
             return raw
         if kind == "csv_int":
             return tuple(int(p.strip()) for p in raw.split(",") if p.strip() != "")
         if kind == "csv_float":
-            return tuple(float(p.strip()) for p in raw.split(",") if p.strip() != "")
+            return tuple(finite(p.strip()) for p in raw.split(",") if p.strip() != "")
         if kind == "csv_str":
             return tuple(p.strip() for p in raw.split(",") if p.strip() != "")
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from exc
     raise ConfigError(f"key {key!r}: unknown type {kind}")
@@ -343,6 +352,8 @@ def build_run_config(mapping: Mapping[str, str] | None = None, overrides: Mappin
         parsed = {}
         for fname, (kind, default, _) in _SCENARIO_FIELDS.items():
             parsed[fname] = _parse_typed(f"scenario.{i}.{fname}", kind, raw.get(fname, default))
+        if parsed["noise_std"] < 0:
+            raise ConfigError(f"scenario.{i}.noise_std: must be non-negative, got {parsed['noise_std']}")
         if parsed["trigger_kind"] not in TRIGGER_KINDS:
             raise ConfigError(
                 f"scenario.{i}.trigger_kind: {parsed['trigger_kind']!r} not one of {TRIGGER_KINDS}"

@@ -9,6 +9,11 @@ samples the binary label. Instance ``i`` of a run depends only on
 Signals come from a keyed hash, not from the RNG, so the same user or item
 carries the same latent value in every instance it appears in. That is what
 makes the task learnable from embeddings.
+
+Each instance has its own ``default_rng([seed, i])``. Scenario and item ids
+come from a search in cumulative sums built once per run; the ids drawn and
+the stream state after them equal those of ``rng.choice(n, size, p=...)``,
+which runs the same search inside.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -171,121 +177,117 @@ def profiles_from_config(cfg: RunConfig) -> tuple[ScenarioProfile, ...]:
     return tuple(profiles)
 
 
-class _Catalogs:
-    """Memoized deterministic attribute ids of users ("uattr") and of items
-    as targets or behaviors ("iattr") or as product triggers ("tattr")."""
-
-    def __init__(self, vocab: VocabSizes, schema: FeatureSchema):
-        self._sizes = {
-            "uattr": (schema.user_attr_count, vocab.user_attrs),
-            "iattr": (schema.item_attr_count, vocab.item_attrs),
-            "tattr": (schema.trigger_attr_count, vocab.trigger_attrs),
-        }
-        self._memo: dict[tuple[str, int], tuple[int, ...]] = {}
-
-    def attrs(self, kind: str, key: int) -> tuple[int, ...]:
-        got = self._memo.get((kind, key))
-        if got is None:
-            count, vocab_size = self._sizes[kind]
-            got = tuple(_stable_int(kind, key, j) % vocab_size for j in range(count))
-            self._memo[kind, key] = got
-        return got
+def _attr_ids(kind: str, key: int, count: int, vocab_size: int) -> tuple[int, ...]:
+    """Deterministic attribute ids of a user ("uattr") or of an item as a
+    target or behavior ("iattr") or as a product trigger ("tattr")."""
+    return tuple(_stable_int(kind, key, j) % vocab_size for j in range(count))
 
 
-def _signal_vector(inst: Instance, schema: FeatureSchema, memo: dict) -> np.ndarray:
-    """Per-element latent signals in the same element order the model assembles:
-    behavior, user id, user attrs, item id, item attrs, trigger head,
-    trigger attrs, context attrs."""
+def _cdf(p: np.ndarray, what: str) -> np.ndarray:
+    """Normalised cumulative sum of the probabilities ``p``.
 
-    def unit(kind, key):
-        cache_key = (kind, key)
-        got = memo.get(cache_key)
-        if got is None:
-            got = stable_unit(kind, key)
-            memo[cache_key] = got
-        return got
-
-    values = [float(np.mean([unit("item", it) for it, _ in inst.behavior]))]
-    values.append(unit("user", inst.user))
-    values.extend(unit("uattr", a) for a in inst.user_attrs)
-    values.append(unit("item", inst.target_item))
-    values.extend(unit("iattr", a) for a in inst.target_attrs)
-    if isinstance(inst.trigger, TriggerImage):
-        values.append(float(np.mean(inst.trigger.vec)))
-    elif isinstance(inst.trigger, TriggerProduct):
-        values.append(unit("item", inst.trigger.item))
-        values.extend(unit("tattr", a) for a in inst.trigger.attrs)
-    else:
-        values.append(unit("item", inst.target_item))
-    if isinstance(inst.trigger, TriggerImage):
-        values.extend(0.0 for _ in range(schema.trigger_attr_count))
-    values.extend(unit("cattr", a) for a in inst.context)
-    out = np.asarray(values, dtype=np.float64)
-    if out.size != schema.element_count:
-        raise DataError(f"signal vector has {out.size} elements, expected {schema.element_count}")
-    return out
+    ``cdf.searchsorted(rng.random(size), side="right")`` is the computation
+    ``rng.choice(len(p), size, p=p)`` runs inside, so it draws the same ids
+    and leaves the stream in the same state. ``choice`` also refused a NaN
+    or negative ``p``; ``searchsorted`` would not, so the check is here.
+    """
+    if not (np.isfinite(p).all() and (p >= 0).all()):
+        raise ValueError(f"{what}: probabilities must be finite and non-negative")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
     """Sample ``cfg.gen_count`` instances; also return the noise-free click
-    probabilities used for the achievable-AUC estimate in the manifest."""
+    probabilities used for the achievable-AUC estimate in the manifest.
+
+    An instance's signals follow the element order the model assembles:
+    behavior (the mean over the sequence), user id, user attrs, item id,
+    item attrs, trigger head (the image mean, the product item, or the
+    target item when there is no trigger), trigger attrs (zeros for an
+    image) and context attrs.
+    """
     if cfg.gen_seed < 0:
         raise ConfigError("gen.seed: must be non-negative")
     vocab, schema = cfg.vocab, cfg.schema
     profiles = profiles_from_config(cfg)
     shares = np.array([p.traffic_share for p in profiles], dtype=np.float64)
-    shares = shares / shares.sum()
-    catalogs = _Catalogs(vocab, schema)
-    signal_memo: dict = {}
+    share_cdf = _cdf(shares / shares.sum(), "traffic_share")
 
     pop_logits = np.array(
         [[stable_unit("pop", p.scenario_id, it) for it in range(vocab.items)] for p in profiles]
     )
-    popularity = []
+    item_cdfs = []
     for p, row in zip(profiles, pop_logits):
         tilted = np.exp(p.behavior_tilt * row - np.max(p.behavior_tilt * row))
-        popularity.append(tilted / tilted.sum())
+        item_cdfs.append(_cdf(tilted / tilted.sum(), f"scenario.{p.scenario_id} item popularity"))
 
     masks = [np.asarray(p.field_importance, dtype=np.float64) for p in profiles]
     weights = [np.asarray(p.label_weights, dtype=np.float64) for p in profiles]
+
+    unit = lru_cache(maxsize=None)(stable_unit)
+    item_signal = np.array([stable_unit("item", it) for it in range(vocab.items)])
+    attr_sizes = {
+        "uattr": (schema.user_attr_count, vocab.user_attrs),
+        "iattr": (schema.item_attr_count, vocab.item_attrs),
+        "tattr": (schema.trigger_attr_count, vocab.trigger_attrs),
+    }
+
+    @lru_cache(maxsize=None)
+    def entity(kind: str, key: int) -> tuple[tuple[int, ...], list[float]]:
+        """Attribute ids of a user or item, and the signals of it and of them."""
+        attrs = _attr_ids(kind, key, *attr_sizes[kind])
+        head = unit("user", key) if kind == "uattr" else float(item_signal[key])
+        return attrs, [head, *(unit(kind, a) for a in attrs)]
 
     instances: list[Instance] = []
     clean_probs = np.empty(cfg.gen_count, dtype=np.float64)
     for i in range(cfg.gen_count):
         rng = np.random.default_rng([cfg.gen_seed, i])
-        sid = int(rng.choice(vocab.scenarios, p=shares))
-        profile = profiles[sid]
+        sid = int(share_cdf.searchsorted(rng.random(), side="right"))
+        profile, item_cdf = profiles[sid], item_cdfs[sid]
         user = int(rng.integers(0, vocab.users))
         length = int(rng.integers(1, schema.max_behavior_len + 1))
-        beh_items = rng.choice(vocab.items, size=length, p=popularity[sid])
-        behavior = tuple((int(it), catalogs.attrs("iattr", int(it))) for it in beh_items)
-        target = int(rng.choice(vocab.items, p=popularity[sid]))
+        beh_items = item_cdf.searchsorted(rng.random(length), side="right")
+        target = int(item_cdf.searchsorted(rng.random(), side="right"))
+        user_attrs, user_signals = entity("uattr", user)
+        target_attrs, target_signals = entity("iattr", target)
+        # np.mean is this pairwise sum over the count; a running sum differs
+        # from it in the last bit once a sequence holds 8 or more items.
+        phi = [float(item_signal[beh_items].sum()) / length, *user_signals, *target_signals]
         if profile.trigger_kind == "image":
-            trigger = TriggerImage(vec=tuple(float(v) for v in rng.uniform(-1.0, 1.0, schema.image_dim)))
+            vec = rng.uniform(-1.0, 1.0, schema.image_dim)
+            trigger = TriggerImage(vec=tuple(vec.tolist()))
+            phi.append(float(vec.sum()) / schema.image_dim)
+            phi += [0.0] * schema.trigger_attr_count
         elif profile.trigger_kind == "product":
-            trig_item = int(rng.choice(vocab.items, p=popularity[sid]))
-            trigger = TriggerProduct(item=trig_item, attrs=catalogs.attrs("tattr", trig_item))
+            trig_item = int(item_cdf.searchsorted(rng.random(), side="right"))
+            trig_attrs, trig_signals = entity("tattr", trig_item)
+            trigger = TriggerProduct(item=trig_item, attrs=trig_attrs)
+            phi += trig_signals
         else:
             trigger = None
-        context = tuple(int(c) for c in rng.integers(0, vocab.context_attrs, size=schema.context_attr_count))
+            phi.append(target_signals[0])
+        context = tuple(rng.integers(0, vocab.context_attrs, size=schema.context_attr_count).tolist())
+        phi += [unit("cattr", a) for a in context]
 
-        inst = Instance(
-            scenario=sid,
-            user=user,
-            user_attrs=catalogs.attrs("uattr", user),
-            behavior=behavior,
-            target_item=target,
-            target_attrs=catalogs.attrs("iattr", target),
-            trigger=trigger,
-            context=context,
-            label=0,
-        )
-        phi = _signal_vector(inst, schema, signal_memo)
-        clean_logit = float(weights[sid] @ (masks[sid] * phi)) + profile.label_bias
+        clean_logit = float(weights[sid] @ (masks[sid] * np.array(phi))) + profile.label_bias
         noisy = clean_logit + float(rng.normal(0.0, profile.noise_std)) if profile.noise_std > 0 else clean_logit
         p_click = 1.0 / (1.0 + np.exp(-noisy))
-        label = int(rng.random() < p_click)
-        instances.append(replace(inst, label=label))
+        instances.append(
+            Instance(
+                scenario=sid,
+                user=user,
+                user_attrs=user_attrs,
+                behavior=tuple((it, entity("iattr", it)[0]) for it in beh_items.tolist()),
+                target_item=target,
+                target_attrs=target_attrs,
+                trigger=trigger,
+                context=context,
+                label=int(rng.random() < p_click),
+            )
+        )
         clean_probs[i] = 1.0 / (1.0 + np.exp(-clean_logit))
 
     manifest = _build_manifest(cfg, profiles, instances, clean_probs)
@@ -502,9 +504,10 @@ def _instance_parser(manifest: DatasetManifest):
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
-    """Load a dataset's manifest; any manifest that cannot be decoded, or
-    whose keys or types cannot build the vocabulary, schema and scenario
-    profiles, raises DataError naming the manifest path."""
+    """Load a dataset's manifest; any manifest that cannot be decoded, whose
+    keys or types cannot build the vocabulary, schema and scenario profiles,
+    or whose stored compatibility digest is not the one its own vocabulary,
+    schema and trigger mode give, raises DataError naming the manifest path."""
     mpath = manifest_path(path)
     if not mpath.exists():
         raise DataError(f"missing manifest {mpath}")
@@ -547,6 +550,8 @@ def read_manifest(path: str | Path) -> DatasetManifest:
             raise TypeError("vocab and schema sizes must be integers")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{mpath}: malformed manifest ({type(exc).__name__}: {exc})") from exc
+    if compat_digest_parts(manifest.vocab, manifest.schema, manifest.trigger_mode) != manifest.compat_digest:
+        raise DataError(f"{mpath}: compat_digest does not match the manifest's vocab, schema and trigger mode")
     return manifest
 
 

@@ -93,6 +93,28 @@ def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys):
     assert code == 2 and "key=value" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("scenario.0.label_bias", "nan", "is not a finite number"),
+        ("scenario.0.label_bias", "-inf", "is not a finite number"),
+        ("scenario.1.label_weights", "1,2,nan,1,1,1,1,1,1,1,1", "is not a finite number"),
+        ("scenario.0.field_importance", "1,0,1,0,1,0,inf,0,1,0,1", "is not a finite number"),
+        ("scenario.0.noise_std", "nan", "is not a finite number"),
+        ("scenario.1.noise_std", "-0.5", "must be non-negative"),
+        ("scenario.0.traffic_share", "inf", "is not a finite number"),
+        ("train.learning_rate", "nan", "is not a finite number"),
+        ("model.scale_ceiling", "inf", "is not a finite number"),
+    ],
+)
+def test_non_finite_or_negative_noise_config_exits_2_and_names_the_key(tmp_path, capsys, key, value, message):
+    out = tmp_path / "x.jsonl"
+    code, _, err = run(capsys, "gen-data", "--out", str(out), "--count", "20", "--set", f"{key}={value}")
+    assert code == 2, err
+    assert key in err and message in err
+    assert not out.exists()
+
+
 def test_missing_data_file_exits_3(tmp_path, capsys):
     code, _, err = run(
         capsys, "train", *TINY, "--data", str(tmp_path / "nope.jsonl"), "--model-out", str(tmp_path / "m.ckpt")
@@ -151,6 +173,30 @@ def test_eval_of_a_corrupt_dataset_exits_3(tmp_path, capsys, target, corrupt, me
     assert message in err
     if target == "manifest":
         assert str(path) in err
+
+
+def test_eval_of_a_manifest_whose_vocab_was_edited_exits_3(tmp_path, capsys):
+    # Raising vocab.items lets an out-of-range item pass line validation; the
+    # stored compatibility digest, recomputed, shows the edit.
+    data = tmp_path / "d.jsonl"
+    code, _, _ = run(capsys, "gen-data", *TINY, "--out", str(data), "--count", "20")
+    assert code == 0
+    ckpt = tmp_path / "m.ckpt"
+    overrides = dict(p.split("=", 1) for p in TINY[1::2])
+    checkpoint.save_model(ckpt, build_model(Graph(seed=0), config.build_run_config({}, overrides)))
+    mpath = tmp_path / "d.jsonl.manifest.json"
+    doc = json.loads(mpath.read_text())
+    assert doc["vocab"]["items"] == 30
+    doc["vocab"]["items"] = 60
+    mpath.write_text(json.dumps(doc))
+    lines = data.read_text().splitlines()
+    obj = json.loads(lines[0])
+    obj["target_item"] = 55
+    data.write_text("\n".join([json.dumps(obj)] + lines[1:]) + "\n")
+    code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(data))
+    assert code == 3, err
+    assert err.count("\n") == 1
+    assert str(mpath) in err and "compat_digest does not match" in err
 
 
 def test_train_eval_round_trip(data_files, tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Generator determinism, ground-truth behavior, and file round-trips."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maria import datagen
+from maria.benchmark import benchmark_config
 from maria.config import ConfigError, build_run_config
 from maria.datagen import DataError, TriggerImage, TriggerProduct
 
@@ -174,6 +178,82 @@ def test_written_dataset_and_manifest_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(datagen.manifest_path(path).read_bytes()).hexdigest() == (
         "790a90e5014de13a804994bd4e0f058d2b25b92c4311577ec15008e7e1973cc3"
     )
+
+
+# (recipe, data file sha256, manifest sha256, clean_probs.tobytes() sha256)
+_GENERATION_PINS = [
+    (lambda: benchmark_config(512, 7),
+     "3fe894cd71986a2fdd826ab380059b2b5d0d25c33c2312e7d88ab7eb9da82aa7",
+     "a8463e503d6d850749e6abc3ca3ebb4613d0d7aeecbe2c3e71ba36635099a3db",
+     "0874c8fce655088aacc6b8bd478c4edb6ba2b9faded59bd1c5b2ddde14ae25b0"),
+    (lambda: small_cfg(**{
+        "gen.count": "200", "scenario.0.trigger_kind": "none", "scenario.1.trigger_kind": "none",
+        "schema.trigger_attrs": "0",
+    }),
+     "7d645814ecb1acb717f3720d9726f46fceb346b52b8f13bd4b638a30c5d7d08a",
+     "99daca2a9e87c0c848d0b05d8ac3cf1196149bf7baf446d67133dcc274a0b120",
+     "642f85025a07877cf39d4d09742a8a5ebb2c0bcefeb0b5a480a4a0371eca341d"),
+    (lambda: small_cfg(**{"gen.count": "200", "scenario.0.noise_std": "0", "scenario.1.trigger_kind": "image"}),
+     "187101db11c1781d7070a50fff31ff662faa8ebf1469456d7367b89e7c50c45d",
+     "ff8e1951685bd65096d9709626266a3c3d627f28b974f148b1abb967a1999f60",
+     "7ff45cf1fa74899855c887729128e8609ff83404dbf84ffd3fef650edc5a2302"),
+    # Fractional masks: weights @ (masks * phi) rounds differently from a
+    # product with weights pre-multiplied by the masks.
+    (lambda: small_cfg(**{
+        "gen.count": "200",
+        "scenario.0.field_importance": "0.3,0.7,0.1,0.9,0.35,0.65,0.2,0.8,0.45,0.55,0.15",
+        "scenario.1.field_importance": "0.6,0.4,0.85,0.15,0.5,0.25,0.75,0.05,0.95,0.33,0.67",
+    }),
+     "892c8edaf88bcdbea369e3e790feed00969e5c6e127b315ad3b5fe60b4fcae91",
+     "e2aac935bf8d358e27fbdc2290a19a8cc87cd430867afcfd9d81c679f4a47f34",
+     "cc79a5f78bacee631562f43b34afc71300a74b7019e438b15be4dacdebf64560"),
+    # Behaviour sequences up to 10 long: the behaviour mean must be np.mean's
+    # pairwise sum, which a running sum matches only below 8 values.
+    (lambda: small_cfg(**{"gen.count": "300", "schema.max_behavior": "10"}),
+     "1ea2161101ac3d0b63e57e5bf49a35a1b93042d3574bd47f6b3008ba2ae8fe2d",
+     "14fe8ab5a3291b345e3b2366496ad5d5162c3c23a9126faf338cdb50002523b3",
+     "697ad3b92d5d352cbf453ad3b4c380f953b59421b5d25f7a3882326622969118"),
+]
+
+
+@pytest.mark.parametrize(
+    "make_cfg, data_sha, manifest_sha, probs_sha", _GENERATION_PINS,
+    ids=["benchmark", "trigger_free", "noise_free", "fractional_importance", "long_behavior"],
+)
+def test_generated_bytes_are_pinned(tmp_path, make_cfg, data_sha, manifest_sha, probs_sha):
+    dataset, clean_probs = datagen.generate(make_cfg())
+    path = tmp_path / "pin.jsonl"
+    datagen.write_jsonl(dataset, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == data_sha
+    assert hashlib.sha256(datagen.manifest_path(path).read_bytes()).hexdigest() == manifest_sha
+    assert hashlib.sha256(clean_probs.tobytes()).hexdigest() == probs_sha
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.one_of(
+        # with zero entries among them
+        st.lists(st.just(0.0) | st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=40)
+        .filter(lambda w: sum(w) > 0),
+        # the generator's tilted popularity: softmax of tilt * hashed logits
+        st.tuples(st.integers(1, 300), st.floats(min_value=0.0, max_value=6.0), st.integers(0, 5)).map(
+            lambda t: np.exp(t[1] * np.array([datagen.stable_unit("pop", t[2], k) for k in range(t[0])]))
+        ),
+    ),
+    size=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_choice_equals_cdf_searchsorted(weights, size, seed):
+    # The generator replaces Generator.choice(n, p=p) by a search in the
+    # normalised cumulative sum, which is what numpy's choice runs inside.
+    # If a numpy release changes choice, this says why the byte pins broke.
+    p = np.asarray(weights, dtype=np.float64)
+    p = p / p.sum()
+    cdf = datagen._cdf(p, "p")
+    ref, ours = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert ref.choice(p.size, p=p) == cdf.searchsorted(ours.random(), side="right")
+    assert np.array_equal(ref.choice(p.size, size=size, p=p), cdf.searchsorted(ours.random(size), side="right"))
+    assert ref.random() == ours.random()
 
 
 def test_image_vec_floats_survive_round_trip(tmp_path):
@@ -360,3 +440,13 @@ def test_stable_unit_range_and_determinism():
     assert datagen.stable_unit("item", 7) == datagen.stable_unit("item", 7)
     assert datagen.stable_unit("item", 7) != datagen.stable_unit("user", 7)
     assert abs(float(np.mean(vals))) < 0.2  # roughly centered
+
+
+def test_a_nan_popularity_is_refused():
+    # choice refused a NaN probability vector; the CDF search would not, so
+    # generate checks each vector itself.
+    cfg = small_cfg(**{"gen.count": "5"})
+    tilted = dataclasses.replace(cfg.scenarios[1], behavior_tilt=float("nan"))
+    cfg = dataclasses.replace(cfg, scenarios=(cfg.scenarios[0], tilted))
+    with pytest.raises(ValueError, match="scenario.1 item popularity: probabilities must be finite and non-negative"):
+        datagen.generate(cfg)

@@ -7,6 +7,7 @@ import pytest
 
 from maria import datagen, training
 from maria.autodiff import Graph
+from maria.benchmark import run_benchmark
 from maria.config import build_run_config
 from maria.model import build_model, make_batch
 from maria.training import TrainingDiverged, ablate, evaluate, gradient_check, train
@@ -239,3 +240,12 @@ def test_gradient_check_harness_passes_and_can_fail():
 
     with pytest.raises(ValueError, match="corrupt_group"):
         gradient_check(graph, model, dataset.instances, corrupt_group="nonexistent")
+
+
+def test_benchmark_times_its_data_generation():
+    lines = []
+    report = run_benchmark(kinds=(), seeds=(), train_count=60, eval_count=30, log_fn=lines.append)
+    assert 0 < report.gen_seconds <= report.seconds
+    assert report.to_dict()["gen_seconds"] == report.gen_seconds
+    assert lines[0].startswith(f"data ready: 60 train / 30 eval in {report.gen_seconds:.1f}s (")
+    assert f"({90 / report.gen_seconds:.0f} inst/s)" in lines[0]
