@@ -1,0 +1,157 @@
+"""Alternating parent/change pairs of one benchmark workload.
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --workload train-maria --pairs 10 \\
+        --first-seed 951 --out BENCH_pairs.json
+
+The change is the working tree this script sits in. The parent is the
+committed tree of ``--parent``, exported with ``git archive`` into a fresh
+directory under ``.bench_out/``, as the benchmark compares committed files;
+the directory is removed at the end. Pair ``i`` runs ``bench/run.py --trace
+0`` on both sides with seed ``first_seed + i`` for the ``run_seconds`` that
+``BENCHMARK.json`` sets: the parent first on even pairs, the change first on
+odd ones, so that this machine's drift in speed falls on both sides alike.
+
+The output holds, for every metric that ``BENCHMARK.json`` gates: the values
+per pair, the medians and quartiles of each side, the parent's interquartile
+range (IQR), the relative change of the medians and the number of pairs the
+change wins. A gain is claimed only when the change wins at least nine
+pairs in ten and its median beats the parent's by more than the parent's
+IQR (``claim_holds``). Every run's exit code and failed-check count are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def export_tree(rev: str, into: Path) -> str:
+    """Write the committed files of ``rev`` under ``into``; returns the full hash."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, capture_output=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return commit
+
+
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``bench/run.py`` run: its exit code, failed-check count, gated
+    metrics and the digests of its training losses and checkpoint."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        report, final = json.loads(lines[-2])["report"], json.loads(lines[-1])
+    except (IndexError, KeyError, json.JSONDecodeError):
+        return {"exit": proc.returncode, "failed": None, "metrics": {}, "stderr": proc.stderr[-2000:]}
+    metrics = {name: entry["value"] for name, entry in final["metrics"].items()}
+    return {"exit": proc.returncode, "failed": final["failed"], "metrics": metrics, "digests": report.get("digests")}
+
+
+def summarise(pairs: list[dict], gated: list[dict]) -> dict:
+    out = {}
+    for entry in gated:
+        name, higher = entry["name"], entry["better"] == "higher"
+        both = [
+            (p["parent"]["metrics"][name], p["change"]["metrics"][name])
+            for p in pairs if name in p["parent"]["metrics"] and name in p["change"]["metrics"]
+        ]
+        if not both:
+            continue
+        parent = np.array([a for a, _ in both])
+        change = np.array([b for _, b in both])
+        pq = np.percentile(parent, [25, 50, 75])
+        cq = np.percentile(change, [25, 50, 75])
+        wins = int(np.sum(change > parent) if higher else np.sum(change < parent))
+        gain = (cq[1] - pq[1]) if higher else (pq[1] - cq[1])
+        iqr = float(pq[2] - pq[0])
+        out[name] = {
+            "unit": entry["unit"],
+            "better": entry["better"],
+            "parent": parent.tolist(),
+            "change": change.tolist(),
+            "parent_median": float(pq[1]),
+            "change_median": float(cq[1]),
+            "parent_quartiles": [float(pq[0]), float(pq[2])],
+            "change_quartiles": [float(cq[0]), float(cq[2])],
+            "parent_iqr": iqr,
+            "relative_change": float(cq[1] / pq[1] - 1.0),
+            "wins": wins,
+            "pairs": len(both),
+            "claim_holds": bool(wins * 10 >= 9 * len(both) and gain > iqr),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--out", default="BENCH_pairs.json", help="output JSON file")
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.first_seed < 0:
+        parser.error("--pairs must be positive and --first-seed non-negative")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+    (ROOT / ".bench_out").mkdir(exist_ok=True)
+    parent_dir = Path(tempfile.mkdtemp(prefix="pairs-parent-", dir=ROOT / ".bench_out"))
+    pairs = []
+    try:
+        commit = export_tree(args.parent, parent_dir)
+        trees = {"parent": parent_dir, "change": ROOT}
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_side(trees[side], args.workload, seed, seconds)
+            pairs.append(pair)
+            shown = {s: {k: round(v, 4) for k, v in pair[s]["metrics"].items()} for s in ("parent", "change")}
+            print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): {json.dumps(shown)}", flush=True)
+    finally:
+        shutil.rmtree(parent_dir, ignore_errors=True)
+
+    result = {
+        "workload": args.workload,
+        "parent": commit,
+        "change": "working tree",
+        "seconds": seconds,
+        "seeds": [p["seed"] for p in pairs],
+        "runs_failed": sum(1 for p in pairs for s in ("parent", "change") if p[s]["exit"] != 0 or p[s]["failed"]),
+        "metrics": summarise(pairs, spec["end_to_end"]),
+        "pairs": pairs,
+    }
+    out = Path(args.out)
+    document = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    document[args.workload] = result
+    out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
+    for name, m in result["metrics"].items():
+        print(f"{name:<12} parent {m['parent_median']:.6g} [IQR {m['parent_iqr']:.4g}] -> change "
+              f"{m['change_median']:.6g} ({m['relative_change']:+.1%}), wins {m['wins']}/{m['pairs']}, "
+              f"claim {'holds' if m['claim_holds'] else 'does not hold'}")
+    return 0 if result["runs_failed"] == 0 else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

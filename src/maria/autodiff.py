@@ -13,6 +13,7 @@ reproducible bit for bit and noise can be recorded and replayed
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -287,10 +288,51 @@ def mul(a: Value, b: Value) -> Value:
     return _node(a.graph, a.data * b.data, (a, b), "mul", backward)
 
 
+def _rows(x: Array) -> Array:
+    """``x`` as a 2-d matrix of its last-axis rows (a view when it can be)."""
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+
+
+def _row_gemm(x: Array, w: Array) -> Array:
+    """``x @ w`` for a 2-d ``w`` as one GEMM over the rows of ``x``, into a
+    fresh C-ordered buffer of shape ``x.shape[:-1] + (w.shape[1],)``."""
+    out = np.empty(x.shape[:-1] + (w.shape[1],))
+    np.matmul(_rows(x), w, out=_rows(out))
+    return out
+
+
+def _row_product(x: Value, w: Value, b: Value | None, op: str) -> Value:
+    """``x @ w`` (plus ``b``) for a 2-d or stacked ``x`` and a 2-d ``w``: one
+    GEMM over the rows of ``x`` each way. The forward and the input grad
+    hold, row for row, the bits of numpy's per-matrix products on OpenBLAS at
+    the encoder's shapes. The weight grad ``x2.T @ g2`` over the flattened
+    rows sums a stacked ``x`` in another order than per-matrix products do.
+    """
+    out = _row_gemm(x.data, w.data)
+    if b is not None:
+        out += b.data
+
+    def backward(g: Array) -> None:
+        if x.requires_grad:
+            _accumulate(x, _row_gemm(g, w.data.T), g)
+        if w.requires_grad:
+            _accumulate(w, _rows(x.data).T @ _rows(g), g)
+        if b is not None and b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape), g)
+
+    return _node(x.graph, out, (x, w) if b is None else (x, w, b), op, backward)
+
+
 def matmul(a: Value, b: Value) -> Value:
-    """numpy matmul semantics: 2-d or stacked 3-d operands, broadcasting batch dims."""
+    """numpy matmul semantics: 2-d or stacked 3-d operands, broadcasting batch dims.
+
+    A 2-d or stacked ``a`` against a 2-d ``b`` runs as one GEMM over the
+    rows of ``a`` each way (see :func:`_row_product`).
+    """
     if a.data.ndim < 1 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise _shape_error("matmul", a.shape, b.shape)
+    if a.data.ndim >= 2 and b.data.ndim == 2:
+        return _row_product(a, b, None, "matmul")
     try:
         out = np.matmul(a.data, b.data)
     except ValueError as exc:
@@ -311,27 +353,74 @@ def affine(x: Value, w: Value, b: Value) -> Value:
     """``x @ w + b`` as one node, bit for bit equal to ``add(matmul(x, w), b)``.
 
     ``x`` is 2-d or carries stacked leading axes; ``w`` is 2-d and ``b`` 1-d.
-    A 2-d ``x`` runs one GEMM each way. A stacked ``x`` keeps numpy's
-    per-matrix products: one GEMM over the flattened rows sums in another
-    order, and its last bits would change training runs.
+    Either way the product runs as one GEMM over the rows of ``x`` each way
+    (see :func:`_row_product`), the same products ``matmul`` runs.
     """
     if (
         x.data.ndim < 2 or w.data.ndim != 2 or b.data.ndim != 1
         or x.shape[-1] != w.shape[0] or b.shape[0] != w.shape[1]
     ):
         raise _shape_error("affine", x.shape, w.shape, b.shape)
-    out = np.matmul(x.data, w.data)
-    out += b.data
+    return _row_product(x, w, b, "affine")
+
+
+def layer_norm(x: Value, gain: Value, bias: Value, eps: float = 1e-5) -> Value:
+    """Normalise the last axis to zero mean and unit variance, then scale by
+    ``gain`` and shift by ``bias`` (both 1-d, of the last axis' width).
+
+    One node. The forward runs the numpy ops of the composition
+    ``(x - mean) * (var + eps) ** -0.5 * gain + bias`` in that order, so it
+    holds the same bits; the backward is the analytic one.
+    """
+    if x.data.ndim < 1 or gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
+        raise _shape_error("layer_norm", x.shape, gain.shape, bias.shape)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + float(eps)) ** -0.5
+    normed = centered * inv
+    out = normed * gain.data + bias.data
 
     def backward(g: Array) -> None:
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.shape), g)
+        if gain.requires_grad:
+            _accumulate(gain, _unbroadcast(g * normed, gain.shape), g)
         if x.requires_grad:
-            _accumulate(x, np.matmul(g, w.data.T), g)
-        if w.requires_grad:
-            _accumulate(w, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape), g)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape), g)
+            gn = g * gain.data
+            inner = gn - gn.mean(axis=-1, keepdims=True) - normed * (gn * normed).mean(axis=-1, keepdims=True)
+            _accumulate(x, inner * inv, g)
 
-    return _node(x.graph, out, (x, w, b), "affine", backward)
+    return _node(x.graph, out, (x, gain, bias), "layer_norm", backward)
+
+
+def weighted_sum(parts: Sequence[Value], weights: Sequence[Value]) -> Value:
+    """``parts[0] * weights[0] + ... + parts[-1] * weights[-1]`` as one node.
+
+    Every part has the same shape, and each weight broadcasts against it
+    without widening it (a ``(B, 1)`` column against ``(B, H)`` parts). Values
+    and grads hold the bits of the chain of ``mul`` and left-to-right ``add``
+    nodes that it replaces.
+    """
+    if not parts or len(parts) != len(weights):
+        raise ValueError(f"weighted_sum: need one weight per part, got {len(parts)} parts and {len(weights)} weights")
+    shape = parts[0].shape
+    for p, w in zip(parts, weights):
+        widens = w.data.ndim > len(shape) or any(n not in (1, s) for n, s in zip(w.shape[::-1], shape[::-1]))
+        if p.shape != shape or widens:
+            raise _shape_error("weighted_sum", p.shape, w.shape)
+    out = parts[0].data * weights[0].data
+    for p, w in zip(parts[1:], weights[1:]):
+        out += p.data * w.data
+    pairs = list(zip(parts, weights))
+
+    def backward(g: Array) -> None:
+        # Last term first: the order in which the chain's sweep reaches them.
+        for p, w in reversed(pairs):
+            if p.requires_grad:
+                _accumulate(p, _unbroadcast(g * w.data, p.shape), g)
+            if w.requires_grad:
+                _accumulate(w, _unbroadcast(g * p.data, w.shape), g)
+
+    return _node(parts[0].graph, out, tuple(parts) + tuple(weights), "weighted_sum", backward)
 
 
 def concat(parts: Sequence[Value], axis: int = -1) -> Value:
@@ -377,8 +466,11 @@ def slice_last(x: Value, start: int, stop: int) -> Value:
 def take_rows(x: Value, indices) -> Value:
     """Gather rows of a 2-d Value; ``indices`` may have any shape.
 
-    Output shape is ``indices.shape + (row_width,)``. The backward pass
-    scatter-adds into the source rows, so repeated indices accumulate.
+    Output shape is ``indices.shape + (row_width,)``. The backward pass sums
+    the output grad back into the source rows, so repeated indices
+    accumulate: one ``np.bincount`` over the flat ``row * width + col``
+    positions, which adds in lookup order, as ``np.add.at`` does into a
+    zero buffer.
     """
     if x.data.ndim != 2:
         raise _shape_error("take_rows", x.shape, ())
@@ -387,10 +479,14 @@ def take_rows(x: Value, indices) -> Value:
         raise TypeError("take_rows: indices must be integers")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise IndexError(f"take_rows: index out of range for {x.shape[0]} rows")
+    idx = idx.astype(np.int64, copy=False)
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            np.add.at(x.grad, idx.reshape(-1), g.reshape(-1, x.shape[1]))
+            rows, width = x.shape
+            flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+            summed = np.bincount(flat, weights=g.reshape(-1), minlength=rows * width)
+            _accumulate(x, summed.reshape(x.shape), g)
 
     out = x.data[idx.reshape(-1)].reshape(idx.shape + (x.shape[1],))
     return _node(x.graph, out, (x,), "take_rows", backward)

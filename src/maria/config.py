@@ -354,6 +354,8 @@ def build_run_config(mapping: Mapping[str, str] | None = None, overrides: Mappin
             parsed[fname] = _parse_typed(f"scenario.{i}.{fname}", kind, raw.get(fname, default))
         if parsed["noise_std"] < 0:
             raise ConfigError(f"scenario.{i}.noise_std: must be non-negative, got {parsed['noise_std']}")
+        if any(not 0.0 <= v <= 1.0 for v in parsed["field_importance"]):
+            raise ConfigError(f"scenario.{i}.field_importance: every value must lie in [0, 1]")
         if parsed["trigger_kind"] not in TRIGGER_KINDS:
             raise ConfigError(
                 f"scenario.{i}.trigger_kind: {parsed['trigger_kind']!r} not one of {TRIGGER_KINDS}"

@@ -100,14 +100,6 @@ class Fcn:
         return out
 
 
-def layer_norm(x: Value, gain: Value, bias: Value, eps: float = 1e-5) -> Value:
-    mu = ad.mean_last(x, keepdims=True)
-    centered = ad.sub(x, mu)
-    var = ad.mean_last(ad.mul(centered, centered), keepdims=True)
-    inv = ad.power(ad.shift(var, eps), -0.5)
-    return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
-
-
 def _additive_mask(graph: Graph, valid) -> Value | None:
     """(batch, 1, length) additive mask constant from a 0/1 validity array."""
     if valid is None:
@@ -148,7 +140,7 @@ class TransformerBlock:
         self.ln2_bias = graph.parameter(np.zeros(d))
 
     def forward(self, seq: Value, mask: Value | None = None, collect: list | None = None) -> Value:
-        normed = layer_norm(seq, self.ln1_gain, self.ln1_bias)
+        normed = ad.layer_norm(seq, self.ln1_gain, self.ln1_bias)
         heads = []
         inv = 1.0 / math.sqrt(self.head_dim)
         for wq, wk, wv in zip(self.wq, self.wk, self.wv):
@@ -164,7 +156,7 @@ class TransformerBlock:
             heads.append(ad.matmul(attn, v))
         mixed = ad.matmul(ad.concat(heads, axis=-1), self.wo)
         h = ad.add(seq, mixed)
-        return ad.add(h, self.ffn.forward(layer_norm(h, self.ln2_gain, self.ln2_bias)))
+        return ad.add(h, self.ffn.forward(ad.layer_norm(h, self.ln2_gain, self.ln2_bias)))
 
     def parameters(self):
         out = []

@@ -312,11 +312,8 @@ class _MixtureHead:
         if self.gate is None:
             return self.experts[0].forward(fused)
         gates = ad.softmax_last(self.gate.forward(e_scenario))
-        mixed = None
-        for j, expert in enumerate(self.experts):
-            term = ad.mul(expert.forward(fused), ad.slice_last(gates, j, j + 1))
-            mixed = term if mixed is None else ad.add(mixed, term)
-        return mixed
+        outs = [expert.forward(fused) for expert in self.experts]
+        return ad.weighted_sum(outs, [ad.slice_last(gates, j, j + 1) for j in range(len(outs))])
 
     def parameters(self):
         out = []

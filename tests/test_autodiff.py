@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import fd_gradient, max_rel_err
@@ -535,6 +535,10 @@ _RECIPES = [
     lambda x, y, s: ad.log(ad.shift(ad.mul(x, x), 1.0)),
     lambda x, y, s: ad.power(ad.shift(ad.mul(x, x), 1.0), 1.5),
     lambda x, y, s: ad.mul(ad.stop_gradient(x), y),
+    lambda x, y, s: ad.reshape(ad.affine(ad.reshape(x, (1, _ROWS, _COLS)), s["w"], s["b"]), (_ROWS, _COLS)),
+    lambda x, y, s: ad.reshape(ad.matmul(ad.reshape(y, (_ROWS, 1, _COLS)), s["w"]), (_ROWS, _COLS)),
+    lambda x, y, s: ad.layer_norm(x, s["b"], ad.scale(s["b"], 0.5)),
+    lambda x, y, s: ad.weighted_sum([x, y, x], [ad.sum_last(y, keepdims=True), x, s["b"]]),
 ]
 
 
@@ -607,3 +611,225 @@ def test_a_grad_handed_down_whole_is_copied_not_shared():
     np.testing.assert_array_equal(shifted.grad, [0.5, -1.0, 4.0])
     np.testing.assert_array_equal(h.grad, [2.5, 1.0, 6.0])
     np.testing.assert_array_equal(x.grad, [5.0, -4.0, 36.0])
+
+
+# ---------------------------------------------------------------------------
+# stacked products: one GEMM over the flattened rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lead", [(2, 3), (2, 2, 3)])
+def test_stacked_matmul_and_affine_match_central_differences(lead):
+    rng = np.random.default_rng(11)
+    g = ad.Graph(seed=0)
+    x = g.parameter(rng.normal(size=lead + (4,)))
+    w = g.parameter(rng.normal(size=(4, 3)))
+    v = g.parameter(rng.normal(size=(3, 2)))
+    b = g.parameter(rng.normal(size=(2,)))
+    weights = g.constant(rng.normal(size=lead + (2,)))
+
+    def build() -> ad.Value:
+        h = ad.sigmoid(ad.matmul(x, w))
+        return ad.sum_all(ad.mul(ad.sigmoid(ad.affine(h, v, b)), weights))
+
+    ad.backward(build())
+    np.testing.assert_allclose(ad.matmul(x, w).data, np.matmul(x.data, w.data), rtol=1e-13, atol=1e-13)
+
+    def run() -> float:
+        m = g.mark()
+        out = float(build().data)
+        g.truncate(m)
+        return out
+
+    for p in (x, w, v, b):
+        assert max_rel_err(p.grad.copy(), fd_gradient(run, p.data)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# layer_norm: one node for the normalise-scale-shift composition
+# ---------------------------------------------------------------------------
+
+def _composed_layer_norm(x, gain, bias, eps=1e-5):
+    """The composition that ad.layer_norm replaces, kept as its reference."""
+    mu = ad.mean_last(x, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.mean_last(ad.mul(centered, centered), keepdims=True)
+    inv = ad.power(ad.shift(var, eps), -0.5)
+    return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
+
+
+def _layer_norm_case(g: ad.Graph, seed: int, lead: tuple[int, ...], width: int):
+    rng = np.random.default_rng(seed)
+    x = g.parameter(rng.normal(size=lead + (width,)) * rng.uniform(0.1, 10.0))
+    gain = g.parameter(rng.normal(size=(width,)))
+    bias = g.parameter(rng.normal(size=(width,)))
+    weights = g.constant(rng.normal(size=lead + (width,)))
+    return x, gain, bias, weights
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    lead=st.one_of(st.tuples(st.integers(1, 6)), st.tuples(st.integers(1, 4), st.integers(1, 5))),
+    width=st.integers(1, 19),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_layer_norm_equals_its_composition(lead, width, seed):
+    outputs, grads = [], []
+    for fused in (True, False):
+        g = ad.Graph(seed=0)
+        x, gain, bias, weights = _layer_norm_case(g, seed, lead, width)
+        out = ad.layer_norm(x, gain, bias) if fused else _composed_layer_norm(x, gain, bias)
+        ad.backward(ad.sum_all(ad.mul(out, weights)))
+        outputs.append(out.data)
+        grads.append([x.grad, gain.grad, bias.grad])
+    # The forward runs the composition's numpy ops in its order.
+    assert outputs[0].tobytes() == outputs[1].tobytes()
+    fused_grads, composed_grads = grads
+    # bias and gain take the same products; x's grad is the analytic form.
+    assert fused_grads[2].tobytes() == composed_grads[2].tobytes()
+    assert fused_grads[1].tobytes() == composed_grads[1].tobytes()
+    assert max_rel_err(fused_grads[0], composed_grads[0], floor=1e-6) <= 1e-8
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)])
+def test_layer_norm_gradients_match_central_differences(lead):
+    g = ad.Graph(seed=0)
+    x, gain, bias, weights = _layer_norm_case(g, 5, lead, 5)
+
+    def build() -> ad.Value:
+        return ad.sum_all(ad.mul(ad.sigmoid(ad.layer_norm(x, gain, bias)), weights))
+
+    ad.backward(build())
+
+    def run() -> float:
+        m = g.mark()
+        out = float(build().data)
+        g.truncate(m)
+        return out
+
+    for p in (x, gain, bias):
+        assert max_rel_err(p.grad.copy(), fd_gradient(run, p.data)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "x_shape, gain_shape, bias_shape",
+    [
+        ((), (1,), (1,)),              # x needs a last axis
+        ((2, 4), (3,), (4,)),          # gain width differs
+        ((2, 4), (4,), (5,)),          # bias width differs
+        ((2, 4), (1, 4), (4,)),        # gain is not 1-d
+        ((2, 4), (4,), (2, 4)),        # bias is not 1-d
+    ],
+)
+def test_layer_norm_rejects_bad_shapes(x_shape, gain_shape, bias_shape):
+    g = ad.Graph(seed=0)
+    x, gain, bias = (g.constant(np.zeros(shape)) for shape in (x_shape, gain_shape, bias_shape))
+    with pytest.raises(ad.ShapeError, match="layer_norm"):
+        ad.layer_norm(x, gain, bias)
+
+
+# ---------------------------------------------------------------------------
+# weighted_sum: one node for a mul/add chain
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(1, 4),
+    rows=st.integers(1, 5),
+    width=st.integers(1, 6),
+    column_weights=st.booleans(),
+    from_gates=st.booleans(),
+    frozen=st.lists(st.booleans(), min_size=4, max_size=4),
+    repeat=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+# Three terms on one part: its grad sums them in the chain's order.
+@example(count=4, rows=3, width=5, column_weights=True, from_gates=True, frozen=[False] * 4, repeat=True, seed=1)
+@example(count=4, rows=2, width=3, column_weights=False, from_gates=False, frozen=[False] * 4, repeat=True, seed=2)
+def test_weighted_sum_equals_the_mul_add_chain(count, rows, width, column_weights, from_gates, frozen, repeat, seed):
+    outputs, grads = [], []
+    for fused in (True, False):
+        rng = np.random.default_rng(seed)
+        g = ad.Graph(seed=0)
+        # Parts that are constants take no grad; a repeated part takes two.
+        parts = [
+            (g.constant if frozen[j] else g.parameter)(rng.normal(size=(rows, width))) for j in range(count)
+        ]
+        if repeat:  # three terms share one part when there are four
+            parts = [parts[0] if j != 1 or count == 2 else parts[j] for j in range(count)]
+        weight_shape = (rows, 1) if column_weights else (rows, width)
+        if from_gates:
+            gates = g.parameter(rng.normal(size=(rows, count)))
+            weights = [ad.slice_last(gates, j, j + 1) for j in range(count)]
+            leaves = parts + [gates]
+        else:
+            weights = [g.parameter(rng.normal(size=weight_shape)) for _ in range(count)]
+            leaves = parts + weights
+        if fused:
+            out = ad.weighted_sum(parts, weights)
+        else:
+            out = None
+            for p, w in zip(parts, weights):
+                term = ad.mul(p, w)
+                out = term if out is None else ad.add(out, term)
+        ad.backward(ad.sum_all(ad.mul(out, g.constant(rng.normal(size=(rows, width))))))
+        outputs.append(out.data)
+        grads.append([leaf.grad for leaf in leaves])
+    assert outputs[0].tobytes() == outputs[1].tobytes()
+    for fused_grad, chain_grad in zip(*grads):
+        assert fused_grad.tobytes() == chain_grad.tobytes()
+
+
+def test_weighted_sum_rejects_bad_operands():
+    g = ad.Graph(seed=0)
+    part = g.constant(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="one weight per part"):
+        ad.weighted_sum([part, part], [g.constant(np.zeros((3, 1)))])
+    with pytest.raises(ValueError, match="one weight per part"):
+        ad.weighted_sum([], [])
+    for other, weight in [((3, 5), (3, 1)), ((3, 4), (3, 2)), ((3, 4), (2, 3, 1))]:
+        with pytest.raises(ad.ShapeError, match="weighted_sum"):
+            second = g.constant(np.zeros(other))
+            ad.weighted_sum([part, second], [g.constant(np.zeros((3, 1))), g.constant(np.zeros(weight))])
+
+
+# ---------------------------------------------------------------------------
+# take_rows backward: one bincount over the flat positions
+# ---------------------------------------------------------------------------
+
+_INDEX_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 6)),
+    st.tuples(st.integers(0, 3), st.integers(0, 4)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    width=st.integers(1, 4),
+    first=_INDEX_SHAPES,
+    second=st.one_of(st.none(), _INDEX_SHAPES),
+    index_type=st.sampled_from([np.int64, np.int32, np.uint64, np.uint8]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_take_rows_grad_matches_add_at(rows, width, first, second, index_type, seed):
+    rng = np.random.default_rng(seed)
+    g = ad.Graph(seed=0)
+    table = g.parameter(rng.normal(size=(rows, width)))
+    reference = np.zeros((rows, width))
+    total = None
+    for shape in (first, second):
+        if shape is None:
+            continue
+        idx = rng.integers(0, rows, size=shape).astype(index_type)  # small row counts repeat rows
+        upstream = rng.normal(size=shape + (width,))
+        term = ad.sum_all(ad.mul(ad.take_rows(table, idx), g.constant(upstream)))
+        total = term if total is None else ad.add(total, term)
+        np.add.at(reference, idx.reshape(-1), upstream.reshape(-1, width))
+    ad.backward(total)
+    if second is None:
+        # One lookup: the same additions in the same order as np.add.at.
+        assert table.grad.tobytes() == (reference + 0.0).tobytes()
+    else:
+        # A second lookup adds its own sum to the first: another order.
+        np.testing.assert_allclose(table.grad, reference, rtol=1e-12, atol=1e-12)

@@ -102,6 +102,7 @@ def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys):
         ("scenario.0.field_importance", "1,0,1,0,1,0,inf,0,1,0,1", "is not a finite number"),
         ("scenario.0.noise_std", "nan", "is not a finite number"),
         ("scenario.1.noise_std", "-0.5", "must be non-negative"),
+        ("scenario.0.field_importance", "5,-3,1,1,1,1,1,1,1,1,1", "must lie in [0, 1]"),
         ("scenario.0.traffic_share", "inf", "is not a finite number"),
         ("train.learning_rate", "nan", "is not a finite number"),
         ("model.scale_ceiling", "inf", "is not a finite number"),

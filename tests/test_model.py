@@ -1,6 +1,8 @@
 """Model assembly: forward oracle, gradients, grouping, coupling, baselines, checkpoints."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from maria import checkpoint as ckpt
 from maria import config as cfgmod
 from maria import datagen, model as mdl, training
 from maria.autodiff import Graph
+from maria.benchmark import benchmark_config
 from maria.config import build_run_config
 from maria.fileio import atomic_writer
 from maria.model import BaselineModel, bce_loss, build_model, make_batch
@@ -569,3 +572,42 @@ def test_checkpoint_shape_mismatch_detected(tmp_path):
     ckpt.save_checkpoint(path, spec, params)
     with pytest.raises(ckpt.CheckpointError, match="shape"):
         ckpt.load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's traced run needs every op it lists
+# ---------------------------------------------------------------------------
+
+def _benchmark_spec() -> dict:
+    with open(Path(__file__).resolve().parents[1] / "BENCHMARK.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _listed_ops(spec: dict) -> set[str]:
+    prefix = "autodiff.op."
+    return {e["name"][len(prefix):].rsplit(".", 1)[0] for e in spec["per_layer"] if e["name"].startswith(prefix)}
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in _benchmark_spec()["workloads"]])
+def test_each_benchmark_workload_builds_every_listed_op(workload):
+    """A traced benchmark run reports ``autodiff.op.<op>.*`` for each op that
+    BENCHMARK.json lists and fails when one is missing. Each workload's step
+    here (a training step for ``train-<kind>``, an eval forward for
+    ``score-<kind>``) must build at least one node of each, so a fusion
+    that removes the last ``relu``, ``slice_last`` or ``mul`` fails here."""
+    ops = _listed_ops(_benchmark_spec())
+    assert {"matmul", "mul", "relu", "slice_last"} <= ops
+    flow, kind = workload.split("-")[:2]
+    cfg = benchmark_config(128, 3)
+    dataset, _ = datagen.generate(cfg)
+    graph = Graph(seed=3)
+    model = build_model(graph, cfg, kind=kind)
+    batch = make_batch(dataset.instances, model.vocab, model.schema, model.trigger_mode)
+    mark = graph.mark()
+    if flow == "train":
+        ad.backward(bce_loss(model.forward(batch, mode="train").score, batch.labels))
+    else:
+        assert flow == "score"
+        model.forward(batch, mode="eval")
+    built = {node.op for node in graph.nodes[mark:]}
+    assert ops <= built, f"{workload}: no node of {sorted(ops - built)}"
