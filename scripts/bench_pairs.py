@@ -16,7 +16,12 @@ per pair, the medians and quartiles of each side, the parent's interquartile
 range (IQR), the relative change of the medians and the number of pairs the
 change wins. A gain is claimed only when the change wins at least nine
 pairs in ten and its median beats the parent's by more than the parent's
-IQR (``claim_holds``). Every run's exit code and failed-check count are kept.
+IQR (``claim_holds``). Each metric also gets a no-regression ``verdict``
+against its ``bound`` in ``BENCHMARK.json``, where the allowance is bound x
+parent median: ``regressed`` when the change median is worse than the
+parent's by more than the allowance; ``unresolved`` when the parent IQR
+exceeds the allowance, unless every change run beats every parent run;
+``ok`` otherwise. Every run's exit code and failed-check count are kept.
 """
 
 from __future__ import annotations
@@ -83,6 +88,14 @@ def summarise(pairs: list[dict], gated: list[dict]) -> dict:
         wins = int(np.sum(change > parent) if higher else np.sum(change < parent))
         gain = (cq[1] - pq[1]) if higher else (pq[1] - cq[1])
         iqr = float(pq[2] - pq[0])
+        allowance = entry["bound"] * abs(pq[1])
+        beats_all = change.min() > parent.max() if higher else change.max() < parent.min()
+        if -gain > allowance:
+            verdict = "regressed"
+        elif iqr > allowance and not beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
         out[name] = {
             "unit": entry["unit"],
             "better": entry["better"],
@@ -97,6 +110,8 @@ def summarise(pairs: list[dict], gated: list[dict]) -> dict:
             "wins": wins,
             "pairs": len(both),
             "claim_holds": bool(wins * 10 >= 9 * len(both) and gain > iqr),
+            "bound": entry["bound"],
+            "verdict": verdict,
         }
     return out
 
@@ -149,7 +164,7 @@ def main(argv=None) -> int:
     for name, m in result["metrics"].items():
         print(f"{name:<12} parent {m['parent_median']:.6g} [IQR {m['parent_iqr']:.4g}] -> change "
               f"{m['change_median']:.6g} ({m['relative_change']:+.1%}), wins {m['wins']}/{m['pairs']}, "
-              f"claim {'holds' if m['claim_holds'] else 'does not hold'}")
+              f"claim {'holds' if m['claim_holds'] else 'does not hold'}, verdict {m['verdict']}")
     return 0 if result["runs_failed"] == 0 else 1
 
 

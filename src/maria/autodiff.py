@@ -517,7 +517,9 @@ def transpose_last2(x: Value) -> Value:
 
 
 def sigmoid(x: Value) -> Value:
-    out = 1.0 / (1.0 + np.exp(-x.data))
+    # exp(-x) overflows to inf below x = -709, and the output is then 0.0
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-x.data))
 
     def backward(g: Array) -> None:
         if x.requires_grad:

@@ -198,6 +198,7 @@ def _cdf(p: np.ndarray, what: str) -> np.ndarray:
     return cdf
 
 
+@np.errstate(over="ignore")  # a sigmoid's exp(-z) overflows below z = -709; it is then 0.0
 def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
     """Sample ``cfg.gen_count`` instances; also return the noise-free click
     probabilities used for the achievable-AUC estimate in the manifest.

@@ -20,11 +20,12 @@ from .model import (
     make_batch,
     model_from_spec,
 )
-from .optim import Adam
+from .optim import Adam, NonFiniteGradient
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss left the finite range; carries the step index where it happened."""
+    """Loss or a gradient left the finite range; the message names the step
+    (and, for a gradient, the parameter and its group)."""
 
 
 @dataclass
@@ -49,8 +50,9 @@ def train(
     """Optimize the model in place; deterministic given settings.seed."""
     if not instances:
         raise ValueError("train: no instances")
+    named = model.named_parameters()
     opt = Adam(
-        model.parameter_values(),
+        [value for _, value in named],
         learning_rate=settings.learning_rate,
         weight_decay=settings.weight_decay,
     )
@@ -73,7 +75,13 @@ def train(
                 raise TrainingDiverged(f"loss became {value} at step {step}")
             graph.zero_grads()
             ad.backward(loss)
-            opt.step()
+            try:
+                opt.step()
+            except NonFiniteGradient as exc:
+                name = named[exc.index][0]
+                raise TrainingDiverged(
+                    f"gradient of {name} ({group_of_parameter(name)}) became non-finite at step {step}"
+                ) from None
             graph.truncate(mark)
             step_losses.append(value / batch.size)
             total += value

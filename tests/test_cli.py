@@ -6,9 +6,10 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from maria import checkpoint, cli, config
+from maria import autodiff, checkpoint, cli, config
 from maria.autodiff import Graph
 from maria.model import build_model
 
@@ -226,6 +227,21 @@ def test_train_eval_round_trip(data_files, tmp_path, capsys):
     code, text, _ = run(capsys, "eval", "--model", str(ckpt), "--data", str(heldout), "--json", "--workers", "3")
     assert code == 0
     assert json.loads(text) == evaluated
+
+
+def test_train_exits_1_on_a_non_finite_gradient(data_files, tmp_path, capsys, monkeypatch):
+    backward = autodiff.backward
+
+    def poisoned_backward(loss):
+        backward(loss)
+        loss.graph.nodes[0].grad.flat[0] = np.inf
+
+    monkeypatch.setattr(autodiff, "backward", poisoned_backward)
+    train, _ = data_files
+    code, _, err = run(capsys, "train", *TINY, "--data", str(train), "--model-out", str(tmp_path / "m.ckpt"))
+    assert code == 1
+    assert "(embeddings) became non-finite at step 0" in err  # node 0 is the first table
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_train_baseline_and_disable(data_files, tmp_path, capsys):

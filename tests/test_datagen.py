@@ -3,12 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maria import autodiff as ad
 from maria import datagen
 from maria.benchmark import benchmark_config
 from maria.config import ConfigError, build_run_config
@@ -84,6 +86,20 @@ def test_noise_degrades_achievable_auc():
     loud_ds, _ = datagen.generate(loud)
     assert quiet_ds.manifest.bayes_auc["overall"] > loud_ds.manifest.bayes_auc["overall"] + 0.03
     assert quiet_ds.manifest.bayes_auc["overall"] > 0.8
+
+
+def test_sigmoids_saturate_without_overflow_warnings():
+    cfg = small_cfg(**{"gen.count": "50", "scenario.0.label_bias": "-800", "scenario.1.label_bias": "800"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dataset, clean_probs = datagen.generate(cfg)
+        out = ad.sigmoid(ad.Graph(seed=0).parameter([-800.0, 0.0, 800.0])).data
+    labels = {inst.scenario: set() for inst in dataset.instances}
+    for inst in dataset.instances:
+        labels[inst.scenario].add(inst.label)
+    assert labels == {0: {0}, 1: {1}}
+    assert set(clean_probs.tolist()) == {0.0, 1.0}
+    assert out.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_auto_importance_masks_are_disjoint():

@@ -107,6 +107,25 @@ def test_divergence_guard_names_the_step():
         train(graph, model, dataset.instances, cfg.train)
 
 
+def test_non_finite_gradient_guard_names_parameter_group_and_step_and_moves_nothing(monkeypatch):
+    cfg = learnable_overrides(**{"gen.count": "100"})
+    dataset, graph, model = make_run(cfg)
+    named = model.named_parameters()
+    tower = next(value for name, value in named if name.startswith("towers.scenario"))
+    backward = training.ad.backward
+
+    def poisoned_backward(loss):
+        backward(loss)
+        tower.grad.flat[0] = np.nan
+
+    monkeypatch.setattr(training.ad, "backward", poisoned_backward)
+    before = [value.data.copy() for _, value in named]
+    with pytest.raises(TrainingDiverged, match=r"gradient of towers\.scenario.*\(scenario_towers\).* step 0$"):
+        train(graph, model, dataset.instances, cfg.train)
+    for (name, value), was in zip(named, before):
+        assert value.data.tobytes() == was.tobytes(), name
+
+
 def test_early_stop_on_flat_eval():
     cfg = learnable_overrides(**{
         "train.epochs": "5", "train.eval_every": "1", "train.early_stop_patience": "1",
