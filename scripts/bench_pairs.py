@@ -21,7 +21,10 @@ against its ``bound`` in ``BENCHMARK.json``, where the allowance is bound x
 parent median: ``regressed`` when the change median is worse than the
 parent's by more than the allowance; ``unresolved`` when the parent IQR
 exceeds the allowance, unless every change run beats every parent run;
-``ok`` otherwise. Every run's exit code and failed-check count are kept.
+``ok`` otherwise. Every run's exit code and failed-check count are kept,
+and each pair records whether both sides reported the same step-loss and
+checkpoint digests (``digests_equal``; the top-level count of such pairs
+is printed at the end).
 """
 
 from __future__ import annotations
@@ -69,6 +72,12 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"exit": proc.returncode, "failed": None, "metrics": {}, "stderr": proc.stderr[-2000:]}
     metrics = {name: entry["value"] for name, entry in final["metrics"].items()}
     return {"exit": proc.returncode, "failed": final["failed"], "metrics": metrics, "digests": report.get("digests")}
+
+
+def digests_equal(pair: dict) -> bool:
+    """Whether both runs of a pair reported digests, and the same ones."""
+    parent, change = pair["parent"].get("digests"), pair["change"].get("digests")
+    return parent is not None and parent == change
 
 
 def summarise(pairs: list[dict], gated: list[dict]) -> dict:
@@ -141,9 +150,11 @@ def main(argv=None) -> int:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_side(trees[side], args.workload, seed, seconds)
+            pair["digests_equal"] = digests_equal(pair)
             pairs.append(pair)
             shown = {s: {k: round(v, 4) for k, v in pair[s]["metrics"].items()} for s in ("parent", "change")}
-            print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): {json.dumps(shown)}", flush=True)
+            print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): {json.dumps(shown)}, "
+                  f"digests {'equal' if pair['digests_equal'] else 'differ'}", flush=True)
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
 
@@ -154,6 +165,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "seeds": [p["seed"] for p in pairs],
         "runs_failed": sum(1 for p in pairs for s in ("parent", "change") if p[s]["exit"] != 0 or p[s]["failed"]),
+        "digests_equal": sum(p["digests_equal"] for p in pairs),
         "metrics": summarise(pairs, spec["end_to_end"]),
         "pairs": pairs,
     }
@@ -165,6 +177,7 @@ def main(argv=None) -> int:
         print(f"{name:<12} parent {m['parent_median']:.6g} [IQR {m['parent_iqr']:.4g}] -> change "
               f"{m['change_median']:.6g} ({m['relative_change']:+.1%}), wins {m['wins']}/{m['pairs']}, "
               f"claim {'holds' if m['claim_holds'] else 'does not hold'}, verdict {m['verdict']}")
+    print(f"digests equal in {result['digests_equal']}/{len(pairs)} pairs")
     return 0 if result["runs_failed"] == 0 else 1
 
 

@@ -21,8 +21,11 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import is_not, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,17 +41,13 @@ from .config import (
 from .fileio import atomic_writer
 
 MANIFEST_SUFFIX = ".manifest.json"
-_INSTANCE_KEYS = {
-    "scenario",
-    "user",
-    "user_attrs",
-    "behavior",
-    "target_item",
-    "target_attrs",
-    "trigger",
-    "context",
-    "label",
-}
+_FIELDS = ("scenario", "user", "user_attrs", "behavior", "target_item", "target_attrs", "trigger", "context", "label")
+_INSTANCE_KEYS = frozenset(_FIELDS)
+_FLOAT_MAX = sys.float_info.max
+
+# InstanceTable.trigger_kind codes
+TRIGGER_NONE, TRIGGER_IMAGE, TRIGGER_PRODUCT = 0, 1, 2
+_KIND_CODES = {"image": TRIGGER_IMAGE, "product": TRIGGER_PRODUCT}
 
 
 class DataError(ValueError):
@@ -77,6 +76,151 @@ class Instance:
     trigger: TriggerImage | TriggerProduct | None
     context: tuple[int, ...]
     label: int
+
+
+# InstanceTable column -> the FeatureSchema count that is its second dimension
+_WIDTHS = {
+    "user_attrs": "user_attr_count",
+    "beh_attrs": "item_attr_count",
+    "target_attrs": "item_attr_count",
+    "image_vec": "image_dim",
+    "trig_attrs": "trigger_attr_count",
+    "context": "context_attr_count",
+}
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceTable:
+    """Instances column by column; ``table[i]`` is row ``i`` as an Instance.
+
+    Row ``i``'s behaviour sequence, oldest first, is entries ``beh_start[i]``
+    to ``beh_start[i] + beh_len[i]`` of the flat ``beh_items`` and
+    ``beh_attrs``, which slices and gathers share: they copy only the per-row
+    columns. A row's trigger is its ``trigger_kind`` (``TRIGGER_NONE``,
+    ``TRIGGER_IMAGE`` or ``TRIGGER_PRODUCT``) with the payload in ``image_vec``
+    or in ``trig_item`` and ``trig_attrs``; rows of the other kinds hold zeros
+    there. Indexing with a slice, an index array or a mask gives a table.
+    """
+
+    scenario: np.ndarray       # (n,) int64
+    user: np.ndarray           # (n,) int64
+    user_attrs: np.ndarray     # (n, L) int64
+    beh_start: np.ndarray      # (n,) int64
+    beh_len: np.ndarray        # (n,) int64
+    beh_items: np.ndarray      # (T,) int64
+    beh_attrs: np.ndarray      # (T, P) int64
+    target_item: np.ndarray    # (n,) int64
+    target_attrs: np.ndarray   # (n, P) int64
+    trigger_kind: np.ndarray   # (n,) int8
+    image_vec: np.ndarray      # (n, image_dim) float64
+    trig_item: np.ndarray      # (n,) int64
+    trig_attrs: np.ndarray     # (n, O) int64
+    context: np.ndarray        # (n, N_c) int64
+    label: np.ndarray          # (n,) int64
+
+    _ROW_COLUMNS = (
+        "scenario", "user", "user_attrs", "beh_start", "beh_len", "target_item", "target_attrs",
+        "trigger_kind", "image_vec", "trig_item", "trig_attrs", "context", "label",
+    )
+
+    @classmethod
+    def _from_lists(cls, schema: FeatureSchema, **columns) -> InstanceTable:
+        """Build a table from one Python list per column (every field but
+        ``beh_start``); each list is converted once."""
+        arrays = {}
+        for name, values in columns.items():
+            dtype = np.float64 if name == "image_vec" else np.int8 if name == "trigger_kind" else np.int64
+            arr = np.array(values, dtype=dtype)
+            arrays[name] = arr.reshape(len(values), getattr(schema, _WIDTHS[name])) if name in _WIDTHS else arr
+        lengths = arrays["beh_len"]
+        return cls(beh_start=np.cumsum(lengths) - lengths, **arrays)
+
+    @classmethod
+    def from_rows(cls, rows, schema: FeatureSchema) -> InstanceTable:
+        """The table of Instance rows, as they are: nothing is checked."""
+        rows = list(rows)
+        zero_vec, zero_attrs = (0.0,) * schema.image_dim, (0,) * schema.trigger_attr_count
+        image = [isinstance(r.trigger, TriggerImage) for r in rows]
+        product = [isinstance(r.trigger, TriggerProduct) for r in rows]
+        return cls._from_lists(
+            schema,
+            scenario=[r.scenario for r in rows],
+            user=[r.user for r in rows],
+            user_attrs=[r.user_attrs for r in rows],
+            beh_len=[len(r.behavior) for r in rows],
+            beh_items=[item for r in rows for item, _ in r.behavior],
+            beh_attrs=[attrs for r in rows for _, attrs in r.behavior],
+            target_item=[r.target_item for r in rows],
+            target_attrs=[r.target_attrs for r in rows],
+            trigger_kind=[TRIGGER_IMAGE if i else TRIGGER_PRODUCT if p else TRIGGER_NONE for i, p in zip(image, product)],
+            image_vec=[r.trigger.vec if i else zero_vec for r, i in zip(rows, image)],
+            trig_item=[r.trigger.item if p else 0 for r, p in zip(rows, product)],
+            trig_attrs=[r.trigger.attrs if p else zero_attrs for r, p in zip(rows, product)],
+            context=[r.context for r in rows],
+            label=[r.label for r in rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            n = len(self)
+            if not -n <= key < n:
+                raise IndexError(f"row {key} outside a table of {n}")
+            key = int(key) % n
+            return next(iter(self[key:key + 1]))
+        return replace(self, **{name: getattr(self, name)[key] for name in self._ROW_COLUMNS})
+
+    def _behavior_positions(self) -> np.ndarray:
+        """Indices into ``beh_items``/``beh_attrs`` of every row's sequence, row after row."""
+        ends = np.cumsum(self.beh_len)
+        total = int(ends[-1]) if len(ends) else 0
+        return np.arange(total) + np.repeat(self.beh_start - (ends - self.beh_len), self.beh_len)
+
+    def __iter__(self):
+        pos = self._behavior_positions()
+        beh_items, beh_attrs = self.beh_items[pos].tolist(), list(map(tuple, self.beh_attrs[pos].tolist()))
+        start = 0
+        rows = zip(
+            self.scenario.tolist(), self.user.tolist(), map(tuple, self.user_attrs.tolist()), self.beh_len.tolist(),
+            self.target_item.tolist(), map(tuple, self.target_attrs.tolist()), self.trigger_kind.tolist(),
+            self.image_vec.tolist(), self.trig_item.tolist(), map(tuple, self.trig_attrs.tolist()),
+            map(tuple, self.context.tolist()), self.label.tolist(),
+        )
+        for scenario, user, user_attrs, length, target, target_attrs, kind, vec, item, attrs, context, label in rows:
+            if kind == TRIGGER_IMAGE:
+                trigger = TriggerImage(vec=tuple(vec))
+            elif kind == TRIGGER_PRODUCT:
+                trigger = TriggerProduct(item=item, attrs=attrs)
+            else:
+                trigger = None
+            end = start + length
+            yield Instance(
+                scenario=scenario,
+                user=user,
+                user_attrs=user_attrs,
+                behavior=tuple(zip(beh_items[start:end], beh_attrs[start:end])),
+                target_item=target,
+                target_attrs=target_attrs,
+                trigger=trigger,
+                context=context,
+                label=label,
+            )
+            start = end
+
+    def __eq__(self, other):
+        if not isinstance(other, InstanceTable):
+            return NotImplemented
+        if len(self) != len(other) or not all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self._ROW_COLUMNS if name != "beh_start"
+        ):
+            return False
+        mine, theirs = self._behavior_positions(), other._behavior_positions()
+        return np.array_equal(self.beh_items[mine], other.beh_items[theirs]) and np.array_equal(
+            self.beh_attrs[mine], other.beh_attrs[theirs]
+        )
 
 
 @dataclass(frozen=True)
@@ -116,7 +260,7 @@ class DatasetManifest:
 @dataclass
 class Dataset:
     manifest: DatasetManifest
-    instances: list[Instance]
+    instances: InstanceTable
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +386,8 @@ def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
         head = unit("user", key) if kind == "uattr" else float(item_signal[key])
         return attrs, [head, *(unit(kind, a) for a in attrs)]
 
-    instances: list[Instance] = []
+    columns = {f.name: [] for f in fields(InstanceTable) if f.name != "beh_start"}
+    zero_vec, zero_attrs = (0.0,) * schema.image_dim, (0,) * schema.trigger_attr_count
     clean_probs = np.empty(cfg.gen_count, dtype=np.float64)
     for i in range(cfg.gen_count):
         rng = np.random.default_rng([cfg.gen_seed, i])
@@ -250,54 +395,52 @@ def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
         profile, item_cdf = profiles[sid], item_cdfs[sid]
         user = int(rng.integers(0, vocab.users))
         length = int(rng.integers(1, schema.max_behavior_len + 1))
-        beh_items = item_cdf.searchsorted(rng.random(length), side="right")
+        beh_items = item_cdf.searchsorted(rng.random(length), side="right").tolist()
         target = int(item_cdf.searchsorted(rng.random(), side="right"))
         user_attrs, user_signals = entity("uattr", user)
         target_attrs, target_signals = entity("iattr", target)
         # np.mean is this pairwise sum over the count; a running sum differs
         # from it in the last bit once a sequence holds 8 or more items.
         phi = [float(item_signal[beh_items].sum()) / length, *user_signals, *target_signals]
+        vec, trig_item, trig_attrs = zero_vec, 0, zero_attrs
         if profile.trigger_kind == "image":
+            kind = TRIGGER_IMAGE
             vec = rng.uniform(-1.0, 1.0, schema.image_dim)
-            trigger = TriggerImage(vec=tuple(vec.tolist()))
             phi.append(float(vec.sum()) / schema.image_dim)
             phi += [0.0] * schema.trigger_attr_count
         elif profile.trigger_kind == "product":
+            kind = TRIGGER_PRODUCT
             trig_item = int(item_cdf.searchsorted(rng.random(), side="right"))
             trig_attrs, trig_signals = entity("tattr", trig_item)
-            trigger = TriggerProduct(item=trig_item, attrs=trig_attrs)
             phi += trig_signals
         else:
-            trigger = None
+            kind = TRIGGER_NONE
             phi.append(target_signals[0])
-        context = tuple(rng.integers(0, vocab.context_attrs, size=schema.context_attr_count).tolist())
+        context = rng.integers(0, vocab.context_attrs, size=schema.context_attr_count).tolist()
         phi += [unit("cattr", a) for a in context]
 
         clean_logit = float(weights[sid] @ (masks[sid] * np.array(phi))) + profile.label_bias
         noisy = clean_logit + float(rng.normal(0.0, profile.noise_std)) if profile.noise_std > 0 else clean_logit
         p_click = 1.0 / (1.0 + np.exp(-noisy))
-        instances.append(
-            Instance(
-                scenario=sid,
-                user=user,
-                user_attrs=user_attrs,
-                behavior=tuple((it, entity("iattr", it)[0]) for it in beh_items.tolist()),
-                target_item=target,
-                target_attrs=target_attrs,
-                trigger=trigger,
-                context=context,
-                label=int(rng.random() < p_click),
-            )
-        )
+        for name, value in (
+            ("scenario", sid), ("user", user), ("user_attrs", user_attrs), ("beh_len", length),
+            ("target_item", target), ("target_attrs", target_attrs), ("trigger_kind", kind), ("image_vec", vec),
+            ("trig_item", trig_item), ("trig_attrs", trig_attrs), ("context", context),
+            ("label", int(rng.random() < p_click)),
+        ):
+            columns[name].append(value)
+        columns["beh_items"] += beh_items
+        columns["beh_attrs"] += [entity("iattr", it)[0] for it in beh_items]
         clean_probs[i] = 1.0 / (1.0 + np.exp(-clean_logit))
 
+    instances = InstanceTable._from_lists(schema, **columns)
     manifest = _build_manifest(cfg, profiles, instances, clean_probs)
     return Dataset(manifest=manifest, instances=instances), clean_probs
 
 
 def _build_manifest(cfg, profiles, instances, clean_probs) -> DatasetManifest:
-    labels = np.array([inst.label for inst in instances], dtype=np.float64)
-    scen = np.array([inst.scenario for inst in instances], dtype=np.int64)
+    labels = instances.label.astype(np.float64)
+    scen = instances.scenario
     counts = {p.scenario_id: int(np.sum(scen == p.scenario_id)) for p in profiles}
     rates: dict[str, float] = {}
     bayes: dict[str, float | None] = {}
@@ -416,7 +559,7 @@ def _instance_parser(manifest: DatasetManifest):
         if not (isinstance(raw, list) and len(raw) == count):
             raise DataError(f"line {lineno}: {name}: expected {count} ids")
         for v in raw:
-            if not (isinstance(v, int) and 0 <= v < bound):
+            if not (type(v) is int and 0 <= v < bound):
                 raise DataError(f"line {lineno}: {name}: id {v!r} outside [0, {bound})")
         return tuple(raw)
 
@@ -430,10 +573,10 @@ def _instance_parser(manifest: DatasetManifest):
             raise DataError(f"line {lineno}: unexpected keys {sorted(obj.keys() - _INSTANCE_KEYS)}")
 
         sid = obj["scenario"]
-        if not (isinstance(sid, int) and 0 <= sid < n_scenarios):
+        if not (type(sid) is int and 0 <= sid < n_scenarios):
             raise DataError(f"line {lineno}: scenario: {sid!r} outside [0, {n_scenarios})")
         user = obj["user"]
-        if not (isinstance(user, int) and 0 <= user < n_users):
+        if not (type(user) is int and 0 <= user < n_users):
             raise DataError(f"line {lineno}: user: {user!r} outside [0, {n_users})")
         user_attrs = ids(obj["user_attrs"], lineno, "user_attrs", schema.user_attr_count, vocab.user_attrs)
 
@@ -445,12 +588,12 @@ def _instance_parser(manifest: DatasetManifest):
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise DataError(f"line {lineno}: behavior: entries are [item, [attrs]] pairs")
             item, attrs = entry
-            if not (isinstance(item, int) and 0 <= item < n_items):
+            if not (type(item) is int and 0 <= item < n_items):
                 raise DataError(f"line {lineno}: behavior: item {item!r} outside [0, {n_items})")
             behavior.append((item, ids(attrs, lineno, "behavior attrs", schema.item_attr_count, vocab.item_attrs)))
 
         target = obj["target_item"]
-        if not (isinstance(target, int) and 0 <= target < n_items):
+        if not (type(target) is int and 0 <= target < n_items):
             raise DataError(f"line {lineno}: target_item: {target!r} outside [0, {n_items})")
         target_attrs = ids(obj["target_attrs"], lineno, "target_attrs", schema.item_attr_count, vocab.item_attrs)
 
@@ -470,14 +613,16 @@ def _instance_parser(manifest: DatasetManifest):
                 vec = raw_trig.get("vec")
                 if not (isinstance(vec, list) and len(vec) == image_dim):
                     raise DataError(f"line {lineno}: trigger: vec needs {image_dim} floats")
-                if not all(isinstance(v, (int, float)) for v in vec):
+                if not all(type(v) is float or type(v) is int for v in vec):
                     raise DataError(f"line {lineno}: trigger: vec entries must be numbers")
+                if not all(abs(v) <= _FLOAT_MAX for v in vec):  # false for NaN
+                    raise DataError(f"line {lineno}: trigger: vec entries must be finite numbers")
                 if raw_trig.keys() != {"kind", "vec"}:
                     raise DataError(f"line {lineno}: trigger: image payload holds kind and vec only")
                 trigger = TriggerImage(vec=tuple(map(float, vec)))
             else:
                 item = raw_trig.get("item")
-                if not (isinstance(item, int) and 0 <= item < n_items):
+                if not (type(item) is int and 0 <= item < n_items):
                     raise DataError(f"line {lineno}: trigger: item {item!r} outside [0, {n_items})")
                 attrs = ids(raw_trig.get("attrs"), lineno, "trigger attrs", schema.trigger_attr_count, vocab.trigger_attrs)
                 if raw_trig.keys() != {"kind", "item", "attrs"}:
@@ -486,7 +631,7 @@ def _instance_parser(manifest: DatasetManifest):
 
         context = ids(obj["context"], lineno, "context", schema.context_attr_count, vocab.context_attrs)
         label = obj["label"]
-        if label not in (0, 1):
+        if type(label) is bool or label not in (0, 1):
             raise DataError(f"line {lineno}: label: {label!r} is not 0 or 1")
 
         return Instance(
@@ -556,23 +701,182 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     return manifest
 
 
+def _numbers(values: list, width: int | None, types: set, dtype) -> np.ndarray | None:
+    """``values`` as one array of shape (n,), or (n, width) for lists of
+    ``width`` numbers; None unless every number has a type in ``types``."""
+    if width is None:
+        flat = values
+    elif set(map(type, values)) <= {list} and set(map(len, values)) <= {width}:
+        flat = list(chain.from_iterable(values))
+    else:
+        return None
+    try:
+        if set(map(type, flat)) <= types:
+            return np.fromiter(flat, dtype, len(flat)).reshape((len(values),) if width is None else (len(values), width))
+    except OverflowError:  # beyond 64 bits, or beyond the float range
+        pass
+    return None
+
+
+def _ids(values: list, bound: int, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as int64 ids of shape (n,), or (n, width) for lists of
+    ``width`` ids, and the rows holding an id outside [0, bound). Unless every
+    value is an int, or a list of ``width`` ints, every row is marked."""
+    n = len(values)
+    arr = _numbers(values, width, {int}, np.int64)
+    if arr is None:
+        return np.zeros((n,) if width is None else (n, width), dtype=np.int64), np.ones(n, dtype=bool)
+    outside = (arr < 0) | (arr >= bound)
+    return arr, outside if width is None else outside.any(axis=1)
+
+
+def _behavior_columns(values: list, vocab: VocabSizes, schema: FeatureSchema):
+    """``beh_len``, ``beh_items`` and ``beh_attrs`` of the rows'
+    ``[[item, [attrs]], ...]`` lists, and the rows to re-check."""
+    n, m = len(values), schema.max_behavior_len
+    pairs = list(chain.from_iterable(values)) if set(map(type, values)) <= {list} else None
+    if pairs is None or not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        empty = (np.zeros(n, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, schema.item_attr_count), dtype=np.int64))
+        return empty, np.ones(n, dtype=bool)
+    lengths = np.array(list(map(len, values)), dtype=np.int64)
+    flat = list(chain.from_iterable(pairs))
+    items, item_bad = _ids(flat[0::2], vocab.items)
+    attrs, attrs_bad = _ids(flat[1::2], vocab.item_attrs, schema.item_attr_count)
+    bad = (lengths < 1) | (lengths > m)
+    bad[np.repeat(np.arange(n), lengths)[item_bad | attrs_bad]] = True
+    return (lengths, items, attrs), bad
+
+
+def _trigger_columns(values: list, expected: np.ndarray, manifest: DatasetManifest):
+    """``trigger_kind``, ``image_vec``, ``trig_item`` and ``trig_attrs`` of
+    the rows' trigger objects, and the rows to re-check. ``expected`` holds
+    each row's kind code by its scenario, -1 where no kind can match."""
+    vocab, schema = manifest.vocab_sizes(), manifest.feature_schema()
+    n = len(values)
+    kind = np.zeros(n, dtype=np.int8)
+    image_vec = np.zeros((n, schema.image_dim))
+    trig_item = np.zeros(n, dtype=np.int64)
+    trig_attrs = np.zeros((n, schema.trigger_attr_count), dtype=np.int64)
+    columns = (kind, image_vec, trig_item, trig_attrs)
+    if manifest.trigger_mode == "recommendation":
+        return columns, np.fromiter(map(is_not, values, repeat(None)), dtype=bool, count=n)
+    try:
+        got = np.fromiter(map(_KIND_CODES.get, map(dict.get, values, repeat("kind")), repeat(-2)), np.int8, n)
+    except TypeError:  # a trigger that is not an object, or a kind that cannot be a key
+        return columns, np.ones(n, dtype=bool)
+    bad = got != expected
+    kind[~bad] = got[~bad]
+
+    def payloads(code: int, *keys: str):
+        """The rows of a kind, and their payload values per key; a payload
+        with other keys than ``kind`` and these marks its row."""
+        rows = np.flatnonzero(kind == code)
+        objs = [values[r] for r in rows.tolist()]
+        bad[rows[np.array(list(map(len, objs)), dtype=np.int64) != len(keys) + 1]] = True
+        return rows, [list(map(dict.get, objs, repeat(key))) for key in keys]
+
+    rows, (vecs,) = payloads(TRIGGER_IMAGE, "vec")
+    vecs = _numbers(vecs, schema.image_dim, {int, float}, np.float64)
+    if vecs is None:
+        bad[rows] = True
+    else:
+        image_vec[rows] = vecs
+        bad[rows[~np.isfinite(vecs).all(axis=1)]] = True
+    rows, (items, attrs) = payloads(TRIGGER_PRODUCT, "item", "attrs")
+    trig_item[rows], item_bad = _ids(items, vocab.items)
+    trig_attrs[rows], attrs_bad = _ids(attrs, vocab.trigger_attrs, schema.trigger_attr_count)
+    bad[rows[item_bad | attrs_bad]] = True
+    return columns, bad
+
+
+def _table_of(objs: list[dict], manifest: DatasetManifest) -> tuple[InstanceTable, np.ndarray]:
+    """The table of decoded instance objects that hold the instance keys, and
+    the rows to hand to the line validator: every row it refuses, found column
+    by column. A column that does not convert in one call marks all rows."""
+    vocab, schema = manifest.vocab_sizes(), manifest.feature_schema()
+    scenario, user, user_attrs, behavior, target_item, target_attrs, trigger, context, label = (
+        list(map(itemgetter(name), objs)) for name in _FIELDS
+    )
+    cols, flagged = {}, {}
+    for name, values, bound, width in (
+        ("scenario", scenario, vocab.scenarios, None),
+        ("user", user, vocab.users, None),
+        ("user_attrs", user_attrs, vocab.user_attrs, schema.user_attr_count),
+        ("target_item", target_item, vocab.items, None),
+        ("target_attrs", target_attrs, vocab.item_attrs, schema.item_attr_count),
+        ("context", context, vocab.context_attrs, schema.context_attr_count),
+    ):
+        cols[name], flagged[name] = _ids(values, bound, width)
+
+    if set(map(type, label)) <= {int, float}:  # 0.0 and 1.0 pass, as in the line validator
+        labels = np.array(label)
+        flagged["label"] = (labels != 0) & (labels != 1)
+    else:
+        labels = np.zeros(len(objs))
+        flagged["label"] = np.ones(len(objs), dtype=bool)
+    cols["label"] = (labels == 1).astype(np.int64)
+
+    (lengths, items, attrs), flagged["behavior"] = _behavior_columns(behavior, vocab, schema)
+    cols.update(beh_start=np.cumsum(lengths) - lengths, beh_len=lengths, beh_items=items, beh_attrs=attrs)
+
+    by_scenario = {p.scenario_id: _KIND_CODES.get(p.trigger_kind, -1) for p in manifest.profiles}
+    codes = np.array([by_scenario.get(s, -1) for s in range(vocab.scenarios)] + [-1], dtype=np.int8)
+    expected = codes[np.where(flagged["scenario"], vocab.scenarios, cols["scenario"])]  # -1 on a bad scenario
+    (kind, image_vec, trig_item, trig_attrs), flagged["trigger"] = _trigger_columns(trigger, expected, manifest)
+    table = InstanceTable(trigger_kind=kind, image_vec=image_vec, trig_item=trig_item, trig_attrs=trig_attrs, **cols)
+    return table, np.logical_or.reduce(list(flagged.values()))
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _loads(raw: str):
+    """``json.loads(raw)``, without its leading-whitespace scan for a line
+    that starts with its value, as every line ``write_jsonl`` writes does."""
+    try:
+        obj, end = _raw_decode(raw)
+    except json.JSONDecodeError:
+        end = None
+    if end is not None and not raw[end:].strip(" \t\n\r"):
+        return obj
+    return json.loads(raw)
+
+
 def read_jsonl(path: str | Path) -> Dataset:
-    """Load and validate a dataset; errors carry the 1-based line number."""
+    """Load and validate a dataset; errors carry the 1-based line number.
+
+    Each line is decoded and its key set checked; the values are then checked
+    column by column with numpy. The first line that breaks a rule goes to the
+    line validator of ``_instance_parser``, which words every error."""
     path = Path(path)
     manifest = read_manifest(path)
     parse = _instance_parser(manifest)
-    instances: list[Instance] = []
+
+    def checked(objs: list[dict]) -> InstanceTable:
+        table, flagged = _table_of(objs, manifest)
+        for r in np.flatnonzero(flagged).tolist():
+            parse(objs[r], r + 1)  # raises for the first row that breaks a rule
+        if flagged.any():
+            raise RuntimeError("read_jsonl: the column checks flagged rows that the line validator passes")
+        return table
+
+    objs: list[dict] = []
     try:
         with path.open("r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                if not raw.strip():
-                    raise DataError(f"line {lineno}: blank line inside dataset")
                 try:
-                    obj = json.loads(raw)
+                    obj = _loads(raw)
                 except json.JSONDecodeError as exc:
+                    checked(objs)  # an earlier bad line is reported first
+                    if not raw.strip():
+                        raise DataError(f"line {lineno}: blank line inside dataset") from None
                     raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-                instances.append(parse(obj, lineno))
+                if type(obj) is not dict or obj.keys() != _INSTANCE_KEYS:
+                    checked(objs)
+                    parse(obj, lineno)  # raises: not an object, or the wrong keys
+                objs.append(obj)
     except UnicodeDecodeError:
+        checked(objs)
         # Decoding line by line would slow every read by about 7%; the text
         # reader decodes whole chunks instead, so find the bad line here.
         data = path.read_bytes()
@@ -582,6 +886,7 @@ def read_jsonl(path: str | Path) -> Dataset:
             lineno = data.count(b"\n", 0, exc.start) + 1
             raise DataError(f"line {lineno}: not UTF-8 ({exc.reason})") from exc
         raise
+    instances = checked(objs)
     if len(instances) != manifest.count:
         raise DataError(
             f"{path}: holds {len(instances)} instances but the manifest says {manifest.count} (truncated file?)"
@@ -589,20 +894,17 @@ def read_jsonl(path: str | Path) -> Dataset:
     return Dataset(manifest=manifest, instances=instances)
 
 
-def batch_iter(instances: list[Instance], batch_size: int, seed: int | None = None, epoch: int = 0):
-    """Yield batches as lists; the final short batch is kept. A seed gives a
-    deterministic per-epoch shuffle, None keeps file order."""
+def batch_iter(instances: InstanceTable, batch_size: int, seed: int | None = None, epoch: int = 0):
+    """Yield blocks of ``batch_size`` rows as tables; the final short block is
+    kept. A seed gives a deterministic per-epoch shuffle, each block gathered
+    through the permutation; None keeps file order, in slices."""
     if batch_size < 1:
         raise ValueError(f"batch_iter: batch_size must be positive, got {batch_size}")
+    n = len(instances)
     if seed is None:
-        order = range(len(instances))
-    else:
-        order = np.random.default_rng([seed, epoch]).permutation(len(instances))
-    block: list[Instance] = []
-    for idx in order:
-        block.append(instances[int(idx)])
-        if len(block) == batch_size:
-            yield block
-            block = []
-    if block:
-        yield block
+        for start in range(0, n, batch_size):
+            yield instances[start:start + batch_size]
+        return
+    order = np.random.default_rng([seed, epoch]).permutation(n)
+    for start in range(0, n, batch_size):
+        yield instances[order[start:start + batch_size]]

@@ -30,7 +30,7 @@ from .config import (
     RunConfig,
     VocabSizes,
 )
-from .datagen import Instance, TriggerImage, TriggerProduct
+from .datagen import TRIGGER_IMAGE, TRIGGER_NONE, TRIGGER_PRODUCT, InstanceTable
 from .layers import EmbeddingTable, Fcn, SequenceEncoder, trigger_attention
 
 BASELINE_KINDS = ("hard_sharing", "shared_bottom", "mmoe")
@@ -58,61 +58,44 @@ class Batch:
     labels: np.ndarray            # (B,) floats
 
 
-def make_batch(instances: list[Instance], vocab: VocabSizes, schema: FeatureSchema, trigger_mode: str) -> Batch:
-    b = len(instances)
-    m = schema.max_behavior_len
-    big_l, big_p, big_o = schema.user_attr_count, schema.item_attr_count, schema.trigger_attr_count
-    pad_item, pad_item_attr, pad_trig_attr = vocab.items, vocab.item_attrs, vocab.trigger_attrs
+def make_batch(instances: InstanceTable, vocab: VocabSizes, schema: FeatureSchema, trigger_mode: str) -> Batch:
+    """Index arrays of one block of rows.
 
-    scenario = np.empty(b, dtype=np.int64)
-    user = np.empty(b, dtype=np.int64)
-    user_attrs = np.empty((b, big_l), dtype=np.int64)
-    beh_items = np.full((b, m), pad_item, dtype=np.int64)
-    beh_attrs = np.full((b, m, big_p), pad_item_attr, dtype=np.int64)
-    valid = np.zeros((b, m), dtype=np.float64)
-    target = np.empty(b, dtype=np.int64)
-    target_attrs = np.empty((b, big_p), dtype=np.int64)
-    is_image = np.zeros(b, dtype=bool)
-    image_vecs = np.zeros((b, schema.image_dim), dtype=np.float64)
-    trig_items = np.zeros(b, dtype=np.int64)
-    trig_attrs = np.full((b, big_o), pad_trig_attr, dtype=np.int64)
-    context = np.empty((b, schema.context_attr_count), dtype=np.int64)
-    labels = np.empty(b, dtype=np.float64)
-
-    for i, inst in enumerate(instances):
-        scenario[i] = inst.scenario
-        user[i] = inst.user
-        user_attrs[i] = inst.user_attrs
-        length = len(inst.behavior)
-        if not (1 <= length <= m):
-            raise ValueError(f"instance {i}: behavior length {length} outside [1, {m}]")
-        for k, (item, attrs) in enumerate(inst.behavior):
-            col = m - length + k
-            beh_items[i, col] = item
-            beh_attrs[i, col] = attrs
-            valid[i, col] = 1.0
-        target[i] = inst.target_item
-        target_attrs[i] = inst.target_attrs
-        context[i] = inst.context
-        labels[i] = inst.label
+    Behaviour sequences are left-padded to ``max_behavior_len`` with the
+    reserved item and attribute rows; trigger payloads are read only on rows
+    of their kind. A row whose behaviour length is outside [1, m], or whose
+    trigger does not fit ``trigger_mode``, raises ValueError with its index.
+    """
+    b, m = len(instances), schema.max_behavior_len
+    lengths, kind = instances.beh_len, instances.trigger_kind
+    bad_length = (lengths < 1) | (lengths > m)
+    bad_trigger = kind != TRIGGER_NONE if trigger_mode == "recommendation" else kind == TRIGGER_NONE
+    if bad_length.any() or bad_trigger.any():
+        i = int(np.argmax(bad_length | bad_trigger))
+        if bad_length[i]:
+            raise ValueError(f"instance {i}: behavior length {lengths[i]} outside [1, {m}]")
         if trigger_mode == "recommendation":
-            if inst.trigger is not None:
-                raise ValueError(f"instance {i}: trigger present in a trigger-free model")
-        elif isinstance(inst.trigger, TriggerImage):
-            is_image[i] = True
-            image_vecs[i] = inst.trigger.vec
-        elif isinstance(inst.trigger, TriggerProduct):
-            trig_items[i] = inst.trigger.item
-            trig_attrs[i] = inst.trigger.attrs
-        else:
-            raise ValueError(f"instance {i}: missing trigger in a trigger-driven model")
+            raise ValueError(f"instance {i}: trigger present in a trigger-free model")
+        raise ValueError(f"instance {i}: missing trigger in a trigger-driven model")
 
+    first = m - lengths  # column of each row's oldest behaviour
+    valid = np.arange(m) >= first[:, None]
+    picks = ((instances.beh_start - first)[:, None] + np.arange(m))[valid]
+    beh_items = np.full((b, m), vocab.items, dtype=np.int64)
+    beh_items[valid] = instances.beh_items[picks]
+    beh_attrs = np.full((b, m, schema.item_attr_count), vocab.item_attrs, dtype=np.int64)
+    beh_attrs[valid] = instances.beh_attrs[picks]
+    is_image = kind == TRIGGER_IMAGE
+    is_product = kind == TRIGGER_PRODUCT
     return Batch(
-        size=b, scenario=scenario, user=user, user_attrs=user_attrs,
-        beh_items=beh_items, beh_attrs=beh_attrs, valid=valid,
-        target=target, target_attrs=target_attrs,
-        is_image=is_image, image_vecs=image_vecs, trig_items=trig_items, trig_attrs=trig_attrs,
-        context=context, labels=labels,
+        size=b, scenario=instances.scenario, user=instances.user, user_attrs=instances.user_attrs,
+        beh_items=beh_items, beh_attrs=beh_attrs, valid=valid.astype(np.float64),
+        target=instances.target_item, target_attrs=instances.target_attrs,
+        is_image=is_image,
+        image_vecs=np.where(is_image[:, None], instances.image_vec, 0.0),
+        trig_items=np.where(is_product, instances.trig_item, 0),
+        trig_attrs=np.where(is_product[:, None], instances.trig_attrs, vocab.trigger_attrs),
+        context=instances.context, labels=instances.label.astype(np.float64),
     )
 
 

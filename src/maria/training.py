@@ -12,7 +12,7 @@ from . import autodiff as ad
 from . import metrics
 from .autodiff import Graph
 from .config import ABLATION_FLAGS, RunConfig, TrainSettings
-from .datagen import Instance, batch_iter
+from .datagen import InstanceTable, batch_iter
 from .model import (
     bce_loss,
     build_model,
@@ -42,13 +42,13 @@ class TrainReport:
 def train(
     graph: Graph,
     model,
-    instances: list[Instance],
+    instances: InstanceTable,
     settings: TrainSettings,
-    eval_instances: list[Instance] | None = None,
+    eval_instances: InstanceTable | None = None,
     log_fn=None,
 ) -> TrainReport:
     """Optimize the model in place; deterministic given settings.seed."""
-    if not instances:
+    if len(instances) == 0:
         raise ValueError("train: no instances")
     named = model.named_parameters()
     opt = Adam(
@@ -183,7 +183,7 @@ def _clone_for_thread(model):
     return clone
 
 
-def _score_batches(model, blocks: list[list[Instance]]):
+def _score_batches(model, blocks: list[InstanceTable]):
     graph = model.graph
     scores, choices = [], []
     for block in blocks:
@@ -196,7 +196,7 @@ def _score_batches(model, blocks: list[list[Instance]]):
     return scores, choices
 
 
-def evaluate(model, instances: list[Instance], batch_size: int = 512, workers: int = 1) -> EvalReport:
+def evaluate(model, instances: InstanceTable, batch_size: int = 512, workers: int = 1) -> EvalReport:
     """Score instances in eval mode and aggregate ranking metrics.
 
     Leaves the model untouched: no parameter updates, no RNG draws, and the
@@ -223,8 +223,8 @@ def evaluate(model, instances: list[Instance], batch_size: int = 512, workers: i
                 scores_parts[w + k * workers] = s
                 choice_parts[w + k * workers] = c
 
-    labels = np.array([inst.label for inst in instances], dtype=np.float64)
-    scenario = np.array([inst.scenario for inst in instances], dtype=np.int64)
+    labels = instances.label.astype(np.float64)
+    scenario = instances.scenario
     scores = np.concatenate(scores_parts) if scores_parts else np.zeros(0)
 
     clipped = np.clip(scores, 1e-12, 1.0 - 1e-12)
@@ -348,8 +348,8 @@ class AblationReport:
 
 def ablate(
     cfg: RunConfig,
-    train_instances: list[Instance],
-    eval_instances: list[Instance],
+    train_instances: InstanceTable,
+    eval_instances: InstanceTable,
     variants=ABLATION_VARIANTS,
     log_fn=None,
 ) -> AblationReport:
@@ -402,7 +402,7 @@ class GradCheckReport:
 def gradient_check(
     graph: Graph,
     model,
-    instances: list[Instance],
+    instances: InstanceTable,
     coords_per_tensor: int = 2,
     eps: float = 1e-5,
     rel_floor: float = 1e-3,

@@ -1,4 +1,4 @@
-"""``scripts/bench_pairs.py``: the claim rule and the no-regression verdict."""
+"""``scripts/bench_pairs.py``: the claim rule, the no-regression verdict and the digest match."""
 
 import importlib.util
 from pathlib import Path
@@ -57,3 +57,17 @@ def test_summarise_claim_and_verdict(entry, parent, change, claim, verdict):
 def test_summarise_skips_a_metric_no_pair_measured():
     pairs = _pairs("speed", STEADY, STEADY)
     assert bench_pairs.summarise(pairs, [HIGHER, LOWER]).keys() == {"speed"}
+
+
+_DIGESTS = {"step_losses": "d9601801b88f9891", "checkpoint": "84308abe4d417cd5"}
+
+
+@pytest.mark.parametrize("parent, change, equal", [
+    (_DIGESTS, dict(_DIGESTS), True),
+    (_DIGESTS, _DIGESTS | {"checkpoint": "af8145c02c0e4c4e"}, False),
+    (_DIGESTS, {"step_losses": _DIGESTS["step_losses"]}, False),
+    (None, None, False),  # runs that printed no report: nothing to compare
+])
+def test_digests_equal_per_pair(parent, change, equal):
+    pair = {"parent": {"digests": parent}, "change": {"digests": change}}
+    assert bench_pairs.digests_equal(pair) is equal

@@ -1,9 +1,13 @@
 """Generator determinism, ground-truth behavior, and file round-trips."""
 
 import dataclasses
+import functools
 import hashlib
 import json
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +350,24 @@ def test_trigger_validation_on_read(tmp_path):
         datagen.read_jsonl(path)
 
 
+@pytest.mark.parametrize("later", [b"{not json", b"[1, 2]", b"   ", b'{"user": 1}', b'{"user": 1\xff}'])
+def test_an_earlier_bad_value_is_reported_before_a_later_bad_line(tmp_path, later):
+    # Values are checked column by column once the lines are decoded; a later
+    # line that does not decode must not hide a bad value above it. The file
+    # spans several 8 KB chunks of the text reader, and the later line sits in
+    # the last one.
+    path = write_small(tmp_path, count=60)
+    lines = path.read_bytes().splitlines()
+    obj = json.loads(lines[1])
+    obj["user"] = -1
+    lines[1], lines[-2] = json.dumps(obj).encode(), later
+    assert len(b"\n".join(lines[:-2])) > 8192
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DataError) as err:
+        datagen.read_jsonl(path)
+    assert str(err.value) == "line 2: user: -1 outside [0, 30)"
+
+
 def _set_trigger(key, value):
     def mutate(obj):
         obj["trigger"][key] = value
@@ -386,8 +408,9 @@ _READ_RULES = [
 ]
 
 
-@pytest.mark.parametrize("kind, mutate, message", _READ_RULES)
-def test_each_read_rule_names_its_line(tmp_path, kind, mutate, message):
+def _mutated_file(tmp_path, kind, mutate):
+    """A 12-line image/product file whose last line of ``kind`` went through
+    ``mutate``, so that every earlier line passes; returns it and that line's index."""
     cfg = small_cfg(**{
         "scenario.0.trigger_kind": "image", "scenario.1.trigger_kind": "product",
         "dim.trigger": "8", "schema.image_dim": "8", "gen.count": "12",
@@ -396,12 +419,45 @@ def test_each_read_rule_names_its_line(tmp_path, kind, mutate, message):
     path = tmp_path / "d.jsonl"
     datagen.write_jsonl(dataset, path)
     lines = path.read_text().splitlines()
-    # the last line of the wanted kind, so earlier lines must all pass
     k = max(i for i, inst in enumerate(dataset.instances) if inst.scenario == ("image", "product").index(kind))
     obj = json.loads(lines[k])
     mutate(obj)
     lines[k] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n")
+    return path, k
+
+
+@pytest.mark.parametrize("kind, mutate, message", _READ_RULES)
+def test_each_read_rule_names_its_line(tmp_path, kind, mutate, message):
+    path, k = _mutated_file(tmp_path, kind, mutate)
+    with pytest.raises(DataError) as err:
+        datagen.read_jsonl(path)
+    assert str(err.value) == f"line {k + 1}: {message}"
+
+
+def _set_vec_entry(value):
+    def mutate(obj):
+        obj["trigger"]["vec"][3] = value
+    return mutate
+
+
+@pytest.mark.parametrize("kind, mutate, message", [
+    # Python's json reads NaN and Infinity; such a vector made every score NaN
+    ("image", _set_vec_entry(float("nan")), "trigger: vec entries must be finite numbers"),
+    ("image", _set_vec_entry(float("inf")), "trigger: vec entries must be finite numbers"),
+    ("image", _set_vec_entry(-float("inf")), "trigger: vec entries must be finite numbers"),
+    ("image", _set_vec_entry(True), "trigger: vec entries must be numbers"),
+    # true and false are ints to Python: "user": true read as user 1
+    ("product", lambda o: o.update(user=True), "user: True outside [0, 30)"),
+    ("product", lambda o: o.update(scenario=False), "scenario: False outside [0, 2)"),
+    ("product", lambda o: o["context"].__setitem__(1, True), "context: id True outside [0, 10)"),
+    ("product", lambda o: o["behavior"][0].__setitem__(0, False), "behavior: item False outside [0, 50)"),
+    ("product", _set_trigger("item", True), "trigger: item True outside [0, 50)"),
+    ("product", lambda o: o.update(label=True), "label: True is not 0 or 1"),
+    ("product", lambda o: o.update(label=False), "label: False is not 0 or 1"),
+])
+def test_non_finite_vectors_and_booleans_are_refused(tmp_path, kind, mutate, message):
+    path, k = _mutated_file(tmp_path, kind, mutate)
     with pytest.raises(DataError) as err:
         datagen.read_jsonl(path)
     assert str(err.value) == f"line {k + 1}: {message}"
@@ -434,17 +490,23 @@ def test_read_rules_outside_the_instance_object(tmp_path):
 def test_batch_iter_partitions_and_shuffles():
     cfg = small_cfg(**{"gen.count": "53"})
     dataset, _ = datagen.generate(cfg)
-    batches = list(datagen.batch_iter(dataset.instances, 10))
-    assert [len(b) for b in batches] == [10, 10, 10, 10, 10, 3]
-    flat = [i for b in batches for i in b]
-    assert flat == dataset.instances  # no seed keeps order
+    # the label column numbers the rows, so each block shows the positions it gathered
+    table = dataclasses.replace(dataset.instances, label=np.arange(53))
 
-    e0 = [i for b in datagen.batch_iter(dataset.instances, 10, seed=5, epoch=0) for i in b]
-    e1 = [i for b in datagen.batch_iter(dataset.instances, 10, seed=5, epoch=1) for i in b]
-    e0_again = [i for b in datagen.batch_iter(dataset.instances, 10, seed=5, epoch=0) for i in b]
+    def positions(**order):
+        blocks = list(datagen.batch_iter(table, 10, **order))
+        assert [len(b) for b in blocks] == [10, 10, 10, 10, 10, 3]
+        pos = np.concatenate([b.label for b in blocks])
+        for block, at in zip(blocks, np.split(pos, [10, 20, 30, 40, 50])):
+            assert block == table[at]  # every column of the gathered rows
+        return pos.tolist()
+
+    assert positions() == list(range(53))  # no seed keeps order
+    e0, e1, e0_again = positions(seed=5, epoch=0), positions(seed=5, epoch=1), positions(seed=5, epoch=0)
     assert e0 == e0_again
     assert e0 != e1
-    assert sorted(map(id, e0)) == sorted(map(id, e1)) == sorted(map(id, dataset.instances))
+    assert sorted(e0) == sorted(e1) == list(range(53))  # each epoch covers every row once
+    assert e0 == np.random.default_rng([5, 0]).permutation(53).tolist()
 
     with pytest.raises(ValueError, match="batch_size"):
         list(datagen.batch_iter(dataset.instances, 0))
@@ -466,3 +528,218 @@ def test_a_nan_popularity_is_refused():
     cfg = dataclasses.replace(cfg, scenarios=(cfg.scenarios[0], tilted))
     with pytest.raises(ValueError, match="scenario.1 item popularity: probabilities must be finite and non-negative"):
         datagen.generate(cfg)
+
+
+# ---------------------------------------------------------------------------
+# reader parity: read_jsonl's column checks against the line validator
+# ---------------------------------------------------------------------------
+
+_FUZZ_CFGS = {
+    "search": small_cfg(**{
+        "scenario.0.trigger_kind": "image", "scenario.1.trigger_kind": "product",
+        "dim.trigger": "4", "schema.image_dim": "4", "schema.max_behavior": "3", "gen.count": "10",
+    }),
+    "recommendation": small_cfg(**{
+        "scenario.0.trigger_kind": "none", "scenario.1.trigger_kind": "none",
+        "schema.trigger_attrs": "0", "schema.max_behavior": "3", "gen.count": "10",
+    }),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_source(mode):
+    """The data lines and manifest bytes of a small generated file."""
+    dataset, _ = datagen.generate(_FUZZ_CFGS[mode])
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.jsonl"
+        datagen.write_jsonl(dataset, path)
+        return tuple(path.read_bytes().splitlines()), datagen.manifest_path(path).read_bytes()
+
+
+def _line_reader(path):
+    """The reader the column checks replaced: the line validator on every line."""
+    manifest = datagen.read_manifest(path)
+    parse = datagen._instance_parser(manifest)
+    rows = []
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.strip():
+                    raise DataError(f"line {lineno}: blank line inside dataset")
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                rows.append(parse(obj, lineno))
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"line {lineno}: not UTF-8 ({exc.reason})") from exc
+        raise
+    if len(rows) != manifest.count:
+        raise DataError(f"{path}: holds {len(rows)} instances but the manifest says {manifest.count} (truncated file?)")
+    return rows
+
+
+def _id_slots(obj, vocab):
+    """(container, key, bound) of every id of a decoded line."""
+    slots = [(obj, "scenario", vocab.scenarios), (obj, "user", vocab.users), (obj, "target_item", vocab.items)]
+    for name, bound in (("user_attrs", vocab.user_attrs), ("target_attrs", vocab.item_attrs),
+                        ("context", vocab.context_attrs)):
+        slots += [(obj[name], i, bound) for i in range(len(obj[name]))]
+    for entry in obj["behavior"]:
+        slots += [(entry, 0, vocab.items)] + [(entry[1], i, vocab.item_attrs) for i in range(len(entry[1]))]
+    trig = obj["trigger"]
+    if trig is not None and trig["kind"] == "product":
+        slots += [(trig, "item", vocab.items)] + [(trig["attrs"], i, vocab.trigger_attrs) for i in range(len(trig["attrs"]))]
+    return slots
+
+
+def _dicts(obj):
+    return [obj] + ([obj["trigger"]] if obj["trigger"] is not None else [])
+
+
+_ODD_VALUES = [2**70, "x", 1.5, None, [], {}, True, False, [1], -1, 10**400, float("nan"), float("inf"), 1.0, 0]
+
+
+def _is_image(obj):
+    return isinstance(obj["trigger"], dict) and obj["trigger"].get("kind") == "image"
+
+
+def _has_trigger(obj):
+    return isinstance(obj["trigger"], dict)
+
+
+def _wrong_type(draw, obj, cfg):
+    slots = [(c, k) for c, k, _ in _id_slots(obj, cfg.vocab)] + [(obj, k) for k in obj]
+    if _has_trigger(obj):
+        trig = obj["trigger"]
+        slots += [(trig, k) for k in trig] + [(trig["vec"], i) for i in range(len(trig.get("vec", [])))]
+    container, key = draw(st.sampled_from(slots))
+    container[key] = draw(st.sampled_from(_ODD_VALUES))
+
+
+def _out_of_range(draw, obj, cfg):
+    container, key, bound = draw(st.sampled_from(_id_slots(obj, cfg.vocab)))
+    container[key] = draw(st.sampled_from([bound, -1, bound + 3]))
+
+
+def _set(key, values):
+    def edit(draw, obj, cfg):
+        obj[key] = draw(st.sampled_from(values(obj, cfg)))
+    return edit
+
+
+def _set_in_trigger(key, values):
+    def edit(draw, obj, cfg):
+        obj["trigger"][key] = draw(st.sampled_from(values))
+    return edit
+
+
+def _vec_entry(draw, obj, cfg):
+    vec = obj["trigger"]["vec"]
+    vec[draw(st.integers(0, len(vec) - 1))] = draw(st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), 10**400, "a", True, None, 10**20]))
+
+
+def _drop_key(draw, obj, cfg):
+    target = draw(st.sampled_from(_dicts(obj)))
+    del target[draw(st.sampled_from(sorted(target)))]
+
+
+def _add_key(draw, obj, cfg):
+    draw(st.sampled_from(_dicts(obj)))[draw(st.sampled_from(["extra", "kind", "vec", "item", "attrs"]))] = 1
+
+
+def _too_long(obj, cfg):
+    return [obj["behavior"][0]] * (cfg.schema.max_behavior_len + 1)
+
+
+# (edit, which lines it applies to); each edit changes one decoded line in place
+_OBJECT_EDITS = [
+    (_drop_key, None),
+    (_add_key, None),
+    (_wrong_type, None),
+    (_out_of_range, None),
+    (_set("trigger", lambda o, c: [None, {"kind": "image", "vec": [0.5] * 4}, {"kind": "product", "item": 1, "attrs": [1]},
+                                   {"kind": "none"}, {"item": 1}, [], "image"]), None),
+    (_set_in_trigger("kind", ["image", "product", "none", None, 1, ["product"]]), _has_trigger),
+    (_set_in_trigger("vec", [[0.5] * 3, [0.5] * 5, "x", None, [[0.5]] * 4]), _is_image),
+    (_vec_entry, _is_image),
+    (_set("behavior", lambda o, c: [[], _too_long(o, c)]), None),
+    (_set("behavior", lambda o, c: [[[1]], [[1, [1]]], [o["behavior"][0], "x"], [[1, [1, 2], 3]], {"a": 1}]), None),
+    (_set("label", lambda o, c: [2, -1, 0.5, True, False, None, "1", [1]]), None),
+    (_set("label", lambda o, c: [1.0, 0.0]), None),  # still a valid line
+]
+
+
+def _edit_text(name):
+    """Edits of the line's bytes: name -> edit(draw, raw) returning the lines that replace it."""
+    def truncate(draw, raw):
+        return [raw[:draw(st.integers(0, len(raw) - 1))]]
+
+    def blank(draw, raw):
+        return [draw(st.sampled_from([b"", b"   ", b"\t"]))]
+
+    def utf8(draw, raw):
+        at = draw(st.integers(0, len(raw)))
+        return [raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\xe2\x82"])) + raw[at:]]
+
+    def number(draw, raw):
+        found = draw(st.sampled_from(list(_NUMBER.finditer(raw))))
+        token = draw(st.sampled_from([b"1e999", b"NaN", b"-Infinity", b"true", b"1.0", b"01", b"1e2", b"-0"]))
+        return [raw[:found.start()] + token + raw[found.end():]]
+
+    def spaces(draw, raw):  # still one valid line
+        return [draw(st.sampled_from([b"  " + raw, raw + b"  ", raw + b"\r", b"\t" + raw + b" "]))]
+
+    def tail(draw, raw):  # text after the object
+        return [raw + draw(st.sampled_from([b"x", b" {}", b",", b"\x0c", b"\xc2\xa0"]))]
+
+    def lines(draw, raw):  # one line fewer or one more
+        return draw(st.sampled_from([[], [raw, raw]]))
+
+    return {"truncate": truncate, "blank": blank, "utf-8": utf8, "number": number, "spaces": spaces, "tail": tail,
+            "lines": lines}[name]
+
+
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_EDITS = ["clean"] + list(range(len(_OBJECT_EDITS))) + ["truncate", "blank", "utf-8", "number", "spaces", "tail", "lines"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(mode=st.sampled_from(sorted(_FUZZ_CFGS)), edit=st.sampled_from(_EDITS), data=st.data())
+def test_read_jsonl_matches_the_line_validator(mode, edit, data):
+    """One edit to one line of a small file: read_jsonl must raise the line
+    validator's DataError text, or return the validator's rows."""
+    cfg = _FUZZ_CFGS[mode]
+    lines, manifest = _fuzz_source(mode)
+    lines = list(lines)
+    if isinstance(edit, int):
+        change, applies = _OBJECT_EDITS[edit]
+        fits = [i for i, raw in enumerate(lines) if applies is None or applies(json.loads(raw))]
+        k = data.draw(st.sampled_from(fits or range(len(lines))))
+        obj = json.loads(lines[k])
+        if fits:
+            change(data.draw, obj, cfg)
+        lines[k] = json.dumps(obj).encode()
+    elif edit != "clean":
+        k = data.draw(st.integers(0, len(lines) - 1))
+        lines[k:k + 1] = _edit_text(edit)(data.draw, lines[k])
+
+    def outcome(reader, path):
+        try:
+            return reader(path)
+        except DataError as exc:
+            return str(exc)
+
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        datagen.manifest_path(path).write_bytes(manifest)
+        want = outcome(_line_reader, path)
+        got = outcome(lambda p: list(datagen.read_jsonl(p).instances), path)
+    assert got == want

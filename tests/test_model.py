@@ -1,11 +1,14 @@
 """Model assembly: forward oracle, gradients, grouping, coupling, baselines, checkpoints."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import max_rel_err
 from maria import autodiff as ad
@@ -15,6 +18,7 @@ from maria import datagen, model as mdl, training
 from maria.autodiff import Graph
 from maria.benchmark import benchmark_config
 from maria.config import build_run_config
+from maria.datagen import InstanceTable
 from maria.fileio import atomic_writer
 from maria.model import BaselineModel, bce_loss, build_model, make_batch
 
@@ -292,8 +296,8 @@ def test_rows_are_independent_across_batching():
     model = build_model(graph, cfg, seed=3)
     batch = make_batch(dataset.instances, cfg.vocab, cfg.schema, cfg.trigger_mode)
     full = model.forward(batch, mode="eval").score.data
-    for i, inst in enumerate(dataset.instances):
-        single = make_batch([inst], cfg.vocab, cfg.schema, cfg.trigger_mode)
+    for i in range(len(dataset.instances)):
+        single = make_batch(dataset.instances[i:i + 1], cfg.vocab, cfg.schema, cfg.trigger_mode)
         one = model.forward(single, mode="eval").score.data
         assert abs(one[0] - full[i]) <= 1e-9
 
@@ -342,15 +346,18 @@ def test_make_batch_validation():
     cfg, graph, model, batch = build_tiny()
     dataset, _ = datagen.generate(tiny_cfg())
     inst = dataset.instances[0]
-    import dataclasses
+
+    def table(row):
+        return InstanceTable.from_rows([row], cfg.schema)
+
     no_trigger = dataclasses.replace(inst, trigger=None)
     with pytest.raises(ValueError, match="missing trigger"):
-        make_batch([no_trigger], cfg.vocab, cfg.schema, "search")
+        make_batch(table(no_trigger), cfg.vocab, cfg.schema, "search")
     with pytest.raises(ValueError, match="trigger present"):
-        make_batch([inst], cfg.vocab, cfg.schema, "recommendation")
+        make_batch(table(inst), cfg.vocab, cfg.schema, "recommendation")
     too_long = dataclasses.replace(inst, behavior=inst.behavior * 5)
     with pytest.raises(ValueError, match="behavior length"):
-        make_batch([too_long], cfg.vocab, cfg.schema, "search")
+        make_batch(table(too_long), cfg.vocab, cfg.schema, "search")
 
 
 def test_product_triggers_with_no_trigger_attribute_slots():
@@ -366,6 +373,146 @@ def test_product_triggers_with_no_trigger_attribute_slots():
     model = build_model(Graph(seed=1), cfg, seed=3)
     score = model.forward(batch, mode="eval").score.data
     assert np.all((score > 0) & (score < 1))
+
+
+def loop_make_batch(instances, vocab, schema, trigger_mode) -> mdl.Batch:
+    """The per-row loop over Instance rows that ``make_batch`` replaced: the
+    reference its column build must equal byte for byte."""
+    b = len(instances)
+    m = schema.max_behavior_len
+    big_l, big_p, big_o = schema.user_attr_count, schema.item_attr_count, schema.trigger_attr_count
+    pad_item, pad_item_attr, pad_trig_attr = vocab.items, vocab.item_attrs, vocab.trigger_attrs
+
+    scenario = np.empty(b, dtype=np.int64)
+    user = np.empty(b, dtype=np.int64)
+    user_attrs = np.empty((b, big_l), dtype=np.int64)
+    beh_items = np.full((b, m), pad_item, dtype=np.int64)
+    beh_attrs = np.full((b, m, big_p), pad_item_attr, dtype=np.int64)
+    valid = np.zeros((b, m), dtype=np.float64)
+    target = np.empty(b, dtype=np.int64)
+    target_attrs = np.empty((b, big_p), dtype=np.int64)
+    is_image = np.zeros(b, dtype=bool)
+    image_vecs = np.zeros((b, schema.image_dim), dtype=np.float64)
+    trig_items = np.zeros(b, dtype=np.int64)
+    trig_attrs = np.full((b, big_o), pad_trig_attr, dtype=np.int64)
+    context = np.empty((b, schema.context_attr_count), dtype=np.int64)
+    labels = np.empty(b, dtype=np.float64)
+
+    for i, inst in enumerate(instances):
+        scenario[i] = inst.scenario
+        user[i] = inst.user
+        user_attrs[i] = inst.user_attrs
+        length = len(inst.behavior)
+        if not (1 <= length <= m):
+            raise ValueError(f"instance {i}: behavior length {length} outside [1, {m}]")
+        for k, (item, attrs) in enumerate(inst.behavior):
+            col = m - length + k
+            beh_items[i, col] = item
+            beh_attrs[i, col] = attrs
+            valid[i, col] = 1.0
+        target[i] = inst.target_item
+        target_attrs[i] = inst.target_attrs
+        context[i] = inst.context
+        labels[i] = inst.label
+        if trigger_mode == "recommendation":
+            if inst.trigger is not None:
+                raise ValueError(f"instance {i}: trigger present in a trigger-free model")
+        elif isinstance(inst.trigger, datagen.TriggerImage):
+            is_image[i] = True
+            image_vecs[i] = inst.trigger.vec
+        elif isinstance(inst.trigger, datagen.TriggerProduct):
+            trig_items[i] = inst.trigger.item
+            trig_attrs[i] = inst.trigger.attrs
+        else:
+            raise ValueError(f"instance {i}: missing trigger in a trigger-driven model")
+
+    return mdl.Batch(
+        size=b, scenario=scenario, user=user, user_attrs=user_attrs,
+        beh_items=beh_items, beh_attrs=beh_attrs, valid=valid,
+        target=target, target_attrs=target_attrs,
+        is_image=is_image, image_vecs=image_vecs, trig_items=trig_items, trig_attrs=trig_attrs,
+        context=context, labels=labels,
+    )
+
+
+_REF_VOCAB = cfgmod.VocabSizes(users=5, items=7, user_attrs=4, item_attrs=4, trigger_attrs=3, context_attrs=3, scenarios=2)
+
+
+@st.composite
+def _batch_recipes(draw):
+    """A trigger mode, a schema with 0-2 slots of each attribute kind, rows of
+    every trigger kind the mode allows with behaviour lengths 1..m, up to two
+    rows broken in a way make_batch refuses, and a row order with subsets and
+    repeats."""
+    v = _REF_VOCAB
+    mode = draw(st.sampled_from(["search", "recommendation"]))
+    slots = {name: draw(st.integers(0, 2)) for name in (
+        "user_attr_count", "item_attr_count", "trigger_attr_count", "context_attr_count")}
+    schema = cfgmod.FeatureSchema(**slots, max_behavior_len=draw(st.integers(1, 5)), image_dim=draw(st.integers(1, 3)))
+    m = schema.max_behavior_len
+
+    def ids(count, bound):
+        return draw(st.tuples(*[st.integers(0, bound - 1)] * count))
+
+    def trigger(kind):
+        if kind == "image":
+            return datagen.TriggerImage(vec=draw(st.tuples(*[st.floats(width=64)] * schema.image_dim)))
+        if kind == "product":
+            return datagen.TriggerProduct(item=draw(st.integers(0, v.items - 1)), attrs=ids(schema.trigger_attr_count, v.trigger_attrs))
+        return None
+
+    def behavior(length):
+        return tuple((draw(st.integers(0, v.items - 1)), ids(schema.item_attr_count, v.item_attrs)) for _ in range(length))
+
+    kinds = ["image", "product"] if mode == "search" else ["none"]
+    rows = [
+        datagen.Instance(
+            scenario=draw(st.integers(0, v.scenarios - 1)),
+            user=draw(st.integers(0, v.users - 1)),
+            user_attrs=ids(schema.user_attr_count, v.user_attrs),
+            behavior=behavior(draw(st.integers(1, m))),
+            target_item=draw(st.integers(0, v.items - 1)),
+            target_attrs=ids(schema.item_attr_count, v.item_attrs),
+            trigger=trigger(draw(st.sampled_from(kinds))),
+            context=ids(schema.context_attr_count, v.context_attrs),
+            label=draw(st.integers(0, 1)),
+        )
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        case = draw(st.sampled_from(["trigger", "length"]))
+        if case == "length":
+            broken = {"behavior": behavior(draw(st.sampled_from([0, m + 1, m + 2])))}
+        else:  # a missing trigger in search mode, a present one in recommendation mode
+            broken = {"trigger": trigger("none" if mode == "search" else draw(st.sampled_from(["image", "product"])))}
+        rows[i] = dataclasses.replace(rows[i], **broken)
+    order = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
+    return mode, schema, rows, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(recipe=_batch_recipes())
+def test_make_batch_equals_the_per_row_loop(recipe):
+    mode, schema, rows, order = recipe
+    block = InstanceTable.from_rows(rows, schema)[np.array(order, dtype=np.int64)]
+
+    def build(fn, instances):
+        try:
+            return fn(instances, _REF_VOCAB, schema, mode)
+        except ValueError as exc:
+            return str(exc)
+
+    want = build(loop_make_batch, [rows[i] for i in order])
+    got = build(make_batch, block)
+    if isinstance(want, str):
+        assert got == want  # the same message for the same row index
+        return
+    assert got.size == want.size == len(order)
+    for name, ref in vars(want).items():
+        if isinstance(ref, np.ndarray):
+            ours = getattr(got, name)
+            assert (ours.dtype, ours.shape, ours.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), name
 
 
 def test_ablated_model_collapses_to_mixture_baseline():

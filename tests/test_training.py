@@ -9,6 +9,7 @@ from maria import datagen, training
 from maria.autodiff import Graph
 from maria.benchmark import run_benchmark
 from maria.config import build_run_config
+from maria.datagen import InstanceTable
 from maria.model import build_model, make_batch
 from maria.training import TrainingDiverged, ablate, evaluate, gradient_check, train
 
@@ -132,7 +133,7 @@ def test_early_stop_on_flat_eval():
         "gen.count": "200",
     })
     dataset, graph, model = make_run(cfg)
-    all_positive = [dataclasses.replace(i, label=1) for i in dataset.instances[:50]]
+    all_positive = InstanceTable.from_rows([dataclasses.replace(i, label=1) for i in dataset.instances[:50]], cfg.schema)
     report = train(graph, model, dataset.instances, cfg.train, eval_instances=all_positive)
     assert report.stopped_early
     assert len(report.epoch_losses) == 1  # stopped after the first epoch's eval
@@ -217,7 +218,7 @@ def test_single_class_eval_warns():
     cfg = learnable_overrides(**{"train.epochs": "1", "gen.count": "120"})
     dataset, graph, model = make_run(cfg)
     train(graph, model, dataset.instances, cfg.train)
-    forced = [dataclasses.replace(i, label=1) for i in dataset.instances]
+    forced = InstanceTable.from_rows([dataclasses.replace(i, label=1) for i in dataset.instances], cfg.schema)
     report = evaluate(model, forced, batch_size=64)
     assert report.auc is None
     assert any("only one label class" in w for w in report.warnings)
