@@ -178,6 +178,18 @@ class InstanceTable:
         total = int(ends[-1]) if len(ends) else 0
         return np.arange(total) + np.repeat(self.beh_start - (ends - self.beh_len), self.beh_len)
 
+    def padded_behavior(self, m: int, item_pad: int, attr_pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every row's behaviour sequence left-padded to ``m`` entries: the
+        (n, m) item ids, the (n, m, P) attribute ids and the (n, m) mask of
+        real entries. Every ``beh_len`` must be at most ``m``."""
+        valid = np.arange(m) >= (m - self.beh_len)[:, None]
+        pos = self._behavior_positions()  # row-major order of the mask's true cells
+        items = np.full((len(self), m), item_pad, dtype=np.int64)
+        items[valid] = self.beh_items[pos]
+        attrs = np.full((len(self), m, self.beh_attrs.shape[1]), attr_pad, dtype=np.int64)
+        attrs[valid] = self.beh_attrs[pos]
+        return items, attrs, valid
+
     def __iter__(self):
         pos = self._behavior_positions()
         beh_items, beh_attrs = self.beh_items[pos].tolist(), list(map(tuple, self.beh_attrs[pos].tolist()))
@@ -827,21 +839,6 @@ def _table_of(objs: list[dict], manifest: DatasetManifest) -> tuple[InstanceTabl
     return table, np.logical_or.reduce(list(flagged.values()))
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _loads(raw: str):
-    """``json.loads(raw)``, without its leading-whitespace scan for a line
-    that starts with its value, as every line ``write_jsonl`` writes does."""
-    try:
-        obj, end = _raw_decode(raw)
-    except json.JSONDecodeError:
-        end = None
-    if end is not None and not raw[end:].strip(" \t\n\r"):
-        return obj
-    return json.loads(raw)
-
-
 def read_jsonl(path: str | Path) -> Dataset:
     """Load and validate a dataset; errors carry the 1-based line number.
 
@@ -865,7 +862,7 @@ def read_jsonl(path: str | Path) -> Dataset:
         with path.open("r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 try:
-                    obj = _loads(raw)
+                    obj = json.loads(raw)
                 except json.JSONDecodeError as exc:
                     checked(objs)  # an earlier bad line is reported first
                     if not raw.strip():

@@ -78,13 +78,7 @@ def make_batch(instances: InstanceTable, vocab: VocabSizes, schema: FeatureSchem
             raise ValueError(f"instance {i}: trigger present in a trigger-free model")
         raise ValueError(f"instance {i}: missing trigger in a trigger-driven model")
 
-    first = m - lengths  # column of each row's oldest behaviour
-    valid = np.arange(m) >= first[:, None]
-    picks = ((instances.beh_start - first)[:, None] + np.arange(m))[valid]
-    beh_items = np.full((b, m), vocab.items, dtype=np.int64)
-    beh_items[valid] = instances.beh_items[picks]
-    beh_attrs = np.full((b, m, schema.item_attr_count), vocab.item_attrs, dtype=np.int64)
-    beh_attrs[valid] = instances.beh_attrs[picks]
+    beh_items, beh_attrs, valid = instances.padded_behavior(m, vocab.items, vocab.item_attrs)
     is_image = kind == TRIGGER_IMAGE
     is_product = kind == TRIGGER_PRODUCT
     return Batch(
