@@ -125,6 +125,23 @@ def summarise(pairs: list[dict], gated: list[dict]) -> dict:
     return out
 
 
+def write_result(out: Path, workload: str, result: dict) -> None:
+    """Set ``workload``'s entry of the JSON document ``out``, keeping the
+    other workloads' entries. The document goes to a temp file beside ``out``
+    that then replaces it, so a write that fails leaves the old file as it was."""
+    document = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    document[workload] = result
+    fd, tmp = tempfile.mkstemp(prefix=f".{out.name}.", suffix=".tmp", dir=out.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(document, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, out)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -169,10 +186,7 @@ def main(argv=None) -> int:
         "metrics": summarise(pairs, spec["end_to_end"]),
         "pairs": pairs,
     }
-    out = Path(args.out)
-    document = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    document[args.workload] = result
-    out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
+    write_result(Path(args.out), args.workload, result)
     for name, m in result["metrics"].items():
         print(f"{name:<12} parent {m['parent_median']:.6g} [IQR {m['parent_iqr']:.4g}] -> change "
               f"{m['change_median']:.6g} ({m['relative_change']:+.1%}), wins {m['wins']}/{m['pairs']}, "

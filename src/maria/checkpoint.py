@@ -18,6 +18,8 @@ headers before any tensor is trusted.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -57,10 +59,11 @@ def save_checkpoint(path: str | Path, spec: dict, params: list[tuple[str, np.nda
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+    # A corrupt length can ask for more than the file holds, or than memory
+    # does; refuse it before the read allocates its buffer.
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
+    return fh.read(n)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict, list[tuple[str, np.ndarray]]]:
@@ -86,12 +89,15 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict, list[tuple[str, np.nd
         params: list[tuple[str, np.ndarray]] = []
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, nlen, "name").decode("utf-8")
+            try:
+                name = _read_exact(fh, nlen, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: parameter name is not UTF-8 ({exc.reason})") from exc
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, f"{name} dim"))[0] for _ in range(ndim)
             )
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            size = math.prod(shape)
             raw = _read_exact(fh, size * 8, f"{name} data")
             params.append((name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy()))
         if fh.read(1):

@@ -129,10 +129,7 @@ def cmd_train(args) -> int:
         graph, model, dataset.instances, cfg.train, eval_instances=eval_instances, log_fn=log_fn
     )
     final = training.evaluate(
-        model,
-        eval_instances if eval_instances is not None else dataset.instances,
-        batch_size=cfg.train.batch_size,
-        workers=args.workers,
+        model, eval_instances if eval_instances is not None else dataset.instances, batch_size=cfg.train.batch_size
     )
 
     meta = {"kind": kind, "train": dict(vars(cfg.train)), "data_digest": want}
@@ -165,9 +162,7 @@ def cmd_eval(args) -> int:
     spec = model.spec()
     want = config.compat_digest_parts(spec["vocab"], spec["schema"], spec["trigger_mode"])
     dataset = _read_dataset(args.data, want, "checkpointed model")
-    report = training.evaluate(
-        model, dataset.instances, batch_size=args.batch_size, workers=args.workers
-    )
+    report = training.evaluate(model, dataset.instances, batch_size=args.batch_size)
     if args.json:
         _emit(report.to_dict())
     else:
@@ -288,14 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated stages to switch off: fs,fr,fcm,nl,st,gs",
     )
-    tr.add_argument("--workers", type=int, default=1, help="threads for the final evaluation")
     tr.add_argument("--json", action="store_true", help="print the metrics document as JSON")
 
     ev = subcommand("eval", "evaluate a checkpoint on a dataset", cmd_eval, config_keys=False)
     ev.add_argument("--model", required=True, metavar="FILE", help="checkpoint to evaluate")
     ev.add_argument("--data", required=True, metavar="FILE", help="evaluation data file")
     ev.add_argument("--batch-size", type=int, default=512, help="evaluation batch size")
-    ev.add_argument("--workers", type=int, default=1, help="threads for batch scoring")
     ev.add_argument("--json", action="store_true", help="print the report as JSON")
 
     ab = subcommand("ablate", "retrain stage-ablated variants and compare AUC", cmd_ablate)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 FIELD_ORDER = ("behavior", "user", "item", "trigger", "context")
 TRIGGER_KINDS = ("image", "product", "none")
 ABLATION_FLAGS = ("fs", "fr", "fcm", "nl", "st", "gs")
@@ -110,7 +112,10 @@ class TrainSettings:
 
 @dataclass(frozen=True)
 class ScenarioSettings:
-    """Raw per-scenario generator settings; empty vectors mean auto-derive."""
+    """Per-scenario generator settings. ``build_run_config`` fills the unset
+    ones: ``traffic_share`` splits the remaining mass, and an empty
+    ``field_importance`` or ``label_weights`` is derived (see
+    ``_resolve_vectors``)."""
 
     scenario_id: int
     traffic_share: float | None
@@ -385,7 +390,7 @@ def build_run_config(mapping: Mapping[str, str] | None = None, overrides: Mappin
         gen_seed=values["gen.seed"],
     )
     _validate(cfg)
-    return cfg
+    return replace(cfg, scenarios=_resolve_vectors(cfg))
 
 
 def _resolve_shares(scenarios: list[ScenarioSettings]) -> list[ScenarioSettings]:
@@ -404,6 +409,28 @@ def _resolve_shares(scenarios: list[ScenarioSettings]) -> list[ScenarioSettings]
     if abs(total - 1.0) > 1e-9:
         raise ConfigError(f"traffic_share: shares sum to {total!r}, expected 1.0")
     return scenarios
+
+
+def _resolve_vectors(cfg: RunConfig) -> tuple[ScenarioSettings, ...]:
+    """Check the given per-element vectors' lengths and fill the empty ones:
+    disjoint round-robin importance masks, and label weights drawn per
+    scenario from the generator seed."""
+    n_q, n_s = cfg.schema.element_count, cfg.vocab.scenarios
+    out = []
+    for sc in cfg.scenarios:
+        for name in ("field_importance", "label_weights"):
+            given = getattr(sc, name)
+            if given and len(given) != n_q:
+                raise ConfigError(f"scenario.{sc.scenario_id}.{name}: expected {n_q} values, got {len(given)}")
+        importance = sc.field_importance or tuple(1.0 if j % n_s == sc.scenario_id else 0.0 for j in range(n_q))
+        weights = sc.label_weights
+        if not weights:
+            rng = np.random.default_rng([cfg.gen_seed, 700_000 + sc.scenario_id])
+            magnitude = rng.uniform(1.5, 3.0, size=n_q)
+            sign = rng.choice([-1.0, 1.0], size=n_q)
+            weights = tuple(float(w) for w in magnitude * sign)
+        out.append(replace(sc, field_importance=importance, label_weights=weights))
+    return tuple(out)
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -438,6 +465,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("train settings out of range")
     if t.lr_decay <= 0:
         raise ConfigError("train.lr_decay: must be positive")
+    if cfg.gen_seed < 0:
+        raise ConfigError("gen.seed: must be non-negative")
 
     kinds = {sc.trigger_kind for sc in cfg.scenarios}
     if "none" in kinds and kinds != {"none"}:

@@ -19,6 +19,7 @@ which runs the same search inside.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import struct
 import sys
@@ -32,11 +33,12 @@ import numpy as np
 
 from . import metrics
 from .config import (
-    ConfigError,
     FeatureSchema,
     RunConfig,
+    ScenarioSettings,
     VocabSizes,
     compat_digest_parts,
+    data_compat_digest,
 )
 from .fileio import atomic_writer
 
@@ -235,20 +237,6 @@ class InstanceTable:
         )
 
 
-@dataclass(frozen=True)
-class ScenarioProfile:
-    """Fully resolved generator settings for one scenario."""
-
-    scenario_id: int
-    traffic_share: float
-    noise_std: float
-    trigger_kind: str
-    label_bias: float
-    behavior_tilt: float
-    field_importance: tuple[float, ...]
-    label_weights: tuple[float, ...]
-
-
 @dataclass
 class DatasetManifest:
     vocab: dict
@@ -260,7 +248,7 @@ class DatasetManifest:
     positive_rates: dict[str, float]
     bayes_auc: dict[str, float | None]
     compat_digest: str
-    profiles: tuple[ScenarioProfile, ...]
+    profiles: tuple[ScenarioSettings, ...]
 
     def vocab_sizes(self) -> VocabSizes:
         return VocabSizes(**self.vocab)
@@ -290,47 +278,6 @@ def _stable_int(*keys) -> int:
 def stable_unit(*keys) -> float:
     """Deterministic value in [-1, 1] keyed by the given ints/strings."""
     return _stable_int(*keys) / float(2**64 - 1) * 2.0 - 1.0
-
-
-def profiles_from_config(cfg: RunConfig) -> tuple[ScenarioProfile, ...]:
-    """Resolve auto fields: disjoint round-robin importance masks and hash-free
-    per-scenario label weights drawn from the generator seed."""
-    n_q = cfg.schema.element_count
-    n_s = cfg.vocab.scenarios
-    profiles = []
-    for sc in cfg.scenarios:
-        if sc.field_importance:
-            importance = sc.field_importance
-            if len(importance) != n_q:
-                raise ConfigError(
-                    f"scenario.{sc.scenario_id}.field_importance: expected {n_q} values, got {len(importance)}"
-                )
-        else:
-            importance = tuple(1.0 if j % n_s == sc.scenario_id else 0.0 for j in range(n_q))
-        if sc.label_weights:
-            weights = sc.label_weights
-            if len(weights) != n_q:
-                raise ConfigError(
-                    f"scenario.{sc.scenario_id}.label_weights: expected {n_q} values, got {len(weights)}"
-                )
-        else:
-            rng = np.random.default_rng([cfg.gen_seed, 700_000 + sc.scenario_id])
-            magnitude = rng.uniform(1.5, 3.0, size=n_q)
-            sign = rng.choice([-1.0, 1.0], size=n_q)
-            weights = tuple(float(w) for w in magnitude * sign)
-        profiles.append(
-            ScenarioProfile(
-                scenario_id=sc.scenario_id,
-                traffic_share=float(sc.traffic_share),
-                noise_std=sc.noise_std,
-                trigger_kind=sc.trigger_kind,
-                label_bias=sc.label_bias,
-                behavior_tilt=sc.behavior_tilt,
-                field_importance=importance,
-                label_weights=weights,
-            )
-        )
-    return tuple(profiles)
 
 
 def _attr_ids(kind: str, key: int, count: int, vocab_size: int) -> tuple[int, ...]:
@@ -365,10 +312,8 @@ def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
     target item when there is no trigger), trigger attrs (zeros for an
     image) and context attrs.
     """
-    if cfg.gen_seed < 0:
-        raise ConfigError("gen.seed: must be non-negative")
     vocab, schema = cfg.vocab, cfg.schema
-    profiles = profiles_from_config(cfg)
+    profiles = cfg.scenarios
     shares = np.array([p.traffic_share for p in profiles], dtype=np.float64)
     share_cdf = _cdf(shares / shares.sum(), "traffic_share")
 
@@ -446,11 +391,12 @@ def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
         clean_probs[i] = 1.0 / (1.0 + np.exp(-clean_logit))
 
     instances = InstanceTable._from_lists(schema, **columns)
-    manifest = _build_manifest(cfg, profiles, instances, clean_probs)
+    manifest = _build_manifest(cfg, instances, clean_probs)
     return Dataset(manifest=manifest, instances=instances), clean_probs
 
 
-def _build_manifest(cfg, profiles, instances, clean_probs) -> DatasetManifest:
+def _build_manifest(cfg, instances, clean_probs) -> DatasetManifest:
+    profiles = cfg.scenarios
     labels = instances.label.astype(np.float64)
     scen = instances.scenario
     counts = {p.scenario_id: int(np.sum(scen == p.scenario_id)) for p in profiles}
@@ -464,7 +410,6 @@ def _build_manifest(cfg, profiles, instances, clean_probs) -> DatasetManifest:
         key = str(p.scenario_id)
         rates[key] = float(labels[sel].mean()) if counts[p.scenario_id] else 0.0
         bayes[key] = metrics.auc(clean_probs[sel], labels[sel]) if counts[p.scenario_id] else None
-    compat = compat_digest_parts(vars(cfg.vocab), vars(cfg.schema), cfg.trigger_mode)
     return DatasetManifest(
         vocab=dict(vars(cfg.vocab)),
         schema=dict(vars(cfg.schema)),
@@ -474,8 +419,8 @@ def _build_manifest(cfg, profiles, instances, clean_probs) -> DatasetManifest:
         scenario_counts=counts,
         positive_rates=rates,
         bayes_auc=bayes,
-        compat_digest=compat,
-        profiles=tuple(profiles),
+        compat_digest=data_compat_digest(cfg),
+        profiles=profiles,
     )
 
 
@@ -679,7 +624,7 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         raise DataError(f"{mpath}: unsupported manifest version {doc.get('version')!r}")
     try:
         profiles = tuple(
-            ScenarioProfile(
+            ScenarioSettings(
                 scenario_id=p["scenario_id"],
                 traffic_share=p["traffic_share"],
                 noise_std=p["noise_std"],
@@ -706,6 +651,8 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         sizes = vars(manifest.vocab_sizes()) | vars(manifest.feature_schema())
         if not all(type(v) is int for v in sizes.values()):
             raise TypeError("vocab and schema sizes must be integers")
+        if not all(type(p.scenario_id) is int and type(p.trigger_kind) is str for p in profiles):
+            raise TypeError("profile scenario ids must be integers and trigger kinds strings")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{mpath}: malformed manifest ({type(exc).__name__}: {exc})") from exc
     if compat_digest_parts(manifest.vocab, manifest.schema, manifest.trigger_mode) != manifest.compat_digest:
@@ -857,31 +804,38 @@ def read_jsonl(path: str | Path) -> Dataset:
             raise RuntimeError("read_jsonl: the column checks flagged rows that the line validator passes")
         return table
 
-    objs: list[dict] = []
+    def decoded(lines) -> list[dict]:
+        objs: list[dict] = []
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                checked(objs)  # an earlier bad line is reported first
+                if not raw.strip():
+                    raise DataError(f"line {lineno}: blank line inside dataset") from None
+                raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            if type(obj) is not dict or obj.keys() != _INSTANCE_KEYS:
+                checked(objs)
+                parse(obj, lineno)  # raises: not an object, or the wrong keys
+            objs.append(obj)
+        return objs
+
     try:
         with path.open("r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    checked(objs)  # an earlier bad line is reported first
-                    if not raw.strip():
-                        raise DataError(f"line {lineno}: blank line inside dataset") from None
-                    raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-                if type(obj) is not dict or obj.keys() != _INSTANCE_KEYS:
-                    checked(objs)
-                    parse(obj, lineno)  # raises: not an object, or the wrong keys
-                objs.append(obj)
+            objs = decoded(fh)
     except UnicodeDecodeError:
-        checked(objs)
-        # Decoding line by line would slow every read by about 7%; the text
-        # reader decodes whole chunks instead, so find the bad line here.
+        # The text reader decodes whole chunks (line by line would slow every
+        # read by about 7%), so the lines of the chunk before the bad byte were
+        # never checked. Check them from the bytes, then name the bad line.
         data = path.read_bytes()
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise DataError(f"line {lineno}: not UTF-8 ({exc.reason})") from exc
+            before = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).readlines()
+            if before and not before[-1].endswith("\n"):
+                before.pop()  # the start of the bad line
+            checked(decoded(before))
+            raise DataError(f"line {len(before) + 1}: not UTF-8 ({exc.reason})") from exc
         raise
     instances = checked(objs)
     if len(instances) != manifest.count:

@@ -1,8 +1,8 @@
 """Neural building blocks: embeddings, FC stacks, transformer encoder, trigger attention.
 
 Everything here works on batched inputs: vectors are rows of a (batch, width)
-Value and behavior sequences are (batch, length, width). The unbatched shapes
-accepted by the public helpers are lifted to a batch of one internally.
+Value and behavior sequences are (batch, length, width), with a (batch, length)
+0/1 array marking the real (non-padding) positions.
 """
 
 from __future__ import annotations
@@ -100,14 +100,9 @@ class Fcn:
         return out
 
 
-def _additive_mask(graph: Graph, valid) -> Value | None:
-    """(batch, 1, length) additive mask constant from a 0/1 validity array."""
-    if valid is None:
-        return None
-    arr = np.asarray(valid, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return graph.constant(((1.0 - arr) * MASK_OFF)[:, None, :])
+def _additive_mask(graph: Graph, valid: np.ndarray) -> Value:
+    """(batch, 1, length) additive mask constant from a (batch, length) 0/1 validity array."""
+    return graph.constant(((1.0 - np.asarray(valid, dtype=np.float64)) * MASK_OFF)[:, None, :])
 
 
 class TransformerBlock:
@@ -139,7 +134,9 @@ class TransformerBlock:
         self.ln2_gain = graph.parameter(np.ones(d))
         self.ln2_bias = graph.parameter(np.zeros(d))
 
-    def forward(self, seq: Value, mask: Value | None = None, collect: list | None = None) -> Value:
+    def forward(self, seq: Value, mask: Value) -> Value:
+        """Encode a (batch, length, dim) sequence; ``mask`` is the additive
+        mask of :func:`_additive_mask`, which keeps padded keys out."""
         normed = ad.layer_norm(seq, self.ln1_gain, self.ln1_bias)
         heads = []
         inv = 1.0 / math.sqrt(self.head_dim)
@@ -147,13 +144,8 @@ class TransformerBlock:
             q = ad.matmul(normed, wq)
             k = ad.matmul(normed, wk)
             v = ad.matmul(normed, wv)
-            scores = ad.scale(ad.matmul(q, ad.transpose_last2(k)), inv)
-            if mask is not None:
-                scores = ad.add(scores, mask)
-            attn = ad.softmax_last(scores)
-            if collect is not None:
-                collect.append(attn)
-            heads.append(ad.matmul(attn, v))
+            scores = ad.add(ad.scale(ad.matmul(q, ad.transpose_last2(k)), inv), mask)
+            heads.append(ad.matmul(ad.softmax_last(scores), v))
         mixed = ad.matmul(ad.concat(heads, axis=-1), self.wo)
         h = ad.add(seq, mixed)
         return ad.add(h, self.ffn.forward(ad.layer_norm(h, self.ln2_gain, self.ln2_bias)))
@@ -171,32 +163,6 @@ class TransformerBlock:
         out.append((f"{self.name}.ln2.gain", self.ln2_gain))
         out.append((f"{self.name}.ln2.bias", self.ln2_bias))
         return out
-
-
-def transformer_encode(
-    block: TransformerBlock,
-    seq: Value,
-    valid=None,
-    return_attention: bool = False,
-):
-    """Encode a (length, dim) or (batch, length, dim) sequence.
-
-    ``valid`` is an optional 0/1 array marking real (non-padding) positions;
-    padded positions are excluded as attention keys.
-    """
-    batched = seq.data.ndim == 3
-    if not batched:
-        if seq.data.ndim != 2:
-            raise ShapeError(f"transformer_encode: expected 2-d or 3-d input, got {seq.shape}")
-        seq = ad.reshape(seq, (1,) + seq.shape)
-    mask = _additive_mask(seq.graph, valid)
-    collect: list | None = [] if return_attention else None
-    out = block.forward(seq, mask, collect)
-    if not batched:
-        out = ad.reshape(out, out.shape[1:])
-    if return_attention:
-        return out, collect
-    return out
 
 
 class SequenceEncoder:
@@ -222,7 +188,7 @@ class SequenceEncoder:
             for i in range(layer_count)
         ]
 
-    def forward(self, seq: Value, valid=None) -> Value:
+    def forward(self, seq: Value, valid: np.ndarray) -> Value:
         length = seq.shape[-2]
         if length > self.capacity:
             raise ShapeError(f"sequence encoder: length {length} exceeds capacity {self.capacity}")
@@ -240,38 +206,19 @@ class SequenceEncoder:
         return out
 
 
-def trigger_attention(
-    trigger: Value,
-    seq: Value,
-    sim_net: Fcn,
-    valid=None,
-    return_weights: bool = False,
-):
+def trigger_attention(trigger: Value, seq: Value, sim_net: Fcn, valid: np.ndarray) -> Value:
     """Pool encoded behaviors into one vector, weighted by trigger similarity.
 
-    Similarity of the trigger against each encoded behavior is a learned
-    function of their concatenation; weights are a softmax over positions
-    (padding masked out) and the result is the weighted sum of behaviors.
+    Similarity of the (batch, width) trigger against each encoded behavior is
+    a learned function of their concatenation; weights are a softmax over
+    positions (padding masked out) and the result is the weighted sum of
+    behaviors.
     """
-    batched = seq.data.ndim == 3
-    if not batched:
-        seq = ad.reshape(seq, (1,) + seq.shape)
-        trigger = ad.reshape(trigger, (1,) + trigger.shape)
     if trigger.data.ndim != 2 or seq.data.ndim != 3 or trigger.shape[0] != seq.shape[0]:
         raise ShapeError(f"trigger_attention: trigger {trigger.shape} vs sequence {seq.shape}")
     b, m, _ = seq.shape
     tiled = ad.add(ad.reshape(trigger, (b, 1, trigger.shape[-1])), seq.graph.constant(np.zeros((b, m, 1))))
     scores = ad.reshape(sim_net.forward(ad.concat([tiled, seq], axis=-1)), (b, m))
-    if valid is not None:
-        arr = np.asarray(valid, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        scores = ad.add(scores, scores.graph.constant((1.0 - arr) * MASK_OFF))
+    scores = ad.add(scores, seq.graph.constant((1.0 - np.asarray(valid, dtype=np.float64)) * MASK_OFF))
     weights = ad.softmax_last(scores)
-    pooled = ad.reshape(ad.matmul(ad.reshape(weights, (b, 1, m)), seq), (b, seq.shape[-1]))
-    if not batched:
-        pooled = ad.reshape(pooled, pooled.shape[1:])
-        weights = ad.reshape(weights, (m,))
-    if return_weights:
-        return pooled, weights
-    return pooled
+    return ad.reshape(ad.matmul(ad.reshape(weights, (b, 1, m)), seq), (b, seq.shape[-1]))

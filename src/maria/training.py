@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -13,13 +12,7 @@ from . import metrics
 from .autodiff import Graph
 from .config import ABLATION_FLAGS, RunConfig, TrainSettings
 from .datagen import InstanceTable, batch_iter
-from .model import (
-    bce_loss,
-    build_model,
-    group_of_parameter,
-    make_batch,
-    model_from_spec,
-)
+from .model import bce_loss, build_model, group_of_parameter, make_batch
 from .optim import Adam, NonFiniteGradient
 
 
@@ -173,55 +166,29 @@ class EvalReport:
         }
 
 
-def _clone_for_thread(model):
-    """Structural copy whose parameters alias the source arrays (read-only use)."""
-    graph = Graph(seed=0)
-    clone = model_from_spec(graph, model.spec(), seed=0)
-    source = dict(model.named_parameters())
-    for name, value in clone.named_parameters():
-        value.data = source[name].data
-    return clone
-
-
-def _score_batches(model, blocks: list[InstanceTable]):
-    graph = model.graph
-    scores, choices = [], []
-    for block in blocks:
-        batch = make_batch(block, model.vocab, model.schema, model.trigger_mode)
-        mark = graph.mark()
-        result = model.forward(batch, mode="eval")
-        scores.append(result.score.data.copy())
-        choices.append({f: c.copy() for f, c in result.trace.get("refiner_choice", {}).items()})
-        graph.truncate(mark)
-    return scores, choices
-
-
 def evaluate(model, instances: InstanceTable, batch_size: int = 512, workers: int = 1) -> EvalReport:
     """Score instances in eval mode and aggregate ranking metrics.
 
     Leaves the model untouched: no parameter updates, no RNG draws, and the
-    graph arena is restored after every batch. ``workers`` > 1 shards batches
-    across threads, each with a structural clone viewing the same parameters;
-    results are identical to the serial path.
+    graph arena is restored after every batch. ``workers`` stays only for
+    ``bench/workloads.py``, which passes 1; any other value is refused.
     """
-    if workers < 1:
-        raise ValueError(f"evaluate: workers must be positive, got {workers}")
+    if workers != 1:
+        raise ValueError(f"evaluate: workers must be 1, got {workers}")
     blocks = list(batch_iter(instances, batch_size))
-    if workers == 1 or len(blocks) <= 1:
-        scores_parts, choice_parts = _score_batches(model, blocks)
-    else:
-        workers = min(workers, len(blocks))
-        shards = [blocks[w::workers] for w in range(workers)]
-        clones = [model] + [_clone_for_thread(model) for _ in range(workers - 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda pair: _score_batches(*pair), zip(clones, shards)))
-        # re-interleave shard outputs back into block order
-        scores_parts = [None] * len(blocks)
-        choice_parts = [None] * len(blocks)
-        for w, (s_list, c_list) in enumerate(results):
-            for k, (s, c) in enumerate(zip(s_list, c_list)):
-                scores_parts[w + k * workers] = s
-                choice_parts[w + k * workers] = c
+    graph, fr = model.graph, model.fr
+    refiner_hist: dict[str, np.ndarray] = {}
+    if fr is not None:
+        refiner_hist = {fname: np.zeros((model.vocab.scenarios, count)) for fname, count in fr.counts.items()}
+    scores_parts = []
+    for block in blocks:
+        batch = make_batch(block, model.vocab, model.schema, model.trigger_mode)
+        mark = graph.mark()
+        result = model.forward(batch, mode="eval")
+        scores_parts.append(result.score.data.copy())
+        for fname, picks in result.trace.get("refiner_choice", {}).items():
+            np.add.at(refiner_hist[fname], (block.scenario, picks), 1.0)
+        graph.truncate(mark)
 
     labels = instances.label.astype(np.float64)
     scenario = instances.scenario
@@ -243,19 +210,6 @@ def evaluate(model, instances: InstanceTable, batch_size: int = 512, workers: in
             auc=auc_s,
             pcoc=metrics.pcoc(scores[sel], labels[sel]),
         )
-
-    refiner_hist: dict[str, np.ndarray] = {}
-    fr = model.fr
-    if fr is not None:
-        n_s = model.vocab.scenarios
-        for fname, count in fr.counts.items():
-            refiner_hist[fname] = np.zeros((n_s, count))
-        offset = 0
-        for block, choice in zip(blocks, choice_parts):
-            scen_block = scenario[offset:offset + len(block)]
-            for fname, picks in choice.items():
-                np.add.at(refiner_hist[fname], (scen_block, picks), 1.0)
-            offset += len(block)
 
     return EvalReport(
         count=len(instances),

@@ -1,6 +1,7 @@
 """``scripts/bench_pairs.py``: the claim rule, the no-regression verdict and the digest match."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,17 @@ _DIGESTS = {"step_losses": "d9601801b88f9891", "checkpoint": "84308abe4d417cd5"}
 def test_digests_equal_per_pair(parent, change, equal):
     pair = {"parent": {"digests": parent}, "change": {"digests": change}}
     assert bench_pairs.digests_equal(pair) is equal
+
+
+def test_write_result_keeps_other_workloads_and_a_failed_write_keeps_the_old_file(tmp_path):
+    out = tmp_path / "BENCH.json"
+    bench_pairs.write_result(out, "train-maria", {"digests_equal": 10})
+    bench_pairs.write_result(out, "score-maria", {"digests_equal": 9})
+    old = out.read_bytes()
+    assert json.loads(old) == {"train-maria": {"digests_equal": 10}, "score-maria": {"digests_equal": 9}}
+    # json.dump streams the document, so the value it cannot encode stops it
+    # after the entries before it have reached the temp file
+    with pytest.raises(TypeError):
+        bench_pairs.write_result(out, "train-mmoe-b64", {"pairs": list(range(5000)), "z": object()})
+    assert out.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH.json"]

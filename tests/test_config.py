@@ -1,5 +1,6 @@
 """Config registry: parsing, validation, precedence, digests."""
 
+import numpy as np
 import pytest
 
 from maria import config
@@ -154,3 +155,18 @@ def test_help_text_covers_every_key():
     for key in config._REGISTRY:
         assert key in text
     assert "scenario.N.trigger_kind" in text
+
+
+def test_per_element_vectors_and_generator_seed_resolved_when_the_config_is_built():
+    cfg = build_run_config({"vocab.scenarios": "3", "gen.seed": "4", "scenario.2.label_weights": ",".join(["1"] * 11)})
+    n_q = cfg.schema.element_count
+    assert all(len(sc.field_importance) == len(sc.label_weights) == n_q for sc in cfg.scenarios)
+    rng = np.random.default_rng([4, 700_001])
+    magnitude = rng.uniform(1.5, 3.0, size=n_q)
+    assert cfg.scenarios[1].label_weights == tuple((magnitude * rng.choice([-1.0, 1.0], size=n_q)).tolist())
+    assert cfg.scenarios[2].label_weights == (1.0,) * n_q
+    with pytest.raises(ConfigError, match="gen.seed: must be non-negative"):
+        build_run_config({"gen.seed": "-1"})
+    for name in ("field_importance", "label_weights"):
+        with pytest.raises(ConfigError, match=rf"scenario\.1\.{name}: expected 11 values, got 2"):
+            build_run_config({f"scenario.1.{name}": "1,0"})

@@ -108,12 +108,11 @@ def test_sigmoids_saturate_without_overflow_warnings():
 
 def test_auto_importance_masks_are_disjoint():
     cfg = small_cfg(**{"vocab.scenarios": "3"})
-    profiles = datagen.profiles_from_config(cfg)
-    stacked = np.array([p.field_importance for p in profiles])
+    stacked = np.array([sc.field_importance for sc in cfg.scenarios])
     assert stacked.shape == (3, cfg.schema.element_count)
     assert np.all(stacked.sum(axis=0) == 1.0)  # each element belongs to exactly one scenario
     with pytest.raises(ConfigError, match="field_importance"):
-        datagen.profiles_from_config(small_cfg(**{"scenario.0.field_importance": "1,0"}))
+        small_cfg(**{"scenario.0.field_importance": "1,0"})
 
 
 def test_instances_respect_vocab_and_schema():
@@ -368,6 +367,31 @@ def test_an_earlier_bad_value_is_reported_before_a_later_bad_line(tmp_path, late
     assert str(err.value) == "line 2: user: -1 outside [0, 30)"
 
 
+@pytest.mark.parametrize(
+    "line_3, message",
+    [
+        (b"{not json", "line 3: invalid JSON (Expecting property name enclosed in double quotes)"),
+        (None, "line 3: user: -1 outside [0, 30)"),
+    ],
+)
+def test_a_bad_line_before_a_bad_byte_in_the_same_chunk_is_reported_first(tmp_path, line_3, message):
+    # The text reader decodes 8 KB chunks, and a chunk that does not decode
+    # fails before any of its lines reach the line loop.
+    path = write_small(tmp_path, count=30)
+    lines = path.read_bytes().splitlines()
+    if line_3 is None:
+        obj = json.loads(lines[2])
+        obj["user"] = -1
+        line_3 = json.dumps(obj).encode()
+    lines[2] = line_3
+    lines[6] = lines[6][:1] + b"\xff" + lines[6][2:]
+    assert len(b"\n".join(lines[:7])) < 8192
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DataError) as err:
+        datagen.read_jsonl(path)
+    assert str(err.value) == message
+
+
 def _set_trigger(key, value):
     def mutate(obj):
         obj["trigger"][key] = value
@@ -561,24 +585,18 @@ def _line_reader(path):
     manifest = datagen.read_manifest(path)
     parse = datagen._instance_parser(manifest)
     rows = []
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if not raw.strip():
-                    raise DataError(f"line {lineno}: blank line inside dataset")
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-                rows.append(parse(obj, lineno))
-    except UnicodeDecodeError:
-        data = path.read_bytes()
+    for lineno, line in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
         try:
-            data.decode("utf-8")
+            raw = line.decode("utf-8")
         except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
             raise DataError(f"line {lineno}: not UTF-8 ({exc.reason})") from exc
-        raise
+        if not raw.strip():
+            raise DataError(f"line {lineno}: blank line inside dataset")
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        rows.append(parse(obj, lineno))
     if len(rows) != manifest.count:
         raise DataError(f"{path}: holds {len(rows)} instances but the manifest says {manifest.count} (truncated file?)")
     return rows

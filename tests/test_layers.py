@@ -89,26 +89,43 @@ def test_fcn_gradients_match_central_differences():
         assert max_rel_err(got, fd_gradient(run, p.data)) <= 1e-4, name
 
 
-def test_transformer_single_position_attention_weight_is_one():
+@pytest.fixture
+def softmax_outputs(monkeypatch):
+    """Every attention weight array the layers compute, in order."""
+    seen = []
+    softmax_last = ad.softmax_last
+
+    def recording(x):
+        out = softmax_last(x)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(ad, "softmax_last", recording)
+    return seen
+
+
+def test_transformer_single_position_attention_weight_is_one(softmax_outputs):
     g = ad.Graph(seed=0)
     rng = np.random.default_rng(3)
     block = ly.TransformerBlock(g, rng, model_dim=6, head_count=2, ffn_mult=2, name="b")
-    seq = g.constant(rng.normal(size=(1, 6)))
-    out, attn = ly.transformer_encode(block, seq, return_attention=True)
-    assert out.shape == (1, 6)
-    for head in attn:
+    seq = g.constant(rng.normal(size=(1, 1, 6)))
+    out = block.forward(seq, ly._additive_mask(g, np.ones((1, 1))))
+    assert out.shape == (1, 1, 6)
+    assert len(softmax_outputs) == 2
+    for head in softmax_outputs:
         assert head.data.reshape(-1).tolist() == [1.0]
 
 
-def test_transformer_preserves_shape_and_masks_padding_keys():
+def test_transformer_preserves_shape_and_masks_padding_keys(softmax_outputs):
     g = ad.Graph(seed=0)
     rng = np.random.default_rng(4)
     block = ly.TransformerBlock(g, rng, model_dim=8, head_count=2, ffn_mult=2, name="b")
     seq = g.constant(rng.normal(size=(3, 5, 8)))
     valid = np.array([[0, 0, 1, 1, 1], [1, 1, 1, 1, 1], [0, 1, 1, 1, 1]], dtype=float)
-    out, attn = ly.transformer_encode(block, seq, valid=valid, return_attention=True)
+    out = block.forward(seq, ly._additive_mask(g, valid))
     assert out.shape == (3, 5, 8)
-    for head in attn:
+    assert len(softmax_outputs) == 2
+    for head in softmax_outputs:
         # no attention mass on padded keys, for any query
         assert head.data[0, :, :2].max() < 1e-12
         assert head.data[2, :, :1].max() < 1e-12
@@ -126,10 +143,10 @@ def test_transformer_gradients_match_central_differences():
     rng = np.random.default_rng(5)
     block = ly.TransformerBlock(g, rng, model_dim=6, head_count=2, ffn_mult=2, name="b")
     seq = g.constant(rng.normal(size=(2, 3, 6)))
-    valid = np.array([[0, 1, 1], [1, 1, 1]], dtype=float)
+    mask = ly._additive_mask(g, np.array([[0, 1, 1], [1, 1, 1]], dtype=float))
 
     def build():
-        return ad.sum_all(ad.sigmoid(ly.transformer_encode(block, seq, valid=valid)))
+        return ad.sum_all(ad.sigmoid(block.forward(seq, mask)))
 
     ad.backward(build())
     for name, p in block.parameters():
@@ -148,33 +165,35 @@ def test_sequence_encoder_adds_positions_and_respects_capacity():
     g = ad.Graph(seed=0)
     rng = np.random.default_rng(6)
     enc = ly.SequenceEncoder(g, rng, model_dim=6, capacity=4, head_count=2, layer_count=1)
-    out = enc.forward(g.constant(rng.normal(size=(2, 4, 6))))
+    out = enc.forward(g.constant(rng.normal(size=(2, 4, 6))), np.ones((2, 4)))
     assert out.shape == (2, 4, 6)
     with pytest.raises(ad.ShapeError, match="capacity"):
-        enc.forward(g.constant(rng.normal(size=(2, 5, 6))))
+        enc.forward(g.constant(rng.normal(size=(2, 5, 6))), np.ones((2, 5)))
 
 
-def test_trigger_attention_uniform_when_scores_equal():
+def test_trigger_attention_uniform_when_scores_equal(softmax_outputs):
     g = ad.Graph(seed=0)
     rng = np.random.default_rng(7)
     sim = ly.Fcn(g, rng, in_dim=4 + 6, widths=[1], activations=["linear"], name="sim")
     for w in sim.weights:
         w.data[...] = 0.0
-    trig = g.constant(rng.normal(size=(4,)))
-    seq = g.constant(rng.normal(size=(2, 6)))
-    pooled, weights = ly.trigger_attention(trig, seq, sim, return_weights=True)
-    np.testing.assert_allclose(weights.data, [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(pooled.data, seq.data.mean(axis=0), atol=1e-12)
+    trig = g.constant(rng.normal(size=(1, 4)))
+    seq = g.constant(rng.normal(size=(1, 2, 6)))
+    pooled = ly.trigger_attention(trig, seq, sim, np.ones((1, 2)))
+    (weights,) = softmax_outputs
+    np.testing.assert_allclose(weights.data, [[0.5, 0.5]], atol=1e-12)
+    np.testing.assert_allclose(pooled.data, seq.data.mean(axis=1), atol=1e-12)
 
 
-def test_trigger_attention_masks_padding_positions():
+def test_trigger_attention_masks_padding_positions(softmax_outputs):
     g = ad.Graph(seed=0)
     rng = np.random.default_rng(8)
     sim = ly.Fcn(g, rng, in_dim=3 + 5, widths=[1], activations=["linear"], name="sim")
     trig = g.constant(rng.normal(size=(2, 3)))
     seq = g.constant(rng.normal(size=(2, 4, 5)))
     valid = np.array([[0, 0, 1, 1], [1, 1, 1, 1]], dtype=float)
-    _, weights = ly.trigger_attention(trig, seq, sim, valid=valid, return_weights=True)
+    ly.trigger_attention(trig, seq, sim, valid)
+    (weights,) = softmax_outputs
     assert weights.data[0, :2].max() < 1e-12
     np.testing.assert_allclose(weights.data.sum(axis=-1), [1.0, 1.0], atol=1e-12)
 
@@ -185,9 +204,10 @@ def test_trigger_attention_gradients_match_central_differences():
     sim = ly.Fcn(g, rng, in_dim=3 + 5, widths=[1], activations=["linear"], name="sim")
     trig = g.parameter(rng.normal(size=(2, 3)))
     seq = g.parameter(rng.normal(size=(2, 4, 5)))
+    valid = np.array([[0, 1, 1, 1], [1, 1, 1, 1]], dtype=float)
 
     def build():
-        return ad.sum_all(ad.sigmoid(ly.trigger_attention(trig, seq, sim)))
+        return ad.sum_all(ad.sigmoid(ly.trigger_attention(trig, seq, sim, valid)))
 
     ad.backward(build())
     for p in [trig, seq] + [v for _, v in sim.parameters()]:

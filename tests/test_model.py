@@ -1,6 +1,7 @@
 """Model assembly: forward oracle, gradients, grouping, coupling, baselines, checkpoints."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -758,3 +759,32 @@ def test_each_benchmark_workload_builds_every_listed_op(workload):
         model.forward(batch, mode="eval")
     built = {node.op for node in graph.nodes[mark:]}
     assert ops <= built, f"{workload}: no node of {sorted(ops - built)}"
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_block() -> InstanceTable:
+    return datagen.generate(benchmark_config(512, 3))[0].instances
+
+
+@pytest.mark.parametrize(
+    "workload, kind, flow, batch_size, nodes",
+    [
+        ("train-maria", "maria", "train", 512, 282),
+        ("train-mmoe-b64", "mmoe", "train", 64, 122),
+        ("score-maria", "maria", "score", 512, 254),
+    ],
+)
+def test_graph_size_of_each_benchmark_step_is_pinned(workload, kind, flow, batch_size, nodes):
+    """Nodes one step of each benchmark workload builds on a full block: the
+    forward plus the loss for a training step, the forward for an eval batch.
+    A change that fuses or adds nodes on purpose re-pins these counts."""
+    cfg = benchmark_config(512, 3)
+    graph = Graph(seed=3)
+    model = build_model(graph, cfg, kind=kind)
+    batch = make_batch(_benchmark_block()[:batch_size], model.vocab, model.schema, model.trigger_mode)
+    mark = graph.mark()
+    if flow == "train":
+        bce_loss(model.forward(batch, mode="train").score, batch.labels)
+    else:
+        model.forward(batch, mode="eval")
+    assert len(graph.nodes) - mark == nodes, workload

@@ -163,7 +163,8 @@ def test_evaluate_is_side_effect_free_and_reports_scenarios():
     assert sum(e.count for e in report.per_scenario.values()) == 500
     for fname, hist in report.refiner_hist.items():
         assert hist.shape[0] == cfg.vocab.scenarios
-        assert hist.sum() == 500  # one pick per instance per field
+        # one pick per instance per field, in its scenario's row
+        assert hist.sum(axis=1).tolist() == [report.per_scenario[s].count for s in range(cfg.vocab.scenarios)]
     assert report.to_dict()["count"] == 500
 
 
@@ -199,19 +200,12 @@ def test_eval_makes_no_grad_buffers_and_leaves_training_unchanged():
         assert np.array_equal(v1.data, v2.data)
 
 
-def test_evaluate_workers_match_serial():
-    cfg = learnable_overrides(**{"train.epochs": "1", "gen.count": "300"})
-    dataset, graph, model = make_run(cfg)
-    train(graph, model, dataset.instances, cfg.train)
-    serial = evaluate(model, dataset.instances, batch_size=32, workers=1)
-    threaded = evaluate(model, dataset.instances, batch_size=32, workers=4)
-    assert serial.auc == threaded.auc
-    assert serial.loss == threaded.loss
-    assert serial.pcoc == threaded.pcoc
-    for fname in serial.refiner_hist:
-        assert np.array_equal(serial.refiner_hist[fname], threaded.refiner_hist[fname])
-    with pytest.raises(ValueError, match="workers"):
-        evaluate(model, dataset.instances, batch_size=32, workers=0)
+def test_evaluate_refuses_workers_other_than_one():
+    cfg = learnable_overrides(**{"gen.count": "40"})
+    dataset, _, model = make_run(cfg)
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match=f"workers must be 1, got {workers}"):
+            evaluate(model, dataset.instances, batch_size=32, workers=workers)
 
 
 def test_single_class_eval_warns():
