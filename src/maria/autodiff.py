@@ -1,9 +1,11 @@
-"""Reverse-mode automatic differentiation over dense float64 tensors.
+"""Reverse-mode automatic differentiation over dense float tensors.
 
 A :class:`Graph` owns an append-only arena of :class:`Value` nodes. Nodes are
 appended in creation order, so the arena index is a valid topological order
-and :func:`backward` is a single reverse sweep over it. All buffers are numpy
-float64. A grad buffer is made on first use: the first contribution backward
+and :func:`backward` is a single reverse sweep over it. The graph's ``dtype``
+(float64 unless changed) is the dtype of every buffer: constants and
+parameters are cast to it, and each primitive allocates in its operands'
+dtype. A grad buffer is made on first use: the first contribution backward
 adds to a node becomes its buffer, and a read of a node that has none makes
 a zero one. A forward pass alone, as in eval, allocates no grad bytes. The
 graph also owns the random source used for Gumbel noise, so runs are
@@ -30,7 +32,7 @@ def _shape_error(op: str, *shapes: tuple) -> ShapeError:
 
 
 class Value:
-    """One node of the computation: a float64 buffer plus its backward recipe.
+    """One node of the computation: a buffer plus its backward recipe.
 
     ``grad`` has no buffer behind it until backward contributes to the node
     or something reads it (see :attr:`grad`).
@@ -58,10 +60,10 @@ class Value:
 
     @property
     def grad(self) -> Array:
-        """d loss / d node, full-shape float64; an all-zero buffer is made on
-        the first read of a node that has none."""
+        """d loss / d node, full-shape and of the node's dtype; an all-zero
+        buffer is made on the first read of a node that has none."""
         if self._grad is None:
-            self._grad = np.zeros(self.data.shape)
+            self._grad = np.zeros(self.data.shape, dtype=self.data.dtype)
         return self._grad
 
     @property
@@ -77,10 +79,15 @@ class Value:
 
 
 class Graph:
-    """Arena of Values plus the seeded noise source for one model build."""
+    """Arena of Values plus the seeded noise source for one model build.
+
+    ``dtype`` is the float type of the nodes :meth:`constant` and
+    :meth:`parameter` make. Changing it casts nothing already built.
+    """
 
     def __init__(self, seed: int | Sequence[int] = 0):
         self.nodes: list[Value] = []
+        self.dtype = np.dtype(np.float64)
         self.rng = np.random.default_rng(seed)
         self.clamp_events = 0
         # Nodes at or past this index hold no grad that a backward wrote
@@ -185,11 +192,11 @@ class Graph:
 
     # -- node constructors --------------------------------------------------
     def constant(self, data) -> Value:
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=self.dtype)
         return Value(self, arr, op="constant")
 
     def parameter(self, data) -> Value:
-        arr = np.array(data, dtype=np.float64)
+        arr = np.array(data, dtype=self.dtype)
         return Value(self, arr, op="parameter", requires_grad=True)
 
 
@@ -209,7 +216,8 @@ def _accumulate(node: Value, contribution: Array, g: Array) -> None:
 
     A first contribution that the recipe has just computed becomes the
     buffer itself. One that is ``g`` (the consumer's own grad), a view, a
-    numpy scalar, a broadcast or not C-ordered is copied into a new buffer.
+    numpy scalar, a broadcast, not C-ordered or of another dtype than the
+    node's is copied into a new buffer of the node's dtype.
     Either way the values pass through ``+ 0.0``, which turns -0.0 into
     +0.0: the buffer holds the same bits as a zero-filled one that took the
     contribution.
@@ -220,8 +228,9 @@ def _accumulate(node: Value, contribution: Array, g: Array) -> None:
     elif (
         contribution is g or type(contribution) is not np.ndarray or contribution.base is not None
         or contribution.shape != node.data.shape or not contribution.flags.c_contiguous
+        or contribution.dtype != node.data.dtype
     ):
-        node._grad = np.add(contribution, 0.0, out=np.empty(node.data.shape))
+        node._grad = np.add(contribution, 0.0, out=np.empty(node.data.shape, dtype=node.data.dtype))
     else:
         node._grad = np.add(contribution, 0.0, out=contribution)
 
@@ -295,8 +304,9 @@ def _rows(x: Array) -> Array:
 
 def _row_gemm(x: Array, w: Array) -> Array:
     """``x @ w`` for a 2-d ``w`` as one GEMM over the rows of ``x``, into a
-    fresh C-ordered buffer of shape ``x.shape[:-1] + (w.shape[1],)``."""
-    out = np.empty(x.shape[:-1] + (w.shape[1],))
+    fresh C-ordered buffer of shape ``x.shape[:-1] + (w.shape[1],)`` and of
+    ``x``'s dtype."""
+    out = np.empty(x.shape[:-1] + (w.shape[1],), dtype=x.dtype)
     np.matmul(_rows(x), w, out=_rows(out))
     return out
 
@@ -470,7 +480,8 @@ def take_rows(x: Value, indices) -> Value:
     the output grad back into the source rows, so repeated indices
     accumulate: one ``np.bincount`` over the flat ``row * width + col``
     positions, which adds in lookup order, as ``np.add.at`` does into a
-    zero buffer.
+    zero buffer. ``bincount`` sums in float64; the sums take ``x``'s dtype
+    before they reach its grad, so a float32 grad adds float32 values.
     """
     if x.data.ndim != 2:
         raise _shape_error("take_rows", x.shape, ())
@@ -486,7 +497,7 @@ def take_rows(x: Value, indices) -> Value:
             rows, width = x.shape
             flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
             summed = np.bincount(flat, weights=g.reshape(-1), minlength=rows * width)
-            _accumulate(x, summed.reshape(x.shape), g)
+            _accumulate(x, summed.reshape(x.shape).astype(x.data.dtype, copy=False), g)
 
     out = x.data[idx.reshape(-1)].reshape(idx.shape + (x.shape[1],))
     return _node(x.graph, out, (x,), "take_rows", backward)
@@ -659,7 +670,7 @@ def argmax_one_hot(logits: Value) -> Value:
     """Deterministic one-hot over the last axis; a constant (no gradient)."""
     k = logits.shape[-1]
     idx = logits.data.argmax(axis=-1)
-    out = np.zeros(logits.shape, dtype=np.float64)
+    out = np.zeros(logits.shape, dtype=logits.data.dtype)
     np.put_along_axis(out.reshape(-1, k), idx.reshape(-1, 1), 1.0, axis=-1)
     return logits.graph.constant(out)
 
@@ -681,7 +692,7 @@ def backward(loss: Value) -> None:
             for p in nodes[i].parents:
                 needed[p.index] = True
     loss.graph._grads_written = max(loss.graph._grads_written, loss.index + 1)
-    loss._grad = np.ones(loss.data.shape)
+    loss._grad = np.ones(loss.data.shape, dtype=loss.data.dtype)
     for i in range(loss.index, -1, -1):
         node = nodes[i]
         if needed[i] and node.requires_grad and node._backward is not None:

@@ -497,9 +497,13 @@ def model_from_spec(graph: Graph, spec: dict, seed: int = 0) -> MariaModel:
 
 def bce_loss(score: Value, labels: np.ndarray) -> Value:
     """Summed binary cross-entropy; predictions are clipped away from 0 and 1
-    and every clipped entry bumps ``graph.clamp_events``."""
+    and every clipped entry bumps ``graph.clamp_events``. The upper bound is
+    1 - 1e-12 in float64; in float32, where that rounds to 1.0 and log(1 - p)
+    would be log 0, it is the largest float32 below 1."""
     graph = score.graph
-    lo, hi = 1e-12, 1.0 - 1e-12
+    dtype = score.data.dtype
+    lo = 1e-12
+    hi = 1.0 - 1e-12 if dtype == np.float64 else float(np.nextafter(dtype.type(1.0), dtype.type(0.0)))
     graph.clamp_events += int(np.sum((score.data < lo) | (score.data > hi)))
     p = ad.clamp(score, lo, hi)
     y = graph.constant(np.asarray(labels, dtype=np.float64))

@@ -24,9 +24,11 @@ class NonFiniteGradient(FloatingPointError):
 class Adam:
     """Holds first/second-moment buffers and a shared step counter.
 
-    On construction every parameter is copied into one contiguous float64
-    arena and its ``data`` is rebound to its view of that arena, so a step is
-    one run of elementwise ops over all parameters at once. Each op rounds
+    On construction every parameter is copied into one contiguous arena of
+    the parameters' dtype (float64 when there are none; parameters of mixed
+    dtypes are refused) and its ``data`` is rebound to its view of that
+    arena, so a step is one run of elementwise ops over all parameters at
+    once. The moments and scratch buffers share that dtype. Each op rounds
     every element as it would on the parameter's own array, so the result is
     bit for bit that of a loop over the tensors. Write into a parameter with
     ``p.data[...] = x``; rebinding ``p.data`` detaches it, and the next step
@@ -59,12 +61,16 @@ class Adam:
         self.epsilon = epsilon
         self.weight_decay = weight_decay
         self.t = 0
+        dtypes = {p.data.dtype for p in self.params} or {np.dtype(np.float64)}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters mix dtypes {sorted(str(d) for d in dtypes)}")
+        (dtype,) = dtypes
         sizes = [p.data.size for p in self.params]
         # Element k of the arena belongs to the first parameter whose end
         # exceeds k.
         self._ends = np.cumsum(sizes, dtype=np.int64)
         total = int(self._ends[-1]) if sizes else 0
-        self.theta = np.empty(total)
+        self.theta = np.empty(total, dtype=dtype)
         self._views = []
         start = 0
         for p, n in zip(self.params, sizes):
@@ -73,14 +79,14 @@ class Adam:
             p.data = view
             self._views.append(view)
             start += n
-        self.m = np.zeros(total)
-        self.v = np.zeros(total)
+        self.m = np.zeros(total, dtype=dtype)
+        self.v = np.zeros(total, dtype=dtype)
         # The two arena-sized scratch buffers. The first takes the gathered
         # grads and, once the moments have them, the denominator.
-        self._grad = np.empty(total)
-        self._scratch = np.empty(total)
+        self._grad = np.empty(total, dtype=dtype)
+        self._scratch = np.empty(total, dtype=dtype)
         # Stand-ins for grads never written, which read as zeros.
-        zeros = np.zeros(max(sizes, default=0))
+        zeros = np.zeros(max(sizes, default=0), dtype=dtype)
         self._absent = [zeros[:n] for n in sizes]
 
     def step(self) -> None:

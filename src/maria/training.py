@@ -40,15 +40,39 @@ def train(
     eval_instances: InstanceTable | None = None,
     log_fn=None,
 ) -> TrainReport:
-    """Optimize the model in place; deterministic given settings.seed."""
+    """Optimize the model in place; deterministic given settings.seed.
+
+    The steps run in float32: while ``train`` runs, the graph's dtype and
+    every parameter are float32, and so are mid-training evals. On every
+    exit, by return or by exception, the graph's dtype is put back and each
+    parameter holds a float64 array again: its trained values, or its
+    original array when no optimizer step completed.
+    """
     if len(instances) == 0:
         raise ValueError("train: no instances")
     named = model.named_parameters()
-    opt = Adam(
-        [value for _, value in named],
-        learning_rate=settings.learning_rate,
-        weight_decay=settings.weight_decay,
-    )
+    params = [value for _, value in named]
+    originals = [p.data for p in params]
+    dtype, start = graph.dtype, graph.mark()
+    graph.dtype = np.dtype(np.float32)
+    opt = None
+    try:
+        for p in params:
+            p.data = p.data.astype(np.float32)
+        opt = Adam(params, learning_rate=settings.learning_rate, weight_decay=settings.weight_decay)
+        return _train_steps(graph, model, named, opt, instances, settings, eval_instances, log_fn)
+    finally:
+        if len(graph) > start:  # a step that raised left its float32 nodes behind
+            graph.truncate(start)
+        graph.dtype = dtype
+        stepped = opt is not None and opt.t > 0
+        for p, original in zip(params, originals):
+            p.data = np.array(p.data, dtype=np.float64) if stepped else original
+            if p._grad is not None:
+                p._grad = p._grad.astype(np.float64)
+
+
+def _train_steps(graph, model, named, opt, instances, settings, eval_instances, log_fn) -> TrainReport:
     step = 0
     step_losses: list[float] = []
     epoch_losses: list[float] = []
@@ -192,7 +216,8 @@ def evaluate(model, instances: InstanceTable, batch_size: int = 512, workers: in
 
     labels = instances.label.astype(np.float64)
     scenario = instances.scenario
-    scores = np.concatenate(scores_parts) if scores_parts else np.zeros(0)
+    # float64 even on a float32 graph, where 1 - 1e-12 below would round to 1.0
+    scores = np.concatenate(scores_parts, dtype=np.float64) if scores_parts else np.zeros(0)
 
     clipped = np.clip(scores, 1e-12, 1.0 - 1e-12)
     loss = float(np.mean(-(labels * np.log(clipped) + (1.0 - labels) * np.log(1.0 - clipped)))) if len(instances) else float("nan")
@@ -368,8 +393,11 @@ def gradient_check(
     views; both are recorded on the analytic pass and replayed bit for bit
     during every probe, so the probes measure exactly the partial derivative
     the backward pass computed. ``corrupt_group`` deliberately skews that
-    group's analytic gradients, proving the harness can fail.
+    group's analytic gradients, proving the harness can fail. The graph must
+    be float64: central differences at ``eps`` 1e-5 mean nothing in float32.
     """
+    if graph.dtype != np.float64:
+        raise ValueError(f"gradient_check: needs a float64 graph, got {graph.dtype}")
     started = time.perf_counter()
     batch = make_batch(instances, model.vocab, model.schema, model.trigger_mode)
     named = model.named_parameters()

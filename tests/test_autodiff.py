@@ -397,6 +397,33 @@ def test_take_rows_empty_and_bounds():
     np.testing.assert_array_equal(table.grad[:, 0], [1.0, 2.0, 0.0, 1.0])
 
 
+def test_a_float32_graph_casts_its_leaves_and_keeps_grads_in_float32():
+    g = ad.Graph(seed=0)
+    assert g.dtype == np.float64
+    g.dtype = np.dtype(np.float32)
+    rng = np.random.default_rng(0)
+    table = g.parameter(rng.normal(size=(4, 3)))
+    weights = g.constant(rng.normal(size=(5, 3)))
+    idx = np.array([1, 3, 1, 1, 0])
+    loss = ad.sum_all(ad.mul(ad.take_rows(table, idx), weights))
+    ad.backward(loss)
+    assert {table.data.dtype, weights.data.dtype, loss.data.dtype, table.grad.dtype} == {np.dtype(np.float32)}
+    # take_rows' bincount sums in float64; the grad holds those sums rounded once
+    expected = np.zeros((4, 3))
+    np.add.at(expected, idx, weights.data.astype(np.float64))
+    assert np.array_equal(table.grad, expected.astype(np.float32))
+
+    # a fresh float64 first contribution, from a constant made while the
+    # graph was float64, is copied into a float32 buffer, not adopted
+    g.dtype = np.dtype(np.float64)
+    wide = g.constant(rng.normal(size=3))
+    g.dtype = np.dtype(np.float32)
+    x = g.parameter(rng.normal(size=3))
+    ad.backward(ad.sum_all(ad.mul(x, wide)))
+    assert x.grad.dtype == np.float32
+    assert np.array_equal(x.grad, wide.data.astype(np.float32))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     widths=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),

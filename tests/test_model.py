@@ -614,6 +614,17 @@ def test_bce_loss_reference_values():
     assert np.isfinite(val)
 
 
+def test_bce_loss_of_float32_scores_at_zero_and_one_is_finite():
+    graph = Graph(seed=0)
+    graph.dtype = np.dtype(np.float32)
+    score = graph.parameter(np.array([1.0, 1.0, 0.0, 0.5]))
+    loss = bce_loss(score, np.array([0.0, 1.0, 1.0, 0.0]))
+    ad.backward(loss)
+    assert graph.clamp_events == 3
+    assert loss.data.dtype == np.float32 and np.isfinite(loss.data)
+    assert score.grad.dtype == np.float32 and np.all(np.isfinite(score.grad))
+
+
 def test_bce_gradient_matches_analytic_formula():
     graph = Graph(seed=0)
     p_ref = np.array([0.2, 0.7, 0.9])

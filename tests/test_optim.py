@@ -242,3 +242,19 @@ def test_a_non_finite_grad_moves_nothing_and_names_its_parameter(bad):
     assert caught.value.index == 2
     assert (_bytes(params), opt.m.tobytes(), opt.v.tobytes()) == before
     assert opt.t == 1
+
+
+def test_the_arena_takes_the_parameters_dtype_and_mixed_dtypes_are_refused():
+    g = ad.Graph(seed=0)
+    g.dtype = np.dtype(np.float32)
+    a, b = g.parameter(np.ones((2, 3))), g.parameter(np.ones(4))
+    opt = Adam([a, b], learning_rate=0.1)
+    assert {opt.theta.dtype, opt.m.dtype, opt.v.dtype, a.data.dtype, b.data.dtype} == {np.dtype(np.float32)}
+    a.grad[...] = 1.0
+    opt.step()
+    assert a.data.dtype == np.float32
+    np.testing.assert_allclose(a.data, 0.9, rtol=1e-6)
+    assert np.array_equal(b.data, np.ones(4))
+    g.dtype = np.dtype(np.float64)
+    with pytest.raises(ValueError, match=r"mix dtypes \['float32', 'float64'\]"):
+        Adam([g.parameter([1.0]), b])

@@ -7,7 +7,7 @@ import pytest
 
 from maria import datagen, training
 from maria.autodiff import Graph
-from maria.benchmark import run_benchmark
+from maria.benchmark import benchmark_config, run_benchmark
 from maria.config import build_run_config
 from maria.datagen import InstanceTable
 from maria.model import build_model, make_batch
@@ -125,6 +125,117 @@ def test_non_finite_gradient_guard_names_parameter_group_and_step_and_moves_noth
         train(graph, model, dataset.instances, cfg.train)
     for (name, value), was in zip(named, before):
         assert value.data.tobytes() == was.tobytes(), name
+
+
+def _not_float32(graph) -> list:
+    """The (op, data dtype, grad dtype) of every node not wholly float32."""
+    return [
+        (node.op, str(node.data.dtype), None if node._grad is None else str(node._grad.dtype))
+        for node in graph.nodes
+        if node.data.dtype != np.float32 or (node._grad is not None and node._grad.dtype != np.float32)
+    ]
+
+
+def test_a_training_step_builds_only_float32_node_data_and_grads(monkeypatch):
+    """One step on the benchmark recipe at batch 64: no float64 constant,
+    default-dtype buffer or bincount sum promotes a node or a grad, or
+    reaches a grad as a float64 contribution."""
+    cfg = benchmark_config(64, 3)
+    cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, batch_size=64, epochs=1))
+    dataset, graph, model = make_run(cfg)
+    contributions = set()
+    accumulate = training.ad._accumulate
+
+    def recording_accumulate(node, contribution, g):
+        contributions.add(np.asarray(contribution).dtype)
+        accumulate(node, contribution, g)
+
+    monkeypatch.setattr(training.ad, "_accumulate", recording_accumulate)
+    seen = []
+    truncate = graph.truncate
+
+    def checked_truncate(m):
+        grads = sum(node._grad is not None for node in graph.nodes)
+        seen.append((len(graph) - m, grads, _not_float32(graph)))
+        truncate(m)
+
+    graph.truncate = checked_truncate
+    train(graph, model, dataset.instances, cfg.train)
+    del graph.truncate
+    assert len(seen) == 1
+    built, grads, promoted = seen[0]
+    assert built > 200 and grads > len(model.parameter_values())
+    assert promoted == []
+    assert contributions == {np.dtype(np.float32)}
+
+
+def _assert_float64_again(graph, model):
+    assert graph.dtype == np.float64
+    for name, value in model.named_parameters():
+        assert value.data.dtype == np.float64 and value.data.flags.c_contiguous, name
+        assert value._grad is None or value._grad.dtype == np.float64, name
+
+
+def test_parameters_and_graph_are_float64_after_train_returns_or_raises(monkeypatch):
+    cfg = learnable_overrides(**{"train.epochs": "1", "gen.count": "200"})
+    dataset, graph, model = make_run(cfg)
+    start = len(graph)
+    initial = [v.data.copy() for v in model.parameter_values()]
+    train(graph, model, dataset.instances, cfg.train)
+    _assert_float64_again(graph, model)
+    assert not all(np.array_equal(a, v.data) for a, v in zip(initial, model.parameter_values()))
+
+    # raised after two completed steps: the trained values, cast back
+    first = model.parameter_values()[0]
+    backward, calls = training.ad.backward, []
+
+    def poisoned_backward(loss):
+        backward(loss)
+        calls.append(None)
+        if len(calls) == 3:
+            first.grad.flat[0] = np.nan
+
+    monkeypatch.setattr(training.ad, "backward", poisoned_backward)
+    trained = [v.data.copy() for v in model.parameter_values()]
+    with pytest.raises(TrainingDiverged, match="step 2$"):
+        train(graph, model, dataset.instances, cfg.train)
+    _assert_float64_again(graph, model)
+    assert len(graph) == start
+    assert not all(np.array_equal(a, v.data) for a, v in zip(trained, model.parameter_values()))
+
+    # raised before any step completed: the original arrays themselves
+    monkeypatch.setattr(training.ad, "backward", backward)
+    first.data[...] = np.inf
+    originals = [v.data for v in model.parameter_values()]
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged, match="step 0"):
+        train(graph, model, dataset.instances, cfg.train)
+    _assert_float64_again(graph, model)
+    assert len(graph) == start
+    assert all(v.data is a for a, v in zip(originals, model.parameter_values()))
+
+
+def _to_float32(graph, model):
+    graph.dtype = np.dtype(np.float32)
+    for value in model.parameter_values():
+        value.data = value.data.astype(np.float32)
+
+
+def test_evaluate_on_a_float32_graph_gives_a_finite_loss():
+    cfg = learnable_overrides(**{"gen.count": "100"})
+    dataset, graph, model = make_run(cfg)
+    model.head.biases[0].data[...] = 60.0  # every score rounds to 1.0 in float32
+    _to_float32(graph, model)
+    report = evaluate(model, dataset.instances, batch_size=64)
+    assert 0 < sum(dataset.instances.label) < len(dataset.instances)
+    assert np.isfinite(report.loss)
+
+
+def test_gradient_check_refuses_a_float32_graph():
+    cfg = learnable_overrides(**{"gen.count": "4"})
+    dataset, graph, model = make_run(cfg)
+    _to_float32(graph, model)
+    with pytest.raises(ValueError, match="needs a float64 graph, got float32"):
+        gradient_check(graph, model, dataset.instances)
 
 
 def test_early_stop_on_flat_eval():
