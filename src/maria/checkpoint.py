@@ -87,12 +87,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict, list[tuple[str, np.nd
             raise CheckpointError(f"{path}: header is not a spec and meta document ({type(exc).__name__}: {exc})") from exc
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
         params: list[tuple[str, np.ndarray]] = []
+        names: set[str] = set()
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
             try:
                 name = _read_exact(fh, nlen, "name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"{path}: parameter name is not UTF-8 ({exc.reason})") from exc
+            if name in names:  # load_model compares name sets, so a second copy would overwrite the first
+                raise CheckpointError(f"{path}: parameter {name!r} is stored twice")
+            names.add(name)
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, f"{name} dim"))[0] for _ in range(ndim)

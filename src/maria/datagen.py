@@ -501,109 +501,80 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
         mfh.write(manifest)
 
 
-def _instance_parser(manifest: DatasetManifest):
-    """Per-file instance validator: resolves the manifest's vocab, schema and
-    trigger kinds once, and formats a message only for a check that fails.
-    ``parse(obj, lineno)`` returns the Instance or raises ``line N: ...``."""
-    vocab = manifest.vocab_sizes()
-    schema = manifest.feature_schema()
-    n_scenarios, n_users, n_items = vocab.scenarios, vocab.users, vocab.items
-    max_len, image_dim = schema.max_behavior_len, schema.image_dim
-    kind_by_scenario = {p.scenario_id: p.trigger_kind for p in manifest.profiles}
-    trigger_free = manifest.trigger_mode == "recommendation"
+def _id_error(name: str, value, bound: int, count: int | None = None) -> str | None:
+    """What is wrong with an id, or a list of ``count`` ids, in [0, bound), after ``name``; None if nothing is."""
+    if count is None:
+        return None if type(value) is int and 0 <= value < bound else f"{name} {value!r} outside [0, {bound})"
+    if not (isinstance(value, list) and len(value) == count):
+        return f"{name} expected {count} ids"
+    return next(filter(None, (_id_error(f"{name} id", v, bound) for v in value)), None)
 
-    def ids(raw, lineno, name, count, bound):
-        if not (isinstance(raw, list) and len(raw) == count):
-            raise DataError(f"line {lineno}: {name}: expected {count} ids")
-        for v in raw:
-            if not (type(v) is int and 0 <= v < bound):
-                raise DataError(f"line {lineno}: {name}: id {v!r} outside [0, {bound})")
-        return tuple(raw)
 
-    def parse(obj, lineno: int) -> Instance:
-        if not isinstance(obj, dict):
-            raise DataError(f"line {lineno}: instance is not a JSON object")
-        if obj.keys() != _INSTANCE_KEYS:
-            missing = _INSTANCE_KEYS - obj.keys()
-            if missing:
-                raise DataError(f"line {lineno}: missing keys {sorted(missing)}")
-            raise DataError(f"line {lineno}: unexpected keys {sorted(obj.keys() - _INSTANCE_KEYS)}")
+def _keys_error(obj) -> str:
+    """What is wrong with a decoded line that is not an object holding the instance keys."""
+    if not isinstance(obj, dict):
+        return "instance is not a JSON object"
+    missing = _INSTANCE_KEYS - obj.keys()
+    return f"missing keys {sorted(missing)}" if missing else f"unexpected keys {sorted(obj.keys() - _INSTANCE_KEYS)}"
 
-        sid = obj["scenario"]
-        if not (type(sid) is int and 0 <= sid < n_scenarios):
-            raise DataError(f"line {lineno}: scenario: {sid!r} outside [0, {n_scenarios})")
-        user = obj["user"]
-        if not (type(user) is int and 0 <= user < n_users):
-            raise DataError(f"line {lineno}: user: {user!r} outside [0, {n_users})")
-        user_attrs = ids(obj["user_attrs"], lineno, "user_attrs", schema.user_attr_count, vocab.user_attrs)
 
-        raw_beh = obj["behavior"]
-        if not (isinstance(raw_beh, list) and 1 <= len(raw_beh) <= max_len):
-            raise DataError(f"line {lineno}: behavior: expected 1..{max_len} entries")
-        behavior = []
-        for entry in raw_beh:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise DataError(f"line {lineno}: behavior: entries are [item, [attrs]] pairs")
-            item, attrs = entry
-            if not (type(item) is int and 0 <= item < n_items):
-                raise DataError(f"line {lineno}: behavior: item {item!r} outside [0, {n_items})")
-            behavior.append((item, ids(attrs, lineno, "behavior attrs", schema.item_attr_count, vocab.item_attrs)))
+def _behavior_error(raw, vocab: VocabSizes, schema: FeatureSchema) -> str | None:
+    """What is wrong with a behaviour sequence, entry by entry; None if nothing is."""
+    if not (isinstance(raw, list) and 1 <= len(raw) <= schema.max_behavior_len):
+        return f"behavior: expected 1..{schema.max_behavior_len} entries"
+    for entry in raw:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            return "behavior: entries are [item, [attrs]] pairs"
+        if message := _id_error("behavior: item", entry[0], vocab.items) or _id_error(
+            "behavior attrs:", entry[1], vocab.item_attrs, schema.item_attr_count
+        ):
+            return message
+    return None
 
-        target = obj["target_item"]
-        if not (type(target) is int and 0 <= target < n_items):
-            raise DataError(f"line {lineno}: target_item: {target!r} outside [0, {n_items})")
-        target_attrs = ids(obj["target_attrs"], lineno, "target_attrs", schema.item_attr_count, vocab.item_attrs)
 
-        raw_trig = obj["trigger"]
-        if trigger_free:
-            if raw_trig is not None:
-                raise DataError(f"line {lineno}: trigger: must be null in a trigger-free dataset")
-            trigger = None
-        else:
-            if not (isinstance(raw_trig, dict) and "kind" in raw_trig):
-                raise DataError(f"line {lineno}: trigger: expected an object with a kind")
-            kind = raw_trig["kind"]
-            expected_kind = kind_by_scenario.get(sid)
-            if kind != expected_kind:
-                raise DataError(f"line {lineno}: trigger: kind {kind!r} does not match scenario {sid} ({expected_kind})")
-            if kind == "image":
-                vec = raw_trig.get("vec")
-                if not (isinstance(vec, list) and len(vec) == image_dim):
-                    raise DataError(f"line {lineno}: trigger: vec needs {image_dim} floats")
-                if not all(type(v) is float or type(v) is int for v in vec):
-                    raise DataError(f"line {lineno}: trigger: vec entries must be numbers")
-                if not all(abs(v) <= _FLOAT_MAX for v in vec):  # false for NaN
-                    raise DataError(f"line {lineno}: trigger: vec entries must be finite numbers")
-                if raw_trig.keys() != {"kind", "vec"}:
-                    raise DataError(f"line {lineno}: trigger: image payload holds kind and vec only")
-                trigger = TriggerImage(vec=tuple(map(float, vec)))
-            else:
-                item = raw_trig.get("item")
-                if not (type(item) is int and 0 <= item < n_items):
-                    raise DataError(f"line {lineno}: trigger: item {item!r} outside [0, {n_items})")
-                attrs = ids(raw_trig.get("attrs"), lineno, "trigger attrs", schema.trigger_attr_count, vocab.trigger_attrs)
-                if raw_trig.keys() != {"kind", "item", "attrs"}:
-                    raise DataError(f"line {lineno}: trigger: product payload holds kind, item, attrs only")
-                trigger = TriggerProduct(item=item, attrs=attrs)
+def _trigger_error(raw, sid: int, manifest: DatasetManifest) -> str | None:
+    """What is wrong with the trigger of a row of scenario ``sid``; None if nothing is."""
+    vocab, schema = manifest.vocab_sizes(), manifest.feature_schema()
+    if manifest.trigger_mode == "recommendation":
+        return None if raw is None else "trigger: must be null in a trigger-free dataset"
+    if not (isinstance(raw, dict) and "kind" in raw):
+        return "trigger: expected an object with a kind"
+    kind, expected = raw["kind"], {p.scenario_id: p.trigger_kind for p in manifest.profiles}.get(sid)
+    if kind != expected:
+        return f"trigger: kind {kind!r} does not match scenario {sid} ({expected})"
+    if kind == "image":
+        vec = raw.get("vec")
+        if not (isinstance(vec, list) and len(vec) == schema.image_dim):
+            return f"trigger: vec needs {schema.image_dim} floats"
+        if not all(type(v) is float or type(v) is int for v in vec):
+            return "trigger: vec entries must be numbers"
+        if not all(abs(v) <= _FLOAT_MAX for v in vec):  # false for NaN
+            return "trigger: vec entries must be finite numbers"
+        return None if raw.keys() == {"kind", "vec"} else "trigger: image payload holds kind and vec only"
+    return (
+        _id_error("trigger: item", raw.get("item"), vocab.items)
+        or _id_error("trigger attrs:", raw.get("attrs"), vocab.trigger_attrs, schema.trigger_attr_count)
+        or (None if raw.keys() == {"kind", "item", "attrs"} else "trigger: product payload holds kind, item, attrs only")
+    )
 
-        context = ids(obj["context"], lineno, "context", schema.context_attr_count, vocab.context_attrs)
-        label = obj["label"]
-        if type(label) is bool or label not in (0, 1):
-            raise DataError(f"line {lineno}: label: {label!r} is not 0 or 1")
 
-        return Instance(
-            scenario=sid,
-            user=user,
-            user_attrs=user_attrs,
-            behavior=tuple(behavior),
-            target_item=target,
-            target_attrs=target_attrs,
-            trigger=trigger,
-            context=context,
-            label=label,
-        )
+def _row_error(obj: dict, names: list[str], manifest: DatasetManifest) -> str | None:
+    """The message of the first read rule that ``obj`` breaks in the fields ``names``, taken in order;
+    None if it breaks none, as in a field marked on every row because its column did not convert."""
+    vocab, schema = manifest.vocab_sizes(), manifest.feature_schema()
+    ids = _id_fields(vocab, schema)
 
-    return parse
+    def error(name: str) -> str | None:
+        value = obj[name]
+        if name in ids:
+            return _id_error(f"{name}:", value, *ids[name])
+        if name == "behavior":
+            return _behavior_error(value, vocab, schema)
+        if name == "trigger":
+            return _trigger_error(value, obj["scenario"], manifest)
+        return f"label: {value!r} is not 0 or 1" if type(value) is bool or value not in (0, 1) else None
+
+    return next(filter(None, map(error, names)), None)
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
@@ -651,6 +622,8 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         sizes = vars(manifest.vocab_sizes()) | vars(manifest.feature_schema())
         if not all(type(v) is int for v in sizes.values()):
             raise TypeError("vocab and schema sizes must be integers")
+        if type(manifest.count) is not int:
+            raise TypeError(f"count must be an integer, not {manifest.count!r}")
         if not all(type(p.scenario_id) is int and type(p.trigger_kind) is str for p in profiles):
             raise TypeError("profile scenario ids must be integers and trigger kinds strings")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -677,6 +650,16 @@ def _numbers(values: list, width: int | None, types: set, dtype) -> np.ndarray |
     return None
 
 
+def _id_fields(vocab: VocabSizes, schema: FeatureSchema) -> dict[str, tuple[int, int | None]]:
+    """Field -> (bound, count) of the fields that hold an id (count None) or a list of ids."""
+    return {
+        "scenario": (vocab.scenarios, None), "user": (vocab.users, None), "target_item": (vocab.items, None),
+        "user_attrs": (vocab.user_attrs, schema.user_attr_count),
+        "target_attrs": (vocab.item_attrs, schema.item_attr_count),
+        "context": (vocab.context_attrs, schema.context_attr_count),
+    }
+
+
 def _ids(values: list, bound: int, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``values`` as int64 ids of shape (n,), or (n, width) for lists of
     ``width`` ids, and the rows holding an id outside [0, bound). Unless every
@@ -691,7 +674,7 @@ def _ids(values: list, bound: int, width: int | None = None) -> tuple[np.ndarray
 
 def _behavior_columns(values: list, vocab: VocabSizes, schema: FeatureSchema):
     """``beh_len``, ``beh_items`` and ``beh_attrs`` of the rows'
-    ``[[item, [attrs]], ...]`` lists, and the rows to re-check."""
+    ``[[item, [attrs]], ...]`` lists, and the rows that may break a rule."""
     n, m = len(values), schema.max_behavior_len
     pairs = list(chain.from_iterable(values)) if set(map(type, values)) <= {list} else None
     if pairs is None or not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
@@ -708,7 +691,7 @@ def _behavior_columns(values: list, vocab: VocabSizes, schema: FeatureSchema):
 
 def _trigger_columns(values: list, expected: np.ndarray, manifest: DatasetManifest):
     """``trigger_kind``, ``image_vec``, ``trig_item`` and ``trig_attrs`` of
-    the rows' trigger objects, and the rows to re-check. ``expected`` holds
+    the rows' trigger objects, and the rows that may break a rule. ``expected`` holds
     each row's kind code by its scenario, -1 where no kind can match."""
     vocab, schema = manifest.vocab_sizes(), manifest.feature_schema()
     n = len(values)
@@ -748,60 +731,52 @@ def _trigger_columns(values: list, expected: np.ndarray, manifest: DatasetManife
     return columns, bad
 
 
-def _table_of(objs: list[dict], manifest: DatasetManifest) -> tuple[InstanceTable, np.ndarray]:
+def _table_of(objs: list[dict], manifest: DatasetManifest) -> tuple[InstanceTable, dict[str, np.ndarray]]:
     """The table of decoded instance objects that hold the instance keys, and
-    the rows to hand to the line validator: every row it refuses, found column
-    by column. A column that does not convert in one call marks all rows."""
+    per field the rows whose value may break a rule: every row that does, found
+    column by column. A column that does not convert in one call marks all rows."""
     vocab, schema = manifest.vocab_sizes(), manifest.feature_schema()
-    scenario, user, user_attrs, behavior, target_item, target_attrs, trigger, context, label = (
-        list(map(itemgetter(name), objs)) for name in _FIELDS
-    )
+    values = {name: list(map(itemgetter(name), objs)) for name in _FIELDS}
     cols, flagged = {}, {}
-    for name, values, bound, width in (
-        ("scenario", scenario, vocab.scenarios, None),
-        ("user", user, vocab.users, None),
-        ("user_attrs", user_attrs, vocab.user_attrs, schema.user_attr_count),
-        ("target_item", target_item, vocab.items, None),
-        ("target_attrs", target_attrs, vocab.item_attrs, schema.item_attr_count),
-        ("context", context, vocab.context_attrs, schema.context_attr_count),
-    ):
-        cols[name], flagged[name] = _ids(values, bound, width)
+    for name, (bound, width) in _id_fields(vocab, schema).items():
+        cols[name], flagged[name] = _ids(values[name], bound, width)
 
-    if set(map(type, label)) <= {int, float}:  # 0.0 and 1.0 pass, as in the line validator
-        labels = np.array(label)
+    if set(map(type, values["label"])) <= {int, float}:  # 0.0 and 1.0 pass, as they do in _row_error
+        labels = np.array(values["label"])
         flagged["label"] = (labels != 0) & (labels != 1)
     else:
         labels = np.zeros(len(objs))
         flagged["label"] = np.ones(len(objs), dtype=bool)
     cols["label"] = (labels == 1).astype(np.int64)
 
-    (lengths, items, attrs), flagged["behavior"] = _behavior_columns(behavior, vocab, schema)
+    (lengths, items, attrs), flagged["behavior"] = _behavior_columns(values["behavior"], vocab, schema)
     cols.update(beh_start=np.cumsum(lengths) - lengths, beh_len=lengths, beh_items=items, beh_attrs=attrs)
 
     by_scenario = {p.scenario_id: _KIND_CODES.get(p.trigger_kind, -1) for p in manifest.profiles}
     codes = np.array([by_scenario.get(s, -1) for s in range(vocab.scenarios)] + [-1], dtype=np.int8)
     expected = codes[np.where(flagged["scenario"], vocab.scenarios, cols["scenario"])]  # -1 on a bad scenario
-    (kind, image_vec, trig_item, trig_attrs), flagged["trigger"] = _trigger_columns(trigger, expected, manifest)
+    (kind, image_vec, trig_item, trig_attrs), flagged["trigger"] = _trigger_columns(values["trigger"], expected, manifest)
     table = InstanceTable(trigger_kind=kind, image_vec=image_vec, trig_item=trig_item, trig_attrs=trig_attrs, **cols)
-    return table, np.logical_or.reduce(list(flagged.values()))
+    return table, flagged
 
 
 def read_jsonl(path: str | Path) -> Dataset:
     """Load and validate a dataset; errors carry the 1-based line number.
 
     Each line is decoded and its key set checked; the values are then checked
-    column by column with numpy. The first line that breaks a rule goes to the
-    line validator of ``_instance_parser``, which words every error."""
+    column by column with numpy. The first line that breaks a rule is named,
+    and within it the first field, in the order the fields are written."""
     path = Path(path)
     manifest = read_manifest(path)
-    parse = _instance_parser(manifest)
 
     def checked(objs: list[dict]) -> InstanceTable:
         table, flagged = _table_of(objs, manifest)
-        for r in np.flatnonzero(flagged).tolist():
-            parse(objs[r], r + 1)  # raises for the first row that breaks a rule
-        if flagged.any():
-            raise RuntimeError("read_jsonl: the column checks flagged rows that the line validator passes")
+        rows = np.logical_or.reduce(list(flagged.values()))
+        for r in np.flatnonzero(rows).tolist():
+            if message := _row_error(objs[r], [name for name in _FIELDS if flagged[name][r]], manifest):
+                raise DataError(f"line {r + 1}: {message}")
+        if rows.any():
+            raise RuntimeError("read_jsonl: the column checks flagged rows that no read rule refuses")
         return table
 
     def decoded(lines) -> list[dict]:
@@ -815,8 +790,8 @@ def read_jsonl(path: str | Path) -> Dataset:
                     raise DataError(f"line {lineno}: blank line inside dataset") from None
                 raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             if type(obj) is not dict or obj.keys() != _INSTANCE_KEYS:
-                checked(objs)
-                parse(obj, lineno)  # raises: not an object, or the wrong keys
+                checked(objs)  # an earlier bad value is reported first
+                raise DataError(f"line {lineno}: {_keys_error(obj)}")
             objs.append(obj)
         return objs
 

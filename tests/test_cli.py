@@ -159,6 +159,14 @@ def _string_vocab_size(raw: bytes) -> bytes:
     return json.dumps(doc).encode("utf-8")
 
 
+def _count_as(value):
+    def corrupt(raw: bytes) -> bytes:
+        doc = json.loads(raw)
+        doc["count"] = value
+        return json.dumps(doc).encode("utf-8")
+    return corrupt
+
+
 def _bad_byte_on_line_3(raw: bytes) -> bytes:
     lines = raw.split(b"\n")
     lines[2] = lines[2][:1] + b"\xff" + lines[2][2:]
@@ -173,11 +181,15 @@ def _bad_byte_on_line_3(raw: bytes) -> bytes:
         ("manifest", _without_profiles, "malformed manifest (KeyError: 'profiles')"),
         ("manifest", _string_vocab_size, "malformed manifest (TypeError: vocab and schema sizes must be integers)"),
         ("manifest", lambda raw: raw.replace(b'"vocab"', b'"voc\xffab"'), "unreadable manifest"),
+        # a count of "20" read as "holds 20 instances but the manifest says 20"; 20.0 loaded
+        ("manifest", _count_as("20"), "malformed manifest (TypeError: count must be an integer, not '20')"),
+        ("manifest", _count_as(20.0), "malformed manifest (TypeError: count must be an integer, not 20.0)"),
+        ("manifest", _count_as(True), "malformed manifest (TypeError: count must be an integer, not True)"),
         ("data", _bad_byte_on_line_3, "line 3: not UTF-8"),
     ],
     ids=[
         "truncated_manifest", "list_manifest", "manifest_without_profiles", "string_vocab_size",
-        "manifest_not_utf8", "data_not_utf8",
+        "manifest_not_utf8", "string_count", "float_count", "bool_count", "data_not_utf8",
     ],
 )
 def test_eval_of_a_corrupt_dataset_exits_3(tmp_path, capsys, target, corrupt, message):

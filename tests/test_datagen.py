@@ -580,10 +580,115 @@ def _fuzz_source(mode):
         return tuple(path.read_bytes().splitlines()), datagen.manifest_path(path).read_bytes()
 
 
+def _instance_parser(manifest: datagen.DatasetManifest):
+    """Per-file instance validator: resolves the manifest's vocab, schema and
+    trigger kinds once, and formats a message only for a check that fails.
+    ``parse(obj, lineno)`` returns the Instance or raises ``line N: ...``."""
+    vocab = manifest.vocab_sizes()
+    schema = manifest.feature_schema()
+    n_scenarios, n_users, n_items = vocab.scenarios, vocab.users, vocab.items
+    max_len, image_dim = schema.max_behavior_len, schema.image_dim
+    kind_by_scenario = {p.scenario_id: p.trigger_kind for p in manifest.profiles}
+    trigger_free = manifest.trigger_mode == "recommendation"
+
+    def ids(raw, lineno, name, count, bound):
+        if not (isinstance(raw, list) and len(raw) == count):
+            raise DataError(f"line {lineno}: {name}: expected {count} ids")
+        for v in raw:
+            if not (type(v) is int and 0 <= v < bound):
+                raise DataError(f"line {lineno}: {name}: id {v!r} outside [0, {bound})")
+        return tuple(raw)
+
+    def parse(obj, lineno: int) -> datagen.Instance:
+        if not isinstance(obj, dict):
+            raise DataError(f"line {lineno}: instance is not a JSON object")
+        if obj.keys() != datagen._INSTANCE_KEYS:
+            missing = datagen._INSTANCE_KEYS - obj.keys()
+            if missing:
+                raise DataError(f"line {lineno}: missing keys {sorted(missing)}")
+            raise DataError(f"line {lineno}: unexpected keys {sorted(obj.keys() - datagen._INSTANCE_KEYS)}")
+
+        sid = obj["scenario"]
+        if not (type(sid) is int and 0 <= sid < n_scenarios):
+            raise DataError(f"line {lineno}: scenario: {sid!r} outside [0, {n_scenarios})")
+        user = obj["user"]
+        if not (type(user) is int and 0 <= user < n_users):
+            raise DataError(f"line {lineno}: user: {user!r} outside [0, {n_users})")
+        user_attrs = ids(obj["user_attrs"], lineno, "user_attrs", schema.user_attr_count, vocab.user_attrs)
+
+        raw_beh = obj["behavior"]
+        if not (isinstance(raw_beh, list) and 1 <= len(raw_beh) <= max_len):
+            raise DataError(f"line {lineno}: behavior: expected 1..{max_len} entries")
+        behavior = []
+        for entry in raw_beh:
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise DataError(f"line {lineno}: behavior: entries are [item, [attrs]] pairs")
+            item, attrs = entry
+            if not (type(item) is int and 0 <= item < n_items):
+                raise DataError(f"line {lineno}: behavior: item {item!r} outside [0, {n_items})")
+            behavior.append((item, ids(attrs, lineno, "behavior attrs", schema.item_attr_count, vocab.item_attrs)))
+
+        target = obj["target_item"]
+        if not (type(target) is int and 0 <= target < n_items):
+            raise DataError(f"line {lineno}: target_item: {target!r} outside [0, {n_items})")
+        target_attrs = ids(obj["target_attrs"], lineno, "target_attrs", schema.item_attr_count, vocab.item_attrs)
+
+        raw_trig = obj["trigger"]
+        if trigger_free:
+            if raw_trig is not None:
+                raise DataError(f"line {lineno}: trigger: must be null in a trigger-free dataset")
+            trigger = None
+        else:
+            if not (isinstance(raw_trig, dict) and "kind" in raw_trig):
+                raise DataError(f"line {lineno}: trigger: expected an object with a kind")
+            kind = raw_trig["kind"]
+            expected_kind = kind_by_scenario.get(sid)
+            if kind != expected_kind:
+                raise DataError(f"line {lineno}: trigger: kind {kind!r} does not match scenario {sid} ({expected_kind})")
+            if kind == "image":
+                vec = raw_trig.get("vec")
+                if not (isinstance(vec, list) and len(vec) == image_dim):
+                    raise DataError(f"line {lineno}: trigger: vec needs {image_dim} floats")
+                if not all(type(v) is float or type(v) is int for v in vec):
+                    raise DataError(f"line {lineno}: trigger: vec entries must be numbers")
+                if not all(abs(v) <= datagen._FLOAT_MAX for v in vec):  # false for NaN
+                    raise DataError(f"line {lineno}: trigger: vec entries must be finite numbers")
+                if raw_trig.keys() != {"kind", "vec"}:
+                    raise DataError(f"line {lineno}: trigger: image payload holds kind and vec only")
+                trigger = TriggerImage(vec=tuple(map(float, vec)))
+            else:
+                item = raw_trig.get("item")
+                if not (type(item) is int and 0 <= item < n_items):
+                    raise DataError(f"line {lineno}: trigger: item {item!r} outside [0, {n_items})")
+                attrs = ids(raw_trig.get("attrs"), lineno, "trigger attrs", schema.trigger_attr_count, vocab.trigger_attrs)
+                if raw_trig.keys() != {"kind", "item", "attrs"}:
+                    raise DataError(f"line {lineno}: trigger: product payload holds kind, item, attrs only")
+                trigger = TriggerProduct(item=item, attrs=attrs)
+
+        context = ids(obj["context"], lineno, "context", schema.context_attr_count, vocab.context_attrs)
+        label = obj["label"]
+        if type(label) is bool or label not in (0, 1):
+            raise DataError(f"line {lineno}: label: {label!r} is not 0 or 1")
+
+        return datagen.Instance(
+            scenario=sid,
+            user=user,
+            user_attrs=user_attrs,
+            behavior=tuple(behavior),
+            target_item=target,
+            target_attrs=target_attrs,
+            trigger=trigger,
+            context=context,
+            label=label,
+        )
+
+    return parse
+
+
 def _line_reader(path):
     """The reader the column checks replaced: the line validator on every line."""
     manifest = datagen.read_manifest(path)
-    parse = datagen._instance_parser(manifest)
+    parse = _instance_parser(manifest)
     rows = []
     for lineno, line in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
         try:
@@ -617,18 +722,18 @@ def _id_slots(obj, vocab):
 
 
 def _dicts(obj):
-    return [obj] + ([obj["trigger"]] if obj["trigger"] is not None else [])
+    return [d for d in (obj, obj.get("trigger")) if isinstance(d, dict) and d]
 
 
 _ODD_VALUES = [2**70, "x", 1.5, None, [], {}, True, False, [1], -1, 10**400, float("nan"), float("inf"), 1.0, 0]
 
 
 def _is_image(obj):
-    return isinstance(obj["trigger"], dict) and obj["trigger"].get("kind") == "image"
+    return _has_trigger(obj) and obj["trigger"].get("kind") == "image"
 
 
 def _has_trigger(obj):
-    return isinstance(obj["trigger"], dict)
+    return isinstance(obj.get("trigger"), dict)
 
 
 def _wrong_type(draw, obj, cfg):
@@ -694,6 +799,26 @@ _OBJECT_EDITS = [
 ]
 
 
+def _edit_objects(draw, lines, cfg, picks, same_line=False):
+    """Apply the object edits ``picks`` in turn, each to a line it applies to,
+    and with ``same_line`` to the line of the edit before while it applies.
+    An edit that does not find the shape it needs on an already edited line
+    leaves that line as it was."""
+    k = None
+    for pick in picks:
+        change, applies = _OBJECT_EDITS[pick]
+        fits = [i for i, raw in enumerate(lines) if applies is None or applies(json.loads(raw))]
+        if not (same_line and k in fits):
+            k = draw(st.sampled_from(fits or range(len(lines))))
+        obj = json.loads(lines[k])
+        if fits:
+            try:
+                change(draw, obj, cfg)
+            except (KeyError, TypeError, IndexError):
+                continue
+        lines[k] = json.dumps(obj).encode()
+
+
 def _edit_text(name):
     """Edits of the line's bytes: name -> edit(draw, raw) returning the lines that replace it."""
     def truncate(draw, raw):
@@ -725,25 +850,24 @@ def _edit_text(name):
 
 
 _NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
-_EDITS = ["clean"] + list(range(len(_OBJECT_EDITS))) + ["truncate", "blank", "utf-8", "number", "spaces", "tail", "lines"]
+_EDITS = ["clean", "objects"] + list(range(len(_OBJECT_EDITS))) + ["truncate", "blank", "utf-8", "number", "spaces", "tail", "lines"]
 
 
 @settings(max_examples=500, deadline=None)
 @given(mode=st.sampled_from(sorted(_FUZZ_CFGS)), edit=st.sampled_from(_EDITS), data=st.data())
 def test_read_jsonl_matches_the_line_validator(mode, edit, data):
-    """One edit to one line of a small file: read_jsonl must raise the line
-    validator's DataError text, or return the validator's rows."""
+    """One edit to one line of a small file, or 2-3 object edits on one line
+    or on several ("objects"), which sets rules of one row against each other:
+    read_jsonl must raise the line validator's DataError text, or return the
+    validator's rows."""
     cfg = _FUZZ_CFGS[mode]
     lines, manifest = _fuzz_source(mode)
     lines = list(lines)
     if isinstance(edit, int):
-        change, applies = _OBJECT_EDITS[edit]
-        fits = [i for i, raw in enumerate(lines) if applies is None or applies(json.loads(raw))]
-        k = data.draw(st.sampled_from(fits or range(len(lines))))
-        obj = json.loads(lines[k])
-        if fits:
-            change(data.draw, obj, cfg)
-        lines[k] = json.dumps(obj).encode()
+        _edit_objects(data.draw, lines, cfg, [edit])
+    elif edit == "objects":
+        picks = data.draw(st.lists(st.integers(0, len(_OBJECT_EDITS) - 1), min_size=2, max_size=3))
+        _edit_objects(data.draw, lines, cfg, picks, same_line=data.draw(st.booleans()))
     elif edit != "clean":
         k = data.draw(st.integers(0, len(lines) - 1))
         lines[k:k + 1] = _edit_text(edit)(data.draw, lines[k])

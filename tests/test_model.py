@@ -733,6 +733,18 @@ def test_checkpoint_shape_mismatch_detected(tmp_path):
         ckpt.load_model(path)
 
 
+def test_checkpoint_with_a_repeated_parameter_is_refused(tmp_path):
+    # load_model compares name sets, so a second record of a name was read
+    # over the first: the model loaded with the later copy's values.
+    cfg, graph, model, batch = build_tiny()
+    params = [(n, v.data) for n, v in model.named_parameters()]
+    name, arr = next((n, a) for n, a in params if n == "bottom.tables.user")
+    path = tmp_path / "repeated.ckpt"
+    ckpt.save_checkpoint(path, model.spec(), params + [(name, np.full_like(arr, 7.0))])
+    with pytest.raises(ckpt.CheckpointError, match=r"parameter 'bottom.tables.user' is stored twice"):
+        ckpt.load_model(path)
+
+
 # ---------------------------------------------------------------------------
 # the benchmark's traced run needs every op it lists
 # ---------------------------------------------------------------------------
