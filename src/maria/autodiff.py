@@ -83,10 +83,13 @@ class Graph:
 
     ``dtype`` is the float type of the nodes :meth:`constant` and
     :meth:`parameter` make. Changing it casts nothing already built.
+    ``params`` maps each named parameter's name to its node, in creation
+    order: the list that Adam trains and checkpoints save.
     """
 
     def __init__(self, seed: int | Sequence[int] = 0):
         self.nodes: list[Value] = []
+        self.params: dict[str, Value] = {}
         self.dtype = np.dtype(np.float64)
         self.rng = np.random.default_rng(seed)
         self.clamp_events = 0
@@ -195,9 +198,14 @@ class Graph:
         arr = np.asarray(data, dtype=self.dtype)
         return Value(self, arr, op="constant")
 
-    def parameter(self, data) -> Value:
-        arr = np.array(data, dtype=self.dtype)
-        return Value(self, arr, op="parameter", requires_grad=True)
+    def parameter(self, data, name: str | None = None) -> Value:
+        """Trainable leaf; a named one is listed in :attr:`params`."""
+        if name in self.params:
+            raise ValueError(f"parameter {name!r} is made twice on one graph")
+        value = Value(self, np.array(data, dtype=self.dtype), op="parameter", requires_grad=True)
+        if name is not None:
+            self.params[name] = value
+        return value
 
 
 def _node(

@@ -171,16 +171,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_config(args)
-    want = config.data_compat_digest(cfg)
-    train_ds = _read_dataset(args.data, want, "run configuration")
-    eval_ds = _read_dataset(args.eval_data, want, "run configuration")
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     for v in variants:
         if v not in training.ABLATION_VARIANTS:
             raise ConfigError(
                 f"--variants: unknown variant {v!r}; expected some of {','.join(training.ABLATION_VARIANTS)}"
             )
+    if "full" not in variants:
+        raise ConfigError("--variants: the list must include full, which every gain is measured against")
+    cfg = _load_config(args)
+    want = config.data_compat_digest(cfg)
+    train_ds = _read_dataset(args.data, want, "run configuration")
+    eval_ds = _read_dataset(args.eval_data, want, "run configuration")
     report = training.ablate(
         cfg,
         train_ds.instances,
@@ -196,6 +198,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--count", args.count), ("--coords", args.coords)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     extra = {"gen.count": str(args.count)}
     if args.seed is not None:
         extra["gen.seed"] = str(args.seed)
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variants",
         default=",".join(training.ABLATION_VARIANTS),
         metavar="LIST",
-        help="comma-separated subset of: " + ",".join(training.ABLATION_VARIANTS),
+        help="comma-separated subset, with full in it, of: " + ",".join(training.ABLATION_VARIANTS),
     )
     ab.add_argument("--json", action="store_true", help="print results and gains as JSON")
 

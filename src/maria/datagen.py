@@ -580,8 +580,9 @@ def _row_error(obj: dict, names: list[str], manifest: DatasetManifest) -> str | 
 def read_manifest(path: str | Path) -> DatasetManifest:
     """Load a dataset's manifest; any manifest that cannot be decoded, whose
     keys or types cannot build the vocabulary, schema and scenario profiles,
-    or whose stored compatibility digest is not the one its own vocabulary,
-    schema and trigger mode give, raises DataError naming the manifest path."""
+    whose stored compatibility digest is not the one its own vocabulary,
+    schema and trigger mode give, or whose profiles name a trigger kind that
+    the trigger mode does not allow, raises DataError naming the manifest path."""
     mpath = manifest_path(path)
     if not mpath.exists():
         raise DataError(f"missing manifest {mpath}")
@@ -630,6 +631,13 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         raise DataError(f"{mpath}: malformed manifest ({type(exc).__name__}: {exc})") from exc
     if compat_digest_parts(manifest.vocab, manifest.schema, manifest.trigger_mode) != manifest.compat_digest:
         raise DataError(f"{mpath}: compat_digest does not match the manifest's vocab, schema and trigger mode")
+    kinds = ("none",) if manifest.trigger_mode == "recommendation" else ("image", "product")
+    for p in profiles:
+        if p.trigger_kind not in kinds:
+            raise DataError(
+                f"{mpath}: scenario {p.scenario_id} has trigger kind {p.trigger_kind!r}, "
+                f"which {manifest.trigger_mode} mode does not allow"
+            )
     return manifest
 
 

@@ -133,9 +133,6 @@ class FeatureScaling:
             scaled.append(ad.mul(piece, ad.slice_last(alpha, j, j + 1)))
         return ad.concat(scaled, axis=-1), alpha
 
-    def parameters(self):
-        return self.net.parameters()
-
 
 def refiner_width(field_width: int, compression: float) -> int:
     return max(1, math.ceil(field_width * compression))
@@ -222,14 +219,6 @@ class FieldRefinement:
             refined.append(self.refine_field(f.name, piece, e_s, mode, trace))
         return ad.concat(refined, axis=-1)
 
-    def parameters(self):
-        out = []
-        for name in self.counts:
-            out.extend(self.selectors[name].parameters())
-            for refiner in self.refiners[name]:
-                out.extend(refiner.parameters())
-        return out
-
 
 class FieldCorrelation:
     """Pairwise dot products between fields projected to a common width."""
@@ -263,12 +252,6 @@ class FieldCorrelation:
             for j in range(i + 1, len(projected)):
                 pairs.append(ad.dot_last(projected[i], projected[j]))
         return ad.concat(pairs, axis=-1)
-
-    def parameters(self):
-        out = []
-        for name in self.projections:
-            out.extend(self.projections[name].parameters())
-        return out
 
 
 def adaptive_features(

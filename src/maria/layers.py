@@ -32,16 +32,13 @@ class EmbeddingTable:
         self.rows = rows
         self.dim = dim
         self.name = name
-        self.weights = graph.parameter(glorot_uniform(rng, (rows, dim), rows, dim))
+        self.weights = graph.parameter(glorot_uniform(rng, (rows, dim), rows, dim), name)
 
     def lookup(self, ids) -> Value:
         idx = np.asarray(ids, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.rows):
             raise IndexError(f"embedding table {self.name!r}: id out of range [0, {self.rows})")
         return ad.take_rows(self.weights, idx)
-
-    def parameters(self):
-        return [(self.name, self.weights)]
 
 
 _ACTIVATIONS = ("relu", "sigmoid", "linear")
@@ -71,9 +68,9 @@ class Fcn:
         self.weights: list[Value] = []
         self.biases: list[Value] = []
         prev = in_dim
-        for w in widths:
-            self.weights.append(graph.parameter(glorot_uniform(rng, (prev, w), prev, w)))
-            self.biases.append(graph.parameter(np.zeros(w)))
+        for i, w in enumerate(widths):
+            self.weights.append(graph.parameter(glorot_uniform(rng, (prev, w), prev, w), f"{name}.w{i}"))
+            self.biases.append(graph.parameter(np.zeros(w), f"{name}.b{i}"))
             prev = w
 
     @property
@@ -91,13 +88,6 @@ class Fcn:
             elif act == "sigmoid":
                 h = ad.sigmoid(h)
         return h
-
-    def parameters(self):
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"{self.name}.w{i}", w))
-            out.append((f"{self.name}.b{i}", b))
-        return out
 
 
 def _additive_mask(graph: Graph, valid: np.ndarray) -> Value:
@@ -120,19 +110,20 @@ class TransformerBlock:
         if model_dim % head_count != 0:
             raise ValueError(f"transformer {name!r}: model_dim {model_dim} not divisible by {head_count} heads")
         self.model_dim = model_dim
-        self.head_count = head_count
         self.head_dim = model_dim // head_count
-        self.name = name
         d, dh = model_dim, self.head_dim
-        self.wq = [graph.parameter(glorot_uniform(rng, (d, dh), d, dh)) for _ in range(head_count)]
-        self.wk = [graph.parameter(glorot_uniform(rng, (d, dh), d, dh)) for _ in range(head_count)]
-        self.wv = [graph.parameter(glorot_uniform(rng, (d, dh), d, dh)) for _ in range(head_count)]
-        self.wo = graph.parameter(glorot_uniform(rng, (d, d), d, d))
+        # Drawn as all queries, then all keys, then all values; listed head by head.
+        draws = [[glorot_uniform(rng, (d, dh), d, dh) for _ in range(head_count)] for _ in "qkv"]
+        self.wq, self.wk, self.wv = [], [], []
+        for i in range(head_count):
+            for kind, heads, draw in zip("qkv", (self.wq, self.wk, self.wv), draws):
+                heads.append(graph.parameter(draw[i], f"{name}.h{i}.w{kind}"))
+        self.wo = graph.parameter(glorot_uniform(rng, (d, d), d, d), f"{name}.wo")
         self.ffn = Fcn(graph, rng, d, [ffn_mult * d, d], ["relu", "linear"], f"{name}.ffn")
-        self.ln1_gain = graph.parameter(np.ones(d))
-        self.ln1_bias = graph.parameter(np.zeros(d))
-        self.ln2_gain = graph.parameter(np.ones(d))
-        self.ln2_bias = graph.parameter(np.zeros(d))
+        self.ln1_gain = graph.parameter(np.ones(d), f"{name}.ln1.gain")
+        self.ln1_bias = graph.parameter(np.zeros(d), f"{name}.ln1.bias")
+        self.ln2_gain = graph.parameter(np.ones(d), f"{name}.ln2.gain")
+        self.ln2_bias = graph.parameter(np.zeros(d), f"{name}.ln2.bias")
 
     def forward(self, seq: Value, mask: Value) -> Value:
         """Encode a (batch, length, dim) sequence; ``mask`` is the additive
@@ -149,20 +140,6 @@ class TransformerBlock:
         mixed = ad.matmul(ad.concat(heads, axis=-1), self.wo)
         h = ad.add(seq, mixed)
         return ad.add(h, self.ffn.forward(ad.layer_norm(h, self.ln2_gain, self.ln2_bias)))
-
-    def parameters(self):
-        out = []
-        for i in range(self.head_count):
-            out.append((f"{self.name}.h{i}.wq", self.wq[i]))
-            out.append((f"{self.name}.h{i}.wk", self.wk[i]))
-            out.append((f"{self.name}.h{i}.wv", self.wv[i]))
-        out.append((f"{self.name}.wo", self.wo))
-        out.extend(self.ffn.parameters())
-        out.append((f"{self.name}.ln1.gain", self.ln1_gain))
-        out.append((f"{self.name}.ln1.bias", self.ln1_bias))
-        out.append((f"{self.name}.ln2.gain", self.ln2_gain))
-        out.append((f"{self.name}.ln2.bias", self.ln2_bias))
-        return out
 
 
 class SequenceEncoder:
@@ -181,8 +158,9 @@ class SequenceEncoder:
     ):
         self.capacity = capacity
         self.model_dim = model_dim
-        self.name = name
-        self.positions = graph.parameter(glorot_uniform(rng, (capacity, model_dim), capacity, model_dim))
+        self.positions = graph.parameter(
+            glorot_uniform(rng, (capacity, model_dim), capacity, model_dim), f"{name}.positions"
+        )
         self.blocks = [
             TransformerBlock(graph, rng, model_dim, head_count, ffn_mult, f"{name}.block{i}")
             for i in range(layer_count)
@@ -198,12 +176,6 @@ class SequenceEncoder:
         for block in self.blocks:
             h = block.forward(h, mask)
         return h
-
-    def parameters(self):
-        out = [(f"{self.name}.positions", self.positions)]
-        for block in self.blocks:
-            out.extend(block.parameters())
-        return out
 
 
 def trigger_attention(trigger: Value, seq: Value, sim_net: Fcn, valid: np.ndarray) -> Value:

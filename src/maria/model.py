@@ -239,20 +239,6 @@ class EncoderBottom:
         q = ad.concat([values[f.name] for f in self.layout.fields], axis=-1)
         return BottomOutput(q=q, e_user=e_user, e_item=e_item, e_scenario=e_scenario)
 
-    def parameters(self):
-        out = []
-        for table in (
-            self.users, self.items, self.user_attr_tab, self.item_attr_tab,
-            self.trigger_attr_tab, self.context_tab, self.scenario_tab,
-        ):
-            if table is not None:
-                out.extend(table.parameters())
-        out.extend(self.encoder.parameters())
-        if self.trigger_proj is not None:
-            out.extend(self.trigger_proj.parameters())
-        out.extend(self.sim_net.parameters())
-        return out
-
 
 @dataclass
 class ForwardResult:
@@ -291,14 +277,6 @@ class _MixtureHead:
         gates = ad.softmax_last(self.gate.forward(e_scenario))
         outs = [expert.forward(fused) for expert in self.experts]
         return ad.weighted_sum(outs, [ad.slice_last(gates, j, j + 1) for j in range(len(outs))])
-
-    def parameters(self):
-        out = []
-        for expert in self.experts:
-            out.extend(expert.parameters())
-        if self.gate is not None:
-            out.extend(self.gate.parameters())
-        return out
 
 
 class MariaModel:
@@ -409,16 +387,7 @@ class MariaModel:
         return ForwardResult(score=score, alpha=alpha, trace=trace)
 
     def named_parameters(self) -> list[tuple[str, Value]]:
-        out = list(self.bottom.parameters())
-        for module in (self.fs, self.fr, self.fcm, self.mixture):
-            if module is not None:
-                out.extend(module.parameters())
-        for tower in self.towers:
-            out.extend(tower.parameters())
-        if self.shared_tower is not None:
-            out.extend(self.shared_tower.parameters())
-        out.extend(self.head.parameters())
-        return out
+        return list(self.graph.params.items())
 
     def parameter_values(self) -> list[Value]:
         return [v for _, v in self.named_parameters()]

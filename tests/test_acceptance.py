@@ -145,7 +145,7 @@ def test_criterion_5_analytic_invariants():
 
     # scaling is the identity when its network is zeroed and the ceiling is 2
     assert model.settings.scale_ceiling == 2.0
-    saved = [(v, v.data.copy()) for _, v in model.fs.net.parameters()]
+    saved = [(v, v.data.copy()) for n, v in model.named_parameters() if n.startswith("adaptive.fs.net.")]
     for v, _ in saved:
         v.data[...] = 0.0
     out = model.bottom.encode(batch)

@@ -167,6 +167,20 @@ def _count_as(value):
     return corrupt
 
 
+def _scenario_1_without_triggers(raw: bytes) -> bytes:
+    """Scenario 1 made trigger-free in a search-mode dataset: its profile in
+    the manifest, or the trigger of each of its lines in the data file."""
+    if b'"profiles"' in raw:  # the manifest
+        doc = json.loads(raw)
+        doc["profiles"][1]["trigger_kind"] = "none"
+        return json.dumps(doc).encode("utf-8")
+    rows = [json.loads(line) for line in raw.splitlines()]
+    for row in rows:
+        if row["scenario"] == 1:
+            row["trigger"] = {"kind": "none", "item": 1, "attrs": [1]}
+    return "".join(json.dumps(row) + "\n" for row in rows).encode("utf-8")
+
+
 def _bad_byte_on_line_3(raw: bytes) -> bytes:
     lines = raw.split(b"\n")
     lines[2] = lines[2][:1] + b"\xff" + lines[2][2:]
@@ -186,10 +200,13 @@ def _bad_byte_on_line_3(raw: bytes) -> bytes:
         ("manifest", _count_as(20.0), "malformed manifest (TypeError: count must be an integer, not 20.0)"),
         ("manifest", _count_as(True), "malformed manifest (TypeError: count must be an integer, not True)"),
         ("data", _bad_byte_on_line_3, "line 3: not UTF-8"),
+        # the rows agree with the edited profile, so only the manifest check can catch it
+        ("both", _scenario_1_without_triggers, "scenario 1 has trigger kind 'none', which search mode does not allow"),
     ],
     ids=[
         "truncated_manifest", "list_manifest", "manifest_without_profiles", "string_vocab_size",
         "manifest_not_utf8", "string_count", "float_count", "bool_count", "data_not_utf8",
+        "trigger_kind_outside_search_mode",
     ],
 )
 def test_eval_of_a_corrupt_dataset_exits_3(tmp_path, capsys, target, corrupt, message):
@@ -199,13 +216,14 @@ def test_eval_of_a_corrupt_dataset_exits_3(tmp_path, capsys, target, corrupt, me
     ckpt = tmp_path / "m.ckpt"
     overrides = dict(p.split("=", 1) for p in TINY[1::2])
     checkpoint.save_model(ckpt, build_model(Graph(seed=0), config.build_run_config({}, overrides)))
-    path = tmp_path / "d.jsonl.manifest.json" if target == "manifest" else data
-    path.write_bytes(corrupt(path.read_bytes()))
+    mpath = tmp_path / "d.jsonl.manifest.json"
+    for path in {"manifest": [mpath], "data": [data], "both": [mpath, data]}[target]:
+        path.write_bytes(corrupt(path.read_bytes()))
     code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(data))
     assert code == 3, err
     assert message in err
-    if target == "manifest":
-        assert str(path) in err
+    if target != "data":
+        assert str(mpath) in err
 
 
 def test_eval_of_a_manifest_whose_vocab_was_edited_exits_3(tmp_path, capsys):
@@ -491,6 +509,28 @@ def test_gradcheck_pass_fail_and_bad_group(capsys):
 
     code, _, err = run(capsys, *args, "--corrupt-group", "bogus")
     assert code == 2 and "bogus" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--coords", "0"), ("--coords", "-1"), ("--count", "0")],
+    ids=["no_coords", "negative_coords", "empty_batch"],
+)
+def test_gradcheck_refuses_a_size_below_one(capsys, flag, value):
+    code, _, err = run(capsys, "gradcheck", *TINY, flag, value)
+    assert code == 2
+    assert err == f"error: {flag} must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("variants", ["wo_fs", ",", "wo_fs,wo_fr"])
+def test_ablate_refuses_variants_without_full_before_reading_data(tmp_path, capsys, variants):
+    # the data files do not exist: the list is refused before anything is read or trained
+    code, _, err = run(
+        capsys, "ablate", *TINY, "--data", str(tmp_path / "none.jsonl"),
+        "--eval-data", str(tmp_path / "none.jsonl"), "--variants", variants,
+    )
+    assert code == 2
+    assert err == "error: --variants: the list must include full, which every gain is measured against\n"
 
 
 def test_ablate_json_gains(data_files, capsys):

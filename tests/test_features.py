@@ -90,7 +90,7 @@ def test_scaling_identity_at_zero_parameters():
     g, q, layout = make_layout()
     rng = np.random.default_rng(1)
     fs = build_fs(g, layout, rng, ceiling=2.0)
-    for _, p in fs.parameters():
+    for _, p in g.params.items():
         p.data[...] = 0.0
     e = g.constant(np.random.default_rng(2).normal(size=(4, 3)))
     s = g.constant(np.random.default_rng(3).normal(size=(4, 2)))
@@ -105,7 +105,7 @@ def test_scaling_multipliers_stay_inside_open_interval():
     rng = np.random.default_rng(4)
     ceiling = 1.7
     fs = build_fs(g, layout, rng, ceiling=ceiling)
-    for _, p in fs.parameters():
+    for _, p in g.params.items():
         p.data[...] = rng.normal(scale=1.0, size=p.shape)
     e = g.constant(rng.normal(size=(4, 3)))
     s = g.constant(rng.normal(size=(4, 2)))
@@ -168,7 +168,7 @@ def test_scaling_gradients_match_central_differences():
     # derivative the backward pass computes (live branch only)
     g.record_context()
     ad.backward(run_graph())
-    params = [src] + [v for _, v in fs.parameters()]
+    params = [src] + [v for _, v in g.params.items()]
     grads = [p.grad.copy() for p in params]
 
     def run() -> float:
@@ -277,7 +277,7 @@ def test_refinement_gradients_with_frozen_noise():
 
     g.record_context()
     ad.backward(run_graph())
-    params = [src] + [v for _, v in fr.parameters()]
+    params = [src] + [v for _, v in g.params.items()]
     grads = [p.grad.copy() for p in params]
 
     def run(p) -> float:
@@ -355,7 +355,7 @@ def test_correlation_gradients_match_central_differences():
         return ad.sum_all(ad.sigmoid(fcm.forward(q2)))
 
     ad.backward(run_graph())
-    for p in [src] + [v for _, v in fcm.parameters()]:
+    for p in [src] + [v for _, v in g.params.items()]:
         got = p.grad.copy()
 
         def run(p=p) -> float:
@@ -431,7 +431,7 @@ def test_adaptive_features_end_to_end_gradients_with_frozen_noise():
 
     g.record_context()
     ad.backward(run_graph())
-    params = [src] + [v for _, v in fs.parameters() + fr.parameters() + fcm.parameters()]
+    params = [src] + [v for _, v in g.params.items()]
     grads = [p.grad.copy() for p in params]
 
     def run() -> float:

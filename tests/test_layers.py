@@ -77,7 +77,7 @@ def test_fcn_gradients_match_central_differences():
         return ad.sum_all(net.forward(x))
 
     ad.backward(build())
-    for name, p in net.parameters():
+    for name, p in g.params.items():
         got = p.grad.copy()
 
         def run(p=p) -> float:
@@ -149,7 +149,7 @@ def test_transformer_gradients_match_central_differences():
         return ad.sum_all(ad.sigmoid(block.forward(seq, mask)))
 
     ad.backward(build())
-    for name, p in block.parameters():
+    for name, p in g.params.items():
         got = p.grad.copy()
 
         def run(p=p) -> float:
@@ -210,7 +210,7 @@ def test_trigger_attention_gradients_match_central_differences():
         return ad.sum_all(ad.sigmoid(ly.trigger_attention(trig, seq, sim, valid)))
 
     ad.backward(build())
-    for p in [trig, seq] + [v for _, v in sim.parameters()]:
+    for p in [trig, seq] + [v for _, v in g.params.items()]:
         got = p.grad.copy()
 
         def run(p=p) -> float:

@@ -598,6 +598,29 @@ def test_untrained_checkpoint_bytes_are_pinned(kind, tmp_path):
         assert _checkpoint_sha256(preset, path) == UNTRAINED_CHECKPOINT_SHA256[kind]
 
 
+@pytest.mark.parametrize(
+    "kind, disable",
+    [(kind, None) for kind in mdl.MODEL_KINDS] + [("maria", flag) for flag in cfgmod.ABLATION_FLAGS],
+)
+def test_the_graph_lists_every_parameter_the_model_makes(kind, disable):
+    graph = Graph(seed=0)
+    cfg = tiny_cfg(**({"train.disable": disable} if disable else {}))
+    model = build_model(graph, cfg, kind=kind, seed=3)
+    made = [v for v in graph.nodes if v.op == "parameter"]
+    listed = [v for _, v in model.named_parameters()]
+    assert len(made) == len(listed)
+    assert all(a is b for a, b in zip(made, listed))
+
+
+def test_a_parameter_name_is_made_once_per_graph():
+    graph = Graph(seed=0)
+    first = graph.parameter(np.zeros(2), "a")
+    graph.parameter(np.zeros(2))  # unnamed leaves are not listed
+    with pytest.raises(ValueError, match="'a' is made twice"):
+        graph.parameter(np.ones(2), "a")
+    assert list(graph.params.items()) == [("a", first)]
+
+
 def test_bce_loss_reference_values():
     graph = Graph(seed=0)
     n = 10
