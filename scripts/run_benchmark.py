@@ -9,6 +9,7 @@ import argparse
 import json
 
 from maria.benchmark import BENCH_KINDS, BENCH_SEEDS, run_benchmark
+from maria.model import MODEL_KINDS
 
 
 def main() -> int:
@@ -21,10 +22,18 @@ def main() -> int:
                         help="comma-separated model kinds to compare")
     parser.add_argument("--json", action="store_true", help="print the full report as JSON")
     args = parser.parse_args()
+    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
+    unknown = [k for k in kinds if k not in MODEL_KINDS]
+    if unknown:
+        parser.error(f"--kinds: unknown kind {unknown[0]!r}; expected any of {', '.join(MODEL_KINDS)}")
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        parser.error(f"--seeds: expected comma-separated integers, got {args.seeds!r}")
 
     report = run_benchmark(
-        kinds=tuple(k.strip() for k in args.kinds.split(",") if k.strip()),
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
+        kinds=kinds,
+        seeds=seeds,
         train_count=args.train_count,
         eval_count=args.eval_count,
         log_fn=None if args.json else print,

@@ -10,7 +10,7 @@ divergence of the user-field refiner selection.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import datagen, training
 from .autodiff import Graph
@@ -84,14 +84,7 @@ class BenchmarkReport:
     def to_dict(self) -> dict:
         return {
             "runs": [
-                {
-                    "kind": r.kind,
-                    "seed": r.seed,
-                    "auc": r.auc,
-                    "per_scenario_auc": {str(k): v for k, v in r.per_scenario_auc.items()},
-                    "user_divergence": r.user_divergence,
-                    "seconds": r.seconds,
-                }
+                {**asdict(r), "per_scenario_auc": {str(k): v for k, v in r.per_scenario_auc.items()}}
                 for r in self.runs
             ],
             "mean_auc": self.mean_auc,

@@ -69,15 +69,15 @@ class ModelSettings:
     experts: int
     expert_hidden: int
     tower_dims: tuple[int, ...]
-    refiner_counts: dict[str, int] = field(hash=False, compare=True, default=None)  # by field name
-    refiner_compression: float = 0.5
-    correlation_dim: int = 5
-    scale_ceiling: float = 2.0
-    scale_hidden: int = 64
-    gumbel_temperature: float = 0.01
-    attention_heads: int = 2
-    encoder_layers: int = 1
-    ffn_multiplier: int = 2
+    refiner_counts: dict[str, int] = field(hash=False)  # by field name
+    refiner_compression: float
+    correlation_dim: int
+    scale_ceiling: float
+    scale_hidden: int
+    gumbel_temperature: float
+    attention_heads: int
+    encoder_layers: int
+    ffn_multiplier: int
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,14 @@ class AblationFlags:
 
 @dataclass(frozen=True)
 class TrainSettings:
-    learning_rate: float = 0.05
-    batch_size: int = 512
-    weight_decay: float = 1e-6
-    lr_decay: float = 1.0
-    epochs: int = 1
-    seed: int = 0
-    eval_every: int = 0
-    early_stop_patience: int = 0
+    learning_rate: float
+    batch_size: int
+    weight_decay: float
+    lr_decay: float
+    epochs: int
+    seed: int
+    eval_every: int
+    early_stop_patience: int
 
 
 @dataclass(frozen=True)
@@ -205,6 +205,20 @@ _SCENARIO_FIELDS: dict[str, tuple[str, str, str]] = {
     "label_weights": ("csv_float", "", "per-element label weights (empty = auto from gen.seed)"),
 }
 
+# Key ``<section>.<name>`` fills field ``<name>`` of its section's record,
+# except where this table names another field.
+_RECORDS = {
+    "vocab": VocabSizes, "schema": FeatureSchema, "dim": EmbedDims, "model": ModelSettings, "train": TrainSettings,
+}
+_FIELD_OF_KEY = {
+    "schema.user_attrs": "user_attr_count",
+    "schema.item_attrs": "item_attr_count",
+    "schema.trigger_attrs": "trigger_attr_count",
+    "schema.context_attrs": "context_attr_count",
+    "schema.max_behavior": "max_behavior_len",
+    "model.refiners": "refiner_counts",
+}
+
 _SCENARIO_RE = re.compile(r"^scenario\.(\d+)\.([a-z_]+)$")
 
 
@@ -293,60 +307,17 @@ def build_run_config(mapping: Mapping[str, str] | None = None, overrides: Mappin
                 raise ConfigError(f"unknown key {key!r}")
 
     values = {k: _parse_typed(k, _REGISTRY[k][0], raw) for k, raw in merged.items()}
-
-    vocab = VocabSizes(
-        users=values["vocab.users"],
-        items=values["vocab.items"],
-        user_attrs=values["vocab.user_attrs"],
-        item_attrs=values["vocab.item_attrs"],
-        trigger_attrs=values["vocab.trigger_attrs"],
-        context_attrs=values["vocab.context_attrs"],
-        scenarios=values["vocab.scenarios"],
-    )
-    schema = FeatureSchema(
-        user_attr_count=values["schema.user_attrs"],
-        item_attr_count=values["schema.item_attrs"],
-        trigger_attr_count=values["schema.trigger_attrs"],
-        context_attr_count=values["schema.context_attrs"],
-        max_behavior_len=values["schema.max_behavior"],
-        image_dim=values["schema.image_dim"],
-    )
-    dims = EmbedDims(
-        user=values["dim.user"],
-        item=values["dim.item"],
-        attr=values["dim.attr"],
-        context=values["dim.context"],
-        scenario=values["dim.scenario"],
-        trigger=values["dim.trigger"],
-    )
     refiners = values["model.refiners"]
     if len(refiners) != len(FIELD_ORDER):
         raise ConfigError(f"model.refiners: expected {len(FIELD_ORDER)} counts, got {len(refiners)}")
-    model = ModelSettings(
-        experts=values["model.experts"],
-        expert_hidden=values["model.expert_hidden"],
-        tower_dims=values["model.tower_dims"],
-        refiner_counts={name: n for name, n in zip(FIELD_ORDER, refiners)},
-        refiner_compression=values["model.refiner_compression"],
-        correlation_dim=values["model.correlation_dim"],
-        scale_ceiling=values["model.scale_ceiling"],
-        scale_hidden=values["model.scale_hidden"],
-        gumbel_temperature=values["model.gumbel_temperature"],
-        attention_heads=values["model.attention_heads"],
-        encoder_layers=values["model.encoder_layers"],
-        ffn_multiplier=values["model.ffn_multiplier"],
-    )
-    train = TrainSettings(
-        learning_rate=values["train.learning_rate"],
-        batch_size=values["train.batch_size"],
-        weight_decay=values["train.weight_decay"],
-        lr_decay=values["train.lr_decay"],
-        epochs=values["train.epochs"],
-        seed=values["train.seed"],
-        eval_every=values["train.eval_every"],
-        early_stop_patience=values["train.early_stop_patience"],
-    )
-    flags = AblationFlags().disable(values["train.disable"])
+    values["model.refiners"] = dict(zip(FIELD_ORDER, refiners))
+    flags = AblationFlags().disable(values.pop("train.disable"))
+    gen_count, gen_seed = values.pop("gen.count"), values.pop("gen.seed")
+    by_record: dict[str, dict] = {section: {} for section in _RECORDS}
+    for key, value in values.items():
+        section, name = key.split(".", 1)
+        by_record[section][_FIELD_OF_KEY.get(key, name)] = value
+    vocab, schema, dims, model, train = (record(**by_record[s]) for s, record in _RECORDS.items())
 
     for idx in scenario_raw:
         if not (0 <= idx < vocab.scenarios):
@@ -365,18 +336,7 @@ def build_run_config(mapping: Mapping[str, str] | None = None, overrides: Mappin
             raise ConfigError(
                 f"scenario.{i}.trigger_kind: {parsed['trigger_kind']!r} not one of {TRIGGER_KINDS}"
             )
-        scenarios.append(
-            ScenarioSettings(
-                scenario_id=i,
-                traffic_share=parsed["traffic_share"],
-                noise_std=parsed["noise_std"],
-                trigger_kind=parsed["trigger_kind"],
-                label_bias=parsed["label_bias"],
-                behavior_tilt=parsed["behavior_tilt"],
-                field_importance=parsed["field_importance"],
-                label_weights=parsed["label_weights"],
-            )
-        )
+        scenarios.append(ScenarioSettings(scenario_id=i, **parsed))
 
     cfg = RunConfig(
         vocab=vocab,
@@ -386,8 +346,8 @@ def build_run_config(mapping: Mapping[str, str] | None = None, overrides: Mappin
         train=train,
         flags=flags,
         scenarios=tuple(_resolve_shares(scenarios)),
-        gen_count=values["gen.count"],
-        gen_seed=values["gen.seed"],
+        gen_count=gen_count,
+        gen_seed=gen_seed,
     )
     _validate(cfg)
     return replace(cfg, scenarios=_resolve_vectors(cfg))
@@ -452,6 +412,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("model widths and counts must be positive")
     if not m.tower_dims:
         raise ConfigError("model.tower_dims: need at least one width")
+    if min(m.tower_dims) < 1:
+        raise ConfigError(f"model.tower_dims: every width must be at least 1, got {m.tower_dims}")
     if not (0.0 < m.refiner_compression <= 1.0):
         raise ConfigError("model.refiner_compression: must lie in (0, 1]")
     if m.scale_ceiling <= 0 or m.gumbel_temperature <= 0:
@@ -465,8 +427,13 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("train settings out of range")
     if t.lr_decay <= 0:
         raise ConfigError("train.lr_decay: must be positive")
-    if cfg.gen_seed < 0:
-        raise ConfigError("gen.seed: must be non-negative")
+    for key, value in (
+        ("train.seed", t.seed), ("train.eval_every", t.eval_every),
+        ("train.early_stop_patience", t.early_stop_patience),
+        ("gen.count", cfg.gen_count), ("gen.seed", cfg.gen_seed),
+    ):
+        if value < 0:
+            raise ConfigError(f"{key}: must be non-negative, got {value}")
 
     kinds = {sc.trigger_kind for sc in cfg.scenarios}
     if "none" in kinds and kinds != {"none"}:

@@ -23,7 +23,7 @@ import io
 import json
 import struct
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import is_not, itemgetter
@@ -455,31 +455,7 @@ def manifest_path(path: str | Path) -> Path:
 
 
 def manifest_to_json(m: DatasetManifest) -> dict:
-    return {
-        "version": 1,
-        "vocab": m.vocab,
-        "schema": m.schema,
-        "trigger_mode": m.trigger_mode,
-        "seed": m.seed,
-        "count": m.count,
-        "scenario_counts": {str(k): v for k, v in m.scenario_counts.items()},
-        "positive_rates": m.positive_rates,
-        "bayes_auc": m.bayes_auc,
-        "compat_digest": m.compat_digest,
-        "profiles": [
-            {
-                "scenario_id": p.scenario_id,
-                "traffic_share": p.traffic_share,
-                "noise_std": p.noise_std,
-                "trigger_kind": p.trigger_kind,
-                "label_bias": p.label_bias,
-                "behavior_tilt": p.behavior_tilt,
-                "field_importance": list(p.field_importance),
-                "label_weights": list(p.label_weights),
-            }
-            for p in m.profiles
-        ],
-    }
+    return {"version": 1, **asdict(m), "scenario_counts": {str(k): v for k, v in m.scenario_counts.items()}}
 
 
 def write_jsonl(dataset: Dataset, path: str | Path) -> None:

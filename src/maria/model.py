@@ -14,7 +14,7 @@ removed, over the same bottom, so that comparisons isolate the head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -401,16 +401,13 @@ class MariaModel:
 
     def spec(self) -> dict:
         """Everything ``model_from_spec`` needs to rebuild the same structure."""
-        model = dict(vars(self.settings))
-        model["tower_dims"] = list(self.settings.tower_dims)
-        model["refiner_counts"] = dict(self.settings.refiner_counts)
         return {
             "kind": self.kind,
-            "vocab": dict(vars(self.vocab)),
-            "schema": dict(vars(self.schema)),
-            "dims": dict(vars(self.dims)),
-            "model": model,
-            "flags": dict(vars(self.flags)),
+            "vocab": asdict(self.vocab),
+            "schema": asdict(self.schema),
+            "dims": asdict(self.dims),
+            "model": asdict(self.settings),
+            "flags": asdict(self.flags),
             "trigger_mode": self.trigger_mode,
         }
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -175,15 +175,7 @@ class EvalReport:
             "loss": self.loss,
             "auc": self.auc,
             "pcoc": self.pcoc,
-            "per_scenario": {
-                str(s): {
-                    "count": e.count,
-                    "positive_rate": e.positive_rate,
-                    "auc": e.auc,
-                    "pcoc": e.pcoc,
-                }
-                for s, e in sorted(self.per_scenario.items())
-            },
+            "per_scenario": {str(s): asdict(e) for s, e in sorted(self.per_scenario.items())},
             "refiner_hist": {f: h.astype(int).tolist() for f, h in self.refiner_hist.items()},
             "refiner_divergence": self.refiner_divergence(),
             "warnings": list(self.warnings),
@@ -370,12 +362,7 @@ class GradCheckReport:
     seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "per_group": self.per_group,
-            "overall": self.overall,
-            "coords": self.coords,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 def gradient_check(

@@ -474,9 +474,12 @@ def test_eval_of_a_checkpoint_whose_spec_cannot_build_a_model_exits_3(tmp_path, 
     unknown_field["model"]["bogus_width"] = 3
     wrong_type = model.spec()
     wrong_type["model"]["refiner_counts"] = [1, 2]
+    missing_model_field = model.spec()
+    del missing_model_field["model"]["ffn_multiplier"]
     for spec, cause in (
         (unknown_kind, "ValueError"), (missing_key, "KeyError"),
         (unknown_field, "TypeError"), (wrong_type, "AttributeError"),
+        (missing_model_field, "TypeError"),
     ):
         code, _, err = eval_with(spec)
         assert code == 3, err

@@ -1,5 +1,7 @@
 """Config registry: parsing, validation, precedence, digests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,86 @@ def test_per_element_vectors_and_generator_seed_resolved_when_the_config_is_buil
     for name in ("field_importance", "label_weights"):
         with pytest.raises(ConfigError, match=rf"scenario\.1\.{name}: expected 11 values, got 2"):
             build_run_config({f"scenario.1.{name}": "1,0"})
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("model.tower_dims", "0"),
+    ("model.tower_dims", "8,-2"),
+    ("gen.count", "-3"),
+    ("train.seed", "-1"),
+    ("train.eval_every", "-1"),
+    ("train.early_stop_patience", "-2"),
+])
+def test_out_of_range_sizes_seeds_and_intervals_are_refused_by_key(key, raw):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+        build_run_config({key: raw})
+
+
+# key, a valid value other than its default, where it lands in the RunConfig, the value expected there
+_FILLS = [
+    ("vocab.users", "121", "vocab.users", 121),
+    ("vocab.items", "201", "vocab.items", 201),
+    ("vocab.user_attrs", "41", "vocab.user_attrs", 41),
+    ("vocab.item_attrs", "41", "vocab.item_attrs", 41),
+    ("vocab.trigger_attrs", "21", "vocab.trigger_attrs", 21),
+    ("vocab.context_attrs", "21", "vocab.context_attrs", 21),
+    ("vocab.scenarios", "3", "vocab.scenarios", 3),
+    ("schema.user_attrs", "3", "schema.user_attr_count", 3),
+    ("schema.item_attrs", "3", "schema.item_attr_count", 3),
+    ("schema.trigger_attrs", "2", "schema.trigger_attr_count", 2),
+    ("schema.context_attrs", "3", "schema.context_attr_count", 3),
+    ("schema.max_behavior", "5", "schema.max_behavior_len", 5),
+    ("schema.image_dim", "9", "schema.image_dim", 9),
+    ("dim.user", "9", "dims.user", 9),
+    ("dim.item", "10", "dims.item", 10),
+    ("dim.attr", "6", "dims.attr", 6),
+    ("dim.context", "5", "dims.context", 5),
+    ("dim.scenario", "5", "dims.scenario", 5),
+    ("dim.trigger", "9", "dims.trigger", 9),
+    ("model.experts", "5", "model.experts", 5),
+    ("model.expert_hidden", "32", "model.expert_hidden", 32),
+    ("model.tower_dims", "16,8", "model.tower_dims", (16, 8)),
+    ("model.refiners", "2,1,1,1,3", "model.refiner_counts",
+     {"behavior": 2, "user": 1, "item": 1, "trigger": 1, "context": 3}),
+    ("model.refiner_compression", "0.25", "model.refiner_compression", 0.25),
+    ("model.correlation_dim", "3", "model.correlation_dim", 3),
+    ("model.scale_ceiling", "3.0", "model.scale_ceiling", 3.0),
+    ("model.scale_hidden", "16", "model.scale_hidden", 16),
+    ("model.gumbel_temperature", "0.5", "model.gumbel_temperature", 0.5),
+    ("model.attention_heads", "4", "model.attention_heads", 4),
+    ("model.encoder_layers", "2", "model.encoder_layers", 2),
+    ("model.ffn_multiplier", "3", "model.ffn_multiplier", 3),
+    ("train.learning_rate", "0.1", "train.learning_rate", 0.1),
+    ("train.batch_size", "64", "train.batch_size", 64),
+    ("train.weight_decay", "0.001", "train.weight_decay", 0.001),
+    ("train.lr_decay", "0.5", "train.lr_decay", 0.5),
+    ("train.epochs", "2", "train.epochs", 2),
+    ("train.seed", "3", "train.seed", 3),
+    ("train.eval_every", "1", "train.eval_every", 1),
+    ("train.early_stop_patience", "2", "train.early_stop_patience", 2),
+    ("train.disable", "fr", "flags.fr", False),
+    ("gen.count", "7", "gen_count", 7),
+    ("gen.seed", "5", "gen_seed", 5),
+    ("scenario.1.traffic_share", "0.3", "scenarios.1.traffic_share", 0.3),
+    ("scenario.1.noise_std", "0.25", "scenarios.1.noise_std", 0.25),
+    ("scenario.1.trigger_kind", "image", "scenarios.1.trigger_kind", "image"),
+    ("scenario.1.label_bias", "0.5", "scenarios.1.label_bias", 0.5),
+    ("scenario.1.behavior_tilt", "2.0", "scenarios.1.behavior_tilt", 2.0),
+    ("scenario.1.field_importance", ",".join(["1"] * 11), "scenarios.1.field_importance", (1.0,) * 11),
+    ("scenario.1.label_weights", ",".join(["2"] * 11), "scenarios.1.label_weights", (2.0,) * 11),
+]
+
+
+def _at(cfg, path: str):
+    for part in path.split("."):
+        cfg = cfg[int(part)] if part.isdigit() else getattr(cfg, part)
+    return cfg
+
+
+def test_every_key_fills_its_own_field():
+    keys = {key for key, *_ in _FILLS}
+    assert keys == set(config._REGISTRY) | {f"scenario.1.{name}" for name in config._SCENARIO_FIELDS}
+    default = build_run_config()
+    for key, raw, path, expected in _FILLS:
+        assert _at(default, path) != expected, key
+        assert _at(build_run_config({key: raw}), path) == expected, key

@@ -1,6 +1,9 @@
 """Training loop behavior, evaluation reports, ablation sweeps, gradient harness."""
 
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +377,19 @@ def test_benchmark_times_its_data_generation():
     assert report.to_dict()["gen_seconds"] == report.gen_seconds
     assert lines[0].startswith(f"data ready: 60 train / 30 eval in {report.gen_seconds:.1f}s (")
     assert f"({90 / report.gen_seconds:.0f} inst/s)" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, named", [(["--kinds", "maria,bogus"], "'bogus'"), (["--seeds", "0,x"], "'0,x'")], ids=["kinds", "seeds"]
+)
+def test_benchmark_script_refuses_a_bad_kind_or_seed_before_generating_data(monkeypatch, capsys, argv, named):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_benchmark.py"
+    spec = importlib.util.spec_from_file_location("run_benchmark_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "run_benchmark", lambda **_: pytest.fail("the script went on to run the benchmark"))
+    monkeypatch.setattr(sys, "argv", ["run_benchmark.py", *argv])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
