@@ -13,15 +13,16 @@ odd ones, so that this machine's drift in speed falls on both sides alike.
 
 The output holds, for every metric that ``BENCHMARK.json`` gates: the values
 per pair, the medians and quartiles of each side, the parent's interquartile
-range (IQR), the relative change of the medians and the number of pairs the
-change wins. A gain is claimed only when the change wins at least nine
-pairs in ten and its median beats the parent's by more than the parent's
-IQR (``claim_holds``). Each metric also gets a no-regression ``verdict``
-against its ``bound`` in ``BENCHMARK.json``, where the allowance is bound x
-parent median: ``regressed`` when the change median is worse than the
-parent's by more than the allowance; ``unresolved`` when the parent IQR
-exceeds the allowance, unless every change run beats every parent run;
-``ok`` otherwise. Every run's exit code and failed-check count are kept,
+range (IQR), the relative change of the medians, the median and quartiles
+of the per-pair ratios of change to parent (no gated metric reads 0) and
+the number of pairs the change wins. A gain is claimed only when the
+change wins at least nine pairs in ten and its median beats the parent's
+by more than the parent's IQR (``claim_holds``). Each metric also gets a
+no-regression ``verdict`` against its ``bound`` in ``BENCHMARK.json``,
+where the allowance is bound x parent median: ``regressed`` when the
+change median is worse than the parent's by more than the allowance;
+``unresolved`` when the parent IQR exceeds the allowance, unless every
+change run beats every parent run; ``ok`` otherwise. Every run's exit code and failed-check count are kept,
 and each pair records whether both sides reported the same step-loss and
 checkpoint digests (``digests_equal``; the top-level count of such pairs
 is printed at the end).
@@ -99,6 +100,7 @@ def summarise(pairs: list[dict], gated: list[dict]) -> dict:
         iqr = float(pq[2] - pq[0])
         allowance = entry["bound"] * abs(pq[1])
         beats_all = change.min() > parent.max() if higher else change.max() < parent.min()
+        rq = np.percentile(change / parent, [25, 50, 75])
         if -gain > allowance:
             verdict = "regressed"
         elif iqr > allowance and not beats_all:
@@ -116,6 +118,8 @@ def summarise(pairs: list[dict], gated: list[dict]) -> dict:
             "change_quartiles": [float(cq[0]), float(cq[2])],
             "parent_iqr": iqr,
             "relative_change": float(cq[1] / pq[1] - 1.0),
+            "pair_ratio_median": float(rq[1]),
+            "pair_ratio_quartiles": [float(rq[0]), float(rq[2])],
             "wins": wins,
             "pairs": len(both),
             "claim_holds": bool(wins * 10 >= 9 * len(both) and gain > iqr),
@@ -188,8 +192,11 @@ def main(argv=None) -> int:
     }
     write_result(Path(args.out), args.workload, result)
     for name, m in result["metrics"].items():
+        rq1, rq3 = m["pair_ratio_quartiles"]
         print(f"{name:<12} parent {m['parent_median']:.6g} [IQR {m['parent_iqr']:.4g}] -> change "
-              f"{m['change_median']:.6g} ({m['relative_change']:+.1%}), wins {m['wins']}/{m['pairs']}, "
+              f"{m['change_median']:.6g} ({m['relative_change']:+.1%}), "
+              f"pair ratio {m['pair_ratio_median']:.4f} [{rq1:.4f}, {rq3:.4f}], "
+              f"wins {m['wins']}/{m['pairs']}, "
               f"claim {'holds' if m['claim_holds'] else 'does not hold'}, verdict {m['verdict']}")
     print(f"digests equal in {result['digests_equal']}/{len(pairs)} pairs")
     return 0 if result["runs_failed"] == 0 else 1

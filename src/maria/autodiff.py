@@ -243,12 +243,37 @@ def _accumulate(node: Value, contribution: Array, g: Array) -> None:
         node._grad = np.add(contribution, 0.0, out=contribution)
 
 
+def _gemv_sum(x: Array, lead: int = 0) -> Array:
+    """Sum ``x`` by one GEMV against a ones vector, into a fresh C-ordered
+    buffer of ``x``'s dtype: over the last axis, kept as width 1, when
+    ``lead`` is 0, or over the first ``lead`` axes otherwise.
+
+    At this model's shapes (a last axis of a few to a few dozen, a few
+    thousand rows) numpy's reductions take several times as long. BLAS sums
+    in another order than they do, and the bits of a row's sum can depend
+    on where the row sits in the matrix, but not on where the matrix sits
+    in memory: the same call on the same data gives the same bits.
+    """
+    if lead:
+        rows, width = math.prod(x.shape[:lead]), math.prod(x.shape[lead:])
+        out = np.empty(x.shape[lead:], dtype=x.dtype)
+        np.matmul(np.ones(rows, dtype=x.dtype), x.reshape(rows, width), out=out.reshape(width))
+    else:
+        out = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
+        np.matmul(_rows(x), np.ones(x.shape[-1], dtype=x.dtype), out=out.reshape(-1))
+    return out
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     extra = grad.ndim - len(shape)
+    if extra > 0 and grad.shape[extra:] == shape:  # a bias: sum over the rows
+        return _gemv_sum(grad, extra)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
+    if axes == (grad.ndim - 1,):  # a column weight: sum over the last axis
+        return _gemv_sum(grad)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     # A reshaped view would make _accumulate copy what it could adopt.
@@ -387,13 +412,15 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float = 1e-5) -> Value:
     ``gain`` and shift by ``bias`` (both 1-d, of the last axis' width).
 
     One node. The forward runs the numpy ops of the composition
-    ``(x - mean) * (var + eps) ** -0.5 * gain + bias`` in that order, so it
-    holds the same bits; the backward is the analytic one.
+    ``(x - mean) * (var + eps) ** -0.5 * gain + bias`` in that order, with
+    the means of :func:`mean_last`, so it holds the same bits; the backward
+    is the analytic one.
     """
     if x.data.ndim < 1 or gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise _shape_error("layer_norm", x.shape, gain.shape, bias.shape)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = ((centered * centered).mean(axis=-1, keepdims=True) + float(eps)) ** -0.5
+    n = x.shape[-1]
+    centered = x.data - _gemv_sum(x.data) / n
+    inv = (_gemv_sum(centered * centered) / n + float(eps)) ** -0.5
     normed = centered * inv
     out = normed * gain.data + bias.data
 
@@ -404,7 +431,7 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float = 1e-5) -> Value:
             _accumulate(gain, _unbroadcast(g * normed, gain.shape), g)
         if x.requires_grad:
             gn = g * gain.data
-            inner = gn - gn.mean(axis=-1, keepdims=True) - normed * (gn * normed).mean(axis=-1, keepdims=True)
+            inner = gn - _gemv_sum(gn) / n - normed * (_gemv_sum(gn * normed) / n)
             _accumulate(x, inner * inv, g)
 
     return _node(x.graph, out, (x, gain, bias), "layer_norm", backward)
@@ -557,15 +584,23 @@ def relu(x: Value) -> Value:
     return _node(x.graph, out, (x,), "relu", backward)
 
 
+def _max_last(x: Array) -> Array:
+    """``x.max(axis=-1, keepdims=True)`` as a loop of ``np.maximum`` over the
+    columns: the same bits, in a fraction of the time at the few columns
+    this model's softmaxes have."""
+    out = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(out, x[..., j : j + 1], out=out)
+    return out
+
+
 def softmax_last(x: Value) -> Value:
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x.data - _max_last(x.data))
+    out = e / _gemv_sum(e)
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            _accumulate(x, out * (g - inner), g)
+            _accumulate(x, out * (g - _gemv_sum(g * out)), g)
 
     return _node(x.graph, out, (x,), "softmax_last", backward)
 
@@ -633,7 +668,8 @@ def sum_last(x: Value, keepdims: bool = False) -> Value:
         if x.requires_grad:
             _accumulate(x, g if keepdims else np.expand_dims(g, -1), g)
 
-    return _node(x.graph, x.data.sum(axis=-1, keepdims=keepdims), (x,), "sum_last", backward)
+    out = _gemv_sum(x.data)
+    return _node(x.graph, out if keepdims else out.reshape(x.shape[:-1]), (x,), "sum_last", backward)
 
 
 def mean_last(x: Value, keepdims: bool = False) -> Value:
@@ -644,14 +680,70 @@ def mean_last(x: Value, keepdims: bool = False) -> Value:
         if x.requires_grad:
             _accumulate(x, gg / n, g)
 
-    return _node(x.graph, x.data.mean(axis=-1, keepdims=keepdims), (x,), "mean_last", backward)
+    out = _gemv_sum(x.data) / n
+    return _node(x.graph, out if keepdims else out.reshape(x.shape[:-1]), (x,), "mean_last", backward)
 
 
-def dot_last(a: Value, b: Value) -> Value:
-    """Row-wise dot product over the last axis, keepdims (…×1)."""
-    if a.shape != b.shape:
-        raise _shape_error("dot_last", a.shape, b.shape)
-    return sum_last(mul(a, b), keepdims=True)
+def pair_dots(parts: Sequence[Value]) -> Value:
+    """Row-wise dot products over the last axis of every pair of ``parts``,
+    ``(0, 1), (0, 2), ..., (n - 2, n - 1)``, as the columns of one node.
+
+    Every part has the same shape ``(..., width)``; the output is ``(...,
+    n (n - 1) / 2)``. Values and grads hold the bits of the ``mul`` and
+    keepdims ``sum_last`` per pair, concatenated, that it replaces.
+    """
+    if len(parts) < 2:
+        raise ValueError(f"pair_dots: need at least two parts, got {len(parts)}")
+    shape = parts[0].shape
+    for p in parts:
+        if p.shape != shape or p.data.ndim < 1:
+            raise _shape_error("pair_dots", shape, p.shape)
+    pairs = [(a, b) for i, a in enumerate(parts) for b in parts[i + 1 :]]
+    out = np.empty(shape[:-1] + (len(pairs),), dtype=parts[0].data.dtype)
+    for c, (a, b) in enumerate(pairs):
+        out[..., c : c + 1] = _gemv_sum(a.data * b.data)
+
+    def backward(g: Array) -> None:
+        # Last pair first: the order in which a sweep over per-pair mul nodes adds them.
+        for c in range(len(pairs) - 1, -1, -1):
+            a, b = pairs[c]
+            gc = g[..., c : c + 1]
+            if a.requires_grad:
+                _accumulate(a, gc * b.data, g)
+            if b.requires_grad:
+                _accumulate(b, gc * a.data, g)
+
+    return _node(parts[0].graph, out, tuple(parts), "pair_dots", backward)
+
+
+def mul_groups(x: Value, w: Value, widths: Sequence[int]) -> Value:
+    """Each column of ``x`` times its group's column of ``w``, as one node.
+
+    The last axis of ``x`` is split into consecutive groups of ``widths``;
+    group ``j`` is multiplied by ``w[..., j:j + 1]``. ``x`` and ``w`` share
+    their leading axes. Values and the grad of ``x`` hold the bits of the
+    per-group ``slice_last``, ``mul`` and ``concat`` that it replaces; the
+    grad of ``w`` is one GEMM against the 0/1 matrix that maps columns to
+    groups, so it sums each group in another order.
+    """
+    widths = tuple(int(n) for n in widths)
+    if (
+        x.data.ndim < 1 or x.shape[:-1] != w.shape[:-1] or len(widths) != w.shape[-1]
+        or sum(widths) != x.shape[-1] or min(widths, default=1) < 1
+    ):
+        raise _shape_error("mul_groups", x.shape, w.shape, widths)
+    group = np.repeat(np.arange(len(widths)), widths)
+    expanded = w.data[..., group]
+    out = x.data * expanded
+
+    def backward(g: Array) -> None:
+        if x.requires_grad:
+            _accumulate(x, g * expanded, g)
+        if w.requires_grad:
+            member = (group[:, None] == np.arange(len(widths))).astype(w.data.dtype)
+            _accumulate(w, _row_gemm(g * x.data, member), g)
+
+    return _node(x.graph, out, (x, w), "mul_groups", backward)
 
 
 def stop_gradient(x: Value) -> Value:

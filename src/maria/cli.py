@@ -115,6 +115,10 @@ def cmd_train(args) -> int:
     if args.disable:
         extra["train.disable"] = args.disable
     cfg = _load_config(args, extra)
+    if cfg.train.early_stop_patience > 0 and not args.eval_data:
+        raise ConfigError(
+            f"train.early_stop_patience: {cfg.train.early_stop_patience} needs --eval-data to evaluate on"
+        )
     kind = args.baseline or "maria"
     want = config.data_compat_digest(cfg)
     dataset = _read_dataset(args.data, want, "run configuration")

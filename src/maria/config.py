@@ -189,7 +189,9 @@ _REGISTRY: dict[str, tuple[str, str, str]] = {
     "train.epochs": ("int", "1", "training epochs"),
     "train.seed": ("int", "0", "seed for init, shuffling, and selection noise"),
     "train.eval_every": ("int", "0", "evaluate every N epochs during training (0 = only at the end)"),
-    "train.early_stop_patience": ("int", "0", "stop after N evaluations without AUC improvement (0 = off)"),
+    "train.early_stop_patience": (
+        "int", "0", "stop after N evaluations without AUC improvement (0 = off; needs train.eval_every > 0)"
+    ),
     "train.disable": ("csv_str", "", "ablation switches to turn off: any of fs,fr,fcm,nl,st,gs"),
     "gen.count": ("int", "10000", "instances to generate"),
     "gen.seed": ("int", "0", "generator seed; instance i depends only on (seed, i)"),
@@ -434,6 +436,11 @@ def _validate(cfg: RunConfig) -> None:
     ):
         if value < 0:
             raise ConfigError(f"{key}: must be non-negative, got {value}")
+    if t.early_stop_patience > 0 and t.eval_every == 0:
+        raise ConfigError(
+            f"train.early_stop_patience: {t.early_stop_patience} needs train.eval_every above 0; "
+            "without evaluations during training no epoch counts towards it"
+        )
 
     kinds = {sc.trigger_kind for sc in cfg.scenarios}
     if "none" in kinds and kinds != {"none"}:

@@ -120,18 +120,14 @@ class FeatureScaling:
         if ceiling <= 0:
             raise ValueError("feature scaling: ceiling must be positive")
         self.ceiling = float(ceiling)
-        self.spans = layout.element_spans()
+        self.widths = [el.width for el in layout.element_spans()]
         in_dim = layout.width + user_dim + item_dim + scenario_dim
         self.net = Fcn(graph, rng, in_dim, [hidden, layout.element_count], ["relu", "linear"], f"{name}.net")
 
     def forward(self, q: Value, e_u: Value, e_x: Value, e_s: Value) -> tuple[Value, Value]:
         net_in = ad.concat([ad.stop_gradient(q), e_u, e_x, e_s], axis=-1)
         alpha = ad.scale(ad.sigmoid(self.net.forward(net_in)), self.ceiling)
-        scaled = []
-        for j, el in enumerate(self.spans):
-            piece = ad.slice_last(q, el.offset, el.offset + el.width)
-            scaled.append(ad.mul(piece, ad.slice_last(alpha, j, j + 1)))
-        return ad.concat(scaled, axis=-1), alpha
+        return ad.mul_groups(q, alpha, self.widths), alpha
 
 
 def refiner_width(field_width: int, compression: float) -> int:
@@ -145,7 +141,11 @@ class FieldRefinement:
     selector scores the refiners from [field || scenario embedding]; the
     sigmoid of those scores feeds the Gumbel-softmax directly. Training uses
     the sampled soft weights; evaluation picks argmax deterministically, so
-    the slots of unselected refiners are exactly zero.
+    the slots of unselected refiners are exactly zero. A field with one
+    refiner skips its selector and draws no Gumbel noise: the weight would
+    be exactly 1.0 and the selector's gradient exactly 0, so the output and
+    every gradient are those of the refiner alone. The selector's
+    parameters are still made, and read a zero gradient.
     """
 
     def __init__(
@@ -197,6 +197,10 @@ class FieldRefinement:
         mode: str,
         trace: dict | None = None,
     ) -> Value:
+        if self.counts[field_name] == 1:
+            if trace is not None and mode == "eval":
+                trace.setdefault("refiner_choice", {})[field_name] = np.zeros(field_value.shape[:-1], dtype=np.intp)
+            return self.refiners[field_name][0].forward(field_value)
         selector = self.selectors[field_name]
         scores = ad.sigmoid(selector.forward(ad.concat([field_value, e_s], axis=-1)))
         if not self.use_gumbel:
@@ -247,11 +251,7 @@ class FieldCorrelation:
         for f in self.fields:
             piece = ad.slice_last(q_s, f.offset, f.offset + f.width)
             projected.append(self.projections[f.name].forward(piece))
-        pairs = []
-        for i in range(len(projected)):
-            for j in range(i + 1, len(projected)):
-                pairs.append(ad.dot_last(projected[i], projected[j]))
-        return ad.concat(pairs, axis=-1)
+        return ad.pair_dots(projected)
 
 
 def adaptive_features(

@@ -550,7 +550,8 @@ _RECIPES = [
     lambda x, y, s: ad.mul(x, ad.reshape(ad.sum_last(y), (_ROWS, 1))),  # sum_last: expand_dims view
     lambda x, y, s: ad.add(x, ad.mean_last(y, keepdims=True)),
     lambda x, y, s: ad.mul(y, ad.reshape(ad.mean_last(x), (_ROWS, 1))),
-    lambda x, y, s: ad.mul(x, ad.dot_last(x, y)),
+    lambda x, y, s: ad.mul(x, ad.pair_dots([x, y])),
+    lambda x, y, s: ad.mul_groups(x, ad.slice_last(y, 0, 2), (1, 3)),  # x takes g * w: fresh
     lambda x, y, s: ad.shift(x, s["c"]),  # view: g itself
     lambda x, y, s: ad.add(ad.scale(x, 2.0), ad.shift(x, s["c"])),  # fan-out: x takes g itself first
     lambda x, y, s: ad.scale(x, s["c"]),
@@ -860,3 +861,165 @@ def test_take_rows_grad_matches_add_at(rows, width, first, second, index_type, s
     else:
         # A second lookup adds its own sum to the first: another order.
         np.testing.assert_allclose(table.grad, reference, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sums by GEMV and the column max
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 1), (2, 0, 5), (3, 4, 1), (5,), (3, 2, 7)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gemv_sums_match_numpy_in_shape_dtype_and_value(shape, dtype):
+    x = np.random.default_rng(1).normal(size=shape).astype(dtype)
+    last = ad._gemv_sum(x)
+    assert last.dtype == dtype and last.shape == shape[:-1] + (1,) and last.flags.c_contiguous
+    np.testing.assert_allclose(last, x.sum(axis=-1, keepdims=True), rtol=1e-5, atol=1e-5)
+    for lead in range(1, len(shape) + 1):
+        rows = ad._gemv_sum(x, lead)
+        assert rows.dtype == dtype and rows.shape == shape[lead:] and rows.base is None
+        np.testing.assert_allclose(rows, x.sum(axis=tuple(range(lead))), rtol=1e-5, atol=1e-5)
+
+
+def test_gemv_sums_read_non_contiguous_input():
+    x = np.random.default_rng(2).normal(size=(6, 8)).astype(np.float32)
+    for view in (x[::2], x[:, 1::3], x.T, x[:, :5]):
+        assert not view.flags.c_contiguous
+        np.testing.assert_allclose(ad._gemv_sum(view), view.sum(axis=-1, keepdims=True), rtol=1e-5)
+        np.testing.assert_allclose(ad._gemv_sum(view, 1), view.sum(axis=0), rtol=1e-5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 6)),
+        st.tuples(st.integers(0, 4), st.integers(1, 7)),
+        st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5)),
+    ),
+    special=st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, -1e30]), max_size=4),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_column_max_holds_the_bits_of_numpy_max(shape, special, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape).astype(dtype)
+    flat = x.reshape(-1)
+    for value in special:  # ties, signed zeros and infinities at random places
+        if flat.size:
+            flat[rng.integers(flat.size)] = value
+    assert ad._max_last(x).tobytes() == x.max(axis=-1, keepdims=True).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# pair_dots and mul_groups: one node for a per-pair or per-group loop
+# ---------------------------------------------------------------------------
+
+def _composed_pair_dots(parts):
+    """The per-pair loop that ad.pair_dots replaces, kept as its reference."""
+    dots = [ad.sum_last(ad.mul(a, b), keepdims=True) for i, a in enumerate(parts) for b in parts[i + 1 :]]
+    return ad.concat(dots, axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(2, 6),
+    lead=st.one_of(st.tuples(st.integers(1, 9)), st.tuples(st.integers(1, 3), st.integers(1, 4))),
+    width=st.integers(1, 9),
+    frozen=st.lists(st.booleans(), min_size=6, max_size=6),
+    repeat=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_pair_dots_equals_the_per_pair_loop(count, lead, width, frozen, repeat, dtype, seed):
+    outputs, grads = [], []
+    for fused in (True, False):
+        rng = np.random.default_rng(seed)
+        g = ad.Graph(seed=0)
+        g.dtype = np.dtype(dtype)
+        parts = [(g.constant if frozen[j] else g.parameter)(rng.normal(size=lead + (width,))) for j in range(count)]
+        if repeat:  # a part in several pairs of its own
+            parts[-1] = parts[0]
+        out = ad.pair_dots(parts) if fused else _composed_pair_dots(parts)
+        ad.backward(ad.sum_all(ad.mul(out, g.constant(rng.normal(size=out.shape)))))
+        outputs.append(out)
+        grads.append([p.grad for p in parts])
+    assert outputs[0].shape == lead + (count * (count - 1) // 2,)
+    assert outputs[0].data.dtype == dtype
+    # Each column sums the same product by the same GEMV.
+    assert outputs[0].data.tobytes() == outputs[1].data.tobytes()
+    # Each part takes the same products, added in the loop's sweep order.
+    for fused_grad, loop_grad in zip(*grads):
+        assert fused_grad.tobytes() == loop_grad.tobytes()
+
+
+def _composed_mul_groups(x, w, widths):
+    """The per-group loop that ad.mul_groups replaces, kept as its reference."""
+    offsets = np.cumsum([0] + list(widths))
+    pieces = [
+        ad.mul(ad.slice_last(x, lo, hi), ad.slice_last(w, j, j + 1))
+        for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:]))
+    ]
+    return ad.concat(pieces, axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    lead=st.one_of(st.tuples(st.integers(0, 7)), st.tuples(st.integers(1, 3), st.integers(1, 4))),
+    frozen_x=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_mul_groups_equals_the_per_group_loop(widths, lead, frozen_x, dtype, seed):
+    outputs, grads = [], []
+    for fused in (True, False):
+        rng = np.random.default_rng(seed)
+        g = ad.Graph(seed=0)
+        g.dtype = np.dtype(dtype)
+        x = (g.constant if frozen_x else g.parameter)(rng.normal(size=lead + (sum(widths),)))
+        w = g.parameter(rng.uniform(0.0, 2.0, size=lead + (len(widths),)))
+        out = ad.mul_groups(x, w, widths) if fused else _composed_mul_groups(x, w, widths)
+        ad.backward(ad.sum_all(ad.mul(out, g.constant(rng.normal(size=out.shape)))))
+        outputs.append(out.data)
+        grads.append((x.grad, w.grad))
+    # The same products each way; the grad of x too.
+    assert outputs[0].tobytes() == outputs[1].tobytes()
+    assert grads[0][0].tobytes() == grads[1][0].tobytes()
+    # w's grad sums each group by one GEMM instead of one sum per group.
+    assert grads[0][1].dtype == dtype
+    np.testing.assert_allclose(grads[0][1], grads[1][1], rtol=1e-5 if dtype == np.float32 else 1e-12, atol=1e-6)
+
+
+@pytest.mark.parametrize("op", ["pair_dots", "mul_groups"])
+def test_pair_dots_and_mul_groups_match_central_differences(op):
+    rng = np.random.default_rng(21)
+    g = ad.Graph(seed=0)
+    parts = [g.parameter(rng.normal(size=(3, 4))) for _ in range(3)]
+    w = g.parameter(rng.normal(size=(3, 3)))
+    leaves = parts if op == "pair_dots" else [parts[0], w]
+
+    def loss() -> ad.Value:
+        out = ad.pair_dots(parts) if op == "pair_dots" else ad.mul_groups(parts[0], w, (1, 2, 1))
+        return ad.sum_all(ad.mul(ad.sigmoid(out), g.constant(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))))
+
+    ad.backward(loss())
+
+    def run() -> float:
+        m = g.mark()
+        out = float(loss().data)
+        g.truncate(m)
+        return out
+
+    for p in leaves:
+        assert max_rel_err(p.grad.copy(), fd_gradient(run, p.data)) <= 1e-6
+
+
+def test_pair_dots_and_mul_groups_reject_bad_operands():
+    g = ad.Graph(seed=0)
+    x = g.constant(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="at least two parts"):
+        ad.pair_dots([x])
+    with pytest.raises(ad.ShapeError, match="pair_dots"):
+        ad.pair_dots([x, g.constant(np.zeros((3, 5)))])
+    for w_shape, widths in [((3, 2), (2, 1)), ((3, 2), (1, 2, 1)), ((2, 2), (2, 2)), ((3, 2), (4, 0))]:
+        with pytest.raises(ad.ShapeError, match="mul_groups"):
+            ad.mul_groups(x, g.constant(np.zeros(w_shape)), widths)

@@ -55,6 +55,20 @@ def test_summarise_claim_and_verdict(entry, parent, change, claim, verdict):
     assert got["pairs"] == len(parent)
 
 
+def test_summarise_reports_the_quartiles_of_the_per_pair_ratios():
+    # Each pair is judged against its own parent run, so a drift that moves
+    # both sides alike leaves the ratios as they are.
+    parent = [100.0, 200.0, 400.0, 800.0, 50.0]
+    change = [110.0, 240.0, 400.0, 1200.0, 0.0]
+    got = _summary(HIGHER, parent, change)
+    assert got["pair_ratio_median"] == pytest.approx(1.1)
+    assert got["pair_ratio_quartiles"] == pytest.approx([1.0, 1.2])
+    # The ratio is change over parent whichever way the metric is better.
+    lower = _summary(LOWER, STEADY, [x * 0.9 for x in STEADY])
+    assert lower["pair_ratio_median"] == pytest.approx(0.9)
+    assert lower["pair_ratio_quartiles"] == pytest.approx([0.9, 0.9])
+
+
 def test_summarise_skips_a_metric_no_pair_measured():
     pairs = _pairs("speed", STEADY, STEADY)
     assert bench_pairs.summarise(pairs, [HIGHER, LOWER]).keys() == {"speed"}

@@ -432,6 +432,21 @@ def test_train_baseline_and_disable(data_files, tmp_path, capsys):
     assert bare["eval"]["refiner_hist"] == {}
 
 
+@pytest.mark.parametrize("settings, eval_data, message", [
+    (["train.early_stop_patience=1"], True, "train.early_stop_patience: 1 needs train.eval_every above 0"),
+    (["train.early_stop_patience=1", "train.eval_every=1"], False, "train.early_stop_patience: 1 needs --eval-data"),
+])
+def test_train_refuses_early_stopping_that_could_never_stop(data_files, tmp_path, capsys, settings, eval_data, message):
+    # Before, either run trained every epoch and reported stopped_early false.
+    train, heldout = data_files
+    sets = [arg for item in settings for arg in ("--set", item)]
+    more = ["--eval-data", str(heldout)] if eval_data else []
+    ckpt = tmp_path / "m.ckpt"
+    code, _, err = run(capsys, "train", *TINY, *sets, "--data", str(train), *more, "--model-out", str(ckpt))
+    assert code == 2 and message in err
+    assert not ckpt.exists()
+
+
 def test_incompatible_data_exits_2(data_files, tmp_path, capsys):
     train, _ = data_files
     code, _, err = run(

@@ -187,6 +187,16 @@ def test_out_of_range_sizes_seeds_and_intervals_are_refused_by_key(key, raw):
         build_run_config({key: raw})
 
 
+def test_early_stop_patience_without_evaluations_is_refused_naming_both_keys():
+    # Patience counts evaluations during training; with none it never stopped a run.
+    with pytest.raises(ConfigError, match=r"^train\.early_stop_patience: 2 needs train\.eval_every above 0"):
+        build_run_config({"train.early_stop_patience": "2"})
+    with pytest.raises(ConfigError, match=r"train\.eval_every"):
+        build_run_config({"train.early_stop_patience": "1", "train.eval_every": "0"})
+    cfg = build_run_config({"train.early_stop_patience": "2", "train.eval_every": "1"})
+    assert (cfg.train.early_stop_patience, cfg.train.eval_every) == (2, 1)
+
+
 # key, a valid value other than its default, where it lands in the RunConfig, the value expected there
 _FILLS = [
     ("vocab.users", "121", "vocab.users", 121),
@@ -248,10 +258,14 @@ def _at(cfg, path: str):
     return cfg
 
 
+# keys that a row's value needs set as well
+_WITH = {"train.early_stop_patience": {"train.eval_every": "1"}}  # patience counts evaluations
+
+
 def test_every_key_fills_its_own_field():
     keys = {key for key, *_ in _FILLS}
     assert keys == set(config._REGISTRY) | {f"scenario.1.{name}" for name in config._SCENARIO_FIELDS}
     default = build_run_config()
     for key, raw, path, expected in _FILLS:
         assert _at(default, path) != expected, key
-        assert _at(build_run_config({key: raw}), path) == expected, key
+        assert _at(build_run_config({key: raw, **_WITH.get(key, {})}), path) == expected, key

@@ -206,6 +206,30 @@ def test_single_refiner_weight_is_exactly_one():
     np.testing.assert_array_equal(out.data, direct.data)
 
 
+@pytest.mark.parametrize("use_gumbel", [True, False])
+def test_a_one_refiner_field_is_its_refiner_and_its_selector_reads_a_zero_grad(use_gumbel):
+    g, q, layout = make_layout()
+    rng = np.random.default_rng(14)
+    fr = build_fr(g, layout, rng, use_gumbel=use_gumbel)  # user has 2 refiners, every other field 1
+    e_s = g.parameter(rng.normal(size=(4, 2)))
+    spec = layout.field("item")
+    field = ad.slice_last(q, spec.offset, spec.offset + spec.width)
+    direct = fr.refiners["item"][0].forward(field).data
+    for mode in ("train", "eval"):
+        trace: dict = {}
+        out = fr.refine_field("item", field, e_s, mode, trace)
+        assert out.data.tobytes() == direct.tobytes(), mode
+        if mode == "eval":
+            np.testing.assert_array_equal(trace["refiner_choice"]["item"], np.zeros(4, dtype=np.intp))
+    g.zero_grads()
+    ad.backward(ad.sum_all(fr.forward(q, e_s, mode="train")))
+    for name, value in g.params.items():
+        if ".selector." in name:
+            assert value.grad.any() == (".user." in name), name
+    # Only the two-refiner field's selector reaches the scenario embedding.
+    assert e_s.grad.any()
+
+
 def test_eval_selection_zeroes_unselected_slots_exactly():
     g, q, layout = make_layout()
     rng = np.random.default_rng(8)

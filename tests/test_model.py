@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_rel_err
+from helpers import BENCHMARK_STEP_NODES, max_rel_err
 from maria import autodiff as ad
 from maria import checkpoint as ckpt
 from maria import config as cfgmod
@@ -814,16 +814,16 @@ def _benchmark_block() -> InstanceTable:
 
 @pytest.mark.parametrize(
     "workload, kind, flow, batch_size, nodes",
-    [
-        ("train-maria", "maria", "train", 512, 282),
-        ("train-mmoe-b64", "mmoe", "train", 64, 122),
-        ("score-maria", "maria", "score", 512, 254),
-    ],
+    [(w, k, f, b, BENCHMARK_STEP_NODES[w]) for w, k, f, b in [
+        ("train-maria", "maria", "train", 512),
+        ("train-mmoe-b64", "mmoe", "train", 64),
+        ("score-maria", "maria", "score", 512),
+    ]],
 )
 def test_graph_size_of_each_benchmark_step_is_pinned(workload, kind, flow, batch_size, nodes):
     """Nodes one step of each benchmark workload builds on a full block: the
     forward plus the loss for a training step, the forward for an eval batch.
-    A change that fuses or adds nodes on purpose re-pins these counts."""
+    The counts are ``helpers.BENCHMARK_STEP_NODES``."""
     cfg = benchmark_config(512, 3)
     graph = Graph(seed=3)
     model = build_model(graph, cfg, kind=kind)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import BENCHMARK_STEP_NODES
 
 from maria import datagen, training
 from maria.autodiff import Graph
@@ -167,7 +168,8 @@ def test_a_training_step_builds_only_float32_node_data_and_grads(monkeypatch):
     del graph.truncate
     assert len(seen) == 1
     built, grads, promoted = seen[0]
-    assert built > 200 and grads > len(model.parameter_values())
+    # One full step: the graph the benchmark pins for train-maria at batch 512.
+    assert built == BENCHMARK_STEP_NODES["train-maria"] and grads > len(model.parameter_values())
     assert promoted == []
     assert contributions == {np.dtype(np.float32)}
 
@@ -280,6 +282,17 @@ def test_evaluate_is_side_effect_free_and_reports_scenarios():
         # one pick per instance per field, in its scenario's row
         assert hist.sum(axis=1).tolist() == [report.per_scenario[s].count for s in range(cfg.vocab.scenarios)]
     assert report.to_dict()["count"] == 500
+
+
+def test_eval_puts_a_one_refiner_field_in_column_0_for_every_row():
+    cfg = benchmark_config(600, 3)  # refiners 1,3,1,1,1: only the user field selects
+    dataset, _ = datagen.generate(cfg)
+    model = build_model(Graph(seed=0), cfg)
+    report = evaluate(model, dataset.instances, batch_size=256)
+    counts = [report.per_scenario[s].count for s in range(cfg.vocab.scenarios)]
+    for fname, hist in report.refiner_hist.items():
+        assert hist.shape == (cfg.vocab.scenarios, 3 if fname == "user" else 1), fname
+        assert hist.sum(axis=1).tolist() == counts, fname
 
 
 def test_eval_makes_no_grad_buffers_and_leaves_training_unchanged():
