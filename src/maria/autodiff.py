@@ -350,6 +350,10 @@ def _row_product(x: Value, w: Value, b: Value | None, op: str) -> Value:
     hold, row for row, the bits of numpy's per-matrix products on OpenBLAS at
     the encoder's shapes. The weight grad ``x2.T @ g2`` over the flattened
     rows sums a stacked ``x`` in another order than per-matrix products do.
+    Against a one-column ``w`` the input grad is the broadcast product
+    ``g * w.T``, in about half the time of a GEMM of inner size 1: the same
+    products, where only a zero's sign can differ, and the grad buffer turns
+    -0.0 into +0.0 either way (see :func:`_accumulate`).
     """
     out = _row_gemm(x.data, w.data)
     if b is not None:
@@ -357,7 +361,8 @@ def _row_product(x: Value, w: Value, b: Value | None, op: str) -> Value:
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            _accumulate(x, _row_gemm(g, w.data.T), g)
+            gx = g * w.data.T if w.shape[1] == 1 else _row_gemm(g, w.data.T)
+            _accumulate(x, gx, g)
         if w.requires_grad:
             _accumulate(w, _rows(x.data).T @ _rows(g), g)
         if b is not None and b.requires_grad:

@@ -12,7 +12,9 @@ Layout (all integers little-endian):
 
 The header embeds the full structural spec, so a checkpoint can be loaded
 without the original config file; the digest catches corrupted or edited
-headers before any tensor is trusted.
+headers before any tensor is trusted. A parameter value that float32, the
+precision models train and score in, cannot hold (NaN, an infinity, or a
+magnitude above float32's largest finite value) is refused on load.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .model import model_from_spec
 
 MAGIC = b"MARIA1"
 VERSION = 1
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class CheckpointError(ValueError):
@@ -103,7 +106,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict, list[tuple[str, np.nd
             )
             size = math.prod(shape)
             raw = _read_exact(fh, size * 8, f"{name} data")
-            params.append((name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy()))
+            arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            held = np.abs(arr) <= _FLOAT32_MAX  # false for NaN too
+            if not held.all():
+                raise CheckpointError(
+                    f"{path}: parameter {name!r} holds {float(arr[~held][0])!r}; parameters must be finite "
+                    f"and at most {_FLOAT32_MAX:.7g} in magnitude, since models score in float32"
+                )
+            params.append((name, arr.copy()))
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last parameter")
     return spec, meta, params

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -42,34 +43,58 @@ def train(
 ) -> TrainReport:
     """Optimize the model in place; deterministic given settings.seed.
 
-    The steps run in float32: while ``train`` runs, the graph's dtype and
-    every parameter are float32, and so are mid-training evals. On every
-    exit, by return or by exception, the graph's dtype is put back and each
-    parameter holds a float64 array again: its trained values, or its
-    original array when no optimizer step completed.
+    The steps run in float32 (see :func:`_in_float32`), and so do
+    mid-training evals. On every exit, by return or by exception, the
+    graph's dtype is put back and each parameter holds its original float64
+    array again, into which its trained values were written if an optimizer
+    step completed.
     """
     if len(instances) == 0:
         raise ValueError("train: no instances")
     named = model.named_parameters()
-    params = [value for _, value in named]
+    originals = [value.data for _, value in named]
+    with _in_float32(graph):
+        opt = Adam([value for _, value in named], learning_rate=settings.learning_rate,
+                   weight_decay=settings.weight_decay)
+        try:
+            return _train_steps(graph, model, named, opt, instances, settings, eval_instances, log_fn)
+        finally:
+            if opt.t > 0:  # the trained values, into the arrays the helper puts back
+                for original, (_, value) in zip(originals, named):
+                    original[...] = value.data
+
+
+@contextmanager
+def _in_float32(graph: Graph):
+    """Run the block on a float32 graph.
+
+    On entry ``graph.dtype`` becomes float32 and every named parameter gets
+    a float32 copy of its data. On every exit, by return or by exception,
+    the arena is truncated to its entry mark; then the graph's dtype and
+    each parameter's original array object are put back, and a grad the
+    block left on a parameter is cast to that dtype. On a graph that is
+    already float32 only the truncation runs, so a mid-training eval
+    neither copies the parameters nor detaches them from Adam's arena.
+    """
+    start, dtype = graph.mark(), graph.dtype
+    params = list(graph.params.values())
     originals = [p.data for p in params]
-    dtype, start = graph.dtype, graph.mark()
-    graph.dtype = np.dtype(np.float32)
-    opt = None
+    cast = dtype != np.float32
     try:
-        for p in params:
-            p.data = p.data.astype(np.float32)
-        opt = Adam(params, learning_rate=settings.learning_rate, weight_decay=settings.weight_decay)
-        return _train_steps(graph, model, named, opt, instances, settings, eval_instances, log_fn)
+        if cast:
+            graph.dtype = np.dtype(np.float32)
+            for p in params:
+                p.data = p.data.astype(np.float32)
+        yield
     finally:
-        if len(graph) > start:  # a step that raised left its float32 nodes behind
+        if len(graph) > start:  # a block that raised left its nodes behind
             graph.truncate(start)
-        graph.dtype = dtype
-        stepped = opt is not None and opt.t > 0
-        for p, original in zip(params, originals):
-            p.data = np.array(p.data, dtype=np.float64) if stepped else original
-            if p._grad is not None:
-                p._grad = p._grad.astype(np.float64)
+        if cast:
+            graph.dtype = dtype
+            for p, original in zip(params, originals):
+                p.data = original
+                if p._grad is not None:
+                    p._grad = p._grad.astype(dtype, copy=False)
 
 
 def _train_steps(graph, model, named, opt, instances, settings, eval_instances, log_fn) -> TrainReport:
@@ -185,9 +210,13 @@ class EvalReport:
 def evaluate(model, instances: InstanceTable, batch_size: int = 512, workers: int = 1) -> EvalReport:
     """Score instances in eval mode and aggregate ranking metrics.
 
-    Leaves the model untouched: no parameter updates, no RNG draws, and the
-    graph arena is restored after every batch. ``workers`` stays only for
-    ``bench/workloads.py``, which passes 1; any other value is refused.
+    The forward runs in float32, the precision the model trained in (see
+    :func:`_in_float32`); the loss and the metrics are computed on the
+    scores widened to float64. Leaves the model untouched: no parameter
+    updates, no RNG draws, and the graph arena, its dtype and every
+    parameter's array are as they were on every exit, also when a batch
+    raises. ``workers`` stays only for ``bench/workloads.py``, which passes
+    1; any other value is refused.
     """
     if workers != 1:
         raise ValueError(f"evaluate: workers must be 1, got {workers}")
@@ -197,18 +226,19 @@ def evaluate(model, instances: InstanceTable, batch_size: int = 512, workers: in
     if fr is not None:
         refiner_hist = {fname: np.zeros((model.vocab.scenarios, count)) for fname, count in fr.counts.items()}
     scores_parts = []
-    for block in blocks:
-        batch = make_batch(block, model.vocab, model.schema, model.trigger_mode)
-        mark = graph.mark()
-        result = model.forward(batch, mode="eval")
-        scores_parts.append(result.score.data.copy())
-        for fname, picks in result.trace.get("refiner_choice", {}).items():
-            np.add.at(refiner_hist[fname], (block.scenario, picks), 1.0)
-        graph.truncate(mark)
+    with _in_float32(graph):
+        for block in blocks:
+            batch = make_batch(block, model.vocab, model.schema, model.trigger_mode)
+            mark = graph.mark()
+            result = model.forward(batch, mode="eval")
+            scores_parts.append(result.score.data.copy())
+            for fname, picks in result.trace.get("refiner_choice", {}).items():
+                np.add.at(refiner_hist[fname], (block.scenario, picks), 1.0)
+            graph.truncate(mark)
 
     labels = instances.label.astype(np.float64)
     scenario = instances.scenario
-    # float64 even on a float32 graph, where 1 - 1e-12 below would round to 1.0
+    # float64, since in float32 the 1 - 1e-12 below would round to 1.0
     scores = np.concatenate(scores_parts, dtype=np.float64) if scores_parts else np.zeros(0)
 
     clipped = np.clip(scores, 1e-12, 1.0 - 1e-12)

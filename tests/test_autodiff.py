@@ -672,6 +672,72 @@ def test_stacked_matmul_and_affine_match_central_differences(lead):
         assert max_rel_err(p.grad.copy(), fd_gradient(run, p.data)) <= 1e-6
 
 
+def _one_column_case(g: ad.Graph, seed: int, lead: tuple[int, ...], d_in: int, zeros: bool):
+    """``x``, a one-column ``w``, a bias ``b`` and the weights that give each
+    product row its upstream grad; with ``zeros``, signed zeros are mixed
+    into ``w`` and those weights."""
+    rng = np.random.default_rng(seed)
+    x = g.parameter(rng.normal(size=lead + (d_in,)))
+    w_data, up = rng.normal(size=(d_in, 1)), rng.normal(size=lead + (1,))
+    if zeros:
+        for arr in (w_data, up):
+            arr[rng.random(arr.shape) < 0.3] = 0.0
+            arr[rng.random(arr.shape) < 0.3] = -0.0
+    return x, g.parameter(w_data), g.parameter(rng.normal(size=(1,))), g.constant(up)
+
+
+def _one_column_product(x, w, b, op: str) -> ad.Value:
+    return ad.matmul(x, w) if op == "matmul" else ad.affine(x, w, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.one_of(st.tuples(st.integers(1, 9)), st.tuples(st.integers(1, 4), st.integers(1, 5))),
+    d_in=st.integers(1, 30),
+    op=st.sampled_from(["matmul", "affine"]),
+    zeros=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(lead=(2048,), d_in=24, op="matmul", zeros=False, dtype=np.float32, seed=1)  # trigger_sim's shape
+@example(lead=(512,), d_in=16, op="affine", zeros=False, dtype=np.float32, seed=2)    # the head's
+@example(lead=(512,), d_in=27, op="affine", zeros=True, dtype=np.float64, seed=3)
+def test_a_one_column_weight_gives_the_input_grad_of_the_gemm_bit_for_bit(lead, d_in, op, zeros, dtype, seed):
+    g = ad.Graph(seed=0)
+    g.dtype = np.dtype(dtype)
+    x, w, b, up = _one_column_case(g, seed, lead, d_in, zeros)
+    out = _one_column_product(x, w, b, op)
+    ad.backward(ad.sum_all(ad.mul(out, up)))
+    # The GEMM of inner size 1 that the broadcast product replaces, through
+    # the + 0.0 of a first grad contribution.
+    gemm = np.empty(lead + (d_in,), dtype=dtype)
+    np.matmul(out.grad.reshape(-1, 1), w.data.T, out=gemm.reshape(-1, d_in))
+    want = np.add(gemm, 0.0)
+    assert x.grad.dtype == dtype
+    assert x.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("op", ["matmul", "affine"])
+@pytest.mark.parametrize("lead", [(3,), (2, 3)])
+def test_one_column_products_match_central_differences(lead, op):
+    g = ad.Graph(seed=0)
+    x, w, b, up = _one_column_case(g, 9, lead, 4, zeros=False)
+
+    def build() -> ad.Value:
+        return ad.sum_all(ad.mul(ad.sigmoid(_one_column_product(x, w, b, op)), up))
+
+    ad.backward(build())
+
+    def run() -> float:
+        m = g.mark()
+        value = float(build().data)
+        g.truncate(m)
+        return value
+
+    for p in (x, w, b) if op == "affine" else (x, w):
+        assert max_rel_err(p.grad.copy(), fd_gradient(run, p.data)) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # layer_norm: one node for the normalise-scale-shift composition
 # ---------------------------------------------------------------------------

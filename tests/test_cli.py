@@ -358,6 +358,19 @@ def test_eval_of_damaged_inputs_found_by_the_fuzz_exits_3(target, damage, messag
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "1e300"])
+def test_eval_of_a_checkpoint_value_float32_cannot_hold_exits_3(value):
+    raw = _eval_inputs()["checkpoint"]
+    at = _first_record(raw)
+    (nlen,) = struct.unpack_from("<H", raw, at)
+    name = raw[at + 2:at + 2 + nlen].decode("utf-8")
+    at += 2 + nlen
+    at += 1 + 4 * raw[at]  # rank and dims: the first float follows
+    code, err = _eval_damaged("checkpoint", raw[:at] + struct.pack("<d", value) + raw[at + 8:])
+    assert code == 3, err
+    assert err.count("\n") == 1 and err.startswith("error: ") and f"parameter {name!r} holds {value!r}" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["train", "--data", "d.jsonl", "--model-out", "m.ckpt"], ["eval", "--model", "m.ckpt", "--data", "d.jsonl"]],

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from helpers import BENCHMARK_STEP_NODES
 
-from maria import datagen, training
+from maria import checkpoint, datagen, metrics, training
 from maria.autodiff import Graph
 from maria.benchmark import benchmark_config, run_benchmark
 from maria.config import build_run_config
@@ -325,6 +325,107 @@ def test_eval_makes_no_grad_buffers_and_leaves_training_unchanged():
     for (n1, v1), (n2, v2) in zip(model.named_parameters(), ref_model.named_parameters()):
         assert n1 == n2
         assert np.array_equal(v1.data, v2.data)
+
+
+def _arrays(model) -> list:
+    return [value.data for value in model.parameter_values()]
+
+
+def test_evaluate_of_a_float64_model_puts_back_the_same_arrays():
+    cfg = learnable_overrides(**{"train.epochs": "1", "gen.count": "200"})
+    dataset, graph, model = make_run(cfg)
+    train(graph, model, dataset.instances, cfg.train)
+    arrays, grads = _arrays(model), [value._grad for value in model.parameter_values()]
+    scored = []
+    forward = model.forward
+
+    def recording_forward(batch, mode):
+        result = forward(batch, mode=mode)
+        scored.append((graph.dtype, result.score.data.dtype, {v.data.dtype for v in model.parameter_values()}))
+        return result
+
+    model.forward = recording_forward
+    evaluate(model, dataset.instances, batch_size=64)
+    f32 = np.dtype(np.float32)
+    assert scored == [(f32, f32, {f32})] * 4  # every batch scored in float32
+    assert graph.dtype == np.float64
+    assert all(now is was for now, was in zip(_arrays(model), arrays))
+    assert all(value._grad is was for value, was in zip(model.parameter_values(), grads))
+
+
+def test_evaluate_puts_back_arena_dtype_and_arrays_when_a_batch_raises():
+    cfg = benchmark_config(64, 3)
+    dataset, _ = datagen.generate(cfg)
+    graph = Graph(seed=0)
+    model = build_model(graph, cfg)
+    dataset.instances.target_item[40] = cfg.vocab.items + 5  # in the second batch of 32
+    start, arrays = len(graph), _arrays(model)
+    with pytest.raises(IndexError):
+        evaluate(model, dataset.instances, batch_size=32)
+    assert len(graph) == start
+    assert graph.dtype == np.float64
+    assert all(now is was for now, was in zip(_arrays(model), arrays))
+
+
+def test_mid_training_evals_leave_the_steps_and_the_checkpoint_unchanged(tmp_path):
+    cfg = learnable_overrides(**{"train.epochs": "2", "gen.count": "300"})
+    runs = []
+    for every in (0, 1):
+        dataset, graph, model = make_run(cfg)
+        settings = dataclasses.replace(cfg.train, eval_every=every)
+        report = train(graph, model, dataset.instances[:200], settings, eval_instances=dataset.instances[200:])
+        assert len(report.eval_history) == 2 * every
+        path = tmp_path / f"every{every}.ckpt"
+        checkpoint.save_model(path, model)
+        runs.append((report.step_losses, path.read_bytes()))
+    assert runs[1] == runs[0]
+
+
+def test_float32_evaluate_matches_a_float64_forward_of_the_checkpoint(tmp_path):
+    """The reference for scoring in float32: the same checkpoint scored by a
+    float64 forward, batch by batch as ``evaluate`` cuts the log."""
+    cfg = benchmark_config(3072, 7)
+    dataset, _ = datagen.generate(cfg)
+    train_rows, heldout = dataset.instances[:2048], dataset.instances[2048:]
+    graph = Graph(seed=cfg.train.seed)
+    trained = build_model(graph, cfg)
+    train(graph, trained, train_rows, dataclasses.replace(cfg.train, epochs=2))
+    path = tmp_path / "maria.ckpt"
+    checkpoint.save_model(path, trained)
+    model, graph, _ = checkpoint.load_model(path)
+
+    scores64, hist64 = [], {fname: np.zeros((cfg.vocab.scenarios, n)) for fname, n in model.fr.counts.items()}
+    for block in datagen.batch_iter(heldout, 512):
+        mark = graph.mark()
+        result = model.forward(make_batch(block, model.vocab, model.schema, model.trigger_mode), mode="eval")
+        assert result.score.data.dtype == np.float64
+        scores64.append(result.score.data.copy())
+        for fname, picks in result.trace["refiner_choice"].items():
+            np.add.at(hist64[fname], (block.scenario, picks), 1.0)
+        graph.truncate(mark)
+    scores64 = np.concatenate(scores64)
+
+    scores32 = []
+    forward = model.forward
+
+    def recording_forward(batch, mode):
+        result = forward(batch, mode=mode)
+        scores32.append(result.score.data.copy())
+        return result
+
+    model.forward = recording_forward
+    report = evaluate(model, heldout, batch_size=512)
+    scores32 = np.concatenate(scores32)
+    assert scores32.dtype == np.float32
+    np.testing.assert_allclose(scores32, scores64, rtol=1e-5, atol=0)
+    labels = heldout.label.astype(np.float64)
+    assert abs(report.auc - metrics.auc(scores64, labels)) <= 1e-6
+    for sid, entry in report.per_scenario.items():
+        sel = heldout.scenario == sid
+        assert abs(entry.auc - metrics.auc(scores64[sel], labels[sel])) <= 1e-6, sid
+    assert report.refiner_hist.keys() == hist64.keys()
+    for fname, hist in hist64.items():
+        np.testing.assert_array_equal(report.refiner_hist[fname], hist, err_msg=fname)
 
 
 def test_evaluate_refuses_workers_other_than_one():
