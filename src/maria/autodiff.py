@@ -2,15 +2,16 @@
 
 A :class:`Graph` owns an append-only arena of :class:`Value` nodes. Nodes are
 appended in creation order, so the arena index is a valid topological order
-and :func:`backward` is a single reverse sweep over it. The graph's ``dtype``
-(float64 unless changed) is the dtype of every buffer: constants and
-parameters are cast to it, and each primitive allocates in its operands'
-dtype. A grad buffer is made on first use: the first contribution backward
-adds to a node becomes its buffer, and a read of a node that has none makes
-a zero one. A forward pass alone, as in eval, allocates no grad bytes. The
-graph also owns the random source used for Gumbel noise, so runs are
-reproducible bit for bit and noise can be recorded and replayed
-(finite-difference checks need the same noise on every perturbed pass).
+and :func:`backward` is a single reverse sweep over it. The graph's ``dtype``,
+fixed when the graph is made (float32 by default), is the dtype of every
+buffer: constants and parameters are cast to it, and each primitive
+allocates in its operands' dtype. A grad buffer is made on first use: the
+first contribution backward adds to a node becomes its buffer, and a read
+of a node that has none makes a zero one. A forward pass alone, as in eval,
+allocates no grad bytes. The graph also owns the random source used for
+Gumbel noise, so runs are reproducible bit for bit and noise can be
+recorded and replayed (finite-difference checks need the same noise on
+every perturbed pass).
 """
 
 from __future__ import annotations
@@ -82,15 +83,16 @@ class Graph:
     """Arena of Values plus the seeded noise source for one model build.
 
     ``dtype`` is the float type of the nodes :meth:`constant` and
-    :meth:`parameter` make. Changing it casts nothing already built.
+    :meth:`parameter` make: float32, the precision models train and score
+    in, unless the graph is made as float64 (for finite differences).
     ``params`` maps each named parameter's name to its node, in creation
     order: the list that Adam trains and checkpoints save.
     """
 
-    def __init__(self, seed: int | Sequence[int] = 0):
+    def __init__(self, seed: int | Sequence[int] = 0, dtype=np.float32):
         self.nodes: list[Value] = []
         self.params: dict[str, Value] = {}
-        self.dtype = np.dtype(np.float64)
+        self.dtype = np.dtype(dtype)
         self.rng = np.random.default_rng(seed)
         self.clamp_events = 0
         # Nodes at or past this index hold no grad that a backward wrote

@@ -124,7 +124,7 @@ def save_model(path: str | Path, model, meta: dict | None = None) -> None:
 
 
 def load_model(path: str | Path, seed: int = 0):
-    """Rebuild the saved model; returns (model, graph, meta)."""
+    """Rebuild the saved model on a float32 graph; returns (model, graph, meta)."""
     spec, meta, params = load_checkpoint(path)
     graph = Graph(seed=seed)
     try:

@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint, config, datagen, training
 from .autodiff import Graph
 from .checkpoint import CheckpointError
@@ -93,7 +95,7 @@ def _format_eval(report: training.EvalReport) -> str:
         return "n/a" if v is None else f"{v:.4f}"
 
     lines = [
-        f"instances {report.count}  loss {report.loss:.4f}  "
+        f"instances {report.count}  loss {show(report.loss)}  "
         f"auc {show(report.auc)}  pcoc {show(report.pcoc)}"
     ]
     for sid, e in sorted(report.per_scenario.items()):
@@ -211,7 +213,7 @@ def cmd_gradcheck(args) -> int:
         extra["train.seed"] = str(args.seed)
     cfg = _load_config(args, extra)
     dataset, _ = datagen.generate(cfg)
-    graph = Graph(seed=cfg.train.seed)
+    graph = Graph(seed=cfg.train.seed, dtype=np.float64)  # central differences need float64
     model = build_model(graph, cfg, kind=args.baseline or "maria")
     report = training.gradient_check(
         graph,

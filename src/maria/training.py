@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ class TrainReport:
     steps: int
     step_losses: list[float]           # batch-mean loss per optimizer step
     epoch_losses: list[float]          # mean per-instance loss per epoch
-    final_loss: float
+    final_loss: float | None           # last epoch's loss; None without an epoch
     clamp_events: int
     eval_history: list[tuple[int, float | None]]  # (epoch, overall auc)
     stopped_early: bool = False
@@ -43,58 +42,21 @@ def train(
 ) -> TrainReport:
     """Optimize the model in place; deterministic given settings.seed.
 
-    The steps run in float32 (see :func:`_in_float32`), and so do
-    mid-training evals. On every exit, by return or by exception, the
-    graph's dtype is put back and each parameter holds its original float64
-    array again, into which its trained values were written if an optimizer
-    step completed.
+    The steps, and mid-training evals, run at the graph's dtype: float32
+    for a default graph. If a step raises, the arena is truncated to its
+    entry mark.
     """
     if len(instances) == 0:
         raise ValueError("train: no instances")
     named = model.named_parameters()
-    originals = [value.data for _, value in named]
-    with _in_float32(graph):
-        opt = Adam([value for _, value in named], learning_rate=settings.learning_rate,
-                   weight_decay=settings.weight_decay)
-        try:
-            return _train_steps(graph, model, named, opt, instances, settings, eval_instances, log_fn)
-        finally:
-            if opt.t > 0:  # the trained values, into the arrays the helper puts back
-                for original, (_, value) in zip(originals, named):
-                    original[...] = value.data
-
-
-@contextmanager
-def _in_float32(graph: Graph):
-    """Run the block on a float32 graph.
-
-    On entry ``graph.dtype`` becomes float32 and every named parameter gets
-    a float32 copy of its data. On every exit, by return or by exception,
-    the arena is truncated to its entry mark; then the graph's dtype and
-    each parameter's original array object are put back, and a grad the
-    block left on a parameter is cast to that dtype. On a graph that is
-    already float32 only the truncation runs, so a mid-training eval
-    neither copies the parameters nor detaches them from Adam's arena.
-    """
-    start, dtype = graph.mark(), graph.dtype
-    params = list(graph.params.values())
-    originals = [p.data for p in params]
-    cast = dtype != np.float32
+    opt = Adam([value for _, value in named], learning_rate=settings.learning_rate,
+               weight_decay=settings.weight_decay)
+    start = graph.mark()
     try:
-        if cast:
-            graph.dtype = np.dtype(np.float32)
-            for p in params:
-                p.data = p.data.astype(np.float32)
-        yield
+        return _train_steps(graph, model, named, opt, instances, settings, eval_instances, log_fn)
     finally:
-        if len(graph) > start:  # a block that raised left its nodes behind
+        if len(graph) > start:  # a step that raised left its nodes behind
             graph.truncate(start)
-        if cast:
-            graph.dtype = dtype
-            for p, original in zip(params, originals):
-                p.data = original
-                if p._grad is not None:
-                    p._grad = p._grad.astype(dtype, copy=False)
 
 
 def _train_steps(graph, model, named, opt, instances, settings, eval_instances, log_fn) -> TrainReport:
@@ -152,7 +114,7 @@ def _train_steps(graph, model, named, opt, instances, settings, eval_instances, 
         steps=step,
         step_losses=step_losses,
         epoch_losses=epoch_losses,
-        final_loss=epoch_losses[-1] if epoch_losses else float("nan"),
+        final_loss=epoch_losses[-1] if epoch_losses else None,
         clamp_events=graph.clamp_events,
         eval_history=eval_history,
         stopped_early=stopped,
@@ -174,7 +136,7 @@ class ScenarioEval:
 @dataclass
 class EvalReport:
     count: int
-    loss: float
+    loss: float | None                 # None without instances
     auc: float | None
     pcoc: float | None
     per_scenario: dict[int, ScenarioEval]
@@ -210,12 +172,11 @@ class EvalReport:
 def evaluate(model, instances: InstanceTable, batch_size: int = 512, workers: int = 1) -> EvalReport:
     """Score instances in eval mode and aggregate ranking metrics.
 
-    The forward runs in float32, the precision the model trained in (see
-    :func:`_in_float32`); the loss and the metrics are computed on the
-    scores widened to float64. Leaves the model untouched: no parameter
-    updates, no RNG draws, and the graph arena, its dtype and every
-    parameter's array are as they were on every exit, also when a batch
-    raises. ``workers`` stays only for ``bench/workloads.py``, which passes
+    The forward runs at the graph's dtype (float32 for a default graph);
+    the loss and the metrics are computed on the scores widened to float64.
+    Leaves the model untouched: no parameter updates, no RNG draws, and the
+    graph arena is as it was on every exit, also when a batch raises.
+    ``workers`` stays only for ``bench/workloads.py``, which passes
     1; any other value is refused.
     """
     if workers != 1:
@@ -226,15 +187,18 @@ def evaluate(model, instances: InstanceTable, batch_size: int = 512, workers: in
     if fr is not None:
         refiner_hist = {fname: np.zeros((model.vocab.scenarios, count)) for fname, count in fr.counts.items()}
     scores_parts = []
-    with _in_float32(graph):
+    start = graph.mark()
+    try:
         for block in blocks:
             batch = make_batch(block, model.vocab, model.schema, model.trigger_mode)
-            mark = graph.mark()
             result = model.forward(batch, mode="eval")
             scores_parts.append(result.score.data.copy())
             for fname, picks in result.trace.get("refiner_choice", {}).items():
                 np.add.at(refiner_hist[fname], (block.scenario, picks), 1.0)
-            graph.truncate(mark)
+            graph.truncate(start)
+    finally:
+        if len(graph) > start:  # a batch that raised left its nodes behind
+            graph.truncate(start)
 
     labels = instances.label.astype(np.float64)
     scenario = instances.scenario
@@ -242,7 +206,7 @@ def evaluate(model, instances: InstanceTable, batch_size: int = 512, workers: in
     scores = np.concatenate(scores_parts, dtype=np.float64) if scores_parts else np.zeros(0)
 
     clipped = np.clip(scores, 1e-12, 1.0 - 1e-12)
-    loss = float(np.mean(-(labels * np.log(clipped) + (1.0 - labels) * np.log(1.0 - clipped)))) if len(instances) else float("nan")
+    loss = float(np.mean(-(labels * np.log(clipped) + (1.0 - labels) * np.log(1.0 - clipped)))) if len(instances) else None
 
     warnings: list[str] = []
     per_scenario: dict[int, ScenarioEval] = {}

@@ -49,7 +49,7 @@ def _tiny_batch(cfg, count, gen_seed, graph_seed):
             {**TINY, "gen.count": str(count), "gen.seed": str(gen_seed)}
         )
     )
-    graph = Graph(seed=graph_seed)
+    graph = Graph(seed=graph_seed, dtype=np.float64)
     model = build_model(graph, cfg)
     batch = make_batch(dataset.instances, model.vocab, model.schema, model.trigger_mode)
     return graph, model, batch, dataset
@@ -58,7 +58,7 @@ def _tiny_batch(cfg, count, gen_seed, graph_seed):
 def test_criterion_1_gradient_integrity():
     cfg = tiny_cfg(**{"gen.count": "8", "gen.seed": "3"})
     dataset, _ = datagen.generate(cfg)
-    graph = Graph(seed=cfg.train.seed)
+    graph = Graph(seed=cfg.train.seed, dtype=np.float64)
     model = build_model(graph, cfg)
     report = training.gradient_check(graph, model, dataset.instances, coords_per_tensor=2, eps=1e-5)
     ok = report.overall <= 1e-4 and report.seconds < 60.0
@@ -112,7 +112,7 @@ def test_criterion_3_metric_oracles():
     want_pcoc = (math.fsum(scores) / 500) / (math.fsum(labels) / 500)
     pcoc_diff = abs(metrics.pcoc(scores, labels) - want_pcoc)
 
-    graph = Graph(seed=0)
+    graph = Graph(seed=0, dtype=np.float64)
     p = np.clip(rng.random(300), 1e-6, 1 - 1e-6)
     y = (rng.random(300) < 0.5).astype(np.float64)
     got_mean = float(bce_loss(graph.constant(p), y).data) / 300

@@ -139,7 +139,7 @@ def _random_composite(g: ad.Graph, params: list[ad.Value], rng: np.random.Genera
 def test_gradients_match_central_differences_on_composites():
     rng = np.random.default_rng(7)
     for trial in range(5):
-        g = ad.Graph(seed=trial)
+        g = ad.Graph(seed=trial, dtype=np.float64)
         a = g.parameter(rng.normal(size=(2, 4)))
         b = g.parameter(rng.normal(size=(3,)))
         w = g.parameter(rng.normal(size=(4, 3)))
@@ -163,7 +163,7 @@ def test_gradients_match_central_differences_on_composites():
 
 def test_batched_matmul_gradients():
     rng = np.random.default_rng(3)
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     a = g.parameter(rng.normal(size=(2, 3, 4)))
     w = g.parameter(rng.normal(size=(4, 5)))
     b = g.parameter(rng.normal(size=(2, 5, 3)))
@@ -221,7 +221,7 @@ def test_reverse_sweep_agrees_with_independent_topological_backward():
     # classic DFS-topo traversal node for node.
     rng = np.random.default_rng(11)
     for trial in range(10):
-        g = ad.Graph(seed=trial)
+        g = ad.Graph(seed=trial, dtype=np.float64)
         pool = [g.parameter(rng.normal(size=(3,))) for _ in range(3)]
         for _ in range(12):
             op = rng.integers(0, 5)
@@ -320,7 +320,7 @@ def test_gumbel_noise_record_replay_is_bit_identical():
 
 
 def test_gumbel_gradient_flows_through_logits_only():
-    g = ad.Graph(seed=9)
+    g = ad.Graph(seed=9, dtype=np.float64)
     logits = g.parameter(np.array([0.2, -0.1, 0.05]))
     g.record_context()
     loss = ad.sum_all(ad.mul(ad.gumbel_softmax(logits, 0.8), g.constant([1.0, 2.0, 3.0])))
@@ -399,8 +399,8 @@ def test_take_rows_empty_and_bounds():
 
 def test_a_float32_graph_casts_its_leaves_and_keeps_grads_in_float32():
     g = ad.Graph(seed=0)
-    assert g.dtype == np.float64
-    g.dtype = np.dtype(np.float32)
+    assert g.dtype == np.float32  # the default
+    assert ad.Graph(seed=0, dtype=np.float64).dtype == np.float64
     rng = np.random.default_rng(0)
     table = g.parameter(rng.normal(size=(4, 3)))
     weights = g.constant(rng.normal(size=(5, 3)))
@@ -413,11 +413,9 @@ def test_a_float32_graph_casts_its_leaves_and_keeps_grads_in_float32():
     np.add.at(expected, idx, weights.data.astype(np.float64))
     assert np.array_equal(table.grad, expected.astype(np.float32))
 
-    # a fresh float64 first contribution, from a constant made while the
-    # graph was float64, is copied into a float32 buffer, not adopted
-    g.dtype = np.dtype(np.float64)
-    wide = g.constant(rng.normal(size=3))
-    g.dtype = np.dtype(np.float32)
+    # a fresh float64 first contribution, from a float64 leaf made without
+    # the graph's cast, is copied into a float32 buffer, not adopted
+    wide = ad.Value(g, rng.normal(size=3), op="constant")
     x = g.parameter(rng.normal(size=3))
     ad.backward(ad.sum_all(ad.mul(x, wide)))
     assert x.grad.dtype == np.float32
@@ -446,7 +444,7 @@ def test_concat_slice_roundtrip(widths, rows, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8))
 def test_softmax_normalizes_and_is_positive(xs):
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     out = ad.softmax_last(g.constant(np.array(xs)))
     assert abs(out.data.sum() - 1.0) <= 1e-12
     assert (out.data >= 0.0).all()
@@ -492,7 +490,7 @@ def test_affine_equals_matmul_plus_bias(lead, d_in, d_out, seed):
 
 @pytest.mark.parametrize("lead", [(3,), (2, 3)])
 def test_affine_gradients_match_central_differences(lead):
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     x, w, b, weights = _affine_case(g, 5, lead, 4, 3)
 
     def build() -> ad.Value:
@@ -648,7 +646,7 @@ def test_a_grad_handed_down_whole_is_copied_not_shared():
 @pytest.mark.parametrize("lead", [(2, 3), (2, 2, 3)])
 def test_stacked_matmul_and_affine_match_central_differences(lead):
     rng = np.random.default_rng(11)
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     x = g.parameter(rng.normal(size=lead + (4,)))
     w = g.parameter(rng.normal(size=(4, 3)))
     v = g.parameter(rng.normal(size=(3, 2)))
@@ -720,7 +718,7 @@ def test_a_one_column_weight_gives_the_input_grad_of_the_gemm_bit_for_bit(lead, 
 @pytest.mark.parametrize("op", ["matmul", "affine"])
 @pytest.mark.parametrize("lead", [(3,), (2, 3)])
 def test_one_column_products_match_central_differences(lead, op):
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     x, w, b, up = _one_column_case(g, 9, lead, 4, zeros=False)
 
     def build() -> ad.Value:
@@ -769,7 +767,7 @@ def _layer_norm_case(g: ad.Graph, seed: int, lead: tuple[int, ...], width: int):
 def test_layer_norm_equals_its_composition(lead, width, seed):
     outputs, grads = [], []
     for fused in (True, False):
-        g = ad.Graph(seed=0)
+        g = ad.Graph(seed=0, dtype=np.float64)
         x, gain, bias, weights = _layer_norm_case(g, seed, lead, width)
         out = ad.layer_norm(x, gain, bias) if fused else _composed_layer_norm(x, gain, bias)
         ad.backward(ad.sum_all(ad.mul(out, weights)))
@@ -786,7 +784,7 @@ def test_layer_norm_equals_its_composition(lead, width, seed):
 
 @pytest.mark.parametrize("lead", [(3,), (2, 3)])
 def test_layer_norm_gradients_match_central_differences(lead):
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     x, gain, bias, weights = _layer_norm_case(g, 5, lead, 5)
 
     def build() -> ad.Value:
@@ -908,7 +906,7 @@ _INDEX_SHAPES = st.one_of(
 )
 def test_take_rows_grad_matches_add_at(rows, width, first, second, index_type, seed):
     rng = np.random.default_rng(seed)
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     table = g.parameter(rng.normal(size=(rows, width)))
     reference = np.zeros((rows, width))
     total = None
@@ -1058,7 +1056,7 @@ def test_mul_groups_equals_the_per_group_loop(widths, lead, frozen_x, dtype, see
 @pytest.mark.parametrize("op", ["pair_dots", "mul_groups"])
 def test_pair_dots_and_mul_groups_match_central_differences(op):
     rng = np.random.default_rng(21)
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     parts = [g.parameter(rng.normal(size=(3, 4))) for _ in range(3)]
     w = g.parameter(rng.normal(size=(3, 3)))
     leaves = parts if op == "pair_dots" else [parts[0], w]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maria import autodiff, checkpoint, cli, config
+from maria import autodiff, checkpoint, cli, config, datagen, training
 from maria.autodiff import Graph
 from maria.datagen import manifest_path
 from maria.model import build_model
@@ -407,6 +407,40 @@ def test_train_eval_round_trip(data_files, tmp_path, capsys):
     assert set(evaluated["refiner_hist"]) == {"behavior", "user", "item", "trigger", "context"}
 
 
+def _strict_json(text: str):
+    """``json.loads`` that refuses NaN and the infinities, as a strict parser does."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_train_without_epochs_reports_no_final_loss(data_files, tmp_path, capsys):
+    train, _ = data_files
+    ckpt = tmp_path / "model.ckpt"
+    code, text, _ = run(
+        capsys, "train", *TINY, "--set", "train.epochs=0", "--data", str(train), "--model-out", str(ckpt), "--json",
+    )
+    assert code == 0
+    doc = _strict_json(text)
+    assert doc["steps"] == 0 and doc["final_loss"] is None
+    assert _strict_json((tmp_path / "model.ckpt.metrics.json").read_text()) == doc
+
+
+def test_eval_of_no_instances_reports_no_loss(data_files, tmp_path, capsys):
+    train, _ = data_files
+    ckpt, empty = tmp_path / "model.ckpt", tmp_path / "empty.jsonl"
+    assert run(capsys, "train", *TINY, "--data", str(train), "--model-out", str(ckpt))[0] == 0
+    assert run(capsys, "gen-data", *TINY, "--out", str(empty), "--count", "0")[0] == 0
+    code, text, _ = run(capsys, "eval", "--model", str(ckpt), "--data", str(empty), "--json")
+    assert code == 0
+    doc = _strict_json(text)
+    assert doc["count"] == 0 and doc["loss"] is None and doc["auc"] is None
+    code, text, _ = run(capsys, "eval", "--model", str(ckpt), "--data", str(empty))
+    assert code == 0 and text.startswith("instances 0  loss n/a  auc n/a")
+
+
 def test_train_exits_1_on_a_non_finite_gradient(data_files, tmp_path, capsys, monkeypatch):
     backward = autodiff.backward
 
@@ -540,6 +574,17 @@ def test_gradcheck_pass_fail_and_bad_group(capsys):
 
     code, _, err = run(capsys, *args, "--corrupt-group", "bogus")
     assert code == 2 and "bogus" in err
+
+
+def test_gradcheck_reports_the_harness_on_a_float64_graph(capsys):
+    code, out, _ = run(capsys, "gradcheck", *TINY, "--count", "6", "--seed", "3", "--coords", "1", "--json")
+    assert code == 0
+    overrides = dict(p.split("=", 1) for p in TINY[1::2]) | {"gen.count": "6", "gen.seed": "3", "train.seed": "3"}
+    cfg = config.build_run_config({}, overrides)
+    graph = Graph(seed=3, dtype=np.float64)
+    expected = training.gradient_check(graph, build_model(graph, cfg), datagen.generate(cfg)[0].instances, coords_per_tensor=1)
+    doc = json.loads(out)
+    assert (doc["per_group"], doc["overall"], doc["coords"]) == (expected.per_group, expected.overall, expected.coords)
 
 
 @pytest.mark.parametrize(

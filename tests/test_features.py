@@ -26,7 +26,7 @@ def make_layout(widths_by_field=None):
         "context": [2, 2],
     }
     parts = []
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(0)
     for name in FIELD_ORDER:
         widths = widths_by_field[name]
@@ -139,7 +139,7 @@ def test_scaling_frozen_branch_blocks_gradient_to_input():
 
 
 def test_scaling_gradients_match_central_differences():
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(6)
     src = g.parameter(rng.normal(size=(3, 27)))
 
@@ -277,7 +277,7 @@ def test_eval_trace_records_argmax_choices():
 
 
 def test_refinement_gradients_with_frozen_noise():
-    g = ad.Graph(seed=1)
+    g = ad.Graph(seed=1, dtype=np.float64)
     rng = np.random.default_rng(11)
     src = g.parameter(rng.normal(size=(3, 27)))
 
@@ -357,7 +357,7 @@ def test_correlation_emits_all_pairs_in_field_order():
 
 
 def test_correlation_gradients_match_central_differences():
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(14)
     src = g.parameter(rng.normal(size=(2, 27)))
 
@@ -426,7 +426,7 @@ def test_adaptive_features_composes_and_supports_disabling():
 
 
 def test_adaptive_features_end_to_end_gradients_with_frozen_noise():
-    g = ad.Graph(seed=3)
+    g = ad.Graph(seed=3, dtype=np.float64)
     rng = np.random.default_rng(16)
     src = g.parameter(rng.normal(size=(2, 27)))
 

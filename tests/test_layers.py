@@ -28,7 +28,7 @@ def test_embed_lookup_rejects_out_of_range_and_empty_ok():
 
 
 def test_embed_gradient_matches_central_differences():
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(1)
     table = ly.EmbeddingTable(g, rng, rows=6, dim=4, name="t")
     ids = np.array([0, 2, 2, 5])
@@ -68,7 +68,7 @@ def test_fcn_width_mismatch_raises():
 
 
 def test_fcn_gradients_match_central_differences():
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(2)
     net = ly.Fcn(g, rng, 4, [5, 3, 1], ["relu", "relu", "sigmoid"], name="n")
     x = g.constant(rng.normal(size=(6, 4)))
@@ -117,7 +117,7 @@ def test_transformer_single_position_attention_weight_is_one(softmax_outputs):
 
 
 def test_transformer_preserves_shape_and_masks_padding_keys(softmax_outputs):
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(4)
     block = ly.TransformerBlock(g, rng, model_dim=8, head_count=2, ffn_mult=2, name="b")
     seq = g.constant(rng.normal(size=(3, 5, 8)))
@@ -139,7 +139,7 @@ def test_transformer_rejects_indivisible_heads():
 
 
 def test_transformer_gradients_match_central_differences():
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(5)
     block = ly.TransformerBlock(g, rng, model_dim=6, head_count=2, ffn_mult=2, name="b")
     seq = g.constant(rng.normal(size=(2, 3, 6)))
@@ -186,7 +186,7 @@ def test_trigger_attention_uniform_when_scores_equal(softmax_outputs):
 
 
 def test_trigger_attention_masks_padding_positions(softmax_outputs):
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(8)
     sim = ly.Fcn(g, rng, in_dim=3 + 5, widths=[1], activations=["linear"], name="sim")
     trig = g.constant(rng.normal(size=(2, 3)))
@@ -199,7 +199,7 @@ def test_trigger_attention_masks_padding_positions(softmax_outputs):
 
 
 def test_trigger_attention_gradients_match_central_differences():
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(9)
     sim = ly.Fcn(g, rng, in_dim=3 + 5, widths=[1], activations=["linear"], name="sim")
     trig = g.parameter(rng.normal(size=(2, 3)))

@@ -45,11 +45,12 @@ def tiny_cfg(**extra):
     return build_run_config(tiny_overrides(**extra))
 
 
-def build_tiny(mode_count=6, **extra):
+def build_tiny(mode_count=6, dtype=np.float64, **extra):
+    """A tiny model and batch; float64 by default, for the numpy oracles."""
     cfg = tiny_cfg(**({"gen.count": str(mode_count)} | extra))
     dataset, _ = datagen.generate(cfg)
     batch = make_batch(dataset.instances, cfg.vocab, cfg.schema, cfg.trigger_mode)
-    graph = Graph(seed=5)
+    graph = Graph(seed=5, dtype=dtype)
     model = build_model(graph, cfg, seed=7)
     return cfg, graph, model, batch
 
@@ -293,7 +294,7 @@ def test_rows_are_independent_across_batching():
     dataset, _ = datagen.generate(cfg)
     kinds = {type(i.trigger) for i in dataset.instances}
     assert len(kinds) == 2  # mixed image and product rows in one batch
-    graph = Graph(seed=1)
+    graph = Graph(seed=1, dtype=np.float64)
     model = build_model(graph, cfg, seed=3)
     batch = make_batch(dataset.instances, cfg.vocab, cfg.schema, cfg.trigger_mode)
     full = model.forward(batch, mode="eval").score.data
@@ -585,17 +586,24 @@ def _checkpoint_sha256(model, path) -> str:
 @pytest.mark.parametrize("kind", sorted(UNTRAINED_CHECKPOINT_SHA256))
 def test_untrained_checkpoint_bytes_are_pinned(kind, tmp_path):
     path = tmp_path / "model.ckpt"
-    model = build_model(Graph(seed=0), tiny_cfg(), kind=kind, seed=3)
+    model = build_model(Graph(seed=0, dtype=np.float64), tiny_cfg(), kind=kind, seed=3)
     assert _checkpoint_sha256(model, path) == UNTRAINED_CHECKPOINT_SHA256[kind]
     if kind != "maria":
         # baselines ignore the ablation flags, and the preset class builds the same model
-        flagged = build_model(Graph(seed=0), tiny_cfg(**{"train.disable": "nl,st"}), kind=kind, seed=3)
+        flagged = build_model(Graph(seed=0, dtype=np.float64), tiny_cfg(**{"train.disable": "nl,st"}), kind=kind, seed=3)
         assert _checkpoint_sha256(flagged, path) == UNTRAINED_CHECKPOINT_SHA256[kind]
         cfg = tiny_cfg()
         preset = BaselineModel(
-            Graph(seed=0), np.random.default_rng(3), cfg.vocab, cfg.schema, cfg.dims, cfg.model, kind, cfg.trigger_mode
+            Graph(seed=0, dtype=np.float64), np.random.default_rng(3), cfg.vocab, cfg.schema, cfg.dims, cfg.model,
+            kind, cfg.trigger_mode,
         )
         assert _checkpoint_sha256(preset, path) == UNTRAINED_CHECKPOINT_SHA256[kind]
+    # a default graph is float32: its checkpoint holds the float32 rounding of the same draws
+    ckpt.save_model(path, build_model(Graph(seed=0), tiny_cfg(), kind=kind, seed=3))
+    _, _, records = ckpt.load_checkpoint(path)
+    assert [(name, arr.tobytes()) for name, arr in records] == [
+        (name, value.data.astype(np.float32).astype(np.float64).tobytes()) for name, value in model.named_parameters()
+    ]
 
 
 @pytest.mark.parametrize(
@@ -622,14 +630,14 @@ def test_a_parameter_name_is_made_once_per_graph():
 
 
 def test_bce_loss_reference_values():
-    graph = Graph(seed=0)
+    graph = Graph(seed=0, dtype=np.float64)
     n = 10
     score = graph.constant(np.full(n, 0.5))
     labels = np.array([1.0] * 5 + [0.0] * 5)
     loss = bce_loss(score, labels)
     assert abs(float(loss.data) - n * np.log(2.0)) <= 1e-12
 
-    graph2 = Graph(seed=0)
+    graph2 = Graph(seed=0, dtype=np.float64)
     extreme = graph2.constant(np.array([0.0, 1.0, 0.5]))
     before = graph2.clamp_events
     val = float(bce_loss(extreme, np.array([0.0, 1.0, 1.0])).data)
@@ -649,7 +657,7 @@ def test_bce_loss_of_float32_scores_at_zero_and_one_is_finite():
 
 
 def test_bce_gradient_matches_analytic_formula():
-    graph = Graph(seed=0)
+    graph = Graph(seed=0, dtype=np.float64)
     p_ref = np.array([0.2, 0.7, 0.9])
     labels = np.array([0.0, 1.0, 0.0])
     score = graph.parameter(p_ref.copy())
@@ -660,7 +668,7 @@ def test_bce_gradient_matches_analytic_formula():
 
 
 def test_checkpoint_round_trip_and_digest(tmp_path):
-    cfg, graph, model, batch = build_tiny()
+    cfg, graph, model, batch = build_tiny(dtype=np.float32)  # the dtype load_model builds
     before = model.forward(batch, mode="eval").score.data.copy()
     path = tmp_path / "model.ckpt"
     ckpt.save_model(path, model, meta={"note": "tiny"})

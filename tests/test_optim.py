@@ -47,7 +47,7 @@ def test_zero_grad_and_zero_decay_leaves_parameter_unchanged():
 
 def test_hundred_steps_on_quadratic_matches_scalar_oracle():
     # minimize (x-3)^2 from x=0 with lr=0.05
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     x = g.parameter([0.0])
     opt = Adam([x], learning_rate=0.05)
     oracle_x, m, v = 0.0, 0.0, 0.0
@@ -67,7 +67,7 @@ def test_hundred_steps_on_quadratic_matches_scalar_oracle():
 def test_trajectory_matches_oracle_with_recorded_grads():
     rng = np.random.default_rng(1)
     grads = rng.normal(size=20)
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     p = g.parameter([0.7])
     opt = Adam([p], learning_rate=0.02, weight_decay=0.01)
     for gr in grads:
@@ -142,7 +142,7 @@ def _bytes(params):
 
 def _twin_params(arrays):
     """The same starting values as two independent parameter lists."""
-    ref, new = ad.Graph(seed=0), ad.Graph(seed=0)
+    ref, new = ad.Graph(seed=0, dtype=np.float64), ad.Graph(seed=0, dtype=np.float64)
     return [ref.parameter(a) for a in arrays], [new.parameter(a) for a in arrays]
 
 

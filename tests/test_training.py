@@ -14,7 +14,7 @@ from maria.autodiff import Graph
 from maria.benchmark import benchmark_config, run_benchmark
 from maria.config import build_run_config
 from maria.datagen import InstanceTable
-from maria.model import build_model, make_batch
+from maria.model import build_model, make_batch, model_from_spec
 from maria.training import TrainingDiverged, ablate, evaluate, gradient_check, train
 
 
@@ -174,62 +174,48 @@ def test_a_training_step_builds_only_float32_node_data_and_grads(monkeypatch):
     assert contributions == {np.dtype(np.float32)}
 
 
-def _assert_float64_again(graph, model):
-    assert graph.dtype == np.float64
-    for name, value in model.named_parameters():
-        assert value.data.dtype == np.float64 and value.data.flags.c_contiguous, name
-        assert value._grad is None or value._grad.dtype == np.float64, name
-
-
-def test_parameters_and_graph_are_float64_after_train_returns_or_raises(monkeypatch):
+def test_train_truncates_the_arena_and_keeps_the_last_completed_step_when_it_raises(monkeypatch):
     cfg = learnable_overrides(**{"train.epochs": "1", "gen.count": "200"})
     dataset, graph, model = make_run(cfg)
     start = len(graph)
     initial = [v.data.copy() for v in model.parameter_values()]
     train(graph, model, dataset.instances, cfg.train)
-    _assert_float64_again(graph, model)
+    assert len(graph) == start
     assert not all(np.array_equal(a, v.data) for a, v in zip(initial, model.parameter_values()))
 
-    # raised after two completed steps: the trained values, cast back
+    # raised at step 2: the values of the last completed step
     first = model.parameter_values()[0]
-    backward, calls = training.ad.backward, []
+    backward, calls, completed = training.ad.backward, [], []
 
     def poisoned_backward(loss):
         backward(loss)
         calls.append(None)
         if len(calls) == 3:
+            completed.extend(v.data.copy() for v in model.parameter_values())
             first.grad.flat[0] = np.nan
 
     monkeypatch.setattr(training.ad, "backward", poisoned_backward)
     trained = [v.data.copy() for v in model.parameter_values()]
     with pytest.raises(TrainingDiverged, match="step 2$"):
         train(graph, model, dataset.instances, cfg.train)
-    _assert_float64_again(graph, model)
     assert len(graph) == start
     assert not all(np.array_equal(a, v.data) for a, v in zip(trained, model.parameter_values()))
+    assert all(np.array_equal(a, v.data) for a, v in zip(completed, model.parameter_values()))
 
-    # raised before any step completed: the original arrays themselves
+    # raised before any step completed: the values are unchanged
     monkeypatch.setattr(training.ad, "backward", backward)
     first.data[...] = np.inf
-    originals = [v.data for v in model.parameter_values()]
+    before = [v.data.copy() for v in model.parameter_values()]
     with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged, match="step 0"):
         train(graph, model, dataset.instances, cfg.train)
-    _assert_float64_again(graph, model)
     assert len(graph) == start
-    assert all(v.data is a for a, v in zip(originals, model.parameter_values()))
-
-
-def _to_float32(graph, model):
-    graph.dtype = np.dtype(np.float32)
-    for value in model.parameter_values():
-        value.data = value.data.astype(np.float32)
+    assert all(np.array_equal(a, v.data) for a, v in zip(before, model.parameter_values()))
 
 
 def test_evaluate_on_a_float32_graph_gives_a_finite_loss():
     cfg = learnable_overrides(**{"gen.count": "100"})
     dataset, graph, model = make_run(cfg)
     model.head.biases[0].data[...] = 60.0  # every score rounds to 1.0 in float32
-    _to_float32(graph, model)
     report = evaluate(model, dataset.instances, batch_size=64)
     assert 0 < sum(dataset.instances.label) < len(dataset.instances)
     assert np.isfinite(report.loss)
@@ -238,7 +224,7 @@ def test_evaluate_on_a_float32_graph_gives_a_finite_loss():
 def test_gradient_check_refuses_a_float32_graph():
     cfg = learnable_overrides(**{"gen.count": "4"})
     dataset, graph, model = make_run(cfg)
-    _to_float32(graph, model)
+    assert graph.dtype == np.float32
     with pytest.raises(ValueError, match="needs a float64 graph, got float32"):
         gradient_check(graph, model, dataset.instances)
 
@@ -327,15 +313,10 @@ def test_eval_makes_no_grad_buffers_and_leaves_training_unchanged():
         assert np.array_equal(v1.data, v2.data)
 
 
-def _arrays(model) -> list:
-    return [value.data for value in model.parameter_values()]
-
-
-def test_evaluate_of_a_float64_model_puts_back_the_same_arrays():
+def test_evaluate_of_a_trained_model_scores_every_batch_in_float32():
     cfg = learnable_overrides(**{"train.epochs": "1", "gen.count": "200"})
     dataset, graph, model = make_run(cfg)
     train(graph, model, dataset.instances, cfg.train)
-    arrays, grads = _arrays(model), [value._grad for value in model.parameter_values()]
     scored = []
     forward = model.forward
 
@@ -348,23 +329,18 @@ def test_evaluate_of_a_float64_model_puts_back_the_same_arrays():
     evaluate(model, dataset.instances, batch_size=64)
     f32 = np.dtype(np.float32)
     assert scored == [(f32, f32, {f32})] * 4  # every batch scored in float32
-    assert graph.dtype == np.float64
-    assert all(now is was for now, was in zip(_arrays(model), arrays))
-    assert all(value._grad is was for value, was in zip(model.parameter_values(), grads))
 
 
-def test_evaluate_puts_back_arena_dtype_and_arrays_when_a_batch_raises():
+def test_evaluate_truncates_the_arena_when_a_batch_raises():
     cfg = benchmark_config(64, 3)
     dataset, _ = datagen.generate(cfg)
     graph = Graph(seed=0)
     model = build_model(graph, cfg)
     dataset.instances.target_item[40] = cfg.vocab.items + 5  # in the second batch of 32
-    start, arrays = len(graph), _arrays(model)
+    start = len(graph)
     with pytest.raises(IndexError):
         evaluate(model, dataset.instances, batch_size=32)
     assert len(graph) == start
-    assert graph.dtype == np.float64
-    assert all(now is was for now, was in zip(_arrays(model), arrays))
 
 
 def test_mid_training_evals_leave_the_steps_and_the_checkpoint_unchanged(tmp_path):
@@ -392,17 +368,23 @@ def test_float32_evaluate_matches_a_float64_forward_of_the_checkpoint(tmp_path):
     train(graph, trained, train_rows, dataclasses.replace(cfg.train, epochs=2))
     path = tmp_path / "maria.ckpt"
     checkpoint.save_model(path, trained)
-    model, graph, _ = checkpoint.load_model(path)
+    model, _, _ = checkpoint.load_model(path)
+    spec, _, records = checkpoint.load_checkpoint(path)
+    graph64 = Graph(seed=0, dtype=np.float64)
+    wide = model_from_spec(graph64, spec, seed=0)
+    named = dict(wide.named_parameters())
+    for name, arr in records:
+        named[name].data[...] = arr
 
-    scores64, hist64 = [], {fname: np.zeros((cfg.vocab.scenarios, n)) for fname, n in model.fr.counts.items()}
+    scores64, hist64 = [], {fname: np.zeros((cfg.vocab.scenarios, n)) for fname, n in wide.fr.counts.items()}
     for block in datagen.batch_iter(heldout, 512):
-        mark = graph.mark()
-        result = model.forward(make_batch(block, model.vocab, model.schema, model.trigger_mode), mode="eval")
+        mark = graph64.mark()
+        result = wide.forward(make_batch(block, wide.vocab, wide.schema, wide.trigger_mode), mode="eval")
         assert result.score.data.dtype == np.float64
         scores64.append(result.score.data.copy())
         for fname, picks in result.trace["refiner_choice"].items():
             np.add.at(hist64[fname], (block.scenario, picks), 1.0)
-        graph.truncate(mark)
+        graph64.truncate(mark)
     scores64 = np.concatenate(scores64)
 
     scores32 = []
@@ -426,6 +408,33 @@ def test_float32_evaluate_matches_a_float64_forward_of_the_checkpoint(tmp_path):
     assert report.refiner_hist.keys() == hist64.keys()
     for fname, hist in hist64.items():
         np.testing.assert_array_equal(report.refiner_hist[fname], hist, err_msg=fname)
+
+
+def test_a_reloaded_checkpoint_scores_bit_equal_to_the_model_it_saved(tmp_path):
+    cfg = benchmark_config(3072, 7)
+    dataset, _ = datagen.generate(cfg)
+    train_rows, heldout = dataset.instances[:2048], dataset.instances[2048:]
+    graph = Graph(seed=cfg.train.seed)
+    trained = build_model(graph, cfg)
+    train(graph, trained, train_rows, dataclasses.replace(cfg.train, epochs=1))
+    path = tmp_path / "maria.ckpt"
+    checkpoint.save_model(path, trained)
+    reloaded, reloaded_graph, _ = checkpoint.load_model(path)
+    assert reloaded_graph.dtype == np.float32
+    assert {value.data.dtype for value in reloaded.parameter_values()} == {np.dtype(np.float32)}
+
+    def scores(model):
+        out = []
+        for block in datagen.batch_iter(heldout, 512):
+            mark = model.graph.mark()
+            out.append(model.forward(make_batch(block, model.vocab, model.schema, model.trigger_mode), mode="eval").score.data.copy())
+            model.graph.truncate(mark)
+        return out
+
+    for batch, (ours, theirs) in enumerate(zip(scores(trained), scores(reloaded), strict=True)):
+        assert ours.dtype == theirs.dtype == np.float32
+        assert ours.tobytes() == theirs.tobytes(), batch
+    assert evaluate(reloaded, heldout, 512).to_dict() == evaluate(trained, heldout, 512).to_dict()
 
 
 def test_evaluate_refuses_workers_other_than_one():
@@ -468,7 +477,9 @@ def test_ablation_bookkeeping():
 
 def test_gradient_check_harness_passes_and_can_fail():
     cfg = learnable_overrides(**{"gen.count": "4", "model.gumbel_temperature": "1.0"})
-    dataset, graph, model = make_run(cfg)
+    dataset, _ = datagen.generate(cfg)
+    graph = Graph(seed=cfg.train.seed, dtype=np.float64)
+    model = build_model(graph, cfg)
     report = gradient_check(graph, model, dataset.instances, coords_per_tensor=1)
     assert report.overall <= 1e-4
     from maria.model import _SUMMARY_GROUPS
