@@ -22,6 +22,11 @@ SMALL = {
 }
 
 
+def shown(value: float | None, spec: str = ".4f") -> str:
+    """``value`` formatted, or n/a where it is undefined (no rows, or one label class)."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=3000, help="training instances")
@@ -33,7 +38,7 @@ def main() -> int:
     eval_cfg = config.build_run_config(SMALL, {"gen.count": str(args.count // 5), "gen.seed": "2"})
     eval_ds, _ = datagen.generate(eval_cfg)
     print(f"generated {len(train_ds.instances)} train / {len(eval_ds.instances)} eval instances")
-    print(f"eval bayes auc {eval_ds.manifest.bayes_auc['overall']:.4f}")
+    print(f"eval bayes auc {shown(eval_ds.manifest.bayes_auc.get('overall'))}")
 
     graph = Graph(seed=cfg.train.seed)
     model = build_model(graph, cfg)
@@ -48,11 +53,9 @@ def main() -> int:
     print(f"checkpoint round trip via {ckpt}")
 
     report = training.evaluate(reloaded, eval_ds.instances, cfg.train.batch_size)
-    shown = "n/a" if report.auc is None else f"{report.auc:.4f}"
-    print(f"eval: loss {report.loss:.4f}, auc {shown}")
+    print(f"eval: loss {shown(report.loss)}, auc {shown(report.auc)}")
     for sid, e in sorted(report.per_scenario.items()):
-        shown = "n/a" if e.auc is None else f"{e.auc:.4f}"
-        print(f"  scenario {sid}: auc {shown}, pcoc {e.pcoc:.3f}")
+        print(f"  scenario {sid}: auc {shown(e.auc)}, pcoc {shown(e.pcoc, '.3f')}")
     return 0
 
 

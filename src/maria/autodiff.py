@@ -9,9 +9,9 @@ allocates in its operands' dtype. A grad buffer is made on first use: the
 first contribution backward adds to a node becomes its buffer, and a read
 of a node that has none makes a zero one. A forward pass alone, as in eval,
 allocates no grad bytes. The graph also owns the random source used for
-Gumbel noise, so runs are reproducible bit for bit and noise can be
-recorded and replayed (finite-difference checks need the same noise on
-every perturbed pass).
+Gumbel noise, so runs are reproducible bit for bit and a recorded pass
+can be replayed with the same noise (finite-difference checks need the same
+noise on every perturbed pass).
 """
 
 from __future__ import annotations
@@ -99,12 +99,11 @@ class Graph:
         # since the last clear: no buffer, or zeros that a read made.
         self._grads_written = 0
         # "context" = everything a forward pass consumes besides node data:
-        # sampled noise and gradient-frozen views. Recording it and replaying
-        # it bit for bit lets finite differences probe exactly the partial
-        # derivative the backward pass computes.
+        # sampled noise and gradient-frozen views. Replaying it bit for bit
+        # lets finite differences probe exactly the partial derivative the
+        # backward pass computes.
         self._context_mode = "live"  # live | record | replay
-        self._noise_tape: list[Array] = []
-        self._noise_cursor = 0
+        self._recorded_rng_state: dict | None = None
         self._frozen_tape: list[Array] = []
         self._frozen_cursor = 0
 
@@ -139,23 +138,7 @@ class Graph:
             node._grad = None
         self._grads_written = 0
 
-    # -- noise source and frozen views --------------------------------------
-    def uniform(self, shape: tuple[int, ...]) -> Array:
-        """Uniform[0,1) draw that honors the record/replay mode."""
-        shape = tuple(shape)
-        if self._context_mode == "replay":
-            if self._noise_cursor >= len(self._noise_tape):
-                raise RuntimeError("noise replay exhausted: more draws than were recorded")
-            draw = self._noise_tape[self._noise_cursor]
-            if draw.shape != shape:
-                raise RuntimeError(f"noise replay shape mismatch: recorded {draw.shape}, requested {shape}")
-            self._noise_cursor += 1
-            return draw
-        draw = self.rng.random(size=shape)
-        if self._context_mode == "record":
-            self._noise_tape.append(draw)
-        return draw
-
+    # -- frozen views and the record/replay context ---------------------------
     def frozen_view(self, data: Array) -> Array:
         """Buffer for a stop_gradient node, pinned to the recorded pass on replay."""
         if self._context_mode == "replay":
@@ -172,26 +155,24 @@ class Graph:
         return data
 
     def record_context(self) -> None:
-        """Record all noise draws and frozen views for bit-identical replay."""
+        """Record the pass that follows: its noise and frozen views replay bit for bit."""
         self._context_mode = "record"
-        self._noise_tape = []
-        self._noise_cursor = 0
+        self._recorded_rng_state = self.rng.bit_generator.state
         self._frozen_tape = []
         self._frozen_cursor = 0
 
     def replay_context(self) -> None:
-        """Rewind: subsequent draws and frozen views replay the recorded tapes."""
+        """Rewind the RNG and the frozen-view tape to where recording began; a
+        pass that draws the same shapes in the same order gets the recorded noise."""
         if self._context_mode == "live":
             raise RuntimeError("no recorded context to replay")
         self._context_mode = "replay"
-        self._noise_cursor = 0
+        self.rng.bit_generator.state = self._recorded_rng_state
         self._frozen_cursor = 0
 
     def live_context(self) -> None:
-        """Back to fresh sampling and live frozen views; clears the tapes."""
+        """Back to fresh sampling and live frozen views; clears the tape."""
         self._context_mode = "live"
-        self._noise_tape = []
-        self._noise_cursor = 0
         self._frozen_tape = []
         self._frozen_cursor = 0
 
@@ -761,14 +742,14 @@ def stop_gradient(x: Value) -> Value:
 def gumbel_softmax(logits: Value, temperature: float) -> Value:
     """Softmax((logits + g) / temperature) with g = -log(-log u), u ~ U(0,1).
 
-    The noise comes from the owning graph's seeded source (so it honors
-    record/replay) and is treated as a constant: gradients flow only through
+    The noise comes from the owning graph's seeded ``rng`` (so a replayed
+    pass draws it again) and is treated as a constant: gradients flow only through
     ``logits``. The argmax of the output is an exact categorical sample with
     probabilities softmax(logits) when logits are log-probabilities.
     """
     if temperature <= 0.0:
         raise ValueError(f"gumbel_softmax: temperature must be positive, got {temperature}")
-    u = np.clip(logits.graph.uniform(logits.shape), 1e-12, 1.0 - 1e-12)
+    u = np.clip(logits.graph.rng.random(logits.shape), 1e-12, 1.0 - 1e-12)
     noise = logits.graph.constant(-np.log(-np.log(u)))
     return softmax_last(scale(add(logits, noise), 1.0 / temperature))
 

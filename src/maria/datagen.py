@@ -239,8 +239,8 @@ class InstanceTable:
 
 @dataclass
 class DatasetManifest:
-    vocab: dict
-    schema: dict
+    vocab: VocabSizes
+    schema: FeatureSchema
     trigger_mode: str
     seed: int
     count: int
@@ -249,12 +249,6 @@ class DatasetManifest:
     bayes_auc: dict[str, float | None]
     compat_digest: str
     profiles: tuple[ScenarioSettings, ...]
-
-    def vocab_sizes(self) -> VocabSizes:
-        return VocabSizes(**self.vocab)
-
-    def feature_schema(self) -> FeatureSchema:
-        return FeatureSchema(**self.schema)
 
 
 @dataclass
@@ -411,8 +405,8 @@ def _build_manifest(cfg, instances, clean_probs) -> DatasetManifest:
         rates[key] = float(labels[sel].mean()) if counts[p.scenario_id] else 0.0
         bayes[key] = metrics.auc(clean_probs[sel], labels[sel]) if counts[p.scenario_id] else None
     return DatasetManifest(
-        vocab=dict(vars(cfg.vocab)),
-        schema=dict(vars(cfg.schema)),
+        vocab=cfg.vocab,
+        schema=cfg.schema,
         trigger_mode=cfg.trigger_mode,
         seed=cfg.gen_seed,
         count=len(instances),
@@ -510,7 +504,7 @@ def _behavior_error(raw, vocab: VocabSizes, schema: FeatureSchema) -> str | None
 
 def _trigger_error(raw, sid: int, manifest: DatasetManifest) -> str | None:
     """What is wrong with the trigger of a row of scenario ``sid``; None if nothing is."""
-    vocab, schema = manifest.vocab_sizes(), manifest.feature_schema()
+    vocab, schema = manifest.vocab, manifest.schema
     if manifest.trigger_mode == "recommendation":
         return None if raw is None else "trigger: must be null in a trigger-free dataset"
     if not (isinstance(raw, dict) and "kind" in raw):
@@ -537,7 +531,7 @@ def _trigger_error(raw, sid: int, manifest: DatasetManifest) -> str | None:
 def _row_error(obj: dict, names: list[str], manifest: DatasetManifest) -> str | None:
     """The message of the first read rule that ``obj`` breaks in the fields ``names``, taken in order;
     None if it breaks none, as in a field marked on every row because its column did not convert."""
-    vocab, schema = manifest.vocab_sizes(), manifest.feature_schema()
+    vocab, schema = manifest.vocab, manifest.schema
     ids = _id_fields(vocab, schema)
 
     def error(name: str) -> str | None:
@@ -573,20 +567,13 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     try:
         profiles = tuple(
             ScenarioSettings(
-                scenario_id=p["scenario_id"],
-                traffic_share=p["traffic_share"],
-                noise_std=p["noise_std"],
-                trigger_kind=p["trigger_kind"],
-                label_bias=p["label_bias"],
-                behavior_tilt=p["behavior_tilt"],
-                field_importance=tuple(p["field_importance"]),
-                label_weights=tuple(p["label_weights"]),
+                **p | {"field_importance": tuple(p["field_importance"]), "label_weights": tuple(p["label_weights"])}
             )
             for p in doc["profiles"]
         )
         manifest = DatasetManifest(
-            vocab=doc["vocab"],
-            schema=doc["schema"],
+            vocab=VocabSizes(**doc["vocab"]),
+            schema=FeatureSchema(**doc["schema"]),
             trigger_mode=doc["trigger_mode"],
             seed=doc["seed"],
             count=doc["count"],
@@ -596,7 +583,7 @@ def read_manifest(path: str | Path) -> DatasetManifest:
             compat_digest=doc["compat_digest"],
             profiles=profiles,
         )
-        sizes = vars(manifest.vocab_sizes()) | vars(manifest.feature_schema())
+        sizes = vars(manifest.vocab) | vars(manifest.schema)
         if not all(type(v) is int for v in sizes.values()):
             raise TypeError("vocab and schema sizes must be integers")
         if type(manifest.count) is not int:
@@ -605,7 +592,7 @@ def read_manifest(path: str | Path) -> DatasetManifest:
             raise TypeError("profile scenario ids must be integers and trigger kinds strings")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{mpath}: malformed manifest ({type(exc).__name__}: {exc})") from exc
-    if compat_digest_parts(manifest.vocab, manifest.schema, manifest.trigger_mode) != manifest.compat_digest:
+    if compat_digest_parts(vars(manifest.vocab), vars(manifest.schema), manifest.trigger_mode) != manifest.compat_digest:
         raise DataError(f"{mpath}: compat_digest does not match the manifest's vocab, schema and trigger mode")
     kinds = ("none",) if manifest.trigger_mode == "recommendation" else ("image", "product")
     for p in profiles:
@@ -677,7 +664,7 @@ def _trigger_columns(values: list, expected: np.ndarray, manifest: DatasetManife
     """``trigger_kind``, ``image_vec``, ``trig_item`` and ``trig_attrs`` of
     the rows' trigger objects, and the rows that may break a rule. ``expected`` holds
     each row's kind code by its scenario, -1 where no kind can match."""
-    vocab, schema = manifest.vocab_sizes(), manifest.feature_schema()
+    vocab, schema = manifest.vocab, manifest.schema
     n = len(values)
     kind = np.zeros(n, dtype=np.int8)
     image_vec = np.zeros((n, schema.image_dim))
@@ -719,7 +706,7 @@ def _table_of(objs: list[dict], manifest: DatasetManifest) -> tuple[InstanceTabl
     """The table of decoded instance objects that hold the instance keys, and
     per field the rows whose value may break a rule: every row that does, found
     column by column. A column that does not convert in one call marks all rows."""
-    vocab, schema = manifest.vocab_sizes(), manifest.feature_schema()
+    vocab, schema = manifest.vocab, manifest.schema
     values = {name: list(map(itemgetter(name), objs)) for name in _FIELDS}
     cols, flagged = {}, {}
     for name, (bound, width) in _id_fields(vocab, schema).items():

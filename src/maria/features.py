@@ -30,64 +30,36 @@ from .layers import Fcn
 
 
 @dataclass(frozen=True)
-class ElementSpan:
-    offset: int
-    width: int
-
-
-@dataclass(frozen=True)
 class FieldSpec:
     name: str
     offset: int
-    width: int
-    elements: tuple[ElementSpan, ...]
-
-
-@dataclass(frozen=True)
-class FieldLayout:
-    """Byte map of the concatenated vector: fields partition it, elements partition fields."""
-
-    fields: tuple[FieldSpec, ...]
-
-    def __post_init__(self):
-        cursor = 0
-        for f in self.fields:
-            if f.offset != cursor or f.width <= 0:
-                raise ValueError(f"field {f.name!r}: fields must be contiguous and non-empty")
-            inner = f.offset
-            for el in f.elements:
-                if el.offset != inner or el.width <= 0:
-                    raise ValueError(f"field {f.name!r}: elements must partition the field")
-                inner += el.width
-            if inner != f.offset + f.width:
-                raise ValueError(f"field {f.name!r}: element widths do not cover the field")
-            cursor += f.width
-
-    @classmethod
-    def from_widths(cls, parts: Sequence[tuple[str, Sequence[int]]]) -> "FieldLayout":
-        """Lay named fields end to end; each part is (name, element_widths)."""
-        fields = []
-        cursor = 0
-        for name, widths in parts:
-            start = cursor
-            elements = []
-            for w in widths:
-                elements.append(ElementSpan(cursor, w))
-                cursor += w
-            fields.append(FieldSpec(name, start, cursor - start, tuple(elements)))
-        return cls(tuple(fields))
+    element_widths: tuple[int, ...]
 
     @property
     def width(self) -> int:
-        last = self.fields[-1]
-        return last.offset + last.width
+        return sum(self.element_widths)
+
+
+class FieldLayout:
+    """Byte map of the concatenated vector: named fields laid end to end in
+    the order given, each made of feature elements of the given widths."""
+
+    def __init__(self, parts: Sequence[tuple[str, Sequence[int]]]):
+        fields = []
+        offset = 0
+        for name, widths in parts:
+            widths = tuple(widths)
+            if not widths or min(widths) < 1:
+                raise ValueError(f"field {name!r}: needs at least one element, each at least 1 wide")
+            fields.append(FieldSpec(name, offset, widths))
+            offset += sum(widths)
+        self.fields = tuple(fields)
+        self.width = offset
+        self.element_widths = [w for f in self.fields for w in f.element_widths]
 
     @property
     def element_count(self) -> int:
-        return sum(len(f.elements) for f in self.fields)
-
-    def element_spans(self) -> list[ElementSpan]:
-        return [el for f in self.fields for el in f.elements]
+        return len(self.element_widths)
 
     def field(self, name: str) -> FieldSpec:
         for f in self.fields:
@@ -120,7 +92,7 @@ class FeatureScaling:
         if ceiling <= 0:
             raise ValueError("feature scaling: ceiling must be positive")
         self.ceiling = float(ceiling)
-        self.widths = [el.width for el in layout.element_spans()]
+        self.widths = layout.element_widths
         in_dim = layout.width + user_dim + item_dim + scenario_dim
         self.net = Fcn(graph, rng, in_dim, [hidden, layout.element_count], ["relu", "linear"], f"{name}.net")
 

@@ -73,10 +73,6 @@ class Fcn:
             self.biases.append(graph.parameter(np.zeros(w), f"{name}.b{i}"))
             prev = w
 
-    @property
-    def out_dim(self) -> int:
-        return self.widths[-1]
-
     def forward(self, x: Value) -> Value:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"fcn {self.name!r}: input width {x.shape[-1]}, expected {self.in_dim}")

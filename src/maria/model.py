@@ -124,25 +124,18 @@ class EncoderBottom:
         self.trigger_mode = trigger_mode
         self.item_width = dims.item + schema.item_attr_count * dims.attr
         t = f"{name}.tables"
+        d, s, v = dims, schema, vocab
+
+        def optional_table(count: int, rows: int, dim: int, table: str) -> EmbeddingTable | None:
+            return EmbeddingTable(graph, rng, rows, dim, f"{t}.{table}") if count else None
+
         # +1 rows reserve a padding id for tables that appear in padded slots
-        self.users = EmbeddingTable(graph, rng, vocab.users, dims.user, f"{t}.user")
-        self.items = EmbeddingTable(graph, rng, vocab.items + 1, dims.item, f"{t}.item")
-        self.user_attr_tab = (
-            EmbeddingTable(graph, rng, vocab.user_attrs, dims.attr, f"{t}.user_attr")
-            if schema.user_attr_count else None
-        )
-        self.item_attr_tab = (
-            EmbeddingTable(graph, rng, vocab.item_attrs + 1, dims.attr, f"{t}.item_attr")
-            if schema.item_attr_count else None
-        )
-        self.trigger_attr_tab = (
-            EmbeddingTable(graph, rng, vocab.trigger_attrs + 1, dims.attr, f"{t}.trigger_attr")
-            if schema.trigger_attr_count else None
-        )
-        self.context_tab = (
-            EmbeddingTable(graph, rng, vocab.context_attrs, dims.context, f"{t}.context")
-            if schema.context_attr_count else None
-        )
+        self.users = EmbeddingTable(graph, rng, v.users, d.user, f"{t}.user")
+        self.items = EmbeddingTable(graph, rng, v.items + 1, d.item, f"{t}.item")
+        self.user_attr_tab = optional_table(s.user_attr_count, v.user_attrs, d.attr, "user_attr")
+        self.item_attr_tab = optional_table(s.item_attr_count, v.item_attrs + 1, d.attr, "item_attr")
+        self.trigger_attr_tab = optional_table(s.trigger_attr_count, v.trigger_attrs + 1, d.attr, "trigger_attr")
+        self.context_tab = optional_table(s.context_attr_count, v.context_attrs, d.context, "context")
         self.scenario_tab = EmbeddingTable(graph, rng, vocab.scenarios, dims.scenario, f"{t}.scenario")
         self.encoder = SequenceEncoder(
             graph, rng, self.item_width, schema.max_behavior_len,
@@ -161,7 +154,6 @@ class EncoderBottom:
         )
         # Element widths per field in FIELD_ORDER; a schema without context
         # slots has no context field.
-        d, s = dims, schema
         widths = [
             [self.item_width],
             [d.user] + [d.attr] * s.user_attr_count,
@@ -169,21 +161,25 @@ class EncoderBottom:
             [d.trigger] + [d.attr] * s.trigger_attr_count if trigger_mode == "search" else [self.item_width],
             [d.context] * s.context_attr_count,
         ]
-        self.layout = ft.FieldLayout.from_widths([(n, w) for n, w in zip(FIELD_ORDER, widths) if w])
+        self.layout = ft.FieldLayout([(n, w) for n, w in zip(FIELD_ORDER, widths) if w])
 
-    def _flat_attr(self, table: EmbeddingTable, ids: np.ndarray, count: int, width: int) -> Value:
+    def _flat_attrs(self, table: EmbeddingTable, ids: np.ndarray) -> Value:
+        """Embeddings of the attribute ids on the last axis of ``ids``, laid side by side."""
         emb = table.lookup(ids)
-        return ad.reshape(emb, ids.shape[:-1] + (count * width,))
+        return ad.reshape(emb, ids.shape[:-1] + (ids.shape[-1] * table.dim,))
+
+    def _with_attrs(self, head: Value, table: EmbeddingTable | None, ids: np.ndarray) -> Value:
+        """``head`` followed by the flattened attribute embeddings; ``head`` alone without a table."""
+        if table is None:
+            return head
+        return ad.concat([head, self._flat_attrs(table, ids)], axis=-1)
 
     def _trigger_head(self, batch: Batch) -> Value:
         img_idx = np.flatnonzero(batch.is_image)
         prod_idx = np.flatnonzero(~batch.is_image)
 
         def product_head(items: np.ndarray, attrs: np.ndarray) -> Value:
-            pieces = [self.items.lookup(items)]
-            if self.trigger_attr_tab is not None:
-                pieces.append(self._flat_attr(self.trigger_attr_tab, attrs, attrs.shape[-1], self.dims.attr))
-            return self.trigger_proj.forward(ad.concat(pieces, axis=-1) if len(pieces) > 1 else pieces[0])
+            return self.trigger_proj.forward(self._with_attrs(self.items.lookup(items), self.trigger_attr_tab, attrs))
 
         if len(img_idx) == 0:
             return product_head(batch.trig_items, batch.trig_attrs)
@@ -201,31 +197,17 @@ class EncoderBottom:
         return ad.take_rows(stacked, inverse)
 
     def encode(self, batch: Batch) -> BottomOutput:
-        d, s = self.dims, self.schema
+        # Op order matters: the backward sweep adds into the shared item table in it.
         e_user = self.users.lookup(batch.user)
-        user_parts = [e_user]
-        if self.user_attr_tab is not None:
-            user_parts.append(self._flat_attr(self.user_attr_tab, batch.user_attrs, s.user_attr_count, d.attr))
-        user_field = ad.concat(user_parts, axis=-1) if len(user_parts) > 1 else user_parts[0]
-
-        seq_parts = [self.items.lookup(batch.beh_items)]
-        if self.item_attr_tab is not None:
-            seq_parts.append(self._flat_attr(self.item_attr_tab, batch.beh_attrs, s.item_attr_count, d.attr))
-        seq = ad.concat(seq_parts, axis=-1) if len(seq_parts) > 1 else seq_parts[0]
+        user_field = self._with_attrs(e_user, self.user_attr_tab, batch.user_attrs)
+        seq = self._with_attrs(self.items.lookup(batch.beh_items), self.item_attr_tab, batch.beh_attrs)
         encoded = self.encoder.forward(seq, batch.valid)
-
         e_item = self.items.lookup(batch.target)
-        item_parts = [e_item]
-        if self.item_attr_tab is not None:
-            item_parts.append(self._flat_attr(self.item_attr_tab, batch.target_attrs, s.item_attr_count, d.attr))
-        item_field = ad.concat(item_parts, axis=-1) if len(item_parts) > 1 else item_parts[0]
+        item_field = self._with_attrs(e_item, self.item_attr_tab, batch.target_attrs)
 
         if self.trigger_mode == "search":
             head = self._trigger_head(batch)
-            trig_parts = [head]
-            if self.trigger_attr_tab is not None:
-                trig_parts.append(self._flat_attr(self.trigger_attr_tab, batch.trig_attrs, s.trigger_attr_count, d.attr))
-            trig_field = ad.concat(trig_parts, axis=-1) if len(trig_parts) > 1 else trig_parts[0]
+            trig_field = self._with_attrs(head, self.trigger_attr_tab, batch.trig_attrs)
         else:
             head = item_field
             trig_field = item_field
@@ -234,7 +216,7 @@ class EncoderBottom:
 
         values = {"behavior": pooled, "user": user_field, "item": item_field, "trigger": trig_field}
         if self.context_tab is not None:
-            values["context"] = self._flat_attr(self.context_tab, batch.context, s.context_attr_count, d.context)
+            values["context"] = self._flat_attrs(self.context_tab, batch.context)
         e_scenario = self.scenario_tab.lookup(batch.scenario)
         q = ad.concat([values[f.name] for f in self.layout.fields], axis=-1)
         return BottomOutput(q=q, e_user=e_user, e_item=e_item, e_scenario=e_scenario)

@@ -319,6 +319,24 @@ def test_gumbel_noise_record_replay_is_bit_identical():
     assert not np.array_equal(first, third)
 
 
+def test_replay_leaves_the_rng_where_the_recorded_pass_did():
+    logits_data = np.random.default_rng(2).normal(size=(3, 4))
+    once = ad.Graph(seed=5)
+    ad.gumbel_softmax(once.constant(logits_data), temperature=0.7)
+    g = ad.Graph(seed=5)
+    logits = g.constant(logits_data)
+    g.record_context()
+    ad.gumbel_softmax(logits, temperature=0.7)
+    for _ in range(2):
+        g.replay_context()
+        ad.gumbel_softmax(logits, temperature=0.7)
+    g.live_context()
+    np.testing.assert_array_equal(
+        ad.gumbel_softmax(logits, temperature=0.7).data,
+        ad.gumbel_softmax(once.constant(logits_data), temperature=0.7).data,
+    )
+
+
 def test_gumbel_gradient_flows_through_logits_only():
     g = ad.Graph(seed=9, dtype=np.float64)
     logits = g.parameter(np.array([0.2, -0.1, 0.05]))

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import re
 import struct
 import subprocess
@@ -181,6 +182,12 @@ def _scenario_1_without_triggers(raw: bytes) -> bytes:
     return "".join(json.dumps(row) + "\n" for row in rows).encode("utf-8")
 
 
+def _profile_with_unknown_key(raw: bytes) -> bytes:
+    doc = json.loads(raw)
+    doc["profiles"][0]["bogus"] = 1
+    return json.dumps(doc).encode("utf-8")
+
+
 def _bad_byte_on_line_3(raw: bytes) -> bytes:
     lines = raw.split(b"\n")
     lines[2] = lines[2][:1] + b"\xff" + lines[2][2:]
@@ -199,13 +206,14 @@ def _bad_byte_on_line_3(raw: bytes) -> bytes:
         ("manifest", _count_as("20"), "malformed manifest (TypeError: count must be an integer, not '20')"),
         ("manifest", _count_as(20.0), "malformed manifest (TypeError: count must be an integer, not 20.0)"),
         ("manifest", _count_as(True), "malformed manifest (TypeError: count must be an integer, not True)"),
+        ("manifest", _profile_with_unknown_key, "unexpected keyword argument 'bogus'"),
         ("data", _bad_byte_on_line_3, "line 3: not UTF-8"),
         # the rows agree with the edited profile, so only the manifest check can catch it
         ("both", _scenario_1_without_triggers, "scenario 1 has trigger kind 'none', which search mode does not allow"),
     ],
     ids=[
         "truncated_manifest", "list_manifest", "manifest_without_profiles", "string_vocab_size",
-        "manifest_not_utf8", "string_count", "float_count", "bool_count", "data_not_utf8",
+        "manifest_not_utf8", "string_count", "float_count", "bool_count", "profile_with_unknown_key", "data_not_utf8",
         "trigger_kind_outside_search_mode",
     ],
 )
@@ -538,10 +546,15 @@ def test_eval_of_a_checkpoint_whose_spec_cannot_build_a_model_exits_3(tmp_path, 
     wrong_type["model"]["refiner_counts"] = [1, 2]
     missing_model_field = model.spec()
     del missing_model_field["model"]["ffn_multiplier"]
+    no_heads = model.spec()
+    no_heads["model"]["attention_heads"] = 0
+    no_expert_width = model.spec()
+    no_expert_width["model"]["expert_hidden"] = 0
     for spec, cause in (
         (unknown_kind, "ValueError"), (missing_key, "KeyError"),
         (unknown_field, "TypeError"), (wrong_type, "AttributeError"),
         (missing_model_field, "TypeError"),
+        (no_heads, "ZeroDivisionError"), (no_expert_width, "ZeroDivisionError"),
     ):
         code, _, err = eval_with(spec)
         assert code == 3, err
@@ -634,6 +647,20 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("count", [4, 9])
+def test_quickstart_runs_where_eval_metrics_are_undefined(tmp_path, count):
+    # 4 rows leave an empty eval log; 9 leave one eval row, whose Bayes AUC,
+    # AUC and PCOC are undefined.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "quickstart.py"), "--count", str(count), "--workdir", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "eval bayes auc n/a" in proc.stdout
 
 
 def test_help_enumerates_config_keys():

@@ -155,6 +155,8 @@ def test_write_read_round_trip(tmp_path):
     loaded = datagen.read_jsonl(path)
     assert loaded.instances == dataset.instances
     assert loaded.manifest == dataset.manifest
+    manifest = datagen.read_manifest(path)
+    assert (manifest.vocab, manifest.schema) == (cfg.vocab, cfg.schema)  # the records, not their dicts
 
 
 def test_failed_write_leaves_the_old_data_and_manifest(tmp_path, monkeypatch):
@@ -584,8 +586,8 @@ def _instance_parser(manifest: datagen.DatasetManifest):
     """Per-file instance validator: resolves the manifest's vocab, schema and
     trigger kinds once, and formats a message only for a check that fails.
     ``parse(obj, lineno)`` returns the Instance or raises ``line N: ...``."""
-    vocab = manifest.vocab_sizes()
-    schema = manifest.feature_schema()
+    vocab = manifest.vocab
+    schema = manifest.schema
     n_scenarios, n_users, n_items = vocab.scenarios, vocab.users, vocab.items
     max_len, image_dim = schema.max_behavior_len, schema.image_dim
     kind_by_scenario = {p.scenario_id: p.trigger_kind for p in manifest.profiles}

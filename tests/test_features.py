@@ -13,7 +13,7 @@ from maria.layers import Fcn
 def concat_fields(parts):
     """Concatenate (name, value, element_widths) parts and lay out their fields."""
     q = ad.concat([value for _, value, _ in parts], axis=-1)
-    return q, ft.FieldLayout.from_widths([(name, widths) for name, _, widths in parts])
+    return q, ft.FieldLayout([(name, widths) for name, _, widths in parts])
 
 
 def make_layout(widths_by_field=None):
@@ -40,12 +40,13 @@ def test_layout_partitions_and_element_count():
     assert layout.width == q.shape[-1] == 27
     # L=3 user elements? here: 1 behavior + 3 user + 2 item + 2 trigger + 2 context
     assert layout.element_count == 10
-    spans = layout.element_spans()
-    assert spans[0].offset == 0
-    total = sum(s.width for s in spans)
-    assert total == layout.width
-    for a, b in zip(spans, spans[1:]):
+    assert layout.element_widths == [6, 3, 2, 2, 3, 2, 3, 2, 2, 2]
+    assert sum(layout.element_widths) == layout.width
+    fields = layout.fields
+    assert fields[0].offset == 0
+    for a, b in zip(fields, fields[1:]):
         assert b.offset == a.offset + a.width
+    assert fields[-1].offset + fields[-1].width == layout.width
 
 
 def test_element_count_formula_for_instance_like_layout():
@@ -66,16 +67,9 @@ def test_element_count_formula_for_instance_like_layout():
     assert layout.element_count == L + P + O + Nc + 4
 
 
-def test_from_widths_rejects_empty_elements():
+def test_layout_rejects_empty_elements():
     with pytest.raises(ValueError, match="user"):
-        ft.FieldLayout.from_widths([("user", [2, 0])])
-
-
-def test_layout_rejects_gaps_and_overlaps():
-    with pytest.raises(ValueError):
-        ft.FieldLayout((ft.FieldSpec("a", 1, 2, (ft.ElementSpan(1, 2),)),))
-    with pytest.raises(ValueError):
-        ft.FieldLayout((ft.FieldSpec("a", 0, 3, (ft.ElementSpan(0, 2),)),))
+        ft.FieldLayout([("user", [2, 0])])
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,21 @@ def test_full_model_gradients_match_finite_differences():
     assert err <= 1e-4, f"max relative gradient error {err}"
 
 
+def test_a_training_forward_without_feature_scaling_replays_bit_identically():
+    # The user field's two refiners draw Gumbel noise; without feature
+    # scaling there is no frozen view, so the rewound noise alone pins a replay.
+    cfg, graph, model, batch = build_tiny(**{"train.disable": "fs"})
+    assert model.fs is None and cfg.model.refiner_counts["user"] == 2
+    before = graph.rng.bit_generator.state
+    graph.record_context()
+    recorded = model.forward(batch, mode="train").score.data.copy()
+    assert graph.rng.bit_generator.state != before
+    for _ in range(2):
+        graph.replay_context()
+        assert np.array_equal(model.forward(batch, mode="train").score.data, recorded)
+    graph.live_context()
+
+
 def test_coupling_matches_numpy_and_vanishes_for_orthogonal_scenarios():
     cfg, graph, model, batch = build_tiny()
     scen_tab = model.scenario_tab.weights.data
@@ -314,7 +329,7 @@ def test_recommendation_mode_forward():
     model = build_model(graph, cfg, seed=3)
     batch = make_batch(dataset.instances, cfg.vocab, cfg.schema, cfg.trigger_mode)
     trig = model.layout.field("trigger")
-    assert len(trig.elements) == 1
+    assert len(trig.element_widths) == 1
     assert trig.width == cfg.dims.item + cfg.schema.item_attr_count * cfg.dims.attr
     result = model.forward(batch, mode="eval")
     assert np.all((result.score.data > 0) & (result.score.data < 1))
