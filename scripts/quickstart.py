@@ -9,6 +9,7 @@ from pathlib import Path
 
 from maria import checkpoint, config, datagen, training
 from maria.autodiff import Graph
+from maria.metrics import shown
 from maria.model import build_model
 
 SMALL = {
@@ -20,11 +21,6 @@ SMALL = {
     "scenario.0.label_weights": ",".join(["5", "-5"] * 5 + ["5"]),
     "scenario.1.label_weights": ",".join(["-5", "5"] * 5 + ["-5"]),
 }
-
-
-def shown(value: float | None, spec: str = ".4f") -> str:
-    """``value`` formatted, or n/a where it is undefined (no rows, or one label class)."""
-    return "n/a" if value is None else format(value, spec)
 
 
 def main() -> int:

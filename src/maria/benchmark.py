@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from . import datagen, training
 from .autodiff import Graph
 from .config import RunConfig, build_run_config
+from .metrics import shown
 from .model import build_model
 
 BENCH_KINDS = ("maria", "hard_sharing", "mmoe")
@@ -70,8 +71,8 @@ class BenchRun:
 class BenchmarkReport:
     runs: list[BenchRun]
     mean_auc: dict[str, float]
-    train_bayes: float
-    eval_bayes: float
+    train_bayes: float | None  # None where the log holds one label class or no rows
+    eval_bayes: float | None
     seconds: float
     gen_seconds: float  # generating the train and eval logs
     user_divergences: list[float] = field(default_factory=list)  # full model, per seed
@@ -99,7 +100,7 @@ class BenchmarkReport:
 
     def summary(self) -> str:
         lines = [
-            f"oracle ceiling: train bayes auc {self.train_bayes:.4f}, eval bayes auc {self.eval_bayes:.4f}",
+            f"oracle ceiling: train bayes auc {shown(self.train_bayes)}, eval bayes auc {shown(self.eval_bayes)}",
             "mean test auc over seeds:",
         ]
         for kind, value in self.mean_auc.items():
@@ -109,8 +110,8 @@ class BenchmarkReport:
             if gap is not None:
                 lines.append(f"full model vs {kind}: {gap:+.4f}")
         if self.user_divergences:
-            shown = ", ".join(f"{d:.3f}" for d in self.user_divergences)
-            lines.append(f"user-field refiner divergence per seed: {shown}")
+            per_seed = ", ".join(f"{d:.3f}" for d in self.user_divergences)
+            lines.append(f"user-field refiner divergence per seed: {per_seed}")
         lines.append(f"wall time {self.seconds:.1f}s")
         return "\n".join(lines)
 
@@ -136,7 +137,7 @@ def run_benchmark(
         log_fn(
             f"data ready: {train_count} train / {eval_count} eval in {gen_seconds:.1f}s "
             f"({(train_count + eval_count) / gen_seconds:.0f} inst/s), "
-            f"eval bayes auc {eval_ds.manifest.bayes_auc['overall']:.4f}"
+            f"eval bayes auc {shown(eval_ds.manifest.bayes_auc.get('overall'))}"
         )
 
     runs: list[BenchRun] = []
@@ -163,8 +164,7 @@ def run_benchmark(
             )
             runs.append(run)
             if log_fn:
-                shown = "n/a" if run.auc is None else f"{run.auc:.4f}"
-                log_fn(f"{kind} seed {seed}: auc {shown} ({run.seconds:.1f}s)")
+                log_fn(f"{kind} seed {seed}: auc {shown(run.auc)} ({run.seconds:.1f}s)")
 
     mean_auc = {}
     for kind in kinds:
@@ -174,8 +174,8 @@ def run_benchmark(
     return BenchmarkReport(
         runs=runs,
         mean_auc=mean_auc,
-        train_bayes=train_ds.manifest.bayes_auc["overall"],
-        eval_bayes=eval_ds.manifest.bayes_auc["overall"],
+        train_bayes=train_ds.manifest.bayes_auc.get("overall"),
+        eval_bayes=eval_ds.manifest.bayes_auc.get("overall"),
         seconds=time.perf_counter() - started,
         gen_seconds=gen_seconds,
         user_divergences=divergences,

@@ -129,7 +129,7 @@ def load_model(path: str | Path, seed: int = 0):
     graph = Graph(seed=seed)
     try:
         model = model_from_spec(graph, spec, seed=seed)
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"{path}: spec cannot build a model ({type(exc).__name__}: {exc})") from exc
     named = dict(model.named_parameters())
     saved_names = [name for name, _ in params]

@@ -19,6 +19,7 @@ from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig
 from .datagen import DataError, Dataset
 from .fileio import atomic_writer
+from .metrics import shown
 from .model import BASELINE_KINDS, build_model
 
 EXIT_OK = 0
@@ -79,34 +80,28 @@ def cmd_gen_data(args) -> int:
         return EXIT_OK
     print(f"wrote {m.count} instances to {args.out} (+ {datagen.manifest_path(args.out).name})")
     for sid in sorted(m.scenario_counts):
-        bayes = m.bayes_auc.get(str(sid))
-        shown = "n/a" if bayes is None else f"{bayes:.4f}"
         print(
             f"scenario {sid}: {m.scenario_counts[sid]} instances, "
-            f"positive rate {m.positive_rates[str(sid)]:.4f}, bayes auc {shown}"
+            f"positive rate {m.positive_rates[str(sid)]:.4f}, bayes auc {shown(m.bayes_auc.get(str(sid)))}"
         )
-    overall = m.bayes_auc.get("overall")
-    print(f"overall bayes auc {'n/a' if overall is None else f'{overall:.4f}'}")
+    print(f"overall bayes auc {shown(m.bayes_auc.get('overall'))}")
     return EXIT_OK
 
 
 def _format_eval(report: training.EvalReport) -> str:
-    def show(v):
-        return "n/a" if v is None else f"{v:.4f}"
-
     lines = [
-        f"instances {report.count}  loss {show(report.loss)}  "
-        f"auc {show(report.auc)}  pcoc {show(report.pcoc)}"
+        f"instances {report.count}  loss {shown(report.loss)}  "
+        f"auc {shown(report.auc)}  pcoc {shown(report.pcoc)}"
     ]
     for sid, e in sorted(report.per_scenario.items()):
         lines.append(
             f"scenario {sid}: count {e.count}  positive rate {e.positive_rate:.4f}  "
-            f"auc {show(e.auc)}  pcoc {show(e.pcoc)}"
+            f"auc {shown(e.auc)}  pcoc {shown(e.pcoc)}"
         )
     divergence = report.refiner_divergence()
     if divergence:
-        shown = ", ".join(f"{f} {v:.3f}" for f, v in divergence.items())
-        lines.append(f"refiner selection divergence across scenarios: {shown}")
+        pairs = ", ".join(f"{f} {v:.3f}" for f, v in divergence.items())
+        lines.append(f"refiner selection divergence across scenarios: {pairs}")
     for warning in report.warnings:
         lines.append(f"warning: {warning}")
     return "\n".join(lines)

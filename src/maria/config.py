@@ -20,6 +20,21 @@ import numpy as np
 FIELD_ORDER = ("behavior", "user", "item", "trigger", "context")
 TRIGGER_KINDS = ("image", "product", "none")
 ABLATION_FLAGS = ("fs", "fr", "fcm", "nl", "st", "gs")
+TRIGGER_MODES = ("search", "recommendation")
+
+# The bound of a key is None or one of these phrases, which say what a value,
+# or each value of a list, must do; --help shows them and errors quote them.
+POSITIVE, NON_NEGATIVE, UNIT, OPEN_UNIT = "be positive", "be non-negative", "lie in [0, 1]", "lie in (0, 1]"
+ONE_OF_TRIGGER_KINDS = f"be one of {', '.join(TRIGGER_KINDS)}"
+ONE_OF_ABLATION_FLAGS = f"be one of {', '.join(ABLATION_FLAGS)}"
+_HOLDS = {
+    POSITIVE: lambda v: v > 0,
+    NON_NEGATIVE: lambda v: v >= 0,
+    UNIT: lambda v: 0 <= v <= 1,
+    OPEN_UNIT: lambda v: 0 < v <= 1,
+    ONE_OF_TRIGGER_KINDS: lambda v: v in TRIGGER_KINDS,
+    ONE_OF_ABLATION_FLAGS: lambda v: v in ABLATION_FLAGS,
+}
 
 
 class ConfigError(ValueError):
@@ -90,12 +105,7 @@ class AblationFlags:
     gs: bool = True
 
     def disable(self, names) -> "AblationFlags":
-        updates = {}
-        for name in names:
-            if name not in ABLATION_FLAGS:
-                raise ConfigError(f"unknown ablation flag {name!r}; expected one of {ABLATION_FLAGS}")
-            updates[name] = False
-        return replace(self, **updates)
+        return replace(self, **{name: False for name in names})
 
 
 @dataclass(frozen=True)
@@ -149,62 +159,62 @@ class RunConfig:
 # key registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, tuple[str, str, str]] = {
-    # key: (type, default, help)
-    "vocab.users": ("int", "120", "user vocabulary size"),
-    "vocab.items": ("int", "200", "item vocabulary size"),
-    "vocab.user_attrs": ("int", "40", "user attribute vocabulary size"),
-    "vocab.item_attrs": ("int", "40", "item attribute vocabulary size"),
-    "vocab.trigger_attrs": ("int", "20", "trigger attribute vocabulary size"),
-    "vocab.context_attrs": ("int", "20", "context attribute vocabulary size"),
-    "vocab.scenarios": ("int", "2", "number of scenarios"),
-    "schema.user_attrs": ("int", "2", "user attribute slots per instance"),
-    "schema.item_attrs": ("int", "2", "item attribute slots per item"),
-    "schema.trigger_attrs": ("int", "1", "trigger attribute slots (must be 0 when all scenarios are trigger-free)"),
-    "schema.context_attrs": ("int", "2", "context attribute slots per instance"),
-    "schema.max_behavior": ("int", "4", "behavior sequence capacity; shorter sequences are left-padded"),
-    "schema.image_dim": ("int", "8", "dense payload width for image triggers"),
-    "dim.user": ("int", "8", "user id embedding width"),
-    "dim.item": ("int", "8", "item id embedding width"),
-    "dim.attr": ("int", "4", "attribute embedding width (user/item/trigger attributes)"),
-    "dim.context": ("int", "4", "context attribute embedding width"),
-    "dim.scenario": ("int", "4", "scenario embedding width"),
-    "dim.trigger": ("int", "8", "trigger head width (must equal schema.image_dim when image triggers occur)"),
-    "model.experts": ("int", "4", "expert count of the mixture network layer"),
-    "model.expert_hidden": ("int", "256", "hidden and output width of each two-layer expert"),
-    "model.tower_dims": ("csv_int", "128,64,32", "hidden widths of scenario-specific and shared towers"),
-    "model.refiners": ("csv_int", "1,2,1,1,1", "refiner count per field, order: behavior,user,item,trigger,context"),
-    "model.refiner_compression": ("float", "0.5", "refiner output width as a fraction of field width (ceil)"),
-    "model.correlation_dim": ("int", "5", "projection width for field correlation"),
-    "model.scale_ceiling": ("float", "2.0", "upper bound of feature-scaling multipliers"),
-    "model.scale_hidden": ("int", "64", "hidden width of the feature-scaling network"),
-    "model.gumbel_temperature": ("float", "0.01", "Gumbel-softmax temperature for refiner selection"),
-    "model.attention_heads": ("int", "2", "self-attention heads in the sequence encoder"),
-    "model.encoder_layers": ("int", "1", "transformer layers in the sequence encoder"),
-    "model.ffn_multiplier": ("int", "2", "feed-forward width multiple of the encoder model width"),
-    "train.learning_rate": ("float", "0.05", "Adam learning rate"),
-    "train.batch_size": ("int", "512", "mini-batch size"),
-    "train.weight_decay": ("float", "1e-6", "decoupled L2 weight decay inside the Adam step"),
-    "train.lr_decay": ("float", "1.0", "per-epoch multiplicative learning-rate factor (1.0 = constant)"),
-    "train.epochs": ("int", "1", "training epochs"),
-    "train.seed": ("int", "0", "seed for init, shuffling, and selection noise"),
-    "train.eval_every": ("int", "0", "evaluate every N epochs during training (0 = only at the end)"),
+_REGISTRY: dict[str, tuple[str, str, object, str]] = {
+    # key: (type, default, bound, help)
+    "vocab.users": ("int", "120", POSITIVE, "user vocabulary size"),
+    "vocab.items": ("int", "200", POSITIVE, "item vocabulary size"),
+    "vocab.user_attrs": ("int", "40", POSITIVE, "user attribute vocabulary size"),
+    "vocab.item_attrs": ("int", "40", POSITIVE, "item attribute vocabulary size"),
+    "vocab.trigger_attrs": ("int", "20", POSITIVE, "trigger attribute vocabulary size"),
+    "vocab.context_attrs": ("int", "20", POSITIVE, "context attribute vocabulary size"),
+    "vocab.scenarios": ("int", "2", POSITIVE, "number of scenarios"),
+    "schema.user_attrs": ("int", "2", NON_NEGATIVE, "user attribute slots per instance"),
+    "schema.item_attrs": ("int", "2", NON_NEGATIVE, "item attribute slots per item"),
+    "schema.trigger_attrs": ("int", "1", NON_NEGATIVE, "trigger attribute slots (0 when no scenario has triggers)"),
+    "schema.context_attrs": ("int", "2", NON_NEGATIVE, "context attribute slots per instance"),
+    "schema.max_behavior": ("int", "4", POSITIVE, "behavior sequence capacity; shorter sequences are left-padded"),
+    "schema.image_dim": ("int", "8", POSITIVE, "dense payload width for image triggers"),
+    "dim.user": ("int", "8", POSITIVE, "user id embedding width"),
+    "dim.item": ("int", "8", POSITIVE, "item id embedding width"),
+    "dim.attr": ("int", "4", POSITIVE, "attribute embedding width (user/item/trigger attributes)"),
+    "dim.context": ("int", "4", POSITIVE, "context attribute embedding width"),
+    "dim.scenario": ("int", "4", POSITIVE, "scenario embedding width"),
+    "dim.trigger": ("int", "8", POSITIVE, "trigger head width (must equal schema.image_dim when image triggers occur)"),
+    "model.experts": ("int", "4", POSITIVE, "expert count of the mixture network layer"),
+    "model.expert_hidden": ("int", "256", POSITIVE, "hidden and output width of each two-layer expert"),
+    "model.tower_dims": ("csv_int", "128,64,32", POSITIVE, "hidden widths of scenario-specific and shared towers"),
+    "model.refiners": ("per_field_int", "1,2,1,1,1", POSITIVE, "refiners of behavior,user,item,trigger,context"),
+    "model.refiner_compression": ("float", "0.5", OPEN_UNIT, "refiner width as a fraction of field width (ceil)"),
+    "model.correlation_dim": ("int", "5", POSITIVE, "projection width for field correlation"),
+    "model.scale_ceiling": ("float", "2.0", POSITIVE, "upper bound of feature-scaling multipliers"),
+    "model.scale_hidden": ("int", "64", POSITIVE, "hidden width of the feature-scaling network"),
+    "model.gumbel_temperature": ("float", "0.01", POSITIVE, "Gumbel-softmax temperature for refiner selection"),
+    "model.attention_heads": ("int", "2", POSITIVE, "self-attention heads in the sequence encoder"),
+    "model.encoder_layers": ("int", "1", POSITIVE, "transformer layers in the sequence encoder"),
+    "model.ffn_multiplier": ("int", "2", POSITIVE, "feed-forward width multiple of the encoder model width"),
+    "train.learning_rate": ("float", "0.05", POSITIVE, "Adam learning rate"),
+    "train.batch_size": ("int", "512", POSITIVE, "mini-batch size"),
+    "train.weight_decay": ("float", "1e-6", NON_NEGATIVE, "decoupled L2 weight decay inside the Adam step"),
+    "train.lr_decay": ("float", "1.0", POSITIVE, "per-epoch multiplicative learning-rate factor (1.0 = constant)"),
+    "train.epochs": ("int", "1", NON_NEGATIVE, "training epochs"),
+    "train.seed": ("int", "0", NON_NEGATIVE, "seed for init, shuffling, and selection noise"),
+    "train.eval_every": ("int", "0", NON_NEGATIVE, "evaluate every N epochs during training (0 = only at the end)"),
     "train.early_stop_patience": (
-        "int", "0", "stop after N evaluations without AUC improvement (0 = off; needs train.eval_every > 0)"
+        "int", "0", NON_NEGATIVE, "stop after N evaluations without AUC gain (0 = off; needs train.eval_every > 0)"
     ),
-    "train.disable": ("csv_str", "", "ablation switches to turn off: any of fs,fr,fcm,nl,st,gs"),
-    "gen.count": ("int", "10000", "instances to generate"),
-    "gen.seed": ("int", "0", "generator seed; instance i depends only on (seed, i)"),
+    "train.disable": ("csv_str", "", ONE_OF_ABLATION_FLAGS, "ablation switches to turn off"),
+    "gen.count": ("int", "10000", NON_NEGATIVE, "instances to generate"),
+    "gen.seed": ("int", "0", NON_NEGATIVE, "generator seed; instance i depends only on (seed, i)"),
 }
 
-_SCENARIO_FIELDS: dict[str, tuple[str, str, str]] = {
-    "traffic_share": ("float_or_empty", "", "probability mass of this scenario (empty = split remainder equally)"),
-    "noise_std": ("float", "0.5", "label logit noise standard deviation"),
-    "trigger_kind": ("str", "product", "trigger kind: image, product, or none"),
-    "label_bias": ("float", "0.0", "additive bias of the label logit"),
-    "behavior_tilt": ("float", "1.0", "strength of the scenario tilt of item popularity"),
-    "field_importance": ("csv_float", "", "per-element importance mask in [0,1] (empty = auto disjoint)"),
-    "label_weights": ("csv_float", "", "per-element label weights (empty = auto from gen.seed)"),
+_SCENARIO_FIELDS: dict[str, tuple[str, str, object, str]] = {
+    "traffic_share": ("float_or_empty", "", OPEN_UNIT, "traffic mass of this scenario (empty = split the rest)"),
+    "noise_std": ("float", "0.5", NON_NEGATIVE, "label logit noise standard deviation"),
+    "trigger_kind": ("str", "product", ONE_OF_TRIGGER_KINDS, "kind of the trigger that starts a request"),
+    "label_bias": ("float", "0.0", None, "additive bias of the label logit"),
+    "behavior_tilt": ("float", "1.0", None, "strength of the scenario tilt of item popularity"),
+    "field_importance": ("csv_float", "", UNIT, "per-element importance mask (empty = auto disjoint)"),
+    "label_weights": ("csv_float", "", None, "per-element label weights (empty = auto from gen.seed)"),
 }
 
 # Key ``<section>.<name>`` fills field ``<name>`` of its section's record,
@@ -220,21 +230,38 @@ _FIELD_OF_KEY = {
     "schema.max_behavior": "max_behavior_len",
     "model.refiners": "refiner_counts",
 }
+# per record type: its field names to their keys
+_KEY_OF_FIELD = {
+    record: {_FIELD_OF_KEY.get(key, key.split(".", 1)[1]): key for key in _REGISTRY if key.startswith(f"{section}.")}
+    for section, record in _RECORDS.items()
+}
 
 _SCENARIO_RE = re.compile(r"^scenario\.(\d+)\.([a-z_]+)$")
 
+# What one value of a kind must be; a list kind's values are checked one by one.
+_VALUE_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "str": ("a string", lambda v: type(v) is str),
+}
+_VALUE_KIND = {
+    "float_or_empty": "float", "csv_int": "int", "per_field_int": "int", "csv_float": "float", "csv_str": "str",
+}
+
 
 def config_help_text() -> str:
-    """All config keys with defaults, for --help output."""
-    lines = ["configuration keys (key = value per line, # comments):"]
-    for key, (_, default, help_) in _REGISTRY.items():
-        shown = default if default != "" else "(empty)"
-        lines.append(f"  {key:<28} default {shown:<12} {help_}")
-    lines.append("per-scenario keys (N = scenario index, 0-based):")
-    for name, (_, default, help_) in _SCENARIO_FIELDS.items():
-        shown = default if default != "" else "(empty)"
-        lines.append(f"  scenario.N.{name:<17} default {shown:<12} {help_}")
-    return "\n".join(lines)
+    """All config keys with their defaults and bounds, for --help output."""
+    def lines(entries):
+        for key, (_, default, bound, help_) in entries:
+            shown = (default or "(empty)") + ("" if bound is None else f", must {bound}")
+            yield f"  {key:<28} default {shown:<32} {help_}"
+
+    return "\n".join([
+        "configuration keys (key = value per line, # comments):",
+        *lines(_REGISTRY.items()),
+        "per-scenario keys (N = scenario index, 0-based):",
+        *lines((f"scenario.N.{name}", entry) for name, entry in _SCENARIO_FIELDS.items()),
+    ])
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -258,32 +285,82 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _parse_typed(key: str, kind: str, raw: str):
-    def finite(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
-        return value
-
+    """``raw`` read as ``kind``; its type and bound are left to ``check_settings``."""
+    read = {"int": int, "float": float, "str": str}[_VALUE_KIND.get(kind, kind)]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return finite(raw)
-        if kind == "float_or_empty":
-            return None if raw == "" else finite(raw)
-        if kind == "str":
-            return raw
-        if kind == "csv_int":
-            return tuple(int(p.strip()) for p in raw.split(",") if p.strip() != "")
-        if kind == "csv_float":
-            return tuple(finite(p.strip()) for p in raw.split(",") if p.strip() != "")
-        if kind == "csv_str":
-            return tuple(p.strip() for p in raw.split(",") if p.strip() != "")
-    except ConfigError:
-        raise
+        if kind in ("int", "float", "float_or_empty", "str"):
+            return None if kind == "float_or_empty" and raw == "" else read(raw)
+        values = tuple(read(p.strip()) for p in raw.split(",") if p.strip() != "")
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from exc
-    raise ConfigError(f"key {key!r}: unknown type {kind}")
+    # counts that are not one per field stay a tuple, which check_settings refuses
+    return dict(zip(FIELD_ORDER, values)) if kind == "per_field_int" and len(values) == len(FIELD_ORDER) else values
+
+
+def check_settings(values: Mapping[str, object]) -> None:
+    """Refuse, with a ConfigError that names the key, a value whose type or
+    bound its registry entry does not allow. ``values`` maps config keys
+    (``scenario.<index>.<field>`` for scenario fields) to typed values, as
+    ``build_run_config`` parses them or a settings record holds them."""
+    for key, value in values.items():
+        kind, _, bound, _ = _REGISTRY[key] if key in _REGISTRY else _SCENARIO_FIELDS[key.rsplit(".", 1)[1]]
+        if kind == "per_field_int":
+            if type(value) is not dict or set(value) != set(FIELD_ORDER):
+                raise ConfigError(f"{key}: expected one count for each of {', '.join(FIELD_ORDER)}, got {value!r}")
+            items = list(value.values())
+        elif kind.startswith("csv_"):
+            if type(value) not in (list, tuple) or kind == "csv_int" and not value:
+                raise ConfigError(f"{key}: expected a {'non-empty ' if kind == 'csv_int' else ''}list, got {value!r}")
+            items = value
+        else:
+            items = () if kind == "float_or_empty" and value is None else (value,)
+        what, has_kind = _VALUE_TYPES[_VALUE_KIND.get(kind, kind)]
+        for item in items:
+            if not has_kind(item):
+                raise ConfigError(f"{key}: {item!r} is not {what}")
+            if bound is not None and not _HOLDS[bound](item):
+                raise ConfigError(f"{key}: must {bound}, got {item!r}")
+
+
+def check_records(
+    vocab: VocabSizes, schema: FeatureSchema, trigger_mode: str, dims: EmbedDims | None = None,
+    model: ModelSettings | None = None, profiles: tuple[ScenarioSettings, ...] = (),
+) -> None:
+    """Refuse, with a ConfigError that names the key, settings records read
+    from a file (a dataset manifest or a checkpoint spec): each field by
+    ``check_settings``, then the trigger mode and the rules between keys
+    that these records decide."""
+    values = {
+        _KEY_OF_FIELD[type(record)][name]: value
+        for record in (vocab, schema, dims, model) if record is not None
+        for name, value in vars(record).items()
+    }
+    for p in profiles:
+        values |= {f"scenario.{p.scenario_id}.{name}": v for name, v in vars(p).items() if name != "scenario_id"}
+    check_settings(values)
+    if trigger_mode not in TRIGGER_MODES:
+        raise ConfigError(f"trigger_mode: must be one of {', '.join(TRIGGER_MODES)}, got {trigger_mode!r}")
+    _check_across(schema, trigger_mode, dims, model, profiles)
+
+
+def _check_across(schema, trigger_mode, dims, model, profiles) -> None:
+    """Rules between keys that a manifest or a spec can break as well as a config."""
+    if trigger_mode == "recommendation" and schema.trigger_attr_count != 0:
+        raise ConfigError("schema.trigger_attrs: must be 0 when every scenario has trigger_kind none")
+    if model is not None:
+        item_width = dims.item + schema.item_attr_count * dims.attr
+        if item_width % model.attention_heads != 0:
+            raise ConfigError(
+                f"model.attention_heads: encoder width {item_width} "
+                f"(dim.item + schema.item_attrs * dim.attr) not divisible by {model.attention_heads}"
+            )
+    for sc in profiles:
+        for name in ("field_importance", "label_weights"):
+            given = getattr(sc, name)
+            if given and len(given) != schema.element_count:
+                raise ConfigError(
+                    f"scenario.{sc.scenario_id}.{name}: expected {schema.element_count} values, got {len(given)}"
+                )
 
 
 def build_run_config(mapping: Mapping[str, str] | None = None, overrides: Mapping[str, str] | None = None) -> RunConfig:
@@ -293,7 +370,7 @@ def build_run_config(mapping: Mapping[str, str] | None = None, overrides: Mappin
     rejected by name; the same goes for scenario indexes outside
     [0, vocab.scenarios).
     """
-    merged: dict[str, str] = {k: default for k, (_, default, _) in _REGISTRY.items()}
+    merged: dict[str, str] = {k: default for k, (_, default, _, _) in _REGISTRY.items()}
     scenario_raw: dict[int, dict[str, str]] = {}
     for source in (mapping or {}), (overrides or {}):
         for key, raw in source.items():
@@ -309,10 +386,19 @@ def build_run_config(mapping: Mapping[str, str] | None = None, overrides: Mappin
                 raise ConfigError(f"unknown key {key!r}")
 
     values = {k: _parse_typed(k, _REGISTRY[k][0], raw) for k, raw in merged.items()}
-    refiners = values["model.refiners"]
-    if len(refiners) != len(FIELD_ORDER):
-        raise ConfigError(f"model.refiners: expected {len(FIELD_ORDER)} counts, got {len(refiners)}")
-    values["model.refiners"] = dict(zip(FIELD_ORDER, refiners))
+    n_s = values["vocab.scenarios"]
+    for idx in scenario_raw:
+        if not (0 <= idx < n_s):
+            raise ConfigError(f"scenario index {idx} out of range [0, {n_s})")
+    for i in range(n_s):
+        for fname, (kind, default, _, _) in _SCENARIO_FIELDS.items():
+            key = f"scenario.{i}.{fname}"
+            values[key] = _parse_typed(key, kind, scenario_raw.get(i, {}).get(fname, default))
+    check_settings(values)
+    scenarios = [
+        ScenarioSettings(scenario_id=i, **{fname: values.pop(f"scenario.{i}.{fname}") for fname in _SCENARIO_FIELDS})
+        for i in range(n_s)
+    ]
     flags = AblationFlags().disable(values.pop("train.disable"))
     gen_count, gen_seed = values.pop("gen.count"), values.pop("gen.seed")
     by_record: dict[str, dict] = {section: {} for section in _RECORDS}
@@ -320,25 +406,6 @@ def build_run_config(mapping: Mapping[str, str] | None = None, overrides: Mappin
         section, name = key.split(".", 1)
         by_record[section][_FIELD_OF_KEY.get(key, name)] = value
     vocab, schema, dims, model, train = (record(**by_record[s]) for s, record in _RECORDS.items())
-
-    for idx in scenario_raw:
-        if not (0 <= idx < vocab.scenarios):
-            raise ConfigError(f"scenario index {idx} out of range [0, {vocab.scenarios})")
-    scenarios = []
-    for i in range(vocab.scenarios):
-        raw = scenario_raw.get(i, {})
-        parsed = {}
-        for fname, (kind, default, _) in _SCENARIO_FIELDS.items():
-            parsed[fname] = _parse_typed(f"scenario.{i}.{fname}", kind, raw.get(fname, default))
-        if parsed["noise_std"] < 0:
-            raise ConfigError(f"scenario.{i}.noise_std: must be non-negative, got {parsed['noise_std']}")
-        if any(not 0.0 <= v <= 1.0 for v in parsed["field_importance"]):
-            raise ConfigError(f"scenario.{i}.field_importance: every value must lie in [0, 1]")
-        if parsed["trigger_kind"] not in TRIGGER_KINDS:
-            raise ConfigError(
-                f"scenario.{i}.trigger_kind: {parsed['trigger_kind']!r} not one of {TRIGGER_KINDS}"
-            )
-        scenarios.append(ScenarioSettings(scenario_id=i, **parsed))
 
     cfg = RunConfig(
         vocab=vocab,
@@ -357,9 +424,6 @@ def build_run_config(mapping: Mapping[str, str] | None = None, overrides: Mappin
 
 def _resolve_shares(scenarios: list[ScenarioSettings]) -> list[ScenarioSettings]:
     explicit = [s.traffic_share for s in scenarios if s.traffic_share is not None]
-    for share in explicit:
-        if not (0.0 < share <= 1.0):
-            raise ConfigError(f"traffic_share: {share} outside (0, 1]")
     remainder = 1.0 - sum(explicit)
     unset = sum(1 for s in scenarios if s.traffic_share is None)
     if unset:
@@ -374,16 +438,11 @@ def _resolve_shares(scenarios: list[ScenarioSettings]) -> list[ScenarioSettings]
 
 
 def _resolve_vectors(cfg: RunConfig) -> tuple[ScenarioSettings, ...]:
-    """Check the given per-element vectors' lengths and fill the empty ones:
-    disjoint round-robin importance masks, and label weights drawn per
-    scenario from the generator seed."""
+    """Fill the empty per-element vectors: disjoint round-robin importance
+    masks, and label weights drawn per scenario from the generator seed."""
     n_q, n_s = cfg.schema.element_count, cfg.vocab.scenarios
     out = []
     for sc in cfg.scenarios:
-        for name in ("field_importance", "label_weights"):
-            given = getattr(sc, name)
-            if given and len(given) != n_q:
-                raise ConfigError(f"scenario.{sc.scenario_id}.{name}: expected {n_q} values, got {len(given)}")
         importance = sc.field_importance or tuple(1.0 if j % n_s == sc.scenario_id else 0.0 for j in range(n_q))
         weights = sc.label_weights
         if not weights:
@@ -396,70 +455,24 @@ def _resolve_vectors(cfg: RunConfig) -> tuple[ScenarioSettings, ...]:
 
 
 def _validate(cfg: RunConfig) -> None:
-    for name, value in vars(cfg.vocab).items():
-        if value <= 0:
-            raise ConfigError(f"vocab.{name}: must be positive, got {value}")
-    s = cfg.schema
-    if min(s.user_attr_count, s.item_attr_count, s.context_attr_count) < 0 or s.trigger_attr_count < 0:
-        raise ConfigError("schema attribute counts must be non-negative")
-    if s.max_behavior_len < 1:
-        raise ConfigError("schema.max_behavior: must be at least 1")
-    if s.image_dim < 1:
-        raise ConfigError("schema.image_dim: must be at least 1")
-    for name, value in vars(cfg.dims).items():
-        if value <= 0:
-            raise ConfigError(f"dim.{name}: must be positive, got {value}")
-    m = cfg.model
-    if m.experts < 1 or m.expert_hidden < 1 or m.correlation_dim < 1 or m.scale_hidden < 1:
-        raise ConfigError("model widths and counts must be positive")
-    if not m.tower_dims:
-        raise ConfigError("model.tower_dims: need at least one width")
-    if min(m.tower_dims) < 1:
-        raise ConfigError(f"model.tower_dims: every width must be at least 1, got {m.tower_dims}")
-    if not (0.0 < m.refiner_compression <= 1.0):
-        raise ConfigError("model.refiner_compression: must lie in (0, 1]")
-    if m.scale_ceiling <= 0 or m.gumbel_temperature <= 0:
-        raise ConfigError("model.scale_ceiling and model.gumbel_temperature must be positive")
-    if m.attention_heads < 1 or m.encoder_layers < 1 or m.ffn_multiplier < 1:
-        raise ConfigError("encoder settings must be positive")
-    if any(n < 1 for n in m.refiner_counts.values()):
-        raise ConfigError("model.refiners: every count must be at least 1")
+    """Rules between keys; ``check_settings`` has checked each key alone."""
     t = cfg.train
-    if t.learning_rate <= 0 or t.batch_size < 1 or t.epochs < 0 or t.weight_decay < 0:
-        raise ConfigError("train settings out of range")
-    if t.lr_decay <= 0:
-        raise ConfigError("train.lr_decay: must be positive")
-    for key, value in (
-        ("train.seed", t.seed), ("train.eval_every", t.eval_every),
-        ("train.early_stop_patience", t.early_stop_patience),
-        ("gen.count", cfg.gen_count), ("gen.seed", cfg.gen_seed),
-    ):
-        if value < 0:
-            raise ConfigError(f"{key}: must be non-negative, got {value}")
     if t.early_stop_patience > 0 and t.eval_every == 0:
         raise ConfigError(
             f"train.early_stop_patience: {t.early_stop_patience} needs train.eval_every above 0; "
             "without evaluations during training no epoch counts towards it"
         )
-
     kinds = {sc.trigger_kind for sc in cfg.scenarios}
     if "none" in kinds and kinds != {"none"}:
         raise ConfigError(
             "trigger_kind: scenarios without triggers cannot be mixed with image/product scenarios"
         )
-    if kinds == {"none"} and cfg.schema.trigger_attr_count != 0:
-        raise ConfigError("schema.trigger_attrs: must be 0 when every scenario has trigger_kind none")
     if "image" in kinds and cfg.dims.trigger != cfg.schema.image_dim:
         raise ConfigError(
             f"dim.trigger ({cfg.dims.trigger}) must equal schema.image_dim ({cfg.schema.image_dim}) "
             "when image triggers occur"
         )
-    item_width = cfg.dims.item + cfg.schema.item_attr_count * cfg.dims.attr
-    if item_width % cfg.model.attention_heads != 0:
-        raise ConfigError(
-            f"model.attention_heads: encoder width {item_width} "
-            f"(dim.item + schema.item_attrs * dim.attr) not divisible by {cfg.model.attention_heads}"
-        )
+    _check_across(cfg.schema, cfg.trigger_mode, cfg.dims, cfg.model, cfg.scenarios)
 
 
 # ---------------------------------------------------------------------------

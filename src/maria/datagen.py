@@ -37,6 +37,7 @@ from .config import (
     RunConfig,
     ScenarioSettings,
     VocabSizes,
+    check_records,
     compat_digest_parts,
     data_compat_digest,
 )
@@ -550,6 +551,7 @@ def _row_error(obj: dict, names: list[str], manifest: DatasetManifest) -> str | 
 def read_manifest(path: str | Path) -> DatasetManifest:
     """Load a dataset's manifest; any manifest that cannot be decoded, whose
     keys or types cannot build the vocabulary, schema and scenario profiles,
+    whose settings a config file could not hold (``config.check_records``),
     whose stored compatibility digest is not the one its own vocabulary,
     schema and trigger mode give, or whose profiles name a trigger kind that
     the trigger mode does not allow, raises DataError naming the manifest path."""
@@ -583,13 +585,11 @@ def read_manifest(path: str | Path) -> DatasetManifest:
             compat_digest=doc["compat_digest"],
             profiles=profiles,
         )
-        sizes = vars(manifest.vocab) | vars(manifest.schema)
-        if not all(type(v) is int for v in sizes.values()):
-            raise TypeError("vocab and schema sizes must be integers")
         if type(manifest.count) is not int:
             raise TypeError(f"count must be an integer, not {manifest.count!r}")
-        if not all(type(p.scenario_id) is int and type(p.trigger_kind) is str for p in profiles):
-            raise TypeError("profile scenario ids must be integers and trigger kinds strings")
+        if not all(type(p.scenario_id) is int for p in profiles):
+            raise TypeError("profile scenario ids must be integers")
+        check_records(manifest.vocab, manifest.schema, manifest.trigger_mode, profiles=profiles)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{mpath}: malformed manifest ({type(exc).__name__}: {exc})") from exc
     if compat_digest_parts(vars(manifest.vocab), vars(manifest.schema), manifest.trigger_mode) != manifest.compat_digest:

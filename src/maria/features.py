@@ -89,8 +89,6 @@ class FeatureScaling:
         ceiling: float = 2.0,
         name: str = "fs",
     ):
-        if ceiling <= 0:
-            raise ValueError("feature scaling: ceiling must be positive")
         self.ceiling = float(ceiling)
         self.widths = layout.element_widths
         in_dim = layout.width + user_dim + item_dim + scenario_dim
@@ -132,10 +130,6 @@ class FieldRefinement:
         use_gumbel: bool = True,
         name: str = "fr",
     ):
-        if temperature <= 0:
-            raise ValueError("field refinement: temperature must be positive")
-        if not (0 < compression <= 1):
-            raise ValueError("field refinement: compression must lie in (0, 1]")
         self.temperature = float(temperature)
         self.use_gumbel = use_gumbel
         self.fields = layout.fields
@@ -144,9 +138,7 @@ class FieldRefinement:
         self.refiners: dict[str, list[Fcn]] = {}
         self.out_widths: dict[str, int] = {}
         for f in layout.fields:
-            n = int(refiner_counts.get(f.name, 1))
-            if n < 1:
-                raise ValueError(f"field refinement: refiner count for {f.name!r} must be >= 1")
+            n = refiner_counts[f.name]
             rw = refiner_width(f.width, compression)
             self.counts[f.name] = n
             self.selectors[f.name] = Fcn(
@@ -207,8 +199,6 @@ class FieldCorrelation:
         projection_dim: int,
         name: str = "fcm",
     ):
-        if projection_dim <= 0:
-            raise ValueError("field correlation: projection_dim must be positive")
         self.projection_dim = projection_dim
         self.fields = layout.fields
         self.projections: dict[str, Fcn] = {

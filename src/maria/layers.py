@@ -27,8 +27,6 @@ class EmbeddingTable:
     """Dense rows of learned embeddings with bounds-checked integer lookup."""
 
     def __init__(self, graph: Graph, rng: np.random.Generator, rows: int, dim: int, name: str):
-        if rows <= 0 or dim <= 0:
-            raise ValueError(f"embedding table {name!r}: rows and dim must be positive")
         self.rows = rows
         self.dim = dim
         self.name = name
@@ -103,8 +101,6 @@ class TransformerBlock:
         ffn_mult: int,
         name: str,
     ):
-        if model_dim % head_count != 0:
-            raise ValueError(f"transformer {name!r}: model_dim {model_dim} not divisible by {head_count} heads")
         self.model_dim = model_dim
         self.head_dim = model_dim // head_count
         d, dh = model_dim, self.head_dim

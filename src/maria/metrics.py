@@ -5,6 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 
+def shown(value: float | None, spec: str = ".4f") -> str:
+    """``value`` formatted by ``spec``, or ``n/a`` where the metric is undefined."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def auc(scores, labels) -> float | None:
     """Area under the ROC curve via the rank statistic; ties get average rank.
 

@@ -29,6 +29,7 @@ from .config import (
     ModelSettings,
     RunConfig,
     VocabSizes,
+    check_records,
 )
 from .datagen import TRIGGER_IMAGE, TRIGGER_NONE, TRIGGER_PRODUCT, InstanceTable
 from .layers import EmbeddingTable, Fcn, SequenceEncoder, trigger_attention
@@ -115,10 +116,6 @@ class EncoderBottom:
         trigger_mode: str,
         name: str = "bottom",
     ):
-        if trigger_mode not in ("search", "recommendation"):
-            raise ValueError(f"trigger_mode must be 'search' or 'recommendation', got {trigger_mode!r}")
-        if trigger_mode == "recommendation" and schema.trigger_attr_count != 0:
-            raise ValueError("trigger-free models cannot carry trigger attribute slots")
         self.graph = graph
         self.vocab, self.schema, self.dims = vocab, schema, dims
         self.trigger_mode = trigger_mode
@@ -433,13 +430,16 @@ def build_model(graph: Graph, cfg: RunConfig, kind: str = "maria", seed: int | N
 
 
 def model_from_spec(graph: Graph, spec: dict, seed: int = 0) -> MariaModel:
-    """Rebuild a model with the exact structure recorded by ``spec()``."""
+    """Rebuild a model with the exact structure recorded by ``spec()``; a
+    setting that a config file could not hold raises ConfigError naming its key."""
     raw = dict(spec["model"])
     raw["tower_dims"] = tuple(raw["tower_dims"])
+    vocab, schema, dims = VocabSizes(**spec["vocab"]), FeatureSchema(**spec["schema"]), EmbedDims(**spec["dims"])
+    settings = ModelSettings(**raw)
+    check_records(vocab, schema, spec["trigger_mode"], dims, settings)
     return MariaModel(
-        graph, np.random.default_rng(seed),
-        VocabSizes(**spec["vocab"]), FeatureSchema(**spec["schema"]), EmbedDims(**spec["dims"]),
-        ModelSettings(**raw), AblationFlags(**spec["flags"]), spec["trigger_mode"], spec["kind"],
+        graph, np.random.default_rng(seed), vocab, schema, dims, settings,
+        AblationFlags(**spec["flags"]), spec["trigger_mode"], spec["kind"],
     )
 
 

@@ -99,8 +99,7 @@ def _train_steps(graph, model, named, opt, instances, settings, eval_instances, 
             auc = evaluate(model, eval_instances, settings.batch_size).auc
             eval_history.append((epoch, auc))
             if log_fn:
-                shown = "n/a" if auc is None else f"{auc:.4f}"
-                log_fn(f"epoch {epoch}: eval auc {shown}")
+                log_fn(f"epoch {epoch}: eval auc {metrics.shown(auc)}")
             score = -np.inf if auc is None else auc
             if score > best_auc:
                 best_auc = score
@@ -297,15 +296,13 @@ class AblationReport:
         for name, r in self.results.items():
             cells = [name]
             for sid in scenarios:
-                v = r.per_scenario_auc.get(sid)
-                cells.append("n/a" if v is None else f"{v:.4f}")
-            cells.append("n/a" if r.auc is None else f"{r.auc:.4f}")
+                cells.append(metrics.shown(r.per_scenario_auc.get(sid)))
+            cells.append(metrics.shown(r.auc))
             cells.append(str(r.parameters))
             if name == "full":
                 cells.append("-")
             else:
-                g = gains[name]["total_gain"]
-                cells.append("n/a" if g is None else f"{g:+.4f}")
+                cells.append(metrics.shown(gains[name]["total_gain"], "+.4f"))
             rows.append(cells)
         widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
         return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows)
@@ -339,8 +336,7 @@ def ablate(
             parameters=model.parameter_summary()["total"],
         )
         if log_fn:
-            shown = "n/a" if report.auc is None else f"{report.auc:.4f}"
-            log_fn(f"{variant}: auc {shown}")
+            log_fn(f"{variant}: auc {metrics.shown(report.auc)}")
     return AblationReport(results=results)
 
 

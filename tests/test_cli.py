@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maria import autodiff, checkpoint, cli, config, datagen, training
+from maria import autodiff, benchmark, checkpoint, cli, config, datagen, training
 from maria.autodiff import Graph
 from maria.datagen import manifest_path
 from maria.model import build_model
@@ -188,6 +188,21 @@ def _profile_with_unknown_key(raw: bytes) -> bytes:
     return json.dumps(doc).encode("utf-8")
 
 
+def _manifest_with(section: str | None, key, value):
+    """The manifest with ``doc[section][key]`` set to ``value``: ``section``
+    None edits the top level, "profiles" the first profile. The compatibility
+    digest is recomputed, so only the value's own check can refuse it."""
+    def corrupt(raw: bytes) -> bytes:
+        doc = json.loads(raw)
+        if section is None:
+            doc[key] = value
+        else:
+            (doc[section][0] if section == "profiles" else doc[section])[key] = value
+        doc["compat_digest"] = config.compat_digest_parts(doc["vocab"], doc["schema"], doc["trigger_mode"])
+        return json.dumps(doc).encode("utf-8")
+    return corrupt
+
+
 def _bad_byte_on_line_3(raw: bytes) -> bytes:
     lines = raw.split(b"\n")
     lines[2] = lines[2][:1] + b"\xff" + lines[2][2:]
@@ -200,20 +215,31 @@ def _bad_byte_on_line_3(raw: bytes) -> bytes:
         ("manifest", _truncate, "unreadable manifest"),
         ("manifest", lambda raw: b"[1, 2]", "manifest is not a JSON object"),
         ("manifest", _without_profiles, "malformed manifest (KeyError: 'profiles')"),
-        ("manifest", _string_vocab_size, "malformed manifest (TypeError: vocab and schema sizes must be integers)"),
+        ("manifest", _string_vocab_size, "malformed manifest (ConfigError: vocab.items: '30' is not an integer)"),
         ("manifest", lambda raw: raw.replace(b'"vocab"', b'"voc\xffab"'), "unreadable manifest"),
         # a count of "20" read as "holds 20 instances but the manifest says 20"; 20.0 loaded
         ("manifest", _count_as("20"), "malformed manifest (TypeError: count must be an integer, not '20')"),
         ("manifest", _count_as(20.0), "malformed manifest (TypeError: count must be an integer, not 20.0)"),
         ("manifest", _count_as(True), "malformed manifest (TypeError: count must be an integer, not True)"),
         ("manifest", _profile_with_unknown_key, "unexpected keyword argument 'bogus'"),
+        ("manifest", _manifest_with("schema", "user_attr_count", -1), "schema.user_attrs: must be non-negative, got -1"),
+        ("manifest", _manifest_with("schema", "image_dim", 0), "schema.image_dim: must be positive, got 0"),
+        ("manifest", _manifest_with(None, "trigger_mode", "bogus"), "trigger_mode: must be one of search, recommendation"),
+        ("manifest", _manifest_with("profiles", "noise_std", -1), "scenario.0.noise_std: must be non-negative, got -1"),
+        ("manifest", _manifest_with("profiles", "traffic_share", 7), "scenario.0.traffic_share: must lie in (0, 1], got 7"),
+        ("manifest", _manifest_with("profiles", "field_importance", [5] * 11), "scenario.0.field_importance: must lie in"),
+        ("manifest", _manifest_with("profiles", "field_importance", [1, 0]), "scenario.0.field_importance: expected 11"),
+        ("manifest", _manifest_with("profiles", "label_weights", [float("nan")] * 11),
+         "scenario.0.label_weights: nan is not a finite number"),
         ("data", _bad_byte_on_line_3, "line 3: not UTF-8"),
         # the rows agree with the edited profile, so only the manifest check can catch it
         ("both", _scenario_1_without_triggers, "scenario 1 has trigger kind 'none', which search mode does not allow"),
     ],
     ids=[
         "truncated_manifest", "list_manifest", "manifest_without_profiles", "string_vocab_size",
-        "manifest_not_utf8", "string_count", "float_count", "bool_count", "profile_with_unknown_key", "data_not_utf8",
+        "manifest_not_utf8", "string_count", "float_count", "bool_count", "profile_with_unknown_key",
+        "negative_attr_count", "no_image_width", "unknown_trigger_mode", "negative_noise", "share_above_1",
+        "importance_above_1", "importance_of_two_elements", "nan_label_weights", "data_not_utf8",
         "trigger_kind_outside_search_mode",
     ],
 )
@@ -550,11 +576,25 @@ def test_eval_of_a_checkpoint_whose_spec_cannot_build_a_model_exits_3(tmp_path, 
     no_heads["model"]["attention_heads"] = 0
     no_expert_width = model.spec()
     no_expert_width["model"]["expert_hidden"] = 0
+
+    def with_model(name, value):
+        spec = model.spec()
+        spec["model"][name] = value
+        return spec
+
     for spec, cause in (
         (unknown_kind, "ValueError"), (missing_key, "KeyError"),
-        (unknown_field, "TypeError"), (wrong_type, "AttributeError"),
+        (unknown_field, "TypeError"), (wrong_type, "model.refiners: expected one count for each of"),
         (missing_model_field, "TypeError"),
-        (no_heads, "ZeroDivisionError"), (no_expert_width, "ZeroDivisionError"),
+        (no_heads, "model.attention_heads: must be positive"), (no_expert_width, "model.expert_hidden: must be positive"),
+        (with_model("encoder_layers", 0), "model.encoder_layers: must be positive"),
+        (with_model("ffn_multiplier", 0), "model.ffn_multiplier: must be positive"),
+        (with_model("scale_hidden", 0), "model.scale_hidden: must be positive"),
+        (with_model("refiner_counts", {}), "model.refiners: expected one count for each of"),
+        (with_model("experts", 0), "model.experts: must be positive"),
+        (with_model("correlation_dim", 3.0), "model.correlation_dim: 3.0 is not an integer"),
+        # encoder width 4 + 2 * 3 = 10
+        (with_model("attention_heads", 3), "model.attention_heads: encoder width 10"),
     ):
         code, _, err = eval_with(spec)
         assert code == 3, err
@@ -661,6 +701,19 @@ def test_quickstart_runs_where_eval_metrics_are_undefined(tmp_path, count):
     )
     assert proc.returncode == 0, proc.stderr
     assert "eval bayes auc n/a" in proc.stdout
+
+
+@pytest.mark.parametrize("eval_count", [0, 1])
+def test_run_benchmark_reports_where_the_eval_bayes_auc_is_undefined(eval_count):
+    # an empty eval log, or one row: its Bayes AUC, like every eval AUC, is undefined
+    lines = []
+    report = benchmark.run_benchmark(
+        kinds=("hard_sharing",), seeds=(0,), train_count=40, eval_count=eval_count, log_fn=lines.append
+    )
+    assert report.eval_bayes is None and report.train_bayes is not None
+    assert lines[0].endswith("eval bayes auc n/a")
+    assert f"train bayes auc {report.train_bayes:.4f}, eval bayes auc n/a" in report.summary()
+    assert json.loads(json.dumps(report.to_dict()))["eval_bayes"] is None
 
 
 def test_help_enumerates_config_keys():

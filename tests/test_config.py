@@ -1,13 +1,17 @@
 """Config registry: parsing, validation, precedence, digests."""
 
+import copy
+import json
 import re
 
 import numpy as np
 import pytest
 
-from maria import config
+from maria import checkpoint, config, datagen
 from maria.autodiff import Graph
-from maria.config import ConfigError, build_run_config, parse_config_file
+from maria.checkpoint import CheckpointError
+from maria.config import FIELD_ORDER, ConfigError, build_run_config, parse_config_file
+from maria.datagen import DataError
 from maria.model import build_model
 
 
@@ -157,6 +161,79 @@ def test_help_text_covers_every_key():
     for key in config._REGISTRY:
         assert key in text
     assert "scenario.N.trigger_kind" in text
+    assert re.search(r"\n  model\.refiner_compression +default 0\.5, must lie in \(0, 1\] ", text)
+
+
+def test_every_key_states_a_bound_or_none():
+    for key, entry in [*config._REGISTRY.items(), *config._SCENARIO_FIELDS.items()]:
+        assert len(entry) == 4, key
+        bound = entry[2]
+        assert bound is None or bound in config._HOLDS, key
+
+
+_BOUNDED = [(key, entry) for key, entry in config._REGISTRY.items() if entry[2] is not None] + [
+    (f"scenario.0.{name}", entry) for name, entry in config._SCENARIO_FIELDS.items() if entry[2] is not None
+]
+_JUST_OUTSIDE = {config.POSITIVE: 0, config.NON_NEGATIVE: -1, config.OPEN_UNIT: 0, config.UNIT: -0.5}
+
+
+def _outside(kind: str, bound):
+    """A value of ``kind`` just outside ``bound``, typed as a settings record holds it."""
+    one = _JUST_OUTSIDE.get(bound, "bogus")
+    if kind in ("float", "float_or_empty"):
+        return float(one)
+    if kind == "per_field_int":
+        return dict.fromkeys(FIELD_ORDER, 1) | {"user": one}
+    if kind.startswith("csv_"):
+        return [float(one) if kind == "csv_float" else one]
+    return one
+
+
+def _as_config_text(value) -> str:
+    if type(value) is dict:
+        value = [value[name] for name in FIELD_ORDER]
+    return ",".join(map(str, value)) if type(value) is list else str(value)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A small model's spec and parameters, and a dataset's manifest."""
+    root = tmp_path_factory.mktemp("bounds")
+    small = {"model.expert_hidden": "8", "model.tower_dims": "4", "model.scale_hidden": "4", "gen.count": "8"}
+    cfg = build_run_config(small)
+    model = build_model(Graph(seed=0), cfg)
+    dataset, _ = datagen.generate(cfg)
+    datagen.write_jsonl(dataset, root / "d.jsonl")
+    manifest = json.loads(datagen.manifest_path(root / "d.jsonl").read_text())
+    return root, model.spec(), [(n, v.data) for n, v in model.named_parameters()], manifest
+
+
+@pytest.mark.parametrize("key, entry", _BOUNDED, ids=[key for key, _ in _BOUNDED])
+def test_a_value_outside_its_bound_is_refused_naming_its_key_by_config_spec_and_manifest(written, key, entry):
+    kind, _, bound, _ = entry
+    value = _outside(kind, bound)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+        build_run_config({key: _as_config_text(value)})
+    root, spec, params, manifest = written
+    section, name = key.split(".", 1)
+    name = config._FIELD_OF_KEY.get(key, name)
+    spec_section = {"vocab": "vocab", "schema": "schema", "dim": "dims", "model": "model"}.get(section)
+    if spec_section:
+        spec = copy.deepcopy(spec)
+        spec[spec_section][name] = value
+        checkpoint.save_checkpoint(root / "m.ckpt", spec, params)
+        with pytest.raises(CheckpointError, match=rf"spec cannot build a model \(ConfigError: {re.escape(key)}: "):
+            checkpoint.load_model(root / "m.ckpt")
+    if section in ("vocab", "schema", "scenario"):
+        doc = copy.deepcopy(manifest)
+        if section == "scenario":
+            doc["profiles"][0][name.split(".")[1]] = value
+        else:
+            doc[section][name] = value
+        doc["compat_digest"] = config.compat_digest_parts(doc["vocab"], doc["schema"], doc["trigger_mode"])
+        datagen.manifest_path(root / "e.jsonl").write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=rf"malformed manifest \(ConfigError: {re.escape(key)}: "):
+            datagen.read_manifest(root / "e.jsonl")
 
 
 def test_per_element_vectors_and_generator_seed_resolved_when_the_config_is_built():

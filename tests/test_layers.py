@@ -132,12 +132,6 @@ def test_transformer_preserves_shape_and_masks_padding_keys(softmax_outputs):
         np.testing.assert_allclose(head.data.sum(axis=-1), np.ones((3, 5)), atol=1e-12)
 
 
-def test_transformer_rejects_indivisible_heads():
-    g = ad.Graph(seed=0)
-    with pytest.raises(ValueError, match="divisible"):
-        ly.TransformerBlock(g, np.random.default_rng(0), model_dim=7, head_count=2, ffn_mult=2, name="b")
-
-
 def test_transformer_gradients_match_central_differences():
     g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(5)
