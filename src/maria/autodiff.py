@@ -16,7 +16,9 @@ noise on every perturbed pass).
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,7 +59,8 @@ class Value:
         self.op = op
         self.requires_grad = requires_grad
         self._backward = backward
-        self.index = graph._register(self)
+        graph.nodes.append(self)
+        self.index = len(graph.nodes) - 1
 
     @property
     def grad(self) -> Array:
@@ -106,10 +109,6 @@ class Graph:
         self._recorded_rng_state: dict | None = None
         self._frozen_tape: list[Array] = []
         self._frozen_cursor = 0
-
-    def _register(self, value: Value) -> int:
-        self.nodes.append(value)
-        return len(self.nodes) - 1
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -198,8 +197,10 @@ def _node(
     op: str,
     backward: Callable[[Array], None],
 ) -> Value:
-    requires = any(p.requires_grad for p in parents)
-    return Value(graph, data, parents, op, requires, backward if requires else None)
+    for p in parents:
+        if p.requires_grad:
+            return Value(graph, data, parents, op, True, backward)
+    return Value(graph, data, parents, op, False, None)
 
 
 def _accumulate(node: Value, contribution: Array, g: Array) -> None:
@@ -226,6 +227,14 @@ def _accumulate(node: Value, contribution: Array, g: Array) -> None:
         node._grad = np.add(contribution, 0.0, out=contribution)
 
 
+@functools.lru_cache(maxsize=64)
+def _ones(length: int, dtype: np.dtype) -> Array:
+    """A read-only ones vector, made once per (length, dtype)."""
+    ones = np.ones(length, dtype=dtype)
+    ones.flags.writeable = False
+    return ones
+
+
 def _gemv_sum(x: Array, lead: int = 0) -> Array:
     """Sum ``x`` by one GEMV against a ones vector, into a fresh C-ordered
     buffer of ``x``'s dtype: over the last axis, kept as width 1, when
@@ -240,10 +249,10 @@ def _gemv_sum(x: Array, lead: int = 0) -> Array:
     if lead:
         rows, width = math.prod(x.shape[:lead]), math.prod(x.shape[lead:])
         out = np.empty(x.shape[lead:], dtype=x.dtype)
-        np.matmul(np.ones(rows, dtype=x.dtype), x.reshape(rows, width), out=out.reshape(width))
+        np.matmul(_ones(rows, x.dtype), x.reshape(rows, width), out=out.reshape(width))
     else:
         out = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
-        np.matmul(_rows(x), np.ones(x.shape[-1], dtype=x.dtype), out=out.reshape(-1))
+        np.matmul(_rows(x), _ones(x.shape[-1], x.dtype), out=out.reshape(-1))
     return out
 
 
@@ -395,6 +404,88 @@ def affine(x: Value, w: Value, b: Value) -> Value:
     return _row_product(x, w, b, "affine")
 
 
+def _stack_bank(op: str, x: Value, weights: Sequence[Value], biases: Sequence[Value], ok: bool) -> tuple[Array, Array]:
+    """The ``(E, in, out)`` weights and ``(E, out)`` biases of E same-shaped
+    affine maps that read ``x``'s last axis, stacked; a ShapeError unless
+    they are that and ``ok``."""
+    try:
+        w, b = np.array([v.data for v in weights]), np.array([v.data for v in biases])
+    except ValueError:  # ragged shapes
+        w = b = np.empty(0)
+    if not ok or w.ndim != 3 or b.shape != (len(weights), w.shape[2]) or x.shape[-1:] != w.shape[1:2]:
+        raise _shape_error(op, x.shape, *(v.shape for v in weights), *(v.shape for v in biases))
+    return w, b
+
+
+def affine_stack(x: Value, weights: Sequence[Value], biases: Sequence[Value]) -> Value:
+    """``affine(x, weights[j], biases[j])`` for each of E same-shaped maps,
+    stacked into one ``(E, rows, out)`` node: a bank of experts.
+
+    ``x`` is one 2-d input that every map reads, or an E-stack ``(E, rows,
+    in)`` whose slice j map j reads. Each product is one ``np.matmul`` over
+    the stack, whose per-matrix products are those of separate ``affine``
+    nodes, so values and grads hold those nodes' bits. A shared input takes
+    map E - 1's grad first, as a reverse sweep over the separate nodes adds
+    them.
+    """
+    shared = x.data.ndim == 2
+    w, b = _stack_bank("affine_stack", x, weights, biases, shared or x.data.ndim == 3 and x.shape[0] == len(weights))
+    out = np.matmul(x.data, w)
+    out += b[:, None, :]
+
+    def backward(g: Array) -> None:
+        if x.requires_grad:
+            wt = np.swapaxes(w, 1, 2)
+            gx = g * wt if w.shape[2] == 1 else np.matmul(g, wt)
+            for part in reversed(gx) if shared else (gx,):
+                _accumulate(x, part, g)
+        gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+        gb = np.matmul(_ones(g.shape[1], g.dtype), g)
+        for j in range(len(weights) - 1, -1, -1):
+            if weights[j].requires_grad:
+                _accumulate(weights[j], gw[j], g)
+            if biases[j].requires_grad:
+                _accumulate(biases[j], gb[j], g)
+
+    return _node(x.graph, out, (x, *weights, *biases), "affine_stack", backward)
+
+
+def affine_segments(x: Value, weights: Sequence[Value], biases: Sequence[Value], sizes: Sequence[int]) -> Value:
+    """Consecutive row segments of a 2-d ``x``, ``sizes[s]`` rows each
+    (at least one), segment s through ``affine(segment, weights[s],
+    biases[s])``, as one node with ``x``'s rows: per-scenario towers over
+    rows sorted by scenario.
+
+    Each segment runs the products of its own ``affine`` node, over a row
+    slice rather than a separate array; values and grads hold the bits of
+    those nodes with their outputs stacked on axis 0.
+    """
+    sizes = [int(n) for n in sizes]
+    ok = x.data.ndim == 2 and len(sizes) == len(weights) and min(sizes, default=0) >= 1 and sum(sizes) == x.shape[0]
+    w, b = _stack_bank("affine_segments", x, weights, biases, ok)
+    offsets = list(accumulate(sizes, initial=0))
+    bounds = list(zip(offsets[:-1], offsets[1:]))
+    out = np.empty((x.shape[0], w.shape[2]), dtype=x.data.dtype)
+    for (lo, hi), ws, bs in zip(bounds, w, b):
+        np.matmul(x.data[lo:hi], ws, out=out[lo:hi])
+        out[lo:hi] += bs
+
+    def backward(g: Array) -> None:
+        if x.requires_grad:
+            gx = np.empty(x.shape, dtype=x.data.dtype)
+            product = np.multiply if w.shape[2] == 1 else np.matmul
+            for (lo, hi), ws in zip(bounds, w):
+                product(g[lo:hi], ws.T, out=gx[lo:hi])
+            _accumulate(x, gx, g)
+        for (lo, hi), ws, bs in reversed(list(zip(bounds, weights, biases))):
+            if ws.requires_grad:
+                _accumulate(ws, x.data[lo:hi].T @ g[lo:hi], g)
+            if bs.requires_grad:
+                _accumulate(bs, _gemv_sum(g[lo:hi], 1), g)
+
+    return _node(x.graph, out, (x, *weights, *biases), "affine_segments", backward)
+
+
 def layer_norm(x: Value, gain: Value, bias: Value, eps: float = 1e-5) -> Value:
     """Normalise the last axis to zero mean and unit variance, then scale by
     ``gain`` and shift by ``bias`` (both 1-d, of the last axis' width).
@@ -425,35 +516,38 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float = 1e-5) -> Value:
     return _node(x.graph, out, (x, gain, bias), "layer_norm", backward)
 
 
-def weighted_sum(parts: Sequence[Value], weights: Sequence[Value]) -> Value:
-    """``parts[0] * weights[0] + ... + parts[-1] * weights[-1]`` as one node.
+def weighted_sum(parts: Value, weights: Sequence[Value]) -> Value:
+    """``parts[0] * weights[0] + ... + parts[E - 1] * weights[E - 1]`` over
+    the leading axis of the stacked ``parts``, as one node.
 
-    Every part has the same shape, and each weight broadcasts against it
-    without widening it (a ``(B, 1)`` column against ``(B, H)`` parts). Values
-    and grads hold the bits of the chain of ``mul`` and left-to-right ``add``
-    nodes that it replaces.
+    Each weight broadcasts against a part without widening it (a ``(B, 1)``
+    column against ``(B, H)`` parts). Values and grads hold the bits of the
+    chain of ``mul`` and left-to-right ``add`` nodes over separate parts
+    that it replaces; slice j of the grad of ``parts`` is part j's grad.
     """
-    if not parts or len(parts) != len(weights):
-        raise ValueError(f"weighted_sum: need one weight per part, got {len(parts)} parts and {len(weights)} weights")
-    shape = parts[0].shape
-    for p, w in zip(parts, weights):
-        widens = w.data.ndim > len(shape) or any(n not in (1, s) for n, s in zip(w.shape[::-1], shape[::-1]))
-        if p.shape != shape or widens:
-            raise _shape_error("weighted_sum", p.shape, w.shape)
-    out = parts[0].data * weights[0].data
-    for p, w in zip(parts[1:], weights[1:]):
-        out += p.data * w.data
-    pairs = list(zip(parts, weights))
+    count = parts.shape[0] if parts.data.ndim else 0
+    if not weights or count != len(weights):
+        raise ValueError(f"weighted_sum: need one weight per part, got {count} parts and {len(weights)} weights")
+    shape = parts.shape[1:]
+    for w in weights:
+        if w.data.ndim > len(shape) or any(n not in (1, s) for n, s in zip(w.shape[::-1], shape[::-1])):
+            raise _shape_error("weighted_sum", shape, w.shape)
+    out = parts.data[0] * weights[0].data
+    for p, w in zip(parts.data[1:], weights[1:]):
+        out += p * w.data
 
     def backward(g: Array) -> None:
+        if parts.requires_grad:
+            gp = np.empty(parts.shape, dtype=parts.data.dtype)
+            for j, w in enumerate(weights):
+                np.multiply(g, w.data, out=gp[j])
+            _accumulate(parts, gp, g)
         # Last term first: the order in which the chain's sweep reaches them.
-        for p, w in reversed(pairs):
-            if p.requires_grad:
-                _accumulate(p, _unbroadcast(g * w.data, p.shape), g)
+        for p, w in zip(parts.data[::-1], weights[::-1]):
             if w.requires_grad:
-                _accumulate(w, _unbroadcast(g * p.data, w.shape), g)
+                _accumulate(w, _unbroadcast(g * p, w.shape), g)
 
-    return _node(parts[0].graph, out, tuple(parts) + tuple(weights), "weighted_sum", backward)
+    return _node(parts.graph, out, (parts, *weights), "weighted_sum", backward)
 
 
 def concat(parts: Sequence[Value], axis: int = -1) -> Value:
@@ -469,8 +563,7 @@ def concat(parts: Sequence[Value], axis: int = -1) -> Value:
         pa[axis] = pb[axis] = 0
         if pa != pb:
             raise _shape_error("concat", base, p.shape)
-    widths = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    offsets = list(accumulate((p.shape[axis] for p in parts), initial=0))
 
     def backward(g: Array) -> None:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -591,6 +684,54 @@ def softmax_last(x: Value) -> Value:
             _accumulate(x, out * (g - _gemv_sum(g * out)), g)
 
     return _node(x.graph, out, (x,), "softmax_last", backward)
+
+
+def attention(q: Value, k: Value, v: Value, mask: Value, scale: float) -> Value:
+    """One attention head, ``softmax(q @ k^T * scale + mask) @ v`` over
+    ``(batch, length, width)`` operands, as one node.
+
+    ``mask`` broadcasts against the ``(batch, queries, keys)`` scores
+    without widening them. The forward runs the numpy ops of the chain
+    ``matmul(softmax_last(add(ad.scale(matmul(q, transpose_last2(k)),
+    scale), mask)), v)`` in its order, and the backward runs the chain's
+    recipes from its last node back, so values and grads hold its bits. Between the
+    recipes the chain's grad buffers turn -0.0 into +0.0 and this node does
+    not; the recipes only add and multiply, so that changes the sign of a
+    zero at most, and the grads that reach the operands take +0.0 either way.
+    """
+    if (
+        q.data.ndim != 3 or k.data.ndim != 3 or v.data.ndim != 3 or not q.shape[0] == k.shape[0] == v.shape[0]
+        or q.shape[2] != k.shape[2] or k.shape[1] != v.shape[1]
+    ):
+        raise _shape_error("attention", q.shape, k.shape, v.shape)
+    scores = (q.shape[0], q.shape[1], k.shape[1])
+    if mask.data.ndim > 3 or any(n not in (1, s) for n, s in zip(mask.shape[::-1], scores[::-1])):
+        raise _shape_error("attention", scores, mask.shape)
+    c = float(scale)
+    kt = np.swapaxes(k.data, -1, -2).copy()
+    s = np.matmul(q.data, kt)
+    s *= c
+    s += mask.data
+    p = np.exp(s - _max_last(s))
+    p /= _gemv_sum(p)
+    out = np.matmul(p, v.data)
+
+    def backward(g: Array) -> None:
+        if v.requires_grad:
+            _accumulate(v, np.matmul(np.swapaxes(p, -1, -2), g), g)
+        if not (mask.requires_grad or q.requires_grad or k.requires_grad):
+            return
+        gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gs = p * (gp - _gemv_sum(gp * p))
+        if mask.requires_grad:
+            _accumulate(mask, _unbroadcast(gs, mask.shape), g)
+        gs = gs * c
+        if q.requires_grad:
+            _accumulate(q, np.matmul(gs, np.swapaxes(kt, -1, -2)), g)
+        if k.requires_grad:
+            _accumulate(k, np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2), g)
+
+    return _node(q.graph, out, (q, k, v, mask), "attention", backward)
 
 
 def log(x: Value) -> Value:
@@ -767,21 +908,20 @@ def backward(loss: Value) -> None:
     """Accumulate d loss / d node into every reachable node's grad.
 
     Single reverse sweep over the arena: creation order is topological, so by
-    the time a node's recipe runs, every consumer has already added its
-    contribution to that node's grad.
+    the time the sweep reaches a node, every consumer has already marked it
+    reachable and added its contribution to its grad.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     nodes = loss.graph.nodes
-    needed = np.zeros(loss.index + 1, dtype=bool)
+    needed = [False] * (loss.index + 1)
     needed[loss.index] = True
-    for i in range(loss.index, -1, -1):
-        if needed[i]:
-            for p in nodes[i].parents:
-                needed[p.index] = True
     loss.graph._grads_written = max(loss.graph._grads_written, loss.index + 1)
     loss._grad = np.ones(loss.data.shape, dtype=loss.data.dtype)
     for i in range(loss.index, -1, -1):
-        node = nodes[i]
-        if needed[i] and node.requires_grad and node._backward is not None:
-            node._backward(node.grad)
+        if needed[i]:
+            node = nodes[i]
+            for p in node.parents:
+                needed[p.index] = True
+            if node.requires_grad and node._backward is not None:
+                node._backward(node.grad)

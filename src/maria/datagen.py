@@ -552,9 +552,11 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     """Load a dataset's manifest; any manifest that cannot be decoded, whose
     keys or types cannot build the vocabulary, schema and scenario profiles,
     whose settings a config file could not hold (``config.check_records``),
-    whose stored compatibility digest is not the one its own vocabulary,
-    schema and trigger mode give, or whose profiles name a trigger kind that
-    the trigger mode does not allow, raises DataError naming the manifest path."""
+    whose profiles' scenario ids are not 0..``vocab.scenarios`` - 1 each
+    once, whose stored compatibility digest is not the one its own
+    vocabulary, schema and trigger mode give, or whose profiles name a
+    trigger kind that the trigger mode does not allow, raises DataError
+    naming the manifest path."""
     mpath = manifest_path(path)
     if not mpath.exists():
         raise DataError(f"missing manifest {mpath}")
@@ -590,6 +592,9 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         if not all(type(p.scenario_id) is int for p in profiles):
             raise TypeError("profile scenario ids must be integers")
         check_records(manifest.vocab, manifest.schema, manifest.trigger_mode, profiles=profiles)
+        ids = sorted(p.scenario_id for p in profiles)
+        if ids != list(range(manifest.vocab.scenarios)):
+            raise ValueError(f"profile scenario ids {ids} are not 0..{manifest.vocab.scenarios - 1}, each once")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{mpath}: malformed manifest ({type(exc).__name__}: {exc})") from exc
     if compat_digest_parts(vars(manifest.vocab), vars(manifest.schema), manifest.trigger_mode) != manifest.compat_digest:

@@ -8,7 +8,7 @@ Value and behavior sequences are (batch, length, width), with a (batch, length)
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,12 +76,26 @@ class Fcn:
             raise ShapeError(f"fcn {self.name!r}: input width {x.shape[-1]}, expected {self.in_dim}")
         h = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = ad.affine(h, w, b)
-            if act == "relu":
-                h = ad.relu(h)
-            elif act == "sigmoid":
-                h = ad.sigmoid(h)
+            h = _activate(ad.affine(h, w, b), act)
         return h
+
+
+def fcn_bank(nets: Sequence[Fcn], x: Value, affine: Callable[..., Value]) -> Value:
+    """Same-shaped ``nets`` side by side: per layer, one ``affine(h,
+    weights, biases)`` node over every net's weights and biases, then one
+    activation node."""
+    h = x
+    for layer, act in enumerate(nets[0].activations):
+        h = _activate(affine(h, [n.weights[layer] for n in nets], [n.biases[layer] for n in nets]), act)
+    return h
+
+
+def _activate(x: Value, act: str) -> Value:
+    if act == "relu":
+        return ad.relu(x)
+    if act == "sigmoid":
+        return ad.sigmoid(x)
+    return x
 
 
 def _additive_mask(graph: Graph, valid: np.ndarray) -> Value:
@@ -127,8 +141,7 @@ class TransformerBlock:
             q = ad.matmul(normed, wq)
             k = ad.matmul(normed, wk)
             v = ad.matmul(normed, wv)
-            scores = ad.add(ad.scale(ad.matmul(q, ad.transpose_last2(k)), inv), mask)
-            heads.append(ad.matmul(ad.softmax_last(scores), v))
+            heads.append(ad.attention(q, k, v, mask, inv))
         mixed = ad.matmul(ad.concat(heads, axis=-1), self.wo)
         h = ad.add(seq, mixed)
         return ad.add(h, self.ffn.forward(ad.layer_norm(h, self.ln2_gain, self.ln2_bias)))

@@ -24,6 +24,7 @@ from .autodiff import Graph, Value
 from .config import (
     FIELD_ORDER,
     AblationFlags,
+    ConfigError,
     EmbedDims,
     FeatureSchema,
     ModelSettings,
@@ -32,7 +33,7 @@ from .config import (
     check_records,
 )
 from .datagen import TRIGGER_IMAGE, TRIGGER_NONE, TRIGGER_PRODUCT, InstanceTable
-from .layers import EmbeddingTable, Fcn, SequenceEncoder, trigger_attention
+from .layers import EmbeddingTable, Fcn, SequenceEncoder, fcn_bank, trigger_attention
 
 BASELINE_KINDS = ("hard_sharing", "shared_bottom", "mmoe")
 MODEL_KINDS = ("maria",) + BASELINE_KINDS
@@ -227,15 +228,18 @@ class ForwardResult:
 
 
 def _grouped_towers(towers: list[Fcn], x: Value, scenario: np.ndarray) -> Value:
-    """Run each row through its scenario's tower, preserving row order."""
-    present = np.unique(scenario)
+    """Run each row through its scenario's tower, preserving row order: the
+    rows are gathered once in scenario order, each layer runs every
+    present tower as one row-segment node, and one gather restores the order."""
+    present, sizes = np.unique(scenario, return_counts=True)
     if present.size == 1:
         return towers[int(present[0])].forward(x)
-    groups = [np.flatnonzero(scenario == s) for s in present]
-    pieces = [towers[int(s)].forward(ad.take_rows(x, idx)) for s, idx in zip(present, groups)]
+    order = np.argsort(scenario, kind="stable")
+    used = [towers[int(s)] for s in present]
+    h = fcn_bank(used, ad.take_rows(x, order), lambda rows, ws, bs: ad.affine_segments(rows, ws, bs, sizes))
     inverse = np.empty(scenario.size, dtype=np.int64)
-    inverse[np.concatenate(groups)] = np.arange(scenario.size)
-    return ad.take_rows(ad.concat(pieces, axis=0), inverse)
+    inverse[order] = np.arange(scenario.size)
+    return ad.take_rows(h, inverse)
 
 
 class _MixtureHead:
@@ -254,8 +258,8 @@ class _MixtureHead:
         if self.gate is None:
             return self.experts[0].forward(fused)
         gates = ad.softmax_last(self.gate.forward(e_scenario))
-        outs = [expert.forward(fused) for expert in self.experts]
-        return ad.weighted_sum(outs, [ad.slice_last(gates, j, j + 1) for j in range(len(outs))])
+        outs = fcn_bank(self.experts, fused, ad.affine_stack)  # (experts, rows, width)
+        return ad.weighted_sum(outs, [ad.slice_last(gates, j, j + 1) for j in range(len(self.experts))])
 
 
 class MariaModel:
@@ -431,12 +435,19 @@ def build_model(graph: Graph, cfg: RunConfig, kind: str = "maria", seed: int | N
 
 def model_from_spec(graph: Graph, spec: dict, seed: int = 0) -> MariaModel:
     """Rebuild a model with the exact structure recorded by ``spec()``; a
-    setting that a config file could not hold raises ConfigError naming its key."""
+    setting that a config file could not hold, or a flag that is unknown or
+    not a bool, raises ConfigError naming its key."""
     raw = dict(spec["model"])
     raw["tower_dims"] = tuple(raw["tower_dims"])
     vocab, schema, dims = VocabSizes(**spec["vocab"]), FeatureSchema(**spec["schema"]), EmbedDims(**spec["dims"])
     settings = ModelSettings(**raw)
     check_records(vocab, schema, spec["trigger_mode"], dims, settings)
+    known = vars(AblationFlags())
+    for name, value in spec["flags"].items():
+        if name not in known:
+            raise ConfigError(f"flags.{name}: unknown flag; expected one of {', '.join(known)}")
+        if type(value) is not bool:
+            raise ConfigError(f"flags.{name}: {value!r} is not a bool")
     return MariaModel(
         graph, np.random.default_rng(seed), vocab, schema, dims, settings,
         AblationFlags(**spec["flags"]), spec["trigger_mode"], spec["kind"],

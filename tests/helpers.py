@@ -5,7 +5,7 @@ import numpy as np
 # Nodes that one step of each benchmark workload builds on a full block of
 # the benchmark recipe (test_model.py pins them). A change that fuses or adds
 # nodes on purpose re-pins these counts.
-BENCHMARK_STEP_NODES = {"train-maria": 189, "train-mmoe-b64": 122, "score-maria": 173}
+BENCHMARK_STEP_NODES = {"train-maria": 156, "train-mmoe-b64": 89, "score-maria": 140}
 
 
 def fd_gradient(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

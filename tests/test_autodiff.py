@@ -582,8 +582,23 @@ _RECIPES = [
     lambda x, y, s: ad.reshape(ad.affine(ad.reshape(x, (1, _ROWS, _COLS)), s["w"], s["b"]), (_ROWS, _COLS)),
     lambda x, y, s: ad.reshape(ad.matmul(ad.reshape(y, (_ROWS, 1, _COLS)), s["w"]), (_ROWS, _COLS)),
     lambda x, y, s: ad.layer_norm(x, s["b"], ad.scale(s["b"], 0.5)),
-    lambda x, y, s: ad.weighted_sum([x, y, x], [ad.sum_last(y, keepdims=True), x, s["b"]]),
+    lambda x, y, s: ad.weighted_sum(_stack(x, y), [ad.sum_last(y, keepdims=True), s["b"]]),
+    lambda x, y, s: ad.weighted_sum(ad.affine_stack(x, [s["w"], s["w"]], [s["b"], s["b"]]), [x, y]),  # slices: views
+    lambda x, y, s: ad.weighted_sum(ad.affine_stack(_stack(x, y), [s["w"], s["w"]], [s["b"], s["b"]]), [x, y]),
+    lambda x, y, s: ad.affine_segments(x, [s["w"], s["w"]], [s["b"], s["b"]], (1, _ROWS - 1)),
+    lambda x, y, s: ad.reshape(  # k takes a transposed view; the mask is learned
+        ad.attention(
+            *(ad.reshape(v, (1, _ROWS, _COLS)) for v in (x, y, x)),
+            ad.reshape(ad.slice_last(s["b"], 0, _ROWS), (1, 1, _ROWS)), s["c"],
+        ),
+        (_ROWS, _COLS),
+    ),
 ]
+
+
+def _stack(*parts):
+    """``parts`` stacked on a new leading axis, by concat and reshape."""
+    return ad.reshape(ad.concat(list(parts), axis=0), (len(parts),) + parts[0].shape)
 
 
 def _build_program(program, seed):
@@ -838,8 +853,18 @@ def test_layer_norm_rejects_bad_shapes(x_shape, gain_shape, bias_shape):
 
 
 # ---------------------------------------------------------------------------
-# weighted_sum: one node for a mul/add chain
+# side-by-side branches as one node: weighted_sum, affine_stack,
+# affine_segments and attention against the chains they replace
 # ---------------------------------------------------------------------------
+
+def _stacked_leaf(g, parts, frozen):
+    """Fused side of a branch test: one leaf holding ``parts`` stacked on a new leading axis."""
+    return (g.constant if frozen else g.parameter)(np.stack(parts))
+
+
+def _weighted_loss(g, rng, out):
+    return ad.sum_all(ad.mul(out, g.constant(rng.normal(size=out.shape))))
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -848,42 +873,41 @@ def test_layer_norm_rejects_bad_shapes(x_shape, gain_shape, bias_shape):
     width=st.integers(1, 6),
     column_weights=st.booleans(),
     from_gates=st.booleans(),
-    frozen=st.lists(st.booleans(), min_size=4, max_size=4),
-    repeat=st.booleans(),
+    frozen=st.lists(st.booleans(), min_size=5, max_size=5),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-# Three terms on one part: its grad sums them in the chain's order.
-@example(count=4, rows=3, width=5, column_weights=True, from_gates=True, frozen=[False] * 4, repeat=True, seed=1)
-@example(count=4, rows=2, width=3, column_weights=False, from_gates=False, frozen=[False] * 4, repeat=True, seed=2)
-def test_weighted_sum_equals_the_mul_add_chain(count, rows, width, column_weights, from_gates, frozen, repeat, seed):
+@example(count=4, rows=3, width=5, column_weights=True, from_gates=True, frozen=[False] * 5, seed=1)
+@example(count=1, rows=1, width=1, column_weights=False, from_gates=False, frozen=[False] * 5, seed=2)
+def test_weighted_sum_equals_the_mul_add_chain(count, rows, width, column_weights, from_gates, frozen, seed):
     outputs, grads = [], []
     for fused in (True, False):
         rng = np.random.default_rng(seed)
         g = ad.Graph(seed=0)
-        # Parts that are constants take no grad; a repeated part takes two.
-        parts = [
-            (g.constant if frozen[j] else g.parameter)(rng.normal(size=(rows, width))) for j in range(count)
-        ]
-        if repeat:  # three terms share one part when there are four
-            parts = [parts[0] if j != 1 or count == 2 else parts[j] for j in range(count)]
+        data = [rng.normal(size=(rows, width)) for _ in range(count)]
+        # Constant parts or weights take no grad.
+        if fused:
+            stack = _stacked_leaf(g, data, frozen[0])
+        else:
+            parts = [(g.constant if frozen[0] else g.parameter)(d) for d in data]
         weight_shape = (rows, 1) if column_weights else (rows, width)
         if from_gates:
             gates = g.parameter(rng.normal(size=(rows, count)))
             weights = [ad.slice_last(gates, j, j + 1) for j in range(count)]
-            leaves = parts + [gates]
+            leaves = [gates]
         else:
-            weights = [g.parameter(rng.normal(size=weight_shape)) for _ in range(count)]
-            leaves = parts + weights
+            weights = [(g.constant if frozen[1 + j] else g.parameter)(rng.normal(size=weight_shape)) for j in range(count)]
+            leaves = weights
         if fused:
-            out = ad.weighted_sum(parts, weights)
+            out = ad.weighted_sum(stack, weights)
         else:
             out = None
             for p, w in zip(parts, weights):
                 term = ad.mul(p, w)
                 out = term if out is None else ad.add(out, term)
-        ad.backward(ad.sum_all(ad.mul(out, g.constant(rng.normal(size=(rows, width))))))
+        ad.backward(_weighted_loss(g, rng, out))
         outputs.append(out.data)
-        grads.append([leaf.grad for leaf in leaves])
+        part_grads = list(stack.grad) if fused else [p.grad for p in parts]
+        grads.append(part_grads + [leaf.grad for leaf in leaves])
     assert outputs[0].tobytes() == outputs[1].tobytes()
     for fused_grad, chain_grad in zip(*grads):
         assert fused_grad.tobytes() == chain_grad.tobytes()
@@ -891,15 +915,244 @@ def test_weighted_sum_equals_the_mul_add_chain(count, rows, width, column_weight
 
 def test_weighted_sum_rejects_bad_operands():
     g = ad.Graph(seed=0)
-    part = g.constant(np.zeros((3, 4)))
+    stack = g.constant(np.zeros((2, 3, 4)))
     with pytest.raises(ValueError, match="one weight per part"):
-        ad.weighted_sum([part, part], [g.constant(np.zeros((3, 1)))])
+        ad.weighted_sum(stack, [g.constant(np.zeros((3, 1)))])
     with pytest.raises(ValueError, match="one weight per part"):
-        ad.weighted_sum([], [])
-    for other, weight in [((3, 5), (3, 1)), ((3, 4), (3, 2)), ((3, 4), (2, 3, 1))]:
+        ad.weighted_sum(stack, [])
+    for weight in [(3, 2), (2, 3, 1), (3, 5)]:
         with pytest.raises(ad.ShapeError, match="weighted_sum"):
-            second = g.constant(np.zeros(other))
-            ad.weighted_sum([part, second], [g.constant(np.zeros((3, 1))), g.constant(np.zeros(weight))])
+            ad.weighted_sum(stack, [g.constant(np.zeros((3, 1))), g.constant(np.zeros(weight))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(1, 4),
+    rows=st.integers(1, 6),
+    width_in=st.integers(1, 7),
+    width_out=st.integers(1, 5),
+    stacked=st.booleans(),
+    other_consumer=st.booleans(),
+    frozen_x=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(count=1, rows=3, width_in=4, width_out=5, stacked=False, other_consumer=False, frozen_x=False, seed=1)
+@example(count=3, rows=4, width_in=5, width_out=1, stacked=False, other_consumer=True, frozen_x=False, seed=2)
+@example(count=4, rows=1, width_in=3, width_out=4, stacked=True, other_consumer=False, frozen_x=False, seed=3)
+def test_affine_stack_equals_one_affine_per_map(count, rows, width_in, width_out, stacked, other_consumer, frozen_x, seed):
+    """One expert, an E-stacked input, a one-column output (the broadcast
+    input grad), and a shared input that one more node reads."""
+    outputs, grads = [], []
+    for fused in (True, False):
+        rng = np.random.default_rng(seed)
+        g = ad.Graph(seed=0)
+        data = [rng.normal(size=(rows, width_in)) for _ in range(count if stacked else 1)]
+        make = g.constant if frozen_x else g.parameter
+        xs = [_stacked_leaf(g, data, frozen_x)] if fused and stacked else [make(d) for d in data]
+        weights = [g.parameter(rng.normal(size=(width_in, width_out))) for _ in range(count)]
+        biases = [g.parameter(rng.normal(size=width_out)) for _ in range(count)]
+        scales = [rng.normal(size=(rows, width_out)) for _ in range(count)]
+        if fused:
+            out = ad.affine_stack(xs[0], weights, biases)
+            outputs.append(list(out.data))
+            loss = ad.sum_all(ad.mul(out, g.constant(np.stack(scales))))
+        else:
+            outs = [ad.affine(xs[j if stacked else 0], w, b) for j, (w, b) in enumerate(zip(weights, biases))]
+            outputs.append([o.data for o in outs])
+            loss = functools.reduce(ad.add, [ad.sum_all(ad.mul(o, g.constant(c))) for o, c in zip(outs, scales)])
+        if other_consumer and not stacked:  # swept before the bank: its grad reaches x first
+            loss = ad.add(loss, ad.sum_all(ad.mul(xs[0], xs[0])))
+        ad.backward(loss)
+        x_grads = list(xs[0].grad) if fused and stacked else [x.grad for x in xs]
+        grads.append(x_grads + [v.grad for v in weights + biases])
+    for fused_piece, chain_piece in zip(*outputs):
+        assert fused_piece.tobytes() == chain_piece.tobytes()
+    for fused_grad, chain_grad in zip(*grads):
+        assert fused_grad.tobytes() == chain_grad.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    width_in=st.integers(1, 6),
+    width_out=st.integers(1, 5),
+    frozen_x=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(sizes=[1, 4, 1], width_in=3, width_out=4, frozen_x=False, seed=1)  # one-row segments
+@example(sizes=[2, 3], width_in=4, width_out=1, frozen_x=False, seed=2)  # one-column output
+def test_affine_segments_equals_one_affine_per_segment(sizes, width_in, width_out, frozen_x, seed):
+    outputs, grads = [], []
+    for fused in (True, False):
+        rng = np.random.default_rng(seed)
+        g = ad.Graph(seed=0)
+        data = [rng.normal(size=(n, width_in)) for n in sizes]
+        make = g.constant if frozen_x else g.parameter
+        weights = [g.parameter(rng.normal(size=(width_in, width_out))) for _ in sizes]
+        biases = [g.parameter(rng.normal(size=width_out)) for _ in sizes]
+        if fused:
+            x = make(np.concatenate(data))
+            out = ad.affine_segments(x, weights, biases, sizes)
+        else:
+            xs = [make(d) for d in data]
+            out = ad.concat([ad.affine(xi, w, b) for xi, w, b in zip(xs, weights, biases)], axis=0)
+        ad.backward(_weighted_loss(g, rng, out))
+        outputs.append(out.data)
+        x_grads = np.split(x.grad, np.cumsum(sizes)[:-1]) if fused else [xi.grad for xi in xs]
+        grads.append(x_grads + [v.grad for v in weights + biases])
+    assert outputs[0].tobytes() == outputs[1].tobytes()
+    for fused_grad, chain_grad in zip(*grads):
+        assert fused_grad.tobytes() == chain_grad.tobytes()
+
+
+def test_affine_stack_and_segments_match_central_differences():
+    rng = np.random.default_rng(31)
+    g = ad.Graph(seed=0, dtype=np.float64)
+
+    def maps(count, width_in, width_out):
+        return ([g.parameter(rng.normal(size=(width_in, width_out))) for _ in range(count)],
+                [g.parameter(rng.normal(size=width_out)) for _ in range(count)])
+
+    x = g.parameter(rng.normal(size=(5, 3)))
+    first, second, towers = maps(2, 3, 4), maps(2, 4, 2), maps(2, 2, 3)
+
+    def loss() -> ad.Value:
+        bank = ad.affine_stack(ad.sigmoid(ad.affine_stack(x, *first)), *second)  # shared, then stacked input
+        rows = ad.affine_segments(ad.reshape(bank, (10, 2)), *towers, (1, 9))
+        return ad.sum_all(ad.mul(ad.sigmoid(rows), g.constant(np.linspace(-1.0, 1.0, rows.size).reshape(rows.shape))))
+
+    ad.backward(loss())
+
+    def run() -> float:
+        m = g.mark()
+        out = float(loss().data)
+        g.truncate(m)
+        return out
+
+    for p in [x] + [p for ws, bs in (first, second, towers) for p in ws + bs]:
+        assert max_rel_err(p.grad.copy(), fd_gradient(run, p.data)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "op, x_shape, w_shapes, b_shapes, extra",
+    [
+        ("affine_stack", (3, 4), [], [], ()),                          # no maps
+        ("affine_stack", (3, 4), [(4, 2), (4, 3)], [(2,), (3,)], ()),  # maps of two shapes
+        ("affine_stack", (3, 4), [(5, 2)], [(2,)], ()),                # input width differs
+        ("affine_stack", (3, 4), [(4, 2)], [(3,)], ()),                # bias width differs
+        ("affine_stack", (3, 4), [(4, 2)], [], ()),                    # one bias short
+        ("affine_stack", (3, 3, 4), [(4, 2)] * 2, [(2,)] * 2, ()),     # stack of 3 for 2 maps
+        ("affine_stack", (4,), [(4, 2)], [(2,)], ()),                  # 1-d input
+        ("affine_segments", (3, 4), [(4, 2)] * 2, [(2,)] * 2, (1, 1)),  # sizes cover 2 of 3 rows
+        ("affine_segments", (3, 4), [(4, 2)] * 2, [(2,)] * 2, (3, 0)),  # an empty segment
+        ("affine_segments", (3, 4), [(4, 2)] * 2, [(2,)] * 2, (3,)),    # one size for two maps
+        ("affine_segments", (1, 3, 4), [(4, 2)], [(2,)], (3,)),         # stacked input
+    ],
+)
+def test_affine_stack_and_segments_reject_bad_operands(op, x_shape, w_shapes, b_shapes, extra):
+    g = ad.Graph(seed=0)
+    x = g.constant(np.zeros(x_shape))
+    weights = [g.constant(np.zeros(s)) for s in w_shapes]
+    biases = [g.constant(np.zeros(s)) for s in b_shapes]
+    with pytest.raises(ad.ShapeError, match=op):
+        if op == "affine_stack":
+            ad.affine_stack(x, weights, biases)
+        else:
+            ad.affine_segments(x, weights, biases, extra)
+
+
+def _composed_attention(q, k, v, mask, c):
+    """The per-head chain that ad.attention replaces, kept as its reference."""
+    return ad.matmul(ad.softmax_last(ad.add(ad.scale(ad.matmul(q, ad.transpose_last2(k)), c), mask)), v)
+
+
+def _valid_keys(rng, batch, keys, single_key_row):
+    valid = (rng.random((batch, keys)) < 0.7).astype(float)
+    valid[:, -1] = 1.0  # every query sees one key at least
+    if single_key_row:  # one row masked but for one key
+        valid[0] = 0.0
+        valid[0, rng.integers(keys)] = 1.0
+    return valid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    queries=st.integers(1, 5),
+    keys=st.integers(1, 5),
+    width=st.integers(1, 4),
+    value_width=st.integers(1, 4),
+    single_key_row=st.booleans(),
+    shared=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(batch=2, queries=3, keys=4, width=2, value_width=3, single_key_row=True, shared=False, seed=1)
+@example(batch=1, queries=1, keys=1, width=1, value_width=1, single_key_row=True, shared=False, seed=2)
+@example(batch=3, queries=4, keys=4, width=3, value_width=3, single_key_row=False, shared=True, seed=3)
+def test_attention_equals_the_per_head_chain(batch, queries, keys, width, value_width, single_key_row, shared, seed):
+    """Each operand its own leaf, or one leaf read as query, key and value."""
+    if shared:
+        keys, value_width = queries, width
+    outputs, grads = [], []
+    for fused in (True, False):
+        rng = np.random.default_rng(seed)
+        g = ad.Graph(seed=0)
+        q = g.parameter(rng.normal(size=(batch, queries, width)))
+        k = q if shared else g.parameter(rng.normal(size=(batch, keys, width)))
+        v = q if shared else g.parameter(rng.normal(size=(batch, keys, value_width)))
+        mask = g.constant(((1.0 - _valid_keys(rng, batch, keys, single_key_row)) * -1e30)[:, None, :])
+        c = float(rng.uniform(0.1, 2.0))
+        out = ad.attention(q, k, v, mask, c) if fused else _composed_attention(q, k, v, mask, c)
+        ad.backward(_weighted_loss(g, rng, out))
+        outputs.append(out.data)
+        grads.append([q.grad, k.grad, v.grad])
+    assert outputs[0].tobytes() == outputs[1].tobytes()
+    for fused_grad, chain_grad in zip(*grads):
+        assert fused_grad.tobytes() == chain_grad.tobytes()
+
+
+def test_attention_matches_central_differences():
+    rng = np.random.default_rng(41)
+    g = ad.Graph(seed=0, dtype=np.float64)
+    q = g.parameter(rng.normal(size=(2, 3, 2)))
+    k = g.parameter(rng.normal(size=(2, 4, 2)))
+    v = g.parameter(rng.normal(size=(2, 4, 3)))
+    # A learned additive bias on the keys, and a padded key in the first row.
+    mask = g.parameter(rng.normal(size=(2, 1, 4)))
+    pad = g.constant(np.array([[[-1e30, 0.0, 0.0, 0.0]], [[0.0] * 4]]))
+
+    def loss() -> ad.Value:
+        out = ad.attention(q, k, v, ad.add(mask, pad), 0.7)
+        return ad.sum_all(ad.mul(ad.sigmoid(out), g.constant(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))))
+
+    ad.backward(loss())
+
+    def run() -> float:
+        m = g.mark()
+        out = float(loss().data)
+        g.truncate(m)
+        return out
+
+    for p in (q, k, v, mask):
+        assert max_rel_err(p.grad.copy(), fd_gradient(run, p.data)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "q_shape, k_shape, v_shape, mask_shape",
+    [
+        ((2, 3), (2, 3), (2, 3), (1,)),                    # 2-d operands
+        ((2, 3, 4), (3, 3, 4), (3, 3, 4), (2, 1, 3)),      # batch differs
+        ((2, 3, 4), (2, 5, 3), (2, 5, 4), (2, 1, 5)),      # query and key widths differ
+        ((2, 3, 4), (2, 5, 4), (2, 4, 4), (2, 1, 5)),      # keys and values differ in count
+        ((2, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 4)),      # mask over 4 keys of 5
+        ((2, 3, 4), (2, 5, 4), (2, 5, 4), (1, 2, 3, 5)),   # mask widens the scores
+    ],
+)
+def test_attention_rejects_bad_shapes(q_shape, k_shape, v_shape, mask_shape):
+    g = ad.Graph(seed=0)
+    q, k, v, mask = (g.constant(np.zeros(s)) for s in (q_shape, k_shape, v_shape, mask_shape))
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(q, k, v, mask, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,9 @@ def _bad_byte_on_line_3(raw: bytes) -> bytes:
         ("manifest", _manifest_with("profiles", "field_importance", [1, 0]), "scenario.0.field_importance: expected 11"),
         ("manifest", _manifest_with("profiles", "label_weights", [float("nan")] * 11),
          "scenario.0.label_weights: nan is not a finite number"),
+        # the first profile takes the second one's id, or an id past the last scenario
+        ("manifest", _manifest_with("profiles", "scenario_id", 1), "profile scenario ids [1, 1] are not 0..1, each once"),
+        ("manifest", _manifest_with("profiles", "scenario_id", 2), "profile scenario ids [1, 2] are not 0..1, each once"),
         ("data", _bad_byte_on_line_3, "line 3: not UTF-8"),
         # the rows agree with the edited profile, so only the manifest check can catch it
         ("both", _scenario_1_without_triggers, "scenario 1 has trigger kind 'none', which search mode does not allow"),
@@ -239,7 +242,8 @@ def _bad_byte_on_line_3(raw: bytes) -> bytes:
         "truncated_manifest", "list_manifest", "manifest_without_profiles", "string_vocab_size",
         "manifest_not_utf8", "string_count", "float_count", "bool_count", "profile_with_unknown_key",
         "negative_attr_count", "no_image_width", "unknown_trigger_mode", "negative_noise", "share_above_1",
-        "importance_above_1", "importance_of_two_elements", "nan_label_weights", "data_not_utf8",
+        "importance_above_1", "importance_of_two_elements", "nan_label_weights",
+        "duplicate_scenario_id", "scenario_id_past_the_last", "data_not_utf8",
         "trigger_kind_outside_search_mode",
     ],
 )
@@ -595,6 +599,10 @@ def test_eval_of_a_checkpoint_whose_spec_cannot_build_a_model_exits_3(tmp_path, 
         (with_model("correlation_dim", 3.0), "model.correlation_dim: 3.0 is not an integer"),
         # encoder width 4 + 2 * 3 = 10
         (with_model("attention_heads", 3), "model.attention_heads: encoder width 10"),
+        # "no" is truthy, so as it stood it would have built feature scaling
+        ({**model.spec(), "flags": {**model.spec()["flags"], "fs": "no"}}, "flags.fs: 'no' is not a bool"),
+        ({**model.spec(), "flags": {**model.spec()["flags"], "nl": 0}}, "flags.nl: 0 is not a bool"),
+        ({**model.spec(), "flags": {"bogus": False}}, "flags.bogus: unknown flag"),
     ):
         code, _, err = eval_with(spec)
         assert code == 3, err

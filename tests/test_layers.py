@@ -104,19 +104,44 @@ def softmax_outputs(monkeypatch):
     return seen
 
 
-def test_transformer_single_position_attention_weight_is_one(softmax_outputs):
+_ATTENTION = ad.attention  # the node itself, not the recording of the fixture below
+
+
+@pytest.fixture
+def attention_calls(monkeypatch):
+    """Operands and output of every attention head the layers run, in order."""
+    calls = []
+
+    def recording(q, k, v, mask, scale):
+        out = _ATTENTION(q, k, v, mask, scale)
+        calls.append(((q, k, v, mask, scale), out))
+        return out
+
+    monkeypatch.setattr(ad, "attention", recording)
+    return calls
+
+
+def _attention_weights(q, k, v, mask, scale) -> np.ndarray:
+    """A head's (batch, queries, keys) weights, read through the fused node:
+    against identity values its output is the weights, bit for bit."""
+    eye = np.broadcast_to(np.eye(k.shape[1]), (k.shape[0], k.shape[1], k.shape[1]))
+    return _ATTENTION(q, k, q.graph.constant(eye), mask, scale).data
+
+
+def test_transformer_single_position_attention_weight_is_one(attention_calls):
     g = ad.Graph(seed=0)
     rng = np.random.default_rng(3)
     block = ly.TransformerBlock(g, rng, model_dim=6, head_count=2, ffn_mult=2, name="b")
     seq = g.constant(rng.normal(size=(1, 1, 6)))
     out = block.forward(seq, ly._additive_mask(g, np.ones((1, 1))))
     assert out.shape == (1, 1, 6)
-    assert len(softmax_outputs) == 2
-    for head in softmax_outputs:
-        assert head.data.reshape(-1).tolist() == [1.0]
+    assert len(attention_calls) == 2
+    for (q, k, v, mask, scale), head in attention_calls:
+        assert _attention_weights(q, k, v, mask, scale).reshape(-1).tolist() == [1.0]
+        assert head.data.tobytes() == v.data.tobytes()  # weight 1 on the one value
 
 
-def test_transformer_preserves_shape_and_masks_padding_keys(softmax_outputs):
+def test_transformer_preserves_shape_and_masks_padding_keys(attention_calls):
     g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(4)
     block = ly.TransformerBlock(g, rng, model_dim=8, head_count=2, ffn_mult=2, name="b")
@@ -124,12 +149,17 @@ def test_transformer_preserves_shape_and_masks_padding_keys(softmax_outputs):
     valid = np.array([[0, 0, 1, 1, 1], [1, 1, 1, 1, 1], [0, 1, 1, 1, 1]], dtype=float)
     out = block.forward(seq, ly._additive_mask(g, valid))
     assert out.shape == (3, 5, 8)
-    assert len(softmax_outputs) == 2
-    for head in softmax_outputs:
+    assert len(attention_calls) == 2
+    for (q, k, v, mask, scale), head in attention_calls:
+        weights = _attention_weights(q, k, v, mask, scale)
         # no attention mass on padded keys, for any query
-        assert head.data[0, :, :2].max() < 1e-12
-        assert head.data[2, :, :1].max() < 1e-12
-        np.testing.assert_allclose(head.data.sum(axis=-1), np.ones((3, 5)), atol=1e-12)
+        assert weights[0, :, :2].max() < 1e-12
+        assert weights[2, :, :1].max() < 1e-12
+        np.testing.assert_allclose(weights.sum(axis=-1), np.ones((3, 5)), atol=1e-12)
+        # other values at the padded keys leave every output row as it was, bit for bit
+        moved = v.data + np.where(valid[:, :, None] == 0.0, rng.normal(size=v.shape) * 1e3, 0.0)
+        again = _ATTENTION(q, k, g.constant(moved), mask, scale)
+        assert again.data.tobytes() == head.data.tobytes()
 
 
 def test_transformer_gradients_match_central_differences():

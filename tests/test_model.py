@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import BENCHMARK_STEP_NODES, max_rel_err
@@ -21,6 +21,7 @@ from maria.benchmark import benchmark_config
 from maria.config import build_run_config
 from maria.datagen import InstanceTable
 from maria.fileio import atomic_writer
+from maria.layers import Fcn
 from maria.model import BaselineModel, bce_loss, build_model, make_batch
 
 
@@ -299,6 +300,50 @@ def test_coupling_matches_numpy_and_vanishes_for_orthogonal_scenarios():
     model.shared_tower = None
     without_shared = model.forward(batch, mode="eval").score.data
     assert np.array_equal(with_shared, without_shared)
+
+
+def _per_scenario_towers(towers, x, scenario):
+    """The per-scenario composition that ``_grouped_towers`` replaces, kept
+    as its reference: gather each scenario's rows, run its tower, stack the
+    pieces and restore the row order."""
+    present = np.unique(scenario)
+    groups = [np.flatnonzero(scenario == s) for s in present]
+    pieces = [towers[int(s)].forward(ad.take_rows(x, idx)) for s, idx in zip(present, groups)]
+    inverse = np.empty(scenario.size, dtype=np.int64)
+    inverse[np.concatenate(groups)] = np.arange(scenario.size)
+    return ad.take_rows(ad.concat(pieces, axis=0), inverse)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scenario=st.lists(st.integers(0, 3), min_size=2, max_size=12).filter(lambda s: len(set(s)) > 1),
+    shared_reader=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(scenario=[2, 0, 2, 2], shared_reader=True, seed=1)  # scenarios 1 and 3 missing, a one-row segment
+@example(scenario=[3, 1, 0, 2], shared_reader=False, seed=2)  # one row per scenario
+def test_grouped_towers_equal_the_per_scenario_composition(scenario, shared_reader, seed):
+    """Values and grads, bit for bit, in float32; towers of scenarios missing
+    from the batch take no grad. ``shared_reader`` adds a later node that
+    reads the input too, as the shared tower does."""
+    scenario = np.array(scenario)
+    outputs, grads = [], []
+    for fused in (True, False):
+        rng = np.random.default_rng(seed)
+        graph = Graph(seed=0)
+        towers = [Fcn(graph, rng, 5, [4, 3], ["relu", "relu"], f"towers.scenario{s}") for s in range(4)]
+        x = graph.parameter(rng.normal(size=(scenario.size, 5)))
+        out = (mdl._grouped_towers if fused else _per_scenario_towers)(towers, x, scenario)
+        loss = ad.sum_all(ad.mul(out, graph.constant(rng.normal(size=out.shape))))
+        if shared_reader:
+            loss = ad.add(loss, ad.sum_all(ad.mul(x, graph.constant(rng.normal(size=x.shape)))))
+        ad.backward(loss)
+        outputs.append(out.data)
+        grads.append([v._grad for v in graph.params.values()] + [x.grad])
+    assert outputs[0].tobytes() == outputs[1].tobytes()
+    for fused_grad, chain_grad in zip(*grads):
+        assert (fused_grad is None) == (chain_grad is None)
+        assert fused_grad is None or fused_grad.tobytes() == chain_grad.tobytes()
 
 
 def test_rows_are_independent_across_batching():
