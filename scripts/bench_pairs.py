@@ -25,7 +25,10 @@ change median is worse than the parent's by more than the allowance;
 change run beats every parent run; ``ok`` otherwise. Every run's exit code and failed-check count are kept,
 and each pair records whether both sides reported the same step-loss and
 checkpoint digests (``digests_equal``; the top-level count of such pairs
-is printed at the end).
+is printed at the end). Each run's set-up breakdown is kept too: the import
+time, the median of its set-ups and the (ungated) generation rate, with
+each side's medians printed, so that a set-up change shows where its time
+went.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+SETUP_PARTS = ("import_s", "setup_median_s", "gen_inst_per_s")
 
 
 def export_tree(rev: str, into: Path) -> str:
@@ -72,7 +76,31 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     except (IndexError, KeyError, json.JSONDecodeError):
         return {"exit": proc.returncode, "failed": None, "metrics": {}, "stderr": proc.stderr[-2000:]}
     metrics = {name: entry["value"] for name, entry in final["metrics"].items()}
-    return {"exit": proc.returncode, "failed": final["failed"], "metrics": metrics, "digests": report.get("digests")}
+    return {"exit": proc.returncode, "failed": final["failed"], "metrics": metrics, "digests": report.get("digests"),
+            "setup": setup_breakdown(report)}
+
+
+def setup_breakdown(report: dict) -> dict:
+    """Where a run's set-up time went, from its report line: the import time,
+    the median of its set-up times and the generation rate over them."""
+    parts = {
+        "import_s": report.get("import_s"),
+        "setup_median_s": float(np.median(report["setup_times_s"])) if report.get("setup_times_s") else None,
+        "gen_inst_per_s": report.get("metrics", {}).get("gen_inst_per_s"),
+    }
+    return {name: value for name, value in parts.items() if value is not None}
+
+
+def summarise_setup(pairs: list[dict]) -> dict:
+    """Per side, the median of each set-up part over the runs that report it."""
+    out = {}
+    for side in ("parent", "change"):
+        runs = [p[side].get("setup", {}) for p in pairs]
+        out[side] = {
+            name: float(np.median(values))
+            for name in SETUP_PARTS if (values := [r[name] for r in runs if name in r])
+        }
+    return out
 
 
 def digests_equal(pair: dict) -> bool:
@@ -188,6 +216,7 @@ def main(argv=None) -> int:
         "runs_failed": sum(1 for p in pairs for s in ("parent", "change") if p[s]["exit"] != 0 or p[s]["failed"]),
         "digests_equal": sum(p["digests_equal"] for p in pairs),
         "metrics": summarise(pairs, spec["end_to_end"]),
+        "setup": summarise_setup(pairs),
         "pairs": pairs,
     }
     write_result(Path(args.out), args.workload, result)
@@ -198,6 +227,8 @@ def main(argv=None) -> int:
               f"pair ratio {m['pair_ratio_median']:.4f} [{rq1:.4f}, {rq3:.4f}], "
               f"wins {m['wins']}/{m['pairs']}, "
               f"claim {'holds' if m['claim_holds'] else 'does not hold'}, verdict {m['verdict']}")
+    for side, parts in result["setup"].items():
+        print(f"set-up {side:<6} medians: " + ", ".join(f"{name} {value:.4g}" for name, value in parts.items()))
     print(f"digests equal in {result['digests_equal']}/{len(pairs)} pairs")
     return 0 if result["runs_failed"] == 0 else 1
 

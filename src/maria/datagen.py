@@ -10,10 +10,17 @@ Signals come from a keyed hash, not from the RNG, so the same user or item
 carries the same latent value in every instance it appears in. That is what
 makes the task learnable from embeddings.
 
-Each instance has its own ``default_rng([seed, i])``. Scenario and item ids
-come from a search in cumulative sums built once per run; the ids drawn and
-the stream state after them equal those of ``rng.choice(n, size, p=...)``,
-which runs the same search inside.
+Each instance draws from its own generator, the stream of
+``default_rng([seed, i])``, and a loop over the instances only makes their
+draws, in a fixed order, into columns sized up front. Everything else is
+built once for all rows, column by column: scenario and item ids, entity
+attributes and signals (once per distinct user or item), the signal matrix,
+logits, labels and the table. Scenario and item ids come from a search in
+cumulative sums built once per run; the ids drawn and the stream state after
+them equal those of ``rng.choice(n, size, p=...)``, which runs the same
+search inside. The columns hold the bits that computing each instance on its
+own gives: ``tests/helpers.py`` keeps that per-instance generator as the
+reference.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ import io
 import json
 import struct
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import is_not, itemgetter
@@ -127,9 +135,30 @@ class InstanceTable:
     )
 
     @classmethod
-    def _from_lists(cls, schema: FeatureSchema, **columns) -> InstanceTable:
-        """Build a table from one Python list per column (every field but
-        ``beh_start``); each list is converted once."""
+    def from_rows(cls, rows, schema: FeatureSchema) -> InstanceTable:
+        """The table of Instance rows, as they are: nothing is checked."""
+        rows = list(rows)
+        zero_vec, zero_attrs = (0.0,) * schema.image_dim, (0,) * schema.trigger_attr_count
+        image = [isinstance(r.trigger, TriggerImage) for r in rows]
+        product = [isinstance(r.trigger, TriggerProduct) for r in rows]
+        columns = {
+            "scenario": [r.scenario for r in rows],
+            "user": [r.user for r in rows],
+            "user_attrs": [r.user_attrs for r in rows],
+            "beh_len": [len(r.behavior) for r in rows],
+            "beh_items": [item for r in rows for item, _ in r.behavior],
+            "beh_attrs": [attrs for r in rows for _, attrs in r.behavior],
+            "target_item": [r.target_item for r in rows],
+            "target_attrs": [r.target_attrs for r in rows],
+            "trigger_kind": [
+                TRIGGER_IMAGE if i else TRIGGER_PRODUCT if p else TRIGGER_NONE for i, p in zip(image, product)
+            ],
+            "image_vec": [r.trigger.vec if i else zero_vec for r, i in zip(rows, image)],
+            "trig_item": [r.trigger.item if p else 0 for r, p in zip(rows, product)],
+            "trig_attrs": [r.trigger.attrs if p else zero_attrs for r, p in zip(rows, product)],
+            "context": [r.context for r in rows],
+            "label": [r.label for r in rows],
+        }
         arrays = {}
         for name, values in columns.items():
             dtype = np.float64 if name == "image_vec" else np.int8 if name == "trigger_kind" else np.int64
@@ -137,31 +166,6 @@ class InstanceTable:
             arrays[name] = arr.reshape(len(values), getattr(schema, _WIDTHS[name])) if name in _WIDTHS else arr
         lengths = arrays["beh_len"]
         return cls(beh_start=np.cumsum(lengths) - lengths, **arrays)
-
-    @classmethod
-    def from_rows(cls, rows, schema: FeatureSchema) -> InstanceTable:
-        """The table of Instance rows, as they are: nothing is checked."""
-        rows = list(rows)
-        zero_vec, zero_attrs = (0.0,) * schema.image_dim, (0,) * schema.trigger_attr_count
-        image = [isinstance(r.trigger, TriggerImage) for r in rows]
-        product = [isinstance(r.trigger, TriggerProduct) for r in rows]
-        return cls._from_lists(
-            schema,
-            scenario=[r.scenario for r in rows],
-            user=[r.user for r in rows],
-            user_attrs=[r.user_attrs for r in rows],
-            beh_len=[len(r.behavior) for r in rows],
-            beh_items=[item for r in rows for item, _ in r.behavior],
-            beh_attrs=[attrs for r in rows for _, attrs in r.behavior],
-            target_item=[r.target_item for r in rows],
-            target_attrs=[r.target_attrs for r in rows],
-            trigger_kind=[TRIGGER_IMAGE if i else TRIGGER_PRODUCT if p else TRIGGER_NONE for i, p in zip(image, product)],
-            image_vec=[r.trigger.vec if i else zero_vec for r, i in zip(rows, image)],
-            trig_item=[r.trigger.item if p else 0 for r, p in zip(rows, product)],
-            trig_attrs=[r.trigger.attrs if p else zero_attrs for r, p in zip(rows, product)],
-            context=[r.context for r in rows],
-            label=[r.label for r in rows],
-        )
 
     def __len__(self) -> int:
         return len(self.label)
@@ -296,6 +300,19 @@ def _cdf(p: np.ndarray, what: str) -> np.ndarray:
     return cdf
 
 
+def _entropy_rows(seed: int, count: int) -> np.ndarray:
+    """Row ``i`` is ``[seed, i]`` as ``SeedSequence`` reads a list of ints:
+    each int as its 32-bit words, least significant first, and 0 as one word
+    (an index below 2**32 is one word). Seeding from a row gives the stream
+    of ``default_rng([seed, i])`` and skips that conversion, about a quarter
+    of its time."""
+    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    rows = np.empty((count, len(words) + 1), dtype=np.uint32)
+    rows[:, :-1] = words
+    rows[:, -1] = np.arange(count)
+    return rows
+
+
 @np.errstate(over="ignore")  # a sigmoid's exp(-z) overflows below z = -709; it is then 0.0
 def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
     """Sample ``cfg.gen_count`` instances; also return the noise-free click
@@ -309,6 +326,7 @@ def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
     """
     vocab, schema = cfg.vocab, cfg.schema
     profiles = cfg.scenarios
+    n = cfg.gen_count
     shares = np.array([p.traffic_share for p in profiles], dtype=np.float64)
     share_cdf = _cdf(shares / shares.sum(), "traffic_share")
 
@@ -320,8 +338,40 @@ def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
         tilted = np.exp(p.behavior_tilt * row - np.max(p.behavior_tilt * row))
         item_cdfs.append(_cdf(tilted / tilted.sum(), f"scenario.{p.scenario_id} item popularity"))
 
-    masks = [np.asarray(p.field_importance, dtype=np.float64) for p in profiles]
-    weights = [np.asarray(p.label_weights, dtype=np.float64) for p in profiles]
+    kinds = [_KIND_CODES.get(p.trigger_kind, TRIGGER_NONE) for p in profiles]
+    noise_std = [p.noise_std for p in profiles]
+    cuts, max_len = share_cdf.tolist(), schema.max_behavior_len
+    scenario, user, beh_len, first = (np.empty(n, dtype=np.int64) for _ in range(4))
+    flat = np.empty(n * (max_len + 2))  # each row's uniforms: its behaviour items, its target, a product trigger
+    image_vec = np.zeros((n, schema.image_dim))
+    context = np.empty((n, schema.context_attr_count), dtype=np.int64)
+    noise, label_draws = np.zeros(n), np.empty(n)
+    entropy, end = _entropy_rows(cfg.gen_seed, n), 0
+    for i in range(n):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy[i])))  # default_rng([seed, i])
+        scenario[i] = sid = bisect_right(cuts, rng.random())  # share_cdf.searchsorted(side="right")
+        user[i] = rng.integers(0, vocab.users)
+        beh_len[i] = length = rng.integers(1, max_len + 1)
+        first[i] = start = end
+        end = start + length + 1 + (kinds[sid] == TRIGGER_PRODUCT)
+        rng.random(out=flat[start:end])
+        if kinds[sid] == TRIGGER_IMAGE:
+            image_vec[i] = rng.uniform(-1.0, 1.0, schema.image_dim)
+        context[i] = rng.integers(0, vocab.context_attrs, size=schema.context_attr_count)
+        if noise_std[sid] > 0:
+            noise[i] = rng.normal(0.0, noise_std[sid])
+        label_draws[i] = rng.random()
+
+    trigger_kind = np.array(kinds, dtype=np.int8)[scenario]
+    sizes = beh_len + 1 + (trigger_kind == TRIGGER_PRODUCT)
+    flat = flat[:end]
+    ids = np.empty(len(flat), dtype=np.int64)
+    flat_sid = np.repeat(scenario, sizes)
+    for sid, item_cdf in enumerate(item_cdfs):
+        at = flat_sid == sid
+        ids[at] = item_cdf.searchsorted(flat[at], side="right")
+    beh_items = ids[np.arange(len(flat)) - np.repeat(first, sizes) < np.repeat(beh_len, sizes)]
+    target = ids[first + beh_len]
 
     unit = lru_cache(maxsize=None)(stable_unit)
     item_signal = np.array([stable_unit("item", it) for it in range(vocab.items)])
@@ -331,61 +381,70 @@ def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
         "tattr": (schema.trigger_attr_count, vocab.trigger_attrs),
     }
 
-    @lru_cache(maxsize=None)
-    def entity(kind: str, key: int) -> tuple[tuple[int, ...], list[float]]:
-        """Attribute ids of a user or item, and the signals of it and of them."""
-        attrs = _attr_ids(kind, key, *attr_sizes[kind])
-        head = unit("user", key) if kind == "uattr" else float(item_signal[key])
-        return attrs, [head, *(unit(kind, a) for a in attrs)]
+    def entities(kind: str, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per key, the attribute ids of a user or item, and the signals of it
+        and of them; each distinct key is hashed once."""
+        count, size = attr_sizes[kind]
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        attrs = [_attr_ids(kind, key, count, size) for key in uniq.tolist()]
+        heads = [unit("user", key) for key in uniq.tolist()] if kind == "uattr" else item_signal[uniq].tolist()
+        signals = [[head, *(unit(kind, a) for a in row)] for head, row in zip(heads, attrs)]
+        return (
+            np.array(attrs, dtype=np.int64).reshape(len(uniq), count)[inverse],
+            np.array(signals, dtype=np.float64).reshape(len(uniq), count + 1)[inverse],
+        )
 
-    columns = {f.name: [] for f in fields(InstanceTable) if f.name != "beh_start"}
-    zero_vec, zero_attrs = (0.0,) * schema.image_dim, (0,) * schema.trigger_attr_count
-    clean_probs = np.empty(cfg.gen_count, dtype=np.float64)
-    for i in range(cfg.gen_count):
-        rng = np.random.default_rng([cfg.gen_seed, i])
-        sid = int(share_cdf.searchsorted(rng.random(), side="right"))
-        profile, item_cdf = profiles[sid], item_cdfs[sid]
-        user = int(rng.integers(0, vocab.users))
-        length = int(rng.integers(1, schema.max_behavior_len + 1))
-        beh_items = item_cdf.searchsorted(rng.random(length), side="right").tolist()
-        target = int(item_cdf.searchsorted(rng.random(), side="right"))
-        user_attrs, user_signals = entity("uattr", user)
-        target_attrs, target_signals = entity("iattr", target)
-        # np.mean is this pairwise sum over the count; a running sum differs
-        # from it in the last bit once a sequence holds 8 or more items.
-        phi = [float(item_signal[beh_items].sum()) / length, *user_signals, *target_signals]
-        vec, trig_item, trig_attrs = zero_vec, 0, zero_attrs
-        if profile.trigger_kind == "image":
-            kind = TRIGGER_IMAGE
-            vec = rng.uniform(-1.0, 1.0, schema.image_dim)
-            phi.append(float(vec.sum()) / schema.image_dim)
-            phi += [0.0] * schema.trigger_attr_count
-        elif profile.trigger_kind == "product":
-            kind = TRIGGER_PRODUCT
-            trig_item = int(item_cdf.searchsorted(rng.random(), side="right"))
-            trig_attrs, trig_signals = entity("tattr", trig_item)
-            phi += trig_signals
-        else:
-            kind = TRIGGER_NONE
-            phi.append(target_signals[0])
-        context = rng.integers(0, vocab.context_attrs, size=schema.context_attr_count).tolist()
-        phi += [unit("cattr", a) for a in context]
+    user_attrs, user_signals = entities("uattr", user)
+    item_attrs, item_signals = entities("iattr", np.concatenate([beh_items, target]))
+    beh_attrs, target_attrs = np.split(item_attrs, [len(beh_items)])
+    target_signals = item_signals[len(beh_items):]
 
-        clean_logit = float(weights[sid] @ (masks[sid] * np.array(phi))) + profile.label_bias
-        noisy = clean_logit + float(rng.normal(0.0, profile.noise_std)) if profile.noise_std > 0 else clean_logit
-        p_click = 1.0 / (1.0 + np.exp(-noisy))
-        for name, value in (
-            ("scenario", sid), ("user", user), ("user_attrs", user_attrs), ("beh_len", length),
-            ("target_item", target), ("target_attrs", target_attrs), ("trigger_kind", kind), ("image_vec", vec),
-            ("trig_item", trig_item), ("trig_attrs", trig_attrs), ("context", context),
-            ("label", int(rng.random() < p_click)),
-        ):
-            columns[name].append(value)
-        columns["beh_items"] += beh_items
-        columns["beh_attrs"] += [entity("iattr", it)[0] for it in beh_items]
-        clean_probs[i] = 1.0 / (1.0 + np.exp(-clean_logit))
+    beh_start = np.cumsum(beh_len) - beh_len
+    beh_mean = np.empty(n)
+    beh_signal = item_signal[beh_items]
+    for length in np.unique(beh_len).tolist():
+        rows = np.flatnonzero(beh_len == length)
+        # np.mean's pairwise sum over each row; a running sum differs from it
+        # in the last bit once a sequence holds 8 or more items.
+        beh_mean[rows] = beh_signal[beh_start[rows, None] + np.arange(length)].sum(axis=1) / length
 
-    instances = InstanceTable._from_lists(schema, **columns)
+    trigger_signals = np.zeros((n, 1 + schema.trigger_attr_count))  # the head, then the trigger attrs
+    none = trigger_kind == TRIGGER_NONE
+    trigger_signals[none, 0] = target_signals[none, 0]
+    image_rows = np.flatnonzero(trigger_kind == TRIGGER_IMAGE)
+    trigger_signals[image_rows, 0] = image_vec[image_rows].sum(axis=1) / schema.image_dim
+    trig_item = np.zeros(n, dtype=np.int64)
+    trig_attrs = np.zeros((n, schema.trigger_attr_count), dtype=np.int64)
+    product_rows = np.flatnonzero(trigger_kind == TRIGGER_PRODUCT)
+    trig_item[product_rows] = ids[first[product_rows] + beh_len[product_rows] + 1]
+    trig_attrs[product_rows], trigger_signals[product_rows] = entities("tattr", trig_item[product_rows])
+
+    keys, inverse = np.unique(context.ravel(), return_inverse=True)
+    context_signals = np.array([unit("cattr", a) for a in keys.tolist()], dtype=np.float64)[inverse]
+
+    phi = np.concatenate(
+        [beh_mean[:, None], user_signals, target_signals, trigger_signals, context_signals.reshape(context.shape)],
+        axis=1,
+    )
+
+    clean_logit = np.empty(n)
+    for sid, p in enumerate(profiles):
+        rows = np.flatnonzero(scenario == sid)
+        masked = np.asarray(p.field_importance, dtype=np.float64) * phi[rows]
+        weights = np.asarray(p.label_weights, dtype=np.float64)[:, None]
+        # One dot product per row, as each row's weights @ (mask * phi) took;
+        # a matrix-vector product rounds differently.
+        clean_logit[rows] = np.matmul(masked[:, None, :], weights)[:, 0, 0] + p.label_bias
+    noisy = np.where(np.array(noise_std)[scenario] > 0, clean_logit + noise, clean_logit)
+    label = (label_draws < 1.0 / (1.0 + np.exp(-noisy))).astype(np.int64)
+    clean_probs = 1.0 / (1.0 + np.exp(-clean_logit))
+
+    instances = InstanceTable(
+        scenario=scenario, user=user, user_attrs=user_attrs, beh_start=beh_start, beh_len=beh_len,
+        beh_items=beh_items, beh_attrs=beh_attrs, target_item=target, target_attrs=target_attrs,
+        trigger_kind=trigger_kind, image_vec=image_vec, trig_item=trig_item, trig_attrs=trig_attrs,
+        context=context, label=label,
+    )
     manifest = _build_manifest(cfg, instances, clean_probs)
     return Dataset(manifest=manifest, instances=instances), clean_probs
 

@@ -33,10 +33,10 @@ class EmbeddingTable:
         self.weights = graph.parameter(glorot_uniform(rng, (rows, dim), rows, dim), name)
 
     def lookup(self, ids) -> Value:
-        idx = np.asarray(ids, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.rows):
-            raise IndexError(f"embedding table {self.name!r}: id out of range [0, {self.rows})")
-        return ad.take_rows(self.weights, idx)
+        try:  # take_rows checks the range once; its error gets the table's name
+            return ad.take_rows(self.weights, np.asarray(ids, dtype=np.int64))
+        except IndexError as exc:
+            raise IndexError(f"embedding table {self.name!r}: id out of range [0, {self.rows})") from exc
 
 
 _ACTIVATIONS = ("relu", "sigmoid", "linear")

@@ -232,8 +232,8 @@ def _grouped_towers(towers: list[Fcn], x: Value, scenario: np.ndarray) -> Value:
     rows are gathered once in scenario order, each layer runs every
     present tower as one row-segment node, and one gather restores the order."""
     present, sizes = np.unique(scenario, return_counts=True)
-    if present.size == 1:
-        return towers[int(present[0])].forward(x)
+    if present.size < 2:  # one scenario, or no rows at all
+        return towers[int(present[0]) if present.size else 0].forward(x)
     order = np.argsort(scenario, kind="stable")
     used = [towers[int(s)] for s in present]
     h = fcn_bank(used, ad.take_rows(x, order), lambda rows, ws, bs: ad.affine_segments(rows, ws, bs, sizes))

@@ -1,6 +1,13 @@
-"""Shared oracles for the test suite, kept independent of package internals."""
+"""Shared oracles for the test suite, kept independent of package internals.
+The reference generator takes from ``maria.datagen`` only what defines the
+data or holds it: the keyed hashes and CDFs, the row types, the table built
+from rows and the manifest."""
+
+from functools import lru_cache
 
 import numpy as np
+
+from maria import datagen
 
 # Nodes that one step of each benchmark workload builds on a full block of
 # the benchmark recipe (test_model.py pins them). A change that fuses or adds
@@ -53,3 +60,78 @@ def pairwise_auc(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+@np.errstate(over="ignore")
+def reference_generate(cfg):
+    """``datagen.generate`` one instance at a time: each instance draws from
+    its own ``default_rng([gen_seed, i])`` and computes its signals, logit and
+    label before the next one starts. The rows become a table through
+    ``InstanceTable.from_rows``. Returns ``(Dataset, clean_probs)``."""
+    vocab, schema = cfg.vocab, cfg.schema
+    profiles = cfg.scenarios
+    shares = np.array([p.traffic_share for p in profiles], dtype=np.float64)
+    share_cdf = datagen._cdf(shares / shares.sum(), "traffic_share")
+    item_cdfs = []
+    for p in profiles:
+        row = np.array([datagen.stable_unit("pop", p.scenario_id, it) for it in range(vocab.items)])
+        tilted = np.exp(p.behavior_tilt * row - np.max(p.behavior_tilt * row))
+        item_cdfs.append(datagen._cdf(tilted / tilted.sum(), f"scenario.{p.scenario_id} item popularity"))
+    masks = [np.asarray(p.field_importance, dtype=np.float64) for p in profiles]
+    weights = [np.asarray(p.label_weights, dtype=np.float64) for p in profiles]
+    item_signal = np.array([datagen.stable_unit("item", it) for it in range(vocab.items)])
+    attr_sizes = {
+        "uattr": (schema.user_attr_count, vocab.user_attrs),
+        "iattr": (schema.item_attr_count, vocab.item_attrs),
+        "tattr": (schema.trigger_attr_count, vocab.trigger_attrs),
+    }
+
+    @lru_cache(maxsize=None)
+    def entity(kind, key):
+        attrs = datagen._attr_ids(kind, key, *attr_sizes[kind])
+        head = datagen.stable_unit("user", key) if kind == "uattr" else float(item_signal[key])
+        return attrs, [head, *(datagen.stable_unit(kind, a) for a in attrs)]
+
+    rows = []
+    clean_probs = np.empty(cfg.gen_count, dtype=np.float64)
+    for i in range(cfg.gen_count):
+        rng = np.random.default_rng([cfg.gen_seed, i])
+        sid = int(share_cdf.searchsorted(rng.random(), side="right"))
+        profile, item_cdf = profiles[sid], item_cdfs[sid]
+        user = int(rng.integers(0, vocab.users))
+        length = int(rng.integers(1, schema.max_behavior_len + 1))
+        beh_items = item_cdf.searchsorted(rng.random(length), side="right").tolist()
+        target = int(item_cdf.searchsorted(rng.random(), side="right"))
+        user_attrs, user_signals = entity("uattr", user)
+        target_attrs, target_signals = entity("iattr", target)
+        phi = [float(item_signal[beh_items].sum()) / length, *user_signals, *target_signals]
+        if profile.trigger_kind == "image":
+            vec = rng.uniform(-1.0, 1.0, schema.image_dim)
+            trigger = datagen.TriggerImage(vec=tuple(vec.tolist()))
+            phi.append(float(vec.sum()) / schema.image_dim)
+            phi += [0.0] * schema.trigger_attr_count
+        elif profile.trigger_kind == "product":
+            trig_item = int(item_cdf.searchsorted(rng.random(), side="right"))
+            trig_attrs, trig_signals = entity("tattr", trig_item)
+            trigger = datagen.TriggerProduct(item=trig_item, attrs=trig_attrs)
+            phi += trig_signals
+        else:
+            trigger = None
+            phi.append(target_signals[0])
+        context = rng.integers(0, vocab.context_attrs, size=schema.context_attr_count).tolist()
+        phi += [datagen.stable_unit("cattr", a) for a in context]
+
+        clean_logit = float(weights[sid] @ (masks[sid] * np.array(phi))) + profile.label_bias
+        noisy = clean_logit + float(rng.normal(0.0, profile.noise_std)) if profile.noise_std > 0 else clean_logit
+        p_click = 1.0 / (1.0 + np.exp(-noisy))
+        rows.append(datagen.Instance(
+            scenario=sid, user=user, user_attrs=user_attrs,
+            behavior=tuple((it, entity("iattr", it)[0]) for it in beh_items),
+            target_item=target, target_attrs=target_attrs, trigger=trigger, context=tuple(context),
+            label=int(rng.random() < p_click),
+        ))
+        clean_probs[i] = 1.0 / (1.0 + np.exp(-clean_logit))
+
+    instances = datagen.InstanceTable.from_rows(rows, schema)
+    manifest = datagen._build_manifest(cfg, instances, clean_probs)
+    return datagen.Dataset(manifest=manifest, instances=instances), clean_probs

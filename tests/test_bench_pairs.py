@@ -100,3 +100,18 @@ def test_write_result_keeps_other_workloads_and_a_failed_write_keeps_the_old_fil
         bench_pairs.write_result(out, "train-mmoe-b64", {"pairs": list(range(5000)), "z": object()})
     assert out.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH.json"]
+
+
+def test_setup_breakdown_per_run_and_medians_per_side():
+    report = {"import_s": 0.2, "setup_times_s": [0.9, 0.5, 0.7], "metrics": {"gen_inst_per_s": 20000.0}}
+    assert bench_pairs.setup_breakdown(report) == {"import_s": 0.2, "setup_median_s": 0.7, "gen_inst_per_s": 20000.0}
+    # a report without the parts (a failed run) gives none
+    assert bench_pairs.setup_breakdown({}) == {}
+    pairs = [
+        {"parent": {"setup": {"import_s": a, "setup_median_s": 1.0 + a}}, "change": {"setup": {"import_s": b}}}
+        for a, b in [(0.1, 0.3), (0.2, 0.1), (0.6, 0.2)]
+    ] + [{"parent": {"setup": {}}, "change": {}}]
+    assert bench_pairs.summarise_setup(pairs) == {
+        "parent": {"import_s": 0.2, "setup_median_s": 1.2},
+        "change": {"import_s": 0.2},
+    }

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from helpers import reference_generate
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maria import autodiff as ad
@@ -248,6 +249,61 @@ def test_generated_bytes_are_pinned(tmp_path, make_cfg, data_sha, manifest_sha, 
     assert hashlib.sha256(path.read_bytes()).hexdigest() == data_sha
     assert hashlib.sha256(datagen.manifest_path(path).read_bytes()).hexdigest() == manifest_sha
     assert hashlib.sha256(clean_probs.tobytes()).hexdigest() == probs_sha
+
+
+@st.composite
+def _recipes(draw):
+    """Config overrides of a small recipe: recommendation or search mode with
+    an image/product mix, attribute and context slots down to 0, sequences up
+    to 12 long, noise-free scenarios, and counts down to 0 and 1."""
+    scenarios = draw(st.integers(1, 4))
+    search = draw(st.booleans())
+    slots = st.integers(0, 3).map(str)
+    image_dim = str(draw(st.integers(1, 9)))
+    over = {
+        "vocab.scenarios": str(scenarios),
+        **{f"vocab.{k}": str(draw(st.integers(1, 30))) for k in ("users", "items", "user_attrs", "item_attrs",
+                                                                    "trigger_attrs", "context_attrs")},
+        "schema.user_attrs": draw(slots), "schema.item_attrs": draw(slots), "schema.context_attrs": draw(slots),
+        "schema.trigger_attrs": draw(st.integers(0, 2).map(str)) if search else "0",
+        "schema.max_behavior": str(draw(st.integers(1, 12))),
+        "schema.image_dim": image_dim, "dim.trigger": image_dim,
+        "gen.count": str(draw(st.sampled_from([0, 1]) | st.integers(2, 60))),
+        "gen.seed": str(draw(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**70))),  # one word or several
+    }
+    for s in range(scenarios):
+        over[f"scenario.{s}.trigger_kind"] = draw(st.sampled_from(["image", "product"])) if search else "none"
+        over[f"scenario.{s}.noise_std"] = draw(st.sampled_from(["0", "0.5", "3"]))
+        over[f"scenario.{s}.label_bias"] = draw(st.sampled_from(["0", "-1.5", "800", "-800"]))
+        over[f"scenario.{s}.behavior_tilt"] = draw(st.sampled_from(["0", "1", "4"]))
+    if scenarios > 1 and draw(st.booleans()):
+        over["scenario.0.traffic_share"] = "1e-9"  # a scenario that draws no rows
+    if draw(st.booleans()):
+        n_q = build_run_config(over).schema.element_count
+        for s in range(scenarios):
+            fractions = st.lists(st.sampled_from(["0", "0.15", "0.35", "0.5", "0.9", "1"]), min_size=n_q, max_size=n_q)
+            over[f"scenario.{s}.field_importance"] = ",".join(draw(fractions))
+    return over
+
+
+@settings(max_examples=80, deadline=None)
+@given(over=_recipes())
+@example(over={"gen.count": "0"})
+@example(over={"gen.count": "5", "gen.seed": str(2**64 + 7)})
+@example(over={"gen.count": "1", "vocab.scenarios": "3"})
+@example(over={"gen.count": "40", "scenario.0.traffic_share": "1e-9", "scenario.1.trigger_kind": "image"})
+@example(over={"gen.count": "60", "schema.max_behavior": "12", "scenario.0.noise_std": "0"})
+def test_generate_equals_the_per_instance_reference(over):
+    # generate draws per instance and builds the columns once; the reference
+    # computes every instance on its own. Columns, clean_probs and manifest
+    # must match bit for bit.
+    cfg = build_run_config(over)
+    (dataset, probs), (want, want_probs) = datagen.generate(cfg), reference_generate(cfg)
+    for name in datagen.InstanceTable._ROW_COLUMNS + ("beh_items", "beh_attrs"):
+        got, ref = getattr(dataset.instances, name), getattr(want.instances, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), name
+    assert (probs.dtype, probs.tobytes()) == (want_probs.dtype, want_probs.tobytes())
+    assert json.dumps(datagen.manifest_to_json(dataset.manifest)) == json.dumps(datagen.manifest_to_json(want.manifest))
 
 
 @settings(max_examples=60, deadline=None)

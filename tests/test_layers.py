@@ -1,5 +1,7 @@
 """Layers: lookup gradients, FC stacks, transformer encoding, trigger attention."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,11 @@ def test_embed_lookup_shape_and_scatter_gradient():
 def test_embed_lookup_rejects_out_of_range_and_empty_ok():
     g = ad.Graph(seed=0)
     table = ly.EmbeddingTable(g, np.random.default_rng(0), rows=4, dim=2, name="embed.user")
-    with pytest.raises(IndexError, match="embed.user"):
-        table.lookup([4])
+    for ids in ([4], [-1], [0, 3, 4], [[1, 2], [-3, 0]]):
+        with pytest.raises(IndexError, match=re.escape("embedding table 'embed.user': id out of range [0, 4)")):
+            table.lookup(ids)
     assert table.lookup([]).shape == (0, 2)
+    assert table.lookup([0, 3]).shape == (2, 2)
 
 
 def test_embed_gradient_matches_central_differences():

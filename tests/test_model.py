@@ -235,6 +235,17 @@ def test_scores_are_probabilities_and_deterministic_in_eval():
         assert choices.shape == (batch.size,)
 
 
+@pytest.mark.parametrize("kind", mdl.MODEL_KINDS)
+def test_a_batch_of_no_rows_gets_an_empty_score(kind):
+    cfg = tiny_cfg(**{"gen.count": "0"})
+    graph = Graph(seed=5)
+    model = build_model(graph, cfg, kind, seed=7)
+    empty = make_batch(datagen.generate(cfg)[0].instances, cfg.vocab, cfg.schema, cfg.trigger_mode)
+    for mode in ("train", "eval"):
+        score = model.forward(empty, mode=mode).score
+        assert score.shape == (0,) and score.data.dtype == graph.dtype
+
+
 def test_full_model_gradients_match_finite_differences():
     cfg, graph, model, batch = build_tiny(mode_count=5)
     named = model.named_parameters()
