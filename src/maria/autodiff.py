@@ -296,19 +296,6 @@ def add(a: Value, b: Value) -> Value:
     return _node(a.graph, a.data + b.data, (a, b), "add", backward)
 
 
-def sub(a: Value, b: Value) -> Value:
-    if not _broadcastable(a.shape, b.shape):
-        raise _shape_error("sub", a.shape, b.shape)
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape), g)
-        if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g, b.shape), g)
-
-    return _node(a.graph, a.data - b.data, (a, b), "sub", backward)
-
-
 def mul(a: Value, b: Value) -> Value:
     if not _broadcastable(a.shape, b.shape):
         raise _shape_error("mul", a.shape, b.shape)
@@ -492,8 +479,9 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float = 1e-5) -> Value:
 
     One node. The forward runs the numpy ops of the composition
     ``(x - mean) * (var + eps) ** -0.5 * gain + bias`` in that order, with
-    the means of :func:`mean_last`, so it holds the same bits; the backward
-    is the analytic one.
+    each mean a GEMV sum divided by the width (the composition's reference,
+    ``tests/helpers.py``, takes its means the same way), so it holds the same
+    bits; the backward is the analytic one.
     """
     if x.data.ndim < 1 or gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise _shape_error("layer_norm", x.shape, gain.shape, bias.shape)
@@ -742,16 +730,6 @@ def log(x: Value) -> Value:
     return _node(x.graph, np.log(x.data), (x,), "log", backward)
 
 
-def power(x: Value, exponent: float) -> Value:
-    out = x.data ** exponent
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * exponent * x.data ** (exponent - 1.0), g)
-
-    return _node(x.graph, out, (x,), "power", backward)
-
-
 def scale(x: Value, c: float) -> Value:
     c = float(c)
 
@@ -799,18 +777,6 @@ def sum_last(x: Value, keepdims: bool = False) -> Value:
 
     out = _gemv_sum(x.data)
     return _node(x.graph, out if keepdims else out.reshape(x.shape[:-1]), (x,), "sum_last", backward)
-
-
-def mean_last(x: Value, keepdims: bool = False) -> Value:
-    n = x.shape[-1]
-
-    def backward(g: Array) -> None:
-        gg = g if keepdims else np.expand_dims(g, -1)
-        if x.requires_grad:
-            _accumulate(x, gg / n, g)
-
-    out = _gemv_sum(x.data) / n
-    return _node(x.graph, out if keepdims else out.reshape(x.shape[:-1]), (x,), "mean_last", backward)
 
 
 def pair_dots(parts: Sequence[Value]) -> Value:

@@ -65,44 +65,11 @@ class DataError(ValueError):
     """Malformed dataset file or instance."""
 
 
-@dataclass(frozen=True)
-class TriggerImage:
-    vec: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class TriggerProduct:
-    item: int
-    attrs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Instance:
-    scenario: int
-    user: int
-    user_attrs: tuple[int, ...]
-    behavior: tuple[tuple[int, tuple[int, ...]], ...]  # (item, item_attrs) pairs, oldest first
-    target_item: int
-    target_attrs: tuple[int, ...]
-    trigger: TriggerImage | TriggerProduct | None
-    context: tuple[int, ...]
-    label: int
-
-
-# InstanceTable column -> the FeatureSchema count that is its second dimension
-_WIDTHS = {
-    "user_attrs": "user_attr_count",
-    "beh_attrs": "item_attr_count",
-    "target_attrs": "item_attr_count",
-    "image_vec": "image_dim",
-    "trig_attrs": "trigger_attr_count",
-    "context": "context_attr_count",
-}
-
-
 @dataclass(frozen=True, eq=False)
 class InstanceTable:
-    """Instances column by column; ``table[i]`` is row ``i`` as an Instance.
+    """Instances column by column: the one in-memory form of an instance.
+    Rows exist only as the JSON objects of the file format, which
+    ``_table_of`` reads into columns and ``_objects_of`` writes back out.
 
     Row ``i``'s behaviour sequence, oldest first, is entries ``beh_start[i]``
     to ``beh_start[i] + beh_len[i]`` of the flat ``beh_items`` and
@@ -110,7 +77,8 @@ class InstanceTable:
     columns. A row's trigger is its ``trigger_kind`` (``TRIGGER_NONE``,
     ``TRIGGER_IMAGE`` or ``TRIGGER_PRODUCT``) with the payload in ``image_vec``
     or in ``trig_item`` and ``trig_attrs``; rows of the other kinds hold zeros
-    there. Indexing with a slice, an index array or a mask gives a table.
+    there. Indexing with a slice, an index array or a mask gives a table; a
+    scalar key is refused, so row ``i`` on its own is ``table[i:i + 1]``.
     """
 
     scenario: np.ndarray       # (n,) int64
@@ -134,49 +102,15 @@ class InstanceTable:
         "trigger_kind", "image_vec", "trig_item", "trig_attrs", "context", "label",
     )
 
-    @classmethod
-    def from_rows(cls, rows, schema: FeatureSchema) -> InstanceTable:
-        """The table of Instance rows, as they are: nothing is checked."""
-        rows = list(rows)
-        zero_vec, zero_attrs = (0.0,) * schema.image_dim, (0,) * schema.trigger_attr_count
-        image = [isinstance(r.trigger, TriggerImage) for r in rows]
-        product = [isinstance(r.trigger, TriggerProduct) for r in rows]
-        columns = {
-            "scenario": [r.scenario for r in rows],
-            "user": [r.user for r in rows],
-            "user_attrs": [r.user_attrs for r in rows],
-            "beh_len": [len(r.behavior) for r in rows],
-            "beh_items": [item for r in rows for item, _ in r.behavior],
-            "beh_attrs": [attrs for r in rows for _, attrs in r.behavior],
-            "target_item": [r.target_item for r in rows],
-            "target_attrs": [r.target_attrs for r in rows],
-            "trigger_kind": [
-                TRIGGER_IMAGE if i else TRIGGER_PRODUCT if p else TRIGGER_NONE for i, p in zip(image, product)
-            ],
-            "image_vec": [r.trigger.vec if i else zero_vec for r, i in zip(rows, image)],
-            "trig_item": [r.trigger.item if p else 0 for r, p in zip(rows, product)],
-            "trig_attrs": [r.trigger.attrs if p else zero_attrs for r, p in zip(rows, product)],
-            "context": [r.context for r in rows],
-            "label": [r.label for r in rows],
-        }
-        arrays = {}
-        for name, values in columns.items():
-            dtype = np.float64 if name == "image_vec" else np.int8 if name == "trigger_kind" else np.int64
-            arr = np.array(values, dtype=dtype)
-            arrays[name] = arr.reshape(len(values), getattr(schema, _WIDTHS[name])) if name in _WIDTHS else arr
-        lengths = arrays["beh_len"]
-        return cls(beh_start=np.cumsum(lengths) - lengths, **arrays)
-
     def __len__(self) -> int:
         return len(self.label)
 
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            n = len(self)
-            if not -n <= key < n:
-                raise IndexError(f"row {key} outside a table of {n}")
-            key = int(key) % n
-            return next(iter(self[key:key + 1]))
+    def __getitem__(self, key) -> InstanceTable:
+        if not isinstance(key, slice) and np.ndim(key) == 0:  # an int makes 0-d columns, a bool adds an axis
+            raise TypeError(
+                f"InstanceTable keys are slices, index arrays or masks, not {type(key).__name__}: "
+                "row i on its own is table[i:i + 1]"
+            )
         return replace(self, **{name: getattr(self, name)[key] for name in self._ROW_COLUMNS})
 
     def _behavior_positions(self) -> np.ndarray:
@@ -196,37 +130,6 @@ class InstanceTable:
         attrs = np.full((len(self), m, self.beh_attrs.shape[1]), attr_pad, dtype=np.int64)
         attrs[valid] = self.beh_attrs[pos]
         return items, attrs, valid
-
-    def __iter__(self):
-        pos = self._behavior_positions()
-        beh_items, beh_attrs = self.beh_items[pos].tolist(), list(map(tuple, self.beh_attrs[pos].tolist()))
-        start = 0
-        rows = zip(
-            self.scenario.tolist(), self.user.tolist(), map(tuple, self.user_attrs.tolist()), self.beh_len.tolist(),
-            self.target_item.tolist(), map(tuple, self.target_attrs.tolist()), self.trigger_kind.tolist(),
-            self.image_vec.tolist(), self.trig_item.tolist(), map(tuple, self.trig_attrs.tolist()),
-            map(tuple, self.context.tolist()), self.label.tolist(),
-        )
-        for scenario, user, user_attrs, length, target, target_attrs, kind, vec, item, attrs, context, label in rows:
-            if kind == TRIGGER_IMAGE:
-                trigger = TriggerImage(vec=tuple(vec))
-            elif kind == TRIGGER_PRODUCT:
-                trigger = TriggerProduct(item=item, attrs=attrs)
-            else:
-                trigger = None
-            end = start + length
-            yield Instance(
-                scenario=scenario,
-                user=user,
-                user_attrs=user_attrs,
-                behavior=tuple(zip(beh_items[start:end], beh_attrs[start:end])),
-                target_item=target,
-                target_attrs=target_attrs,
-                trigger=trigger,
-                context=context,
-                label=label,
-            )
-            start = end
 
     def __eq__(self, other):
         if not isinstance(other, InstanceTable):
@@ -482,26 +385,30 @@ def _build_manifest(cfg, instances, clean_probs) -> DatasetManifest:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _trigger_to_json(trigger):
-    if trigger is None:
-        return None
-    if isinstance(trigger, TriggerImage):
-        return {"kind": "image", "vec": list(trigger.vec)}
-    return {"kind": "product", "item": trigger.item, "attrs": list(trigger.attrs)}
-
-
-def _instance_to_json(inst: Instance) -> dict:
-    return {
-        "scenario": inst.scenario,
-        "user": inst.user,
-        "user_attrs": list(inst.user_attrs),
-        "behavior": [[item, list(attrs)] for item, attrs in inst.behavior],
-        "target_item": inst.target_item,
-        "target_attrs": list(inst.target_attrs),
-        "trigger": _trigger_to_json(inst.trigger),
-        "context": list(inst.context),
-        "label": inst.label,
-    }
+def _objects_of(table: InstanceTable):
+    """Each row of ``table``, in order, as the JSON object of its line: the
+    inverse of ``_table_of``. Every value is a Python int, float or list."""
+    pos = table._behavior_positions()
+    pairs = list(map(list, zip(table.beh_items[pos].tolist(), table.beh_attrs[pos].tolist())))
+    triggers = (
+        None if kind == TRIGGER_NONE else {"kind": "image", "vec": vec} if kind == TRIGGER_IMAGE
+        else {"kind": "product", "item": item, "attrs": attrs}
+        for kind, vec, item, attrs in zip(
+            table.trigger_kind.tolist(), table.image_vec.tolist(), table.trig_item.tolist(), table.trig_attrs.tolist()
+        )
+    )
+    rows = zip(
+        table.scenario.tolist(), table.user.tolist(), table.user_attrs.tolist(), table.beh_len.tolist(),
+        table.target_item.tolist(), table.target_attrs.tolist(), triggers, table.context.tolist(), table.label.tolist(),
+    )
+    start = 0
+    for scenario, user, user_attrs, length, target, target_attrs, trigger, context, label in rows:
+        yield {
+            "scenario": scenario, "user": user, "user_attrs": user_attrs, "behavior": pairs[start:start + length],
+            "target_item": target, "target_attrs": target_attrs, "trigger": trigger, "context": context,
+            "label": label,
+        }
+        start += length
 
 
 def manifest_path(path: str | Path) -> Path:
@@ -524,10 +431,8 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
     manifest = (json.dumps(manifest_to_json(dataset.manifest), indent=2) + "\n").encode("utf-8")
     with atomic_writer(manifest_path(path)) as mfh:
         with atomic_writer(path) as fh:
-            fh.writelines(
-                (json.dumps(_instance_to_json(inst), separators=(",", ":")) + "\n").encode("utf-8")
-                for inst in dataset.instances
-            )
+            encode = json.JSONEncoder(separators=(",", ":")).encode
+            fh.writelines((encode(obj) + "\n").encode("utf-8") for obj in _objects_of(dataset.instances))
         mfh.write(manifest)
 
 

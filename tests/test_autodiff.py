@@ -1,13 +1,15 @@
 """Autodiff core: forward values, gradients vs central differences, invariants."""
 
+import ast
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_gradient, max_rel_err
+from helpers import fd_gradient, max_rel_err, mean_last, power, sub
 
 from maria import autodiff as ad
 
@@ -131,9 +133,9 @@ def _random_composite(g: ad.Graph, params: list[ad.Value], rng: np.random.Genera
     joined = ad.concat([s, t], axis=-1)
     r = ad.reshape(joined, (10,))
     picked = ad.take_rows(joined, np.array([0, 1, 1]))
-    total = ad.add(ad.sum_all(ad.power(ad.shift(ad.mean_last(picked), 2.0), 2.0)), ad.sum_all(r))
+    total = ad.add(ad.sum_all(power(ad.shift(mean_last(picked), 2.0), 2.0)), ad.sum_all(r))
     mean_sq = ad.scale(ad.sum_all(ad.mul(h, h)), 1.0 / h.size)
-    return ad.add(total, ad.sum_all(ad.power(ad.shift(mean_sq, 1.0), 0.5)))
+    return ad.add(total, ad.sum_all(power(ad.shift(mean_sq, 1.0), 0.5)))
 
 
 def test_gradients_match_central_differences_on_composites():
@@ -234,7 +236,7 @@ def test_reverse_sweep_agrees_with_independent_topological_backward():
             elif op == 2:
                 pool.append(ad.sigmoid(x))
             elif op == 3:
-                pool.append(ad.relu(ad.sub(x, y)))
+                pool.append(ad.relu(sub(x, y)))
             else:
                 pool.append(ad.softmax_last(x))
         loss = ad.sum_all(functools.reduce(ad.add, pool[3:], pool[0]))
@@ -555,7 +557,7 @@ def test_affine_rejects_bad_shapes(x_shape, w_shape, b_shape):
 _ROWS, _COLS = 3, 4
 _RECIPES = [
     lambda x, y, s: ad.add(x, y),  # g itself
-    lambda x, y, s: ad.sub(x, y),  # g itself (negated for y)
+    lambda x, y, s: sub(x, y),  # g itself (negated for y)
     lambda x, y, s: ad.mul(x, y),
     lambda x, y, s: ad.matmul(ad.matmul(x, ad.transpose_last2(y)), x),  # transpose_last2: view
     lambda x, y, s: ad.affine(x, s["w"], s["b"]),
@@ -564,8 +566,8 @@ _RECIPES = [
     lambda x, y, s: ad.reshape(ad.reshape(x, (_COLS, _ROWS)), (_ROWS, _COLS)),  # view
     lambda x, y, s: ad.add(x, ad.sum_last(y, keepdims=True)),  # sum_last: g itself, broadcast
     lambda x, y, s: ad.mul(x, ad.reshape(ad.sum_last(y), (_ROWS, 1))),  # sum_last: expand_dims view
-    lambda x, y, s: ad.add(x, ad.mean_last(y, keepdims=True)),
-    lambda x, y, s: ad.mul(y, ad.reshape(ad.mean_last(x), (_ROWS, 1))),
+    lambda x, y, s: ad.add(x, mean_last(y, keepdims=True)),
+    lambda x, y, s: ad.mul(y, ad.reshape(mean_last(x), (_ROWS, 1))),
     lambda x, y, s: ad.mul(x, ad.pair_dots([x, y])),
     lambda x, y, s: ad.mul_groups(x, ad.slice_last(y, 0, 2), (1, 3)),  # x takes g * w: fresh
     lambda x, y, s: ad.shift(x, s["c"]),  # view: g itself
@@ -577,7 +579,7 @@ _RECIPES = [
     lambda x, y, s: ad.softmax_last(x),
     lambda x, y, s: ad.clamp(x, -0.5, 0.5),
     lambda x, y, s: ad.log(ad.shift(ad.mul(x, x), 1.0)),
-    lambda x, y, s: ad.power(ad.shift(ad.mul(x, x), 1.0), 1.5),
+    lambda x, y, s: power(ad.shift(ad.mul(x, x), 1.0), 1.5),
     lambda x, y, s: ad.mul(ad.stop_gradient(x), y),
     lambda x, y, s: ad.reshape(ad.affine(ad.reshape(x, (1, _ROWS, _COLS)), s["w"], s["b"]), (_ROWS, _COLS)),
     lambda x, y, s: ad.reshape(ad.matmul(ad.reshape(y, (_ROWS, 1, _COLS)), s["w"]), (_ROWS, _COLS)),
@@ -775,10 +777,10 @@ def test_one_column_products_match_central_differences(lead, op):
 
 def _composed_layer_norm(x, gain, bias, eps=1e-5):
     """The composition that ad.layer_norm replaces, kept as its reference."""
-    mu = ad.mean_last(x, keepdims=True)
-    centered = ad.sub(x, mu)
-    var = ad.mean_last(ad.mul(centered, centered), keepdims=True)
-    inv = ad.power(ad.shift(var, eps), -0.5)
+    mu = mean_last(x, keepdims=True)
+    centered = sub(x, mu)
+    var = mean_last(ad.mul(centered, centered), keepdims=True)
+    inv = power(ad.shift(var, eps), -0.5)
     return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
 
 
@@ -1358,3 +1360,34 @@ def test_pair_dots_and_mul_groups_reject_bad_operands():
     for w_shape, widths in [((3, 2), (2, 1)), ((3, 2), (1, 2, 1)), ((2, 2), (2, 2)), ((3, 2), (4, 0))]:
         with pytest.raises(ad.ShapeError, match="mul_groups"):
             ad.mul_groups(x, g.constant(np.zeros(w_shape)), widths)
+
+
+# ---------------------------------------------------------------------------
+# the primitive set: no public name that only the tests use
+# ---------------------------------------------------------------------------
+
+def _autodiff_names_used(module: ast.Module) -> set[str]:
+    """The names a module takes from ``maria.autodiff``: its ``ad.X`` and
+    ``autodiff.X`` attributes and the names of its ``from .autodiff import``."""
+    used = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("ad", "autodiff"):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "maria.autodiff"):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_autodiff_function_and_class_is_used_by_the_package():
+    # A primitive that only the tests call lives in the tests, as the
+    # layer_norm reference's sub, power and mean_last do in helpers.py.
+    source = Path(ad.__file__)
+    defined = {
+        node.name for node in ast.parse(source.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = set().union(*(
+        _autodiff_names_used(ast.parse(path.read_text())) for path in source.parent.glob("*.py") if path != source
+    ))
+    assert len(defined) > 20  # the parse found the primitives
+    assert sorted(defined - used) == []

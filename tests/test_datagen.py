@@ -19,7 +19,7 @@ from maria import autodiff as ad
 from maria import datagen
 from maria.benchmark import benchmark_config
 from maria.config import ConfigError, build_run_config
-from maria.datagen import DataError, TriggerImage, TriggerProduct
+from maria.datagen import DataError
 
 
 def small_cfg(**over):
@@ -99,9 +99,9 @@ def test_sigmoids_saturate_without_overflow_warnings():
         warnings.simplefilter("error")
         dataset, clean_probs = datagen.generate(cfg)
         out = ad.sigmoid(ad.Graph(seed=0).parameter([-800.0, 0.0, 800.0])).data
-    labels = {inst.scenario: set() for inst in dataset.instances}
-    for inst in dataset.instances:
-        labels[inst.scenario].add(inst.label)
+    labels = {}
+    for obj in datagen._objects_of(dataset.instances):
+        labels.setdefault(obj["scenario"], set()).add(obj["label"])
     assert labels == {0: {0}, 1: {1}}
     assert set(clean_probs.tolist()) == {0.0, 1.0}
     assert out.tolist() == [0.0, 0.5, 1.0]
@@ -119,15 +119,15 @@ def test_auto_importance_masks_are_disjoint():
 def test_instances_respect_vocab_and_schema():
     cfg = small_cfg()
     dataset, _ = datagen.generate(cfg)
-    for inst in dataset.instances[:50]:
-        assert 0 <= inst.user < cfg.vocab.users
-        assert len(inst.user_attrs) == cfg.schema.user_attr_count
-        assert 1 <= len(inst.behavior) <= cfg.schema.max_behavior_len
-        assert all(0 <= it < cfg.vocab.items for it, _ in inst.behavior)
-        assert isinstance(inst.trigger, TriggerProduct)
-        assert len(inst.trigger.attrs) == cfg.schema.trigger_attr_count
-        assert len(inst.context) == cfg.schema.context_attr_count
-        assert inst.label in (0, 1)
+    for obj in datagen._objects_of(dataset.instances[:50]):
+        assert 0 <= obj["user"] < cfg.vocab.users
+        assert len(obj["user_attrs"]) == cfg.schema.user_attr_count
+        assert 1 <= len(obj["behavior"]) <= cfg.schema.max_behavior_len
+        assert all(0 <= it < cfg.vocab.items for it, _ in obj["behavior"])
+        assert obj["trigger"]["kind"] == "product"
+        assert len(obj["trigger"]["attrs"]) == cfg.schema.trigger_attr_count
+        assert len(obj["context"]) == cfg.schema.context_attr_count
+        assert obj["label"] in (0, 1)
 
 
 def test_image_and_recommendation_modes():
@@ -136,7 +136,8 @@ def test_image_and_recommendation_modes():
         "dim.trigger": "8", "schema.image_dim": "8", "gen.count": "30",
     })
     img_ds, _ = datagen.generate(img_cfg)
-    assert all(isinstance(i.trigger, TriggerImage) and len(i.trigger.vec) == 8 for i in img_ds.instances)
+    triggers = [o["trigger"] for o in datagen._objects_of(img_ds.instances)]
+    assert all(t["kind"] == "image" and len(t["vec"]) == 8 for t in triggers)
 
     rec_cfg = small_cfg(**{
         "scenario.0.trigger_kind": "none", "scenario.1.trigger_kind": "none",
@@ -144,12 +145,27 @@ def test_image_and_recommendation_modes():
     })
     rec_ds, _ = datagen.generate(rec_cfg)
     assert rec_ds.manifest.trigger_mode == "recommendation"
-    assert all(i.trigger is None for i in rec_ds.instances)
+    assert all(o["trigger"] is None for o in datagen._objects_of(rec_ds.instances))
 
 
-def test_write_read_round_trip(tmp_path):
-    cfg = small_cfg(**{"gen.count": "120"})
+_MIXES = {
+    "product": {},
+    "image_product": {"scenario.0.trigger_kind": "image", "dim.trigger": "8", "schema.image_dim": "8"},
+    "recommendation": {
+        "scenario.0.trigger_kind": "none", "scenario.1.trigger_kind": "none", "schema.trigger_attrs": "0",
+    },
+}
+
+
+@pytest.mark.parametrize("mix, gathered", [
+    ("product", False), ("image_product", False), ("recommendation", False), ("image_product", True),
+], ids=["product", "image_product", "recommendation", "gathered"])
+def test_write_read_round_trip(tmp_path, mix, gathered):
+    cfg = small_cfg(**{"gen.count": "120", **_MIXES[mix]})
     dataset, _ = datagen.generate(cfg)
+    if gathered:  # every third row, last first: the rows' behaviour entries are not in row order
+        rows = dataset.instances[np.arange(0, 120, 3)[::-1]]
+        dataset = datagen.Dataset(dataclasses.replace(dataset.manifest, count=len(rows)), rows)
     path = tmp_path / "train.jsonl"
     datagen.write_jsonl(dataset, path)
     assert (tmp_path / "train.jsonl.manifest.json").exists()
@@ -167,22 +183,21 @@ def test_failed_write_leaves_the_old_data_and_manifest(tmp_path, monkeypatch):
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     new, _ = datagen.generate(small_cfg(**{"gen.count": "40", "gen.seed": "9"}))
 
-    real = datagen._instance_to_json
-    written = []
+    real = datagen._objects_of
 
-    def fail_midway(inst):
-        if len(written) == 20:
-            raise RuntimeError("midway")
-        written.append(inst)
-        return real(inst)
+    def fail_midway(table):
+        for k, obj in enumerate(real(table)):
+            if k == 20:
+                raise RuntimeError("midway")
+            yield obj
 
-    monkeypatch.setattr(datagen, "_instance_to_json", fail_midway)
+    monkeypatch.setattr(datagen, "_objects_of", fail_midway)
     with pytest.raises(RuntimeError, match="midway"):
         datagen.write_jsonl(new, path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert datagen.read_jsonl(path).instances == old.instances
 
-    monkeypatch.setattr(datagen, "_instance_to_json", real)
+    monkeypatch.setattr(datagen, "_objects_of", real)
     datagen.write_jsonl(new, path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.jsonl", "train.jsonl.manifest.json"]
     assert datagen.read_jsonl(path).manifest == new.manifest
@@ -342,8 +357,8 @@ def test_image_vec_floats_survive_round_trip(tmp_path):
     path = tmp_path / "img.jsonl"
     datagen.write_jsonl(dataset, path)
     loaded = datagen.read_jsonl(path)
-    for a, b in zip(dataset.instances, loaded.instances):
-        assert a.trigger.vec == b.trigger.vec  # bitwise float round trip
+    got, want = loaded.instances.image_vec, dataset.instances.image_vec
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())  # bitwise float round trip
 
 
 def write_small(tmp_path, count=8):
@@ -501,7 +516,7 @@ def _mutated_file(tmp_path, kind, mutate):
     path = tmp_path / "d.jsonl"
     datagen.write_jsonl(dataset, path)
     lines = path.read_text().splitlines()
-    k = max(i for i, inst in enumerate(dataset.instances) if inst.scenario == ("image", "product").index(kind))
+    k = int(np.flatnonzero(dataset.instances.scenario == ("image", "product").index(kind))[-1])
     obj = json.loads(lines[k])
     mutate(obj)
     lines[k] = json.dumps(obj)
@@ -594,6 +609,22 @@ def test_batch_iter_partitions_and_shuffles():
         list(datagen.batch_iter(dataset.instances, 0))
 
 
+@pytest.mark.parametrize(
+    "key", [0, -1, True, np.int64(2), np.bool_(True), np.array(1)],
+    ids=["int", "negative_int", "bool", "numpy_int", "numpy_bool", "zero_d_array"],
+)
+def test_a_scalar_key_is_refused(key):
+    # An int would index every column to a scalar and a bool add an axis to
+    # it; neither gives a table.
+    table = datagen.generate(small_cfg(**{"gen.count": "5"}))[0].instances
+    with pytest.raises(TypeError, match=r"not \w+: row i on its own is table\[i:i \+ 1\]"):
+        table[key]
+    with pytest.raises(TypeError, match="not int"):  # iteration asks for table[0]; rows are _objects_of's
+        list(table)
+    assert table[1:2] == table[np.array([1])] == table[np.arange(5) == 1]
+    assert len(table[1:2]) == 1
+
+
 def test_stable_unit_range_and_determinism():
     vals = [datagen.stable_unit("item", k) for k in range(200)]
     assert all(-1.0 <= v <= 1.0 for v in vals)
@@ -641,7 +672,8 @@ def _fuzz_source(mode):
 def _instance_parser(manifest: datagen.DatasetManifest):
     """Per-file instance validator: resolves the manifest's vocab, schema and
     trigger kinds once, and formats a message only for a check that fails.
-    ``parse(obj, lineno)`` returns the Instance or raises ``line N: ...``."""
+    ``parse(obj, lineno)`` returns the instance object as the reader's
+    table writes it back out, or raises ``line N: ...``."""
     vocab = manifest.vocab
     schema = manifest.schema
     n_scenarios, n_users, n_items = vocab.scenarios, vocab.users, vocab.items
@@ -655,9 +687,9 @@ def _instance_parser(manifest: datagen.DatasetManifest):
         for v in raw:
             if not (type(v) is int and 0 <= v < bound):
                 raise DataError(f"line {lineno}: {name}: id {v!r} outside [0, {bound})")
-        return tuple(raw)
+        return list(raw)
 
-    def parse(obj, lineno: int) -> datagen.Instance:
+    def parse(obj, lineno: int) -> dict:
         if not isinstance(obj, dict):
             raise DataError(f"line {lineno}: instance is not a JSON object")
         if obj.keys() != datagen._INSTANCE_KEYS:
@@ -684,7 +716,7 @@ def _instance_parser(manifest: datagen.DatasetManifest):
             item, attrs = entry
             if not (type(item) is int and 0 <= item < n_items):
                 raise DataError(f"line {lineno}: behavior: item {item!r} outside [0, {n_items})")
-            behavior.append((item, ids(attrs, lineno, "behavior attrs", schema.item_attr_count, vocab.item_attrs)))
+            behavior.append([item, ids(attrs, lineno, "behavior attrs", schema.item_attr_count, vocab.item_attrs)])
 
         target = obj["target_item"]
         if not (type(target) is int and 0 <= target < n_items):
@@ -713,7 +745,7 @@ def _instance_parser(manifest: datagen.DatasetManifest):
                     raise DataError(f"line {lineno}: trigger: vec entries must be finite numbers")
                 if raw_trig.keys() != {"kind", "vec"}:
                     raise DataError(f"line {lineno}: trigger: image payload holds kind and vec only")
-                trigger = TriggerImage(vec=tuple(map(float, vec)))
+                trigger = {"kind": "image", "vec": list(map(float, vec))}
             else:
                 item = raw_trig.get("item")
                 if not (type(item) is int and 0 <= item < n_items):
@@ -721,24 +753,24 @@ def _instance_parser(manifest: datagen.DatasetManifest):
                 attrs = ids(raw_trig.get("attrs"), lineno, "trigger attrs", schema.trigger_attr_count, vocab.trigger_attrs)
                 if raw_trig.keys() != {"kind", "item", "attrs"}:
                     raise DataError(f"line {lineno}: trigger: product payload holds kind, item, attrs only")
-                trigger = TriggerProduct(item=item, attrs=attrs)
+                trigger = {"kind": "product", "item": item, "attrs": attrs}
 
         context = ids(obj["context"], lineno, "context", schema.context_attr_count, vocab.context_attrs)
         label = obj["label"]
         if type(label) is bool or label not in (0, 1):
             raise DataError(f"line {lineno}: label: {label!r} is not 0 or 1")
 
-        return datagen.Instance(
-            scenario=sid,
-            user=user,
-            user_attrs=user_attrs,
-            behavior=tuple(behavior),
-            target_item=target,
-            target_attrs=target_attrs,
-            trigger=trigger,
-            context=context,
-            label=label,
-        )
+        return {
+            "scenario": sid,
+            "user": user,
+            "user_attrs": user_attrs,
+            "behavior": behavior,
+            "target_item": target,
+            "target_attrs": target_attrs,
+            "trigger": trigger,
+            "context": context,
+            "label": label,
+        }
 
     return parse
 
@@ -941,5 +973,5 @@ def test_read_jsonl_matches_the_line_validator(mode, edit, data):
         path.write_bytes(b"\n".join(lines) + b"\n")
         datagen.manifest_path(path).write_bytes(manifest)
         want = outcome(_line_reader, path)
-        got = outcome(lambda p: list(datagen.read_jsonl(p).instances), path)
+        got = outcome(lambda p: list(datagen._objects_of(datagen.read_jsonl(p).instances)), path)
     assert got == want

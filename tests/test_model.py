@@ -1,6 +1,5 @@
 """Model assembly: forward oracle, gradients, grouping, coupling, baselines, checkpoints."""
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import BENCHMARK_STEP_NODES, max_rel_err
+from helpers import BENCHMARK_STEP_NODES, max_rel_err, table_of_objects
 from maria import autodiff as ad
 from maria import checkpoint as ckpt
 from maria import config as cfgmod
@@ -19,7 +18,6 @@ from maria import datagen, model as mdl, training
 from maria.autodiff import Graph
 from maria.benchmark import benchmark_config
 from maria.config import build_run_config
-from maria.datagen import InstanceTable
 from maria.fileio import atomic_writer
 from maria.layers import Fcn
 from maria.model import BaselineModel, bce_loss, build_model, make_batch
@@ -363,8 +361,8 @@ def test_rows_are_independent_across_batching():
         "gen.count": "8", "gen.seed": "2",
     })
     dataset, _ = datagen.generate(cfg)
-    kinds = {type(i.trigger) for i in dataset.instances}
-    assert len(kinds) == 2  # mixed image and product rows in one batch
+    kinds = set(dataset.instances.trigger_kind.tolist())
+    assert kinds == {datagen.TRIGGER_IMAGE, datagen.TRIGGER_PRODUCT}  # mixed image and product rows in one batch
     graph = Graph(seed=1, dtype=np.float64)
     model = build_model(graph, cfg, seed=3)
     batch = make_batch(dataset.instances, cfg.vocab, cfg.schema, cfg.trigger_mode)
@@ -418,17 +416,17 @@ def test_four_field_layout_without_attribute_or_context_slots():
 def test_make_batch_validation():
     cfg, graph, model, batch = build_tiny()
     dataset, _ = datagen.generate(tiny_cfg())
-    inst = dataset.instances[0]
+    (inst,) = datagen._objects_of(dataset.instances[:1])
 
     def table(row):
-        return InstanceTable.from_rows([row], cfg.schema)
+        return table_of_objects([row], cfg.schema)
 
-    no_trigger = dataclasses.replace(inst, trigger=None)
+    no_trigger = {**inst, "trigger": None}
     with pytest.raises(ValueError, match="missing trigger"):
         make_batch(table(no_trigger), cfg.vocab, cfg.schema, "search")
     with pytest.raises(ValueError, match="trigger present"):
         make_batch(table(inst), cfg.vocab, cfg.schema, "recommendation")
-    too_long = dataclasses.replace(inst, behavior=inst.behavior * 5)
+    too_long = {**inst, "behavior": inst["behavior"] * 5}
     with pytest.raises(ValueError, match="behavior length"):
         make_batch(table(too_long), cfg.vocab, cfg.schema, "search")
 
@@ -441,7 +439,7 @@ def test_product_triggers_with_no_trigger_attribute_slots():
     instances = datagen.generate(cfg)[0].instances
     batch = make_batch(instances, cfg.vocab, cfg.schema, cfg.trigger_mode)
     assert batch.trig_attrs.shape == (9, 0)
-    np.testing.assert_array_equal(batch.trig_items, [inst.trigger.item for inst in instances])
+    np.testing.assert_array_equal(batch.trig_items, [obj["trigger"]["item"] for obj in datagen._objects_of(instances)])
     assert not batch.is_image.any()
     model = build_model(Graph(seed=1), cfg, seed=3)
     score = model.forward(batch, mode="eval").score.data
@@ -449,8 +447,8 @@ def test_product_triggers_with_no_trigger_attribute_slots():
 
 
 def loop_make_batch(instances, vocab, schema, trigger_mode) -> mdl.Batch:
-    """The per-row loop over Instance rows that ``make_batch`` replaced: the
-    reference its column build must equal byte for byte."""
+    """The per-row loop over instance objects that ``make_batch`` replaced:
+    the reference its column build must equal byte for byte."""
     b = len(instances)
     m = schema.max_behavior_len
     big_l, big_p, big_o = schema.user_attr_count, schema.item_attr_count, schema.trigger_attr_count
@@ -472,30 +470,31 @@ def loop_make_batch(instances, vocab, schema, trigger_mode) -> mdl.Batch:
     labels = np.empty(b, dtype=np.float64)
 
     for i, inst in enumerate(instances):
-        scenario[i] = inst.scenario
-        user[i] = inst.user
-        user_attrs[i] = inst.user_attrs
-        length = len(inst.behavior)
+        scenario[i] = inst["scenario"]
+        user[i] = inst["user"]
+        user_attrs[i] = inst["user_attrs"]
+        length = len(inst["behavior"])
         if not (1 <= length <= m):
             raise ValueError(f"instance {i}: behavior length {length} outside [1, {m}]")
-        for k, (item, attrs) in enumerate(inst.behavior):
+        for k, (item, attrs) in enumerate(inst["behavior"]):
             col = m - length + k
             beh_items[i, col] = item
             beh_attrs[i, col] = attrs
             valid[i, col] = 1.0
-        target[i] = inst.target_item
-        target_attrs[i] = inst.target_attrs
-        context[i] = inst.context
-        labels[i] = inst.label
+        target[i] = inst["target_item"]
+        target_attrs[i] = inst["target_attrs"]
+        context[i] = inst["context"]
+        labels[i] = inst["label"]
+        trigger = inst["trigger"]
         if trigger_mode == "recommendation":
-            if inst.trigger is not None:
+            if trigger is not None:
                 raise ValueError(f"instance {i}: trigger present in a trigger-free model")
-        elif isinstance(inst.trigger, datagen.TriggerImage):
+        elif trigger is not None and trigger["kind"] == "image":
             is_image[i] = True
-            image_vecs[i] = inst.trigger.vec
-        elif isinstance(inst.trigger, datagen.TriggerProduct):
-            trig_items[i] = inst.trigger.item
-            trig_attrs[i] = inst.trigger.attrs
+            image_vecs[i] = trigger["vec"]
+        elif trigger is not None and trigger["kind"] == "product":
+            trig_items[i] = trigger["item"]
+            trig_attrs[i] = trigger["attrs"]
         else:
             raise ValueError(f"instance {i}: missing trigger in a trigger-driven model")
 
@@ -525,31 +524,32 @@ def _batch_recipes(draw):
     m = schema.max_behavior_len
 
     def ids(count, bound):
-        return draw(st.tuples(*[st.integers(0, bound - 1)] * count))
+        return list(draw(st.tuples(*[st.integers(0, bound - 1)] * count)))
 
     def trigger(kind):
         if kind == "image":
-            return datagen.TriggerImage(vec=draw(st.tuples(*[st.floats(width=64)] * schema.image_dim)))
+            return {"kind": "image", "vec": list(draw(st.tuples(*[st.floats(width=64)] * schema.image_dim)))}
         if kind == "product":
-            return datagen.TriggerProduct(item=draw(st.integers(0, v.items - 1)), attrs=ids(schema.trigger_attr_count, v.trigger_attrs))
+            item = draw(st.integers(0, v.items - 1))
+            return {"kind": "product", "item": item, "attrs": ids(schema.trigger_attr_count, v.trigger_attrs)}
         return None
 
     def behavior(length):
-        return tuple((draw(st.integers(0, v.items - 1)), ids(schema.item_attr_count, v.item_attrs)) for _ in range(length))
+        return [[draw(st.integers(0, v.items - 1)), ids(schema.item_attr_count, v.item_attrs)] for _ in range(length)]
 
     kinds = ["image", "product"] if mode == "search" else ["none"]
     rows = [
-        datagen.Instance(
-            scenario=draw(st.integers(0, v.scenarios - 1)),
-            user=draw(st.integers(0, v.users - 1)),
-            user_attrs=ids(schema.user_attr_count, v.user_attrs),
-            behavior=behavior(draw(st.integers(1, m))),
-            target_item=draw(st.integers(0, v.items - 1)),
-            target_attrs=ids(schema.item_attr_count, v.item_attrs),
-            trigger=trigger(draw(st.sampled_from(kinds))),
-            context=ids(schema.context_attr_count, v.context_attrs),
-            label=draw(st.integers(0, 1)),
-        )
+        {
+            "scenario": draw(st.integers(0, v.scenarios - 1)),
+            "user": draw(st.integers(0, v.users - 1)),
+            "user_attrs": ids(schema.user_attr_count, v.user_attrs),
+            "behavior": behavior(draw(st.integers(1, m))),
+            "target_item": draw(st.integers(0, v.items - 1)),
+            "target_attrs": ids(schema.item_attr_count, v.item_attrs),
+            "trigger": trigger(draw(st.sampled_from(kinds))),
+            "context": ids(schema.context_attr_count, v.context_attrs),
+            "label": draw(st.integers(0, 1)),
+        }
         for _ in range(draw(st.integers(1, 8)))
     ]
     for _ in range(draw(st.integers(0, 2))):
@@ -559,7 +559,7 @@ def _batch_recipes(draw):
             broken = {"behavior": behavior(draw(st.sampled_from([0, m + 1, m + 2])))}
         else:  # a missing trigger in search mode, a present one in recommendation mode
             broken = {"trigger": trigger("none" if mode == "search" else draw(st.sampled_from(["image", "product"])))}
-        rows[i] = dataclasses.replace(rows[i], **broken)
+        rows[i] = {**rows[i], **broken}
     order = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
     return mode, schema, rows, order
 
@@ -568,7 +568,7 @@ def _batch_recipes(draw):
 @given(recipe=_batch_recipes())
 def test_make_batch_equals_the_per_row_loop(recipe):
     mode, schema, rows, order = recipe
-    block = InstanceTable.from_rows(rows, schema)[np.array(order, dtype=np.int64)]
+    block = table_of_objects(rows, schema)[np.array(order, dtype=np.int64)]
 
     def build(fn, instances):
         try:
@@ -887,7 +887,7 @@ def test_each_benchmark_workload_builds_every_listed_op(workload):
 
 
 @functools.lru_cache(maxsize=None)
-def _benchmark_block() -> InstanceTable:
+def _benchmark_block() -> datagen.InstanceTable:
     return datagen.generate(benchmark_config(512, 3))[0].instances
 
 

@@ -13,7 +13,6 @@ from maria import checkpoint, datagen, metrics, training
 from maria.autodiff import Graph
 from maria.benchmark import benchmark_config, run_benchmark
 from maria.config import build_run_config
-from maria.datagen import InstanceTable
 from maria.model import build_model, make_batch, model_from_spec
 from maria.training import TrainingDiverged, ablate, evaluate, gradient_check, train
 
@@ -235,7 +234,8 @@ def test_early_stop_on_flat_eval():
         "gen.count": "200",
     })
     dataset, graph, model = make_run(cfg)
-    all_positive = InstanceTable.from_rows([dataclasses.replace(i, label=1) for i in dataset.instances[:50]], cfg.schema)
+    first = dataset.instances[:50]
+    all_positive = dataclasses.replace(first, label=np.ones_like(first.label))
     report = train(graph, model, dataset.instances, cfg.train, eval_instances=all_positive)
     assert report.stopped_early
     assert len(report.epoch_losses) == 1  # stopped after the first epoch's eval
@@ -449,7 +449,7 @@ def test_single_class_eval_warns():
     cfg = learnable_overrides(**{"train.epochs": "1", "gen.count": "120"})
     dataset, graph, model = make_run(cfg)
     train(graph, model, dataset.instances, cfg.train)
-    forced = InstanceTable.from_rows([dataclasses.replace(i, label=1) for i in dataset.instances], cfg.schema)
+    forced = dataclasses.replace(dataset.instances, label=np.ones_like(dataset.instances.label))
     report = evaluate(model, forced, batch_size=64)
     assert report.auc is None
     assert any("only one label class" in w for w in report.warnings)
