@@ -351,29 +351,11 @@ def _row_product(x: Value, w: Value, b: Value | None, op: str) -> Value:
 
 
 def matmul(a: Value, b: Value) -> Value:
-    """numpy matmul semantics: 2-d or stacked 3-d operands, broadcasting batch dims.
-
-    A 2-d or stacked ``a`` against a 2-d ``b`` runs as one GEMM over the
-    rows of ``a`` each way (see :func:`_row_product`).
-    """
-    if a.data.ndim < 1 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+    """``a @ b`` for a 2-d or stacked ``a`` and a 2-d ``b``: one GEMM over the
+    rows of ``a`` each way (see :func:`_row_product`)."""
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise _shape_error("matmul", a.shape, b.shape)
-    if a.data.ndim >= 2 and b.data.ndim == 2:
-        return _row_product(a, b, None, "matmul")
-    try:
-        out = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise _shape_error("matmul", a.shape, b.shape) from exc
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.shape), g)
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _unbroadcast(gb, b.shape), g)
-
-    return _node(a.graph, out, (a, b), "matmul", backward)
+    return _row_product(a, b, None, "matmul")
 
 
 def affine(x: Value, w: Value, b: Value) -> Value:
@@ -681,7 +663,8 @@ def attention(q: Value, k: Value, v: Value, mask: Value, scale: float) -> Value:
     ``mask`` broadcasts against the ``(batch, queries, keys)`` scores
     without widening them. The forward runs the numpy ops of the chain
     ``matmul(softmax_last(add(ad.scale(matmul(q, transpose_last2(k)),
-    scale), mask)), v)`` in its order, and the backward runs the chain's
+    scale), mask)), v)``, with the batched ``matmul`` that the tests keep
+    as its reference, in its order, and the backward runs the chain's
     recipes from its last node back, so values and grads hold its bits. Between the
     recipes the chain's grad buffers turn -0.0 into +0.0 and this node does
     not; the recipes only add and multiply, so that changes the sign of a

@@ -426,9 +426,19 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
     fails leaves the old pair in place. The data file is renamed first and
     the manifest right after; only a crash between the two renames leaves a
     new data file beside the old manifest.
+
+    A manifest whose ``count`` or ``scenario_counts`` differ from the rows'
+    raises ValueError, naming both, before either file is opened.
     """
     path = Path(path)
-    manifest = (json.dumps(manifest_to_json(dataset.manifest), indent=2) + "\n").encode("utf-8")
+    m, scenario = dataset.manifest, dataset.instances.scenario
+    per = {int(s): int(n) for s, n in zip(*np.unique(scenario, return_counts=True))}
+    if len(scenario) != m.count or per != {s: n for s, n in m.scenario_counts.items() if n}:
+        raise ValueError(
+            f"write_jsonl: {len(scenario)} instances with scenario counts {per}, "
+            f"but the manifest says {m.count} with {m.scenario_counts}"
+        )
+    manifest = (json.dumps(manifest_to_json(m), indent=2) + "\n").encode("utf-8")
     with atomic_writer(manifest_path(path)) as mfh:
         with atomic_writer(path) as fh:
             encode = json.JSONEncoder(separators=(",", ":")).encode

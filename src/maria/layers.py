@@ -1,4 +1,4 @@
-"""Neural building blocks: embeddings, FC stacks, transformer encoder, trigger attention.
+"""Neural building blocks: embeddings, FC stacks, transformer encoder, target attention on the trigger.
 
 Everything here works on batched inputs: vectors are rows of a (batch, width)
 Value and behavior sequences are (batch, length, width), with a (batch, length)
@@ -183,19 +183,13 @@ class SequenceEncoder:
         return h
 
 
-def trigger_attention(trigger: Value, seq: Value, sim_net: Fcn, valid: np.ndarray) -> Value:
-    """Pool encoded behaviors into one vector, weighted by trigger similarity.
-
-    Similarity of the (batch, width) trigger against each encoded behavior is
-    a learned function of their concatenation; weights are a softmax over
-    positions (padding masked out) and the result is the weighted sum of
-    behaviors.
-    """
+def trigger_attention(trigger: Value, seq: Value, query_net: Fcn, valid: np.ndarray) -> Value:
+    """Pool encoded behaviors into one vector by target attention (DIN, BST):
+    ``query_net`` maps the (batch, width) trigger to one query of the
+    sequence's width, and one :func:`ad.attention` node weighs the positions,
+    padding masked out, by the softmax of their scaled dot products with it."""
     if trigger.data.ndim != 2 or seq.data.ndim != 3 or trigger.shape[0] != seq.shape[0]:
         raise ShapeError(f"trigger_attention: trigger {trigger.shape} vs sequence {seq.shape}")
-    b, m, _ = seq.shape
-    tiled = ad.add(ad.reshape(trigger, (b, 1, trigger.shape[-1])), seq.graph.constant(np.zeros((b, m, 1))))
-    scores = ad.reshape(sim_net.forward(ad.concat([tiled, seq], axis=-1)), (b, m))
-    scores = ad.add(scores, seq.graph.constant((1.0 - np.asarray(valid, dtype=np.float64)) * MASK_OFF))
-    weights = ad.softmax_last(scores)
-    return ad.reshape(ad.matmul(ad.reshape(weights, (b, 1, m)), seq), (b, seq.shape[-1]))
+    b, _, d = seq.shape
+    q = ad.reshape(query_net.forward(trigger), (b, 1, d))
+    return ad.reshape(ad.attention(q, seq, seq, _additive_mask(seq.graph, valid), 1.0 / math.sqrt(d)), (b, d))

@@ -147,9 +147,9 @@ class EncoderBottom:
         else:
             self.trigger_head_width = self.item_width
             self.trigger_proj = None
-        self.sim_net = Fcn(
-            graph, rng, self.trigger_head_width + self.item_width, [1], ["linear"], f"{name}.trigger_sim"
-        )
+        # The trigger's attention query over the encoded behaviours; the
+        # "trigger_sim" name keeps it in the "trigger" parameter group.
+        self.query_net = Fcn(graph, rng, self.trigger_head_width, [self.item_width], ["linear"], f"{name}.trigger_sim")
         # Element widths per field in FIELD_ORDER; a schema without context
         # slots has no context field.
         widths = [
@@ -210,7 +210,7 @@ class EncoderBottom:
             head = item_field
             trig_field = item_field
 
-        pooled = trigger_attention(head, encoded, self.sim_net, batch.valid)
+        pooled = trigger_attention(head, encoded, self.query_net, batch.valid)
 
         values = {"behavior": pooled, "user": user_field, "item": item_field, "trigger": trig_field}
         if self.context_tab is not None:

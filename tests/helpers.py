@@ -15,7 +15,7 @@ from maria import datagen
 # Nodes that one step of each benchmark workload builds on a full block of
 # the benchmark recipe (test_model.py pins them). A change that fuses or adds
 # nodes on purpose re-pins these counts.
-BENCHMARK_STEP_NODES = {"train-maria": 156, "train-mmoe-b64": 89, "score-maria": 140}
+BENCHMARK_STEP_NODES = {"train-maria": 149, "train-mmoe-b64": 82, "score-maria": 133}
 
 
 def fd_gradient(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -103,6 +103,31 @@ def mean_last(x: ad.Value, keepdims: bool = False) -> ad.Value:
 
     out = ad._gemv_sum(x.data) / n
     return ad._node(x.graph, out if keepdims else out.reshape(x.shape[:-1]), (x,), "mean_last", backward)
+
+
+# ---------------------------------------------------------------------------
+# batched_matmul: the stacked 3-d x 3-d product of the per-head chain that
+# ad.attention replaced, kept with its backward recipe as its reference
+# ---------------------------------------------------------------------------
+
+def batched_matmul(a: ad.Value, b: ad.Value) -> ad.Value:
+    """numpy matmul semantics over stacked operands, broadcasting batch dims."""
+    if a.data.ndim < 1 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ad._shape_error("matmul", a.shape, b.shape)
+    try:
+        out = np.matmul(a.data, b.data)
+    except ValueError as exc:
+        raise ad._shape_error("matmul", a.shape, b.shape) from exc
+
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            ad._accumulate(a, ad._unbroadcast(ga, a.shape), g)
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            ad._accumulate(b, ad._unbroadcast(gb, b.shape), g)
+
+    return ad._node(a.graph, out, (a, b), "matmul", backward)
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,25 @@ def test_eval_rejects_mismatched_dataset(data_files, tmp_path, capsys):
     assert code == 2 and "incompatible" in err
 
 
+def test_eval_of_a_checkpoint_whose_parameter_shape_differs_from_its_model_exits_3(tmp_path, capsys):
+    """A checkpoint of the trigger scorer that pooled by ``[trigger;
+    behaviour] -> 1`` holds ``bottom.trigger_sim.w0`` as (t + d, 1); the
+    model its spec builds has the trigger query, (t, d). It is refused."""
+    data, path = tmp_path / "d.jsonl", tmp_path / "m.ckpt"
+    code, _, _ = run(capsys, "gen-data", *TINY, "--out", str(data), "--count", "40")
+    assert code == 0
+    overrides = dict(p.split("=", 1) for p in TINY[1::2])
+    model = build_model(Graph(seed=0), config.build_run_config({}, overrides))
+    params = [(n, v.data) for n, v in model.named_parameters()]
+    t, d = model.bottom.query_net.weights[0].shape
+    old = [(n, np.zeros((t + d, 1)) if n == "bottom.trigger_sim.w0" else a) for n, a in params]
+    checkpoint.save_checkpoint(path, model.spec(), old)
+    code, _, err = run(capsys, "eval", "--model", str(path), "--data", str(data))
+    assert code == 3, err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"parameter 'bottom.trigger_sim.w0': saved shape ({t + d}, 1), model expects ({t}, {d})" in err
+
+
 def test_eval_of_a_checkpoint_whose_spec_cannot_build_a_model_exits_3(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     code, _, _ = run(capsys, "gen-data", *TINY, "--out", str(data), "--count", "40")

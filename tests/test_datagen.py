@@ -165,7 +165,8 @@ def test_write_read_round_trip(tmp_path, mix, gathered):
     dataset, _ = datagen.generate(cfg)
     if gathered:  # every third row, last first: the rows' behaviour entries are not in row order
         rows = dataset.instances[np.arange(0, 120, 3)[::-1]]
-        dataset = datagen.Dataset(dataclasses.replace(dataset.manifest, count=len(rows)), rows)
+        counts = {s: int(np.sum(rows.scenario == s)) for s in dataset.manifest.scenario_counts}
+        dataset = datagen.Dataset(dataclasses.replace(dataset.manifest, count=len(rows), scenario_counts=counts), rows)
     path = tmp_path / "train.jsonl"
     datagen.write_jsonl(dataset, path)
     assert (tmp_path / "train.jsonl.manifest.json").exists()
@@ -174,6 +175,21 @@ def test_write_read_round_trip(tmp_path, mix, gathered):
     assert loaded.manifest == dataset.manifest
     manifest = datagen.read_manifest(path)
     assert (manifest.vocab, manifest.schema) == (cfg.vocab, cfg.schema)  # the records, not their dicts
+
+
+def test_a_manifest_that_does_not_count_the_rows_is_refused_before_any_file_opens(tmp_path):
+    dataset, _ = datagen.generate(small_cfg(**{"gen.count": "60"}))
+    m, rows = dataset.manifest, dataset.instances
+    sliced = datagen.Dataset(m, rows[:20])
+    swapped = dict(zip(m.scenario_counts, reversed(m.scenario_counts.values())))
+    assert swapped != m.scenario_counts
+    for bad, says in [
+        (sliced, "20 instances with scenario counts .* but the manifest says 60"),
+        (datagen.Dataset(dataclasses.replace(m, scenario_counts=swapped), rows), "60 instances .* says 60 with"),
+    ]:
+        with pytest.raises(ValueError, match=says):
+            datagen.write_jsonl(bad, tmp_path / "d.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_leaves_the_old_data_and_manifest(tmp_path, monkeypatch):

@@ -93,21 +93,6 @@ def test_fcn_gradients_match_central_differences():
         assert max_rel_err(got, fd_gradient(run, p.data)) <= 1e-4, name
 
 
-@pytest.fixture
-def softmax_outputs(monkeypatch):
-    """Every attention weight array the layers compute, in order."""
-    seen = []
-    softmax_last = ad.softmax_last
-
-    def recording(x):
-        out = softmax_last(x)
-        seen.append(out)
-        return out
-
-    monkeypatch.setattr(ad, "softmax_last", recording)
-    return seen
-
-
 _ATTENTION = ad.attention  # the node itself, not the recording of the fixture below
 
 
@@ -199,43 +184,50 @@ def test_sequence_encoder_adds_positions_and_respects_capacity():
         enc.forward(g.constant(rng.normal(size=(2, 5, 6))), np.ones((2, 5)))
 
 
-def test_trigger_attention_uniform_when_scores_equal(softmax_outputs):
+def _trigger_weights(attention_calls) -> np.ndarray:
+    """The (batch, positions) pooling weights of the one attention call, a
+    trigger attention, that the layers ran."""
+    ((q, k, v, mask, scale), _), = attention_calls
+    assert q.shape == (k.shape[0], 1, k.shape[2]) and v is k  # one query per row over the sequence
+    return _attention_weights(q, k, v, mask, scale)[:, 0, :]
+
+
+def test_trigger_attention_uniform_when_scores_equal(attention_calls):
     g = ad.Graph(seed=0)
     rng = np.random.default_rng(7)
-    sim = ly.Fcn(g, rng, in_dim=4 + 6, widths=[1], activations=["linear"], name="sim")
-    for w in sim.weights:
+    query = ly.Fcn(g, rng, in_dim=4, widths=[6], activations=["linear"], name="query")
+    for w in query.weights + query.biases:
         w.data[...] = 0.0
     trig = g.constant(rng.normal(size=(1, 4)))
     seq = g.constant(rng.normal(size=(1, 2, 6)))
-    pooled = ly.trigger_attention(trig, seq, sim, np.ones((1, 2)))
-    (weights,) = softmax_outputs
-    np.testing.assert_allclose(weights.data, [[0.5, 0.5]], atol=1e-12)
+    pooled = ly.trigger_attention(trig, seq, query, np.ones((1, 2)))
+    np.testing.assert_allclose(_trigger_weights(attention_calls), [[0.5, 0.5]], atol=1e-12)
     np.testing.assert_allclose(pooled.data, seq.data.mean(axis=1), atol=1e-12)
 
 
-def test_trigger_attention_masks_padding_positions(softmax_outputs):
+def test_trigger_attention_masks_padding_positions(attention_calls):
     g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(8)
-    sim = ly.Fcn(g, rng, in_dim=3 + 5, widths=[1], activations=["linear"], name="sim")
+    query = ly.Fcn(g, rng, in_dim=3, widths=[5], activations=["linear"], name="query")
     trig = g.constant(rng.normal(size=(2, 3)))
     seq = g.constant(rng.normal(size=(2, 4, 5)))
     valid = np.array([[0, 0, 1, 1], [1, 1, 1, 1]], dtype=float)
-    ly.trigger_attention(trig, seq, sim, valid)
-    (weights,) = softmax_outputs
-    assert weights.data[0, :2].max() < 1e-12
-    np.testing.assert_allclose(weights.data.sum(axis=-1), [1.0, 1.0], atol=1e-12)
+    ly.trigger_attention(trig, seq, query, valid)
+    weights = _trigger_weights(attention_calls)
+    assert weights[0, :2].max() < 1e-12
+    np.testing.assert_allclose(weights.sum(axis=-1), [1.0, 1.0], atol=1e-12)
 
 
 def test_trigger_attention_gradients_match_central_differences():
     g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(9)
-    sim = ly.Fcn(g, rng, in_dim=3 + 5, widths=[1], activations=["linear"], name="sim")
+    query = ly.Fcn(g, rng, in_dim=3, widths=[5], activations=["linear"], name="query")
     trig = g.parameter(rng.normal(size=(2, 3)))
     seq = g.parameter(rng.normal(size=(2, 4, 5)))
     valid = np.array([[0, 1, 1, 1], [1, 1, 1, 1]], dtype=float)
 
     def build():
-        return ad.sum_all(ad.sigmoid(ly.trigger_attention(trig, seq, sim, valid)))
+        return ad.sum_all(ad.sigmoid(ly.trigger_attention(trig, seq, query, valid)))
 
     ad.backward(build())
     for p in [trig, seq] + [v for _, v in g.params.items()]:

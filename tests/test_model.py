@@ -44,13 +44,13 @@ def tiny_cfg(**extra):
     return build_run_config(tiny_overrides(**extra))
 
 
-def build_tiny(mode_count=6, dtype=np.float64, **extra):
+def build_tiny(mode_count=6, dtype=np.float64, kind="maria", **extra):
     """A tiny model and batch; float64 by default, for the numpy oracles."""
     cfg = tiny_cfg(**({"gen.count": str(mode_count)} | extra))
     dataset, _ = datagen.generate(cfg)
     batch = make_batch(dataset.instances, cfg.vocab, cfg.schema, cfg.trigger_mode)
     graph = Graph(seed=5, dtype=dtype)
-    model = build_model(graph, cfg, seed=7)
+    model = build_model(graph, cfg, kind=kind, seed=7)
     return cfg, graph, model, batch
 
 
@@ -119,11 +119,10 @@ def straight_line_forward(cfg, params, batch):
     t_head = trig_in @ p["bottom.trigger_proj.w0"] + p["bottom.trigger_proj.b0"]
     trig_field = np.concatenate([t_head, trig_attr_flat], axis=-1)
 
-    tiled = np.broadcast_to(t_head[:, None, :], (b, m, t_head.shape[-1]))
-    sim_in = np.concatenate([tiled, encoded], axis=-1)
-    sims = (sim_in @ p["bottom.trigger_sim.w0"] + p["bottom.trigger_sim.b0"])[:, :, 0]
+    query = t_head @ p["bottom.trigger_sim.w0"] + p["bottom.trigger_sim.b0"]
+    sims = np.einsum("bd,bmd->bm", query, encoded) / np.sqrt(item_w)
     attn = _softmax(sims + (1.0 - batch.valid) * -1e30)
-    pooled = (attn[:, None, :] @ encoded)[:, 0, :]
+    pooled = np.einsum("bm,bmd->bd", attn, encoded)
 
     ctx_field = cattr[batch.context].reshape(b, n_c * d.context)
     e_s = scen_tab[batch.scenario]
@@ -215,6 +214,29 @@ def test_forward_matches_straight_line_oracle():
     assert np.max(np.abs(result.alpha.data - oracle_alpha)) <= 1e-10
 
 
+def test_rows_with_equal_behaviours_and_other_triggers_pool_them_differently(monkeypatch):
+    cfg, graph, model, batch = build_tiny()
+    for name in ("beh_items", "beh_attrs", "valid"):
+        getattr(batch, name)[1] = getattr(batch, name)[0]
+    assert batch.trig_items[0] != batch.trig_items[1]
+    calls = []
+    attention = ad.attention
+
+    def recording(q, k, v, mask, scale):
+        calls.append((q, k, mask, scale))
+        return attention(q, k, v, mask, scale)
+
+    monkeypatch.setattr(ad, "attention", recording)
+    model.forward(batch, mode="eval")
+    q, k, mask, scale = calls[-1]  # the trigger's query over the encoded behaviours
+    assert q.shape == (batch.size, 1, k.shape[2])
+    np.testing.assert_allclose(k.data[1], k.data[0], atol=1e-12)
+    scores = np.einsum("bqd,bmd->bqm", q.data, k.data) * scale + mask.data
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    assert np.abs(weights[1] - weights[0]).max() > 1e-3
+
+
 def test_layout_element_count_matches_schema():
     cfg, graph, model, batch = build_tiny()
     out = model.bottom.encode(batch)
@@ -279,6 +301,24 @@ def test_full_model_gradients_match_finite_differences():
             numeric.append((up - down) / (2 * eps))
     err = max_rel_err(np.array(analytic), np.array(numeric))
     assert err <= 1e-4, f"max relative gradient error {err}"
+
+
+@pytest.mark.parametrize("kind", mdl.MODEL_KINDS)
+def test_every_parameter_gets_a_gradient_in_one_training_step(kind):
+    """A parameter whose gradient is zero in every step never trains. Only
+    two are dead by design: the selector of a field with one refiner (see
+    ``FieldRefinement``), and the scenario table of the kinds whose head
+    never reads it."""
+    cfg, graph, model, batch = build_tiny(mode_count=64, kind=kind)
+    assert model.kind == kind
+    ad.backward(bce_loss(model.forward(batch, mode="train").score, batch.labels))
+    dead = {f"adaptive.fr.{f}.selector." for f, n in (model.fr.counts if model.fr else {}).items() if n == 1}
+    if kind in ("shared_bottom", "hard_sharing"):
+        dead.add("bottom.tables.scenario")
+    grads = {name: float(np.abs(v.grad).max()) for name, v in model.named_parameters()}
+    floor = 1e-9 * max(grads.values())
+    starved = sorted(n for n, g in grads.items() if g <= floor and not n.startswith(tuple(dead)))
+    assert starved == [], f"{kind}: no gradient reaches {starved}"
 
 
 def test_a_training_forward_without_feature_scaling_replays_bit_identically():
@@ -642,10 +682,10 @@ def test_baselines_share_bottom_structure():
 # from RNG draws only (no BLAS), so a change means the construction order,
 # the parameter names or the spec record changed.
 UNTRAINED_CHECKPOINT_SHA256 = {
-    "maria": "0c5504e973548e639533435e8e74a146ae818d1b488cd53d0df4450e81795bdf",
-    "mmoe": "5f41f4535d0cb9a4bb8d5cddc062e26cab5fd749da8b44015bdcada870718a31",
-    "shared_bottom": "8c0d800d1a520c5b4732ed88446494de8be46c44bc6d7d133875a71154bb6c39",
-    "hard_sharing": "6c78b33735abead58038d6ff645cb69e755016e1ab9a0b22eb9c4f9c507c242c",
+    "maria": "a91604c14037ea733b1f3a28657e4464a770a33ee0029ebe0d6ebdf8f3ff96b9",
+    "mmoe": "011f5eb651414e930ce77c631f6140f48d32d0878f2a7630a235abae457014e2",
+    "shared_bottom": "c2833e949ea9690858045ccf9be962620cbe4bf05e252cd8b781ed706b7152b8",
+    "hard_sharing": "675d50e4f25bdca6298e210e6023383145a0a8fe5cf31aece2496ea561a45792",
 }
 
 
