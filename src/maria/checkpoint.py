@@ -61,26 +61,27 @@ def save_checkpoint(path: str | Path, spec: dict, params: list[tuple[str, np.nda
             fh.write(arr.tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    # A corrupt length can ask for more than the file holds, or than memory
-    # does; refuse it before the read allocates its buffer.
-    if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return fh.read(n)
-
-
 def load_checkpoint(path: str | Path) -> tuple[dict, dict, list[tuple[str, np.ndarray]]]:
     import json
 
     with open(path, "rb") as fh:
-        if _read_exact(fh, len(MAGIC), "magic") != MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            # A corrupt length can ask for more than the file holds, or than
+            # memory does; refuse it before the read allocates its buffer.
+            if n > size - fh.tell():
+                raise CheckpointError(f"truncated checkpoint while reading {what}")
+            return fh.read(n)
+
+        if read(len(MAGIC), "magic") != MAGIC:
             raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        stored_digest = _read_exact(fh, 32, "digest")
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        header = _read_exact(fh, hlen, "header")
+        stored_digest = read(32, "digest")
+        (hlen,) = struct.unpack("<I", read(4, "header length"))
+        header = read(hlen, "header")
         if hashlib.sha256(header).digest() != stored_digest:
             raise CheckpointError(f"{path}: header digest mismatch (corrupted file?)")
         try:
@@ -88,24 +89,21 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict, list[tuple[str, np.nd
             spec, meta = doc["spec"], doc["meta"]
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: header is not a spec and meta document ({type(exc).__name__}: {exc})") from exc
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
+        (count,) = struct.unpack("<I", read(4, "parameter count"))
         params: list[tuple[str, np.ndarray]] = []
         names: set[str] = set()
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
+            (nlen,) = struct.unpack("<H", read(2, "name length"))
             try:
-                name = _read_exact(fh, nlen, "name").decode("utf-8")
+                name = read(nlen, "name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"{path}: parameter name is not UTF-8 ({exc.reason})") from exc
             if name in names:  # load_model compares name sets, so a second copy would overwrite the first
                 raise CheckpointError(f"{path}: parameter {name!r} is stored twice")
             names.add(name)
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4, f"{name} dim"))[0] for _ in range(ndim)
-            )
-            size = math.prod(shape)
-            raw = _read_exact(fh, size * 8, f"{name} data")
+            (ndim,) = struct.unpack("<B", read(1, "rank"))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"{name} dim"))
+            raw = read(math.prod(shape) * 8, f"{name} data")
             arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
             held = np.abs(arr) <= _FLOAT32_MAX  # false for NaN too
             if not held.all():

@@ -10,17 +10,20 @@ Signals come from a keyed hash, not from the RNG, so the same user or item
 carries the same latent value in every instance it appears in. That is what
 makes the task learnable from embeddings.
 
-Each instance draws from its own generator, the stream of
-``default_rng([seed, i])``, and a loop over the instances only makes their
-draws, in a fixed order, into columns sized up front. Everything else is
-built once for all rows, column by column: scenario and item ids, entity
-attributes and signals (once per distinct user or item), the signal matrix,
-logits, labels and the table. Scenario and item ids come from a search in
-cumulative sums built once per run; the ids drawn and the stream state after
-them equal those of ``rng.choice(n, size, p=...)``, which runs the same
-search inside. The columns hold the bits that computing each instance on its
-own gives: ``tests/helpers.py`` keeps that per-instance generator as the
-reference.
+Each instance draws, in a fixed order, from its own stream: that of
+``default_rng([seed, i])``. The streams are seeded and stepped for all rows
+at once, as columns of numpy's SeedSequence hash and PCG64 generator, and
+their outputs become uniforms and bounded integers as numpy makes them
+(``_draw_columns``). The normal noise, the label uniform after it, and the
+rare row whose bounded draw numpy might reject, come from one numpy
+generator whose state is set per row. Everything else is built once for all
+rows, column by column: scenario and item ids, entity attributes and
+signals (once per distinct user or item), the signal matrix, logits, labels
+and the table. Scenario and item ids come from a search in cumulative sums
+built once per run; the ids drawn and the stream state after them equal
+those of ``rng.choice(n, size, p=...)``, which runs the same search inside.
+The columns hold the bits that computing each instance on its own gives:
+``tests/helpers.py`` keeps that per-instance generator as the reference.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import io
 import json
 import struct
 import sys
-from bisect import bisect_right
+from array import array
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import chain, repeat
@@ -203,17 +206,203 @@ def _cdf(p: np.ndarray, what: str) -> np.ndarray:
     return cdf
 
 
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 (O'Neill, 2014),
+# run on arrays of streams, one stream per row.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # the 128-bit LCG multiplier
+
+
 def _entropy_rows(seed: int, count: int) -> np.ndarray:
     """Row ``i`` is ``[seed, i]`` as ``SeedSequence`` reads a list of ints:
     each int as its 32-bit words, least significant first, and 0 as one word
-    (an index below 2**32 is one word). Seeding from a row gives the stream
-    of ``default_rng([seed, i])`` and skips that conversion, about a quarter
-    of its time."""
-    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    (an index below 2**32 is one word). ``_seed_pcg64`` hashes these rows as
+    ``SeedSequence`` hashes the list, so every row has the same width."""
+    words = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     rows = np.empty((count, len(words) + 1), dtype=np.uint32)
     rows[:, :-1] = words
     rows[:, -1] = np.arange(count)
     return rows
+
+
+def _seed_pcg64(entropy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The state of ``PCG64(SeedSequence(row))`` for every row of the uint32
+    ``entropy`` at once, as uint64 halves: (state high, state low, increment
+    high, increment low). The hash constants follow only from the row width,
+    so they are Python ints shared by all rows."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ (result >> 16)
+
+    words = list(entropy.T)
+    pool = [hashmix(words[k] if k < len(words) else np.zeros(len(entropy), np.uint32)) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const, halves = _INIT_B, []  # generate_state(4, uint64): eight words, two per uint64, low first
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const
+        halves.append((value ^ (value >> 16)).astype(np.uint64))
+    seed_hi, seed_lo, v2, v3 = (halves[2 * j] | halves[2 * j + 1] << 32 for j in range(4))
+    inc_hi, inc_lo = v2 << 1 | v3 >> 63, v3 << 1 | 1  # inc = (v2:v3) << 1 | 1
+    lo = inc_lo + seed_lo  # state = inc + seed, then one step
+    hi, lo, _ = _pcg64_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step of the 128-bit LCG on uint64 halves, and the XSL-RR output
+    of the new state: the next ``random_raw`` of each stream."""
+    a0, a1 = lo & _M32, lo >> 32  # lo * _PCG_LO in full needs its 32-bit limbs
+    p00, p01, p10 = a0 * (_PCG_LO & _M32), a0 * (_PCG_LO >> 32), a1 * (_PCG_LO & _M32)
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * (_PCG_LO >> 32) + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _PCG_LO + inc_lo
+    new_hi = hi * _PCG_LO + lo * _PCG_HI + carry + inc_hi + (new_lo < inc_lo)
+    x, rot = new_hi ^ new_lo, new_hi >> 58
+    return new_hi, new_lo, x >> rot | x << (64 - rot & 63)
+
+
+def _unit(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``Generator.random()`` of each 64-bit output."""
+    return np.multiply(raw >> 11, 1.0 / 9007199254740992.0, out=out)
+
+
+def _pcg64_state(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int, has_uint32: int = 0, uinteger: int = 0) -> dict:
+    """``PCG64.state`` of a 128-bit state and increment given as 64-bit halves."""
+    return {
+        "bit_generator": "PCG64", "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": has_uint32, "uinteger": uinteger,
+    }
+
+
+def _lemire(raw: np.ndarray, half: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``integers(0, bound)`` from the low (``half`` 0) or high 32 bits of
+    each output by Lemire's method (ACM TOMACS, 2019), and the rows whose
+    draw numpy would test for rejection: those whose product's low half is
+    below ``bound``. A bound of 2**32 or more flags every row, since every
+    low half is below it; numpy draws a bound above 2**32 from 64 bits."""
+    bound = min(bound, 2**32)
+    product = (raw >> 32 if half else raw & _M32) * bound
+    return (product >> 32).astype(np.int64), (product & _M32) < bound
+
+
+def _draw_columns(cfg: RunConfig, share_cdf: np.ndarray, kinds: np.ndarray, noise_std: np.ndarray):
+    """Every instance's draws from the stream of ``default_rng([seed, i])``,
+    in this order: the scenario uniform, the user, the behaviour length, the
+    uniforms of the behaviour items, the target and a product trigger (each
+    row's ``length + 1 + product`` of them in ``flat``, row after row), the
+    image vector, the context ids, the noise and the label uniform. ``kinds``
+    and ``noise_std`` hold each scenario's trigger kind code and noise.
+
+    The streams are seeded and stepped as columns, and their outputs become
+    draws as numpy makes them: ``random()`` as ``_unit``, ``uniform(-1, 1)``
+    as ``-1 + 2 * random()``, and a bounded integer by ``_lemire`` over 32-bit
+    halves, where a fresh output gives its low half and keeps the high half
+    for the next bounded draw (a uniform never touches that half, and a range
+    of 1 draws nothing). One numpy generator, its state set per row, makes
+    the rest: the normal noise and the label uniform after it, since numpy
+    keeps the ziggurat tables in C, and the whole of any row that ``_lemire``
+    flags.
+    """
+    vocab, schema = cfg.vocab, cfg.schema
+    n, max_len, image_dim = cfg.gen_count, schema.max_behavior_len, schema.image_dim
+    head = [b for b in (vocab.users, max_len) if b > 1]  # the ranges of the bounded draws before the uniforms
+    bounds = head + ([vocab.context_attrs] * schema.context_attr_count if vocab.context_attrs > 1 else [])
+    lead, words = (len(head) + 1) // 2, (len(bounds) + 1) // 2  # outputs their halves take: the head's, all
+
+    seeded = _seed_pcg64(_entropy_rows(cfg.gen_seed, n))
+    hi, lo, inc_hi, inc_lo = seeded
+    first = []
+    for _ in range(1 + lead):  # the scenario uniform and the output the head's halves take, if any
+        hi, lo, out = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        first.append(out)
+    scenario = share_cdf.searchsorted(_unit(first[0]), side="right")
+    head_draws = [_lemire(first[1], half, bound) for half, bound in enumerate(head)]
+    user = head_draws[0][0] if vocab.users > 1 else np.zeros(n, dtype=np.int64)
+    beh_len = 1 + head_draws[-1][0] if max_len > 1 else np.ones(n, dtype=np.int64)
+    whole = np.zeros(n, dtype=bool)  # rows numpy draws from the start
+    for _, flagged in head_draws:
+        whole |= flagged
+    kind = kinds[scenario]
+    size = beh_len + 1 + (kind == TRIGGER_PRODUCT)
+    tail_at = 1 + lead + size + image_dim * (kind == TRIGGER_IMAGE)  # the first output after the uniforms
+    after = tail_at + words - lead  # outputs before the noise
+    noisy = noise_std[scenario] > 0
+    steps = (after + ~noisy).max(initial=len(first))  # a noise-free row's label is the output after them
+    state_hi, state_lo = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)  # the state at the noise
+    raw = np.empty((steps, n), dtype=np.uint64)  # step k's outputs are row k; used transposed
+    raw[:len(first)] = first
+    for k in range(len(first), steps):
+        hi, lo, raw[k] = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        at = after == k + 1
+        state_hi[at], state_lo[at] = hi[at], lo[at]
+    raw, rows = raw.T, np.arange(n)
+
+    def word(q: int) -> np.ndarray:
+        """The output that bounded draws 2q and 2q + 1 take their halves from."""
+        return raw[:, 1 + q] if q < lead else raw[rows, tail_at + q - lead]
+
+    uniforms = np.empty((n, max_len + 2))  # entries past a row's own uniforms are never read
+    width = min(max_len + 2, steps - 1 - lead)
+    _unit(raw[:, 1 + lead:1 + lead + width], out=uniforms[:, :width])
+    image_vec = np.zeros((n, image_dim))
+    image_rows = np.flatnonzero(kind == TRIGGER_IMAGE)
+    image_at = (1 + lead + size[image_rows])[:, None] + np.arange(image_dim)
+    image_vec[image_rows] = -1.0 + 2.0 * _unit(raw[image_rows[:, None], image_at])
+    context = np.zeros((n, schema.context_attr_count), dtype=np.int64)
+    for j in range(len(head), len(bounds)):
+        context[:, j - len(head)], flagged = _lemire(word(j // 2), j % 2, bounds[j])
+        whole |= flagged
+    noise, label_draws = np.zeros(n), np.empty(n)
+    quiet = np.flatnonzero(~noisy)
+    label_draws[quiet] = _unit(raw[quiet, after[quiet]])
+
+    rng = np.random.Generator(np.random.PCG64(0))  # its state is set per row
+    bitgen = rng.bit_generator
+    odd = len(bounds) % 2  # then the last bounded draw left its output's high half buffered
+    buffered = word(words - 1) >> 32 if odd else np.zeros(n, dtype=np.uint64)
+    numpy_noise = np.flatnonzero(noisy & ~whole)
+    draws = array("d")  # raw doubles: a list of Python floats would leave its heap behind
+    for block in np.split(numpy_noise, range(1024, len(numpy_noise), 1024)):  # few Python ints at a time
+        for *state, high in zip(*(c[block].tolist() for c in (state_hi, state_lo, inc_hi, inc_lo, buffered))):
+            bitgen.state = _pcg64_state(*state, odd, high)
+            draws.append(rng.standard_normal())
+            draws.append(rng.random())
+    z, label_draws[numpy_noise] = np.frombuffer(draws).reshape(-1, 2).T
+    noise[numpy_noise] = 0.0 + noise_std[scenario[numpy_noise]] * z  # what normal(0, std) computes
+    for i, *state in zip(*(c[whole].tolist() for c in (rows, *seeded))):
+        bitgen.state = _pcg64_state(*state)
+        scenario[i] = sid = share_cdf.searchsorted(rng.random(), side="right")
+        user[i] = rng.integers(0, vocab.users)
+        beh_len[i] = length = rng.integers(1, max_len + 1)
+        rng.random(out=uniforms[i, :length + 1 + (kinds[sid] == TRIGGER_PRODUCT)])
+        if kinds[sid] == TRIGGER_IMAGE:
+            image_vec[i] = rng.uniform(-1.0, 1.0, image_dim)
+        context[i] = rng.integers(0, vocab.context_attrs, size=schema.context_attr_count)
+        if noise_std[sid] > 0:
+            noise[i] = rng.normal(0.0, noise_std[sid])
+        label_draws[i] = rng.random()
+    size = beh_len + 1 + (kinds[scenario] == TRIGGER_PRODUCT)
+    flat = uniforms[np.arange(max_len + 2) < size[:, None]]
+    return scenario, user, beh_len, flat, image_vec, context, noise, label_draws
 
 
 @np.errstate(over="ignore")  # a sigmoid's exp(-z) overflows below z = -709; it is then 0.0
@@ -241,33 +430,13 @@ def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
         tilted = np.exp(p.behavior_tilt * row - np.max(p.behavior_tilt * row))
         item_cdfs.append(_cdf(tilted / tilted.sum(), f"scenario.{p.scenario_id} item popularity"))
 
-    kinds = [_KIND_CODES.get(p.trigger_kind, TRIGGER_NONE) for p in profiles]
-    noise_std = [p.noise_std for p in profiles]
-    cuts, max_len = share_cdf.tolist(), schema.max_behavior_len
-    scenario, user, beh_len, first = (np.empty(n, dtype=np.int64) for _ in range(4))
-    flat = np.empty(n * (max_len + 2))  # each row's uniforms: its behaviour items, its target, a product trigger
-    image_vec = np.zeros((n, schema.image_dim))
-    context = np.empty((n, schema.context_attr_count), dtype=np.int64)
-    noise, label_draws = np.zeros(n), np.empty(n)
-    entropy, end = _entropy_rows(cfg.gen_seed, n), 0
-    for i in range(n):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy[i])))  # default_rng([seed, i])
-        scenario[i] = sid = bisect_right(cuts, rng.random())  # share_cdf.searchsorted(side="right")
-        user[i] = rng.integers(0, vocab.users)
-        beh_len[i] = length = rng.integers(1, max_len + 1)
-        first[i] = start = end
-        end = start + length + 1 + (kinds[sid] == TRIGGER_PRODUCT)
-        rng.random(out=flat[start:end])
-        if kinds[sid] == TRIGGER_IMAGE:
-            image_vec[i] = rng.uniform(-1.0, 1.0, schema.image_dim)
-        context[i] = rng.integers(0, vocab.context_attrs, size=schema.context_attr_count)
-        if noise_std[sid] > 0:
-            noise[i] = rng.normal(0.0, noise_std[sid])
-        label_draws[i] = rng.random()
-
-    trigger_kind = np.array(kinds, dtype=np.int8)[scenario]
+    kinds = np.array([_KIND_CODES.get(p.trigger_kind, TRIGGER_NONE) for p in profiles], dtype=np.int8)
+    noise_std = np.array([p.noise_std for p in profiles], dtype=np.float64)
+    draws = _draw_columns(cfg, share_cdf, kinds, noise_std)
+    scenario, user, beh_len, flat, image_vec, context, noise, label_draws = draws
+    trigger_kind = kinds[scenario]
     sizes = beh_len + 1 + (trigger_kind == TRIGGER_PRODUCT)
-    flat = flat[:end]
+    first = np.cumsum(sizes) - sizes
     ids = np.empty(len(flat), dtype=np.int64)
     flat_sid = np.repeat(scenario, sizes)
     for sid, item_cdf in enumerate(item_cdfs):
@@ -338,7 +507,7 @@ def generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
         # One dot product per row, as each row's weights @ (mask * phi) took;
         # a matrix-vector product rounds differently.
         clean_logit[rows] = np.matmul(masked[:, None, :], weights)[:, 0, 0] + p.label_bias
-    noisy = np.where(np.array(noise_std)[scenario] > 0, clean_logit + noise, clean_logit)
+    noisy = np.where(noise_std[scenario] > 0, clean_logit + noise, clean_logit)
     label = (label_draws < 1.0 / (1.0 + np.exp(-noisy))).astype(np.int64)
     clean_probs = 1.0 / (1.0 + np.exp(-clean_logit))
 

@@ -1,8 +1,9 @@
 """Neural building blocks: embeddings, FC stacks, transformer encoder, target attention on the trigger.
 
 Everything here works on batched inputs: vectors are rows of a (batch, width)
-Value and behavior sequences are (batch, length, width), with a (batch, length)
-0/1 array marking the real (non-padding) positions.
+Value and behavior sequences are (batch, length, width). Attention keeps
+padding out through the additive mask that :func:`additive_mask` builds once
+per batch from the (batch, length) 0/1 array marking the real positions.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _activate(x: Value, act: str) -> Value:
     return x
 
 
-def _additive_mask(graph: Graph, valid: np.ndarray) -> Value:
+def additive_mask(graph: Graph, valid: np.ndarray) -> Value:
     """(batch, 1, length) additive mask constant from a (batch, length) 0/1 validity array."""
     return graph.constant(((1.0 - np.asarray(valid, dtype=np.float64)) * MASK_OFF)[:, None, :])
 
@@ -133,7 +134,7 @@ class TransformerBlock:
 
     def forward(self, seq: Value, mask: Value) -> Value:
         """Encode a (batch, length, dim) sequence; ``mask`` is the additive
-        mask of :func:`_additive_mask`, which keeps padded keys out."""
+        mask of :func:`additive_mask`, which keeps padded keys out."""
         normed = ad.layer_norm(seq, self.ln1_gain, self.ln1_bias)
         heads = []
         inv = 1.0 / math.sqrt(self.head_dim)
@@ -171,25 +172,26 @@ class SequenceEncoder:
             for i in range(layer_count)
         ]
 
-    def forward(self, seq: Value, valid: np.ndarray) -> Value:
+    def forward(self, seq: Value, mask: Value) -> Value:
+        """Encode a (batch, capacity, dim) sequence, padded to the capacity as
+        ``make_batch`` pads it, under the :func:`additive_mask` ``mask``."""
         length = seq.shape[-2]
-        if length > self.capacity:
-            raise ShapeError(f"sequence encoder: length {length} exceeds capacity {self.capacity}")
-        pos = ad.take_rows(self.positions, np.arange(length))
-        h = ad.add(seq, pos)
-        mask = _additive_mask(seq.graph, valid)
+        if length != self.capacity:
+            raise ShapeError(f"sequence encoder: length {length} is not its capacity {self.capacity}")
+        h = ad.add(seq, self.positions)
         for block in self.blocks:
             h = block.forward(h, mask)
         return h
 
 
-def trigger_attention(trigger: Value, seq: Value, query_net: Fcn, valid: np.ndarray) -> Value:
+def trigger_attention(trigger: Value, seq: Value, query_net: Fcn, mask: Value) -> Value:
     """Pool encoded behaviors into one vector by target attention (DIN, BST):
     ``query_net`` maps the (batch, width) trigger to one query of the
     sequence's width, and one :func:`ad.attention` node weighs the positions,
-    padding masked out, by the softmax of their scaled dot products with it."""
+    padding masked out by the :func:`additive_mask` ``mask``, by the softmax
+    of their scaled dot products with it."""
     if trigger.data.ndim != 2 or seq.data.ndim != 3 or trigger.shape[0] != seq.shape[0]:
         raise ShapeError(f"trigger_attention: trigger {trigger.shape} vs sequence {seq.shape}")
     b, _, d = seq.shape
     q = ad.reshape(query_net.forward(trigger), (b, 1, d))
-    return ad.reshape(ad.attention(q, seq, seq, _additive_mask(seq.graph, valid), 1.0 / math.sqrt(d)), (b, d))
+    return ad.reshape(ad.attention(q, seq, seq, mask, 1.0 / math.sqrt(d)), (b, d))

@@ -33,7 +33,7 @@ from .config import (
     check_records,
 )
 from .datagen import TRIGGER_IMAGE, TRIGGER_NONE, TRIGGER_PRODUCT, InstanceTable
-from .layers import EmbeddingTable, Fcn, SequenceEncoder, fcn_bank, trigger_attention
+from .layers import EmbeddingTable, Fcn, SequenceEncoder, additive_mask, fcn_bank, trigger_attention
 
 BASELINE_KINDS = ("hard_sharing", "shared_bottom", "mmoe")
 MODEL_KINDS = ("maria",) + BASELINE_KINDS
@@ -199,7 +199,8 @@ class EncoderBottom:
         e_user = self.users.lookup(batch.user)
         user_field = self._with_attrs(e_user, self.user_attr_tab, batch.user_attrs)
         seq = self._with_attrs(self.items.lookup(batch.beh_items), self.item_attr_tab, batch.beh_attrs)
-        encoded = self.encoder.forward(seq, batch.valid)
+        mask = additive_mask(seq.graph, batch.valid)  # the encoder's and the pooling's
+        encoded = self.encoder.forward(seq, mask)
         e_item = self.items.lookup(batch.target)
         item_field = self._with_attrs(e_item, self.item_attr_tab, batch.target_attrs)
 
@@ -210,7 +211,7 @@ class EncoderBottom:
             head = item_field
             trig_field = item_field
 
-        pooled = trigger_attention(head, encoded, self.query_net, batch.valid)
+        pooled = trigger_attention(head, encoded, self.query_net, mask)
 
         values = {"behavior": pooled, "user": user_field, "item": item_field, "trigger": trig_field}
         if self.context_tab is not None:

@@ -15,7 +15,7 @@ from maria import datagen
 # Nodes that one step of each benchmark workload builds on a full block of
 # the benchmark recipe (test_model.py pins them). A change that fuses or adds
 # nodes on purpose re-pins these counts.
-BENCHMARK_STEP_NODES = {"train-maria": 149, "train-mmoe-b64": 82, "score-maria": 133}
+BENCHMARK_STEP_NODES = {"train-maria": 147, "train-mmoe-b64": 80, "score-maria": 131}
 
 
 def fd_gradient(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

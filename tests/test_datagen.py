@@ -1,5 +1,6 @@
 """Generator determinism, ground-truth behavior, and file round-trips."""
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -300,7 +301,8 @@ def _recipes(draw):
         "schema.max_behavior": str(draw(st.integers(1, 12))),
         "schema.image_dim": image_dim, "dim.trigger": image_dim,
         "gen.count": str(draw(st.sampled_from([0, 1]) | st.integers(2, 60))),
-        "gen.seed": str(draw(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**70))),  # one word or several
+        # One word, two or three, or more than SeedSequence's pool of four holds
+        "gen.seed": str(draw(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**70) | st.integers(2**96, 2**200))),
     }
     for s in range(scenarios):
         over[f"scenario.{s}.trigger_kind"] = draw(st.sampled_from(["image", "product"])) if search else "none"
@@ -321,6 +323,8 @@ def _recipes(draw):
 @given(over=_recipes())
 @example(over={"gen.count": "0"})
 @example(over={"gen.count": "5", "gen.seed": str(2**64 + 7)})
+@example(over={"gen.count": "5", "gen.seed": str(2**160 + 2**96 + 11)})
+@example(over={"gen.count": "30", "vocab.users": str(2**32 + 1)})  # numpy draws this range from 64 bits
 @example(over={"gen.count": "1", "vocab.scenarios": "3"})
 @example(over={"gen.count": "40", "scenario.0.traffic_share": "1e-9", "scenario.1.trigger_kind": "image"})
 @example(over={"gen.count": "60", "schema.max_behavior": "12", "scenario.0.noise_std": "0"})
@@ -335,6 +339,90 @@ def test_generate_equals_the_per_instance_reference(over):
         assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), name
     assert (probs.dtype, probs.tobytes()) == (want_probs.dtype, want_probs.tobytes())
     assert json.dumps(datagen.manifest_to_json(dataset.manifest)) == json.dumps(datagen.manifest_to_json(want.manifest))
+
+
+def _assert_equals_reference(cfg):
+    # The fuzz's comparison, for a config it cannot reach by overrides alone.
+    (dataset, probs), (want, want_probs) = datagen.generate(cfg), reference_generate(cfg)
+    for name in datagen.InstanceTable._ROW_COLUMNS + ("beh_items", "beh_attrs"):
+        got, ref = getattr(dataset.instances, name), getattr(want.instances, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), name
+    assert (probs.dtype, probs.tobytes()) == (want_probs.dtype, want_probs.tobytes())
+
+
+@pytest.mark.parametrize(
+    "seed", [0, *(int("9E3779B9" * words, 16) for words in range(1, 6))], ids=["0", *(f"{w}words" for w in range(1, 6))]
+)
+def test_seeded_streams_equal_default_rng(seed):
+    # SeedSequence hashes one to five words of seed plus the index; four and
+    # five fill its pool of four words and reach the loop that mixes in the
+    # words beyond it. Then 20 outputs of each stream, as random_raw gives them.
+    indices = [0, 1, 2**16, 2**32 - 1]
+    rows = datagen._entropy_rows(seed, 1).repeat(len(indices), axis=0)
+    rows[:, -1] = indices
+    state = datagen._seed_pcg64(rows)
+    hi, lo, inc_hi, inc_lo = state
+    outputs = []
+    for _ in range(20):
+        hi, lo, out = datagen._pcg64_step(hi, lo, inc_hi, inc_lo)
+        outputs.append(out)
+    for r, i in enumerate(indices):
+        bitgen = np.random.default_rng([seed, i]).bit_generator
+        assert datagen._pcg64_state(*(int(c[r]) for c in state)) == bitgen.state, i
+        assert [int(out[r]) for out in outputs] == bitgen.random_raw(20).tolist(), i
+
+
+def test_a_bounded_draw_in_lemires_rejection_zone_is_drawn_by_numpy(monkeypatch):
+    # Row 2's stream is replaced by one whose second output, the word of the
+    # user draw, has a low half of 0. Lemire's product for a range of 30 then
+    # has a low half of 0, below (2**32 - 30) % 30 = 16, so numpy rejects the
+    # draw and draws again.
+    mult = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
+    inc = (0x1234 << 64) | 0x5679  # odd
+    state = 0xDEADBEEF00000000  # high half 0: the XSL-RR output is the low half, unrotated
+    for _ in range(2):  # two steps back: the scenario output, then this one
+        state = (state - inc) * pow(mult, -1, 2**128) % 2**128
+    halves = (state >> 64, state & (2**64 - 1), inc >> 64, inc & (2**64 - 1))
+    crafted = datagen._pcg64_state(*halves)
+    cfg = small_cfg(**{"gen.count": "6"})
+    seed_pcg64, default_rng = datagen._seed_pcg64, np.random.default_rng
+
+    def seeded(entropy):
+        columns = seed_pcg64(entropy)
+        for column, value in zip(columns, halves):
+            column[2] = value
+        return columns
+
+    def rng_of(seed):
+        rng = default_rng(seed)
+        if seed == [cfg.gen_seed, 2]:
+            rng.bit_generator.state = crafted
+            assert rng.bit_generator.random_raw(2)[1] & 0xFFFFFFFF == 0
+            rng.bit_generator.state = crafted
+        return rng
+
+    monkeypatch.setattr(datagen, "_seed_pcg64", seeded)
+    monkeypatch.setattr(np.random, "default_rng", rng_of)
+    _assert_equals_reference(cfg)
+
+
+def test_generate_builds_the_same_generators_whatever_the_count(monkeypatch):
+    # The streams are seeded and stepped as columns: building a numpy
+    # generator per instance would show here as counts that grow with it.
+    cfgs = [small_cfg(**{"gen.count": str(count)}) for count in (10, 300)]
+    built = collections.Counter()
+    for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
+        def counted(*args, _name=name, _make=getattr(np.random, name), **kwargs):
+            built[_name] += 1
+            return _make(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counted)
+    counts = []
+    for cfg in cfgs:
+        built.clear()
+        datagen.generate(cfg)
+        counts.append(dict(built))
+    assert counts[0] == counts[1] and sum(counts[0].values()) <= 2, counts
 
 
 @settings(max_examples=60, deadline=None)

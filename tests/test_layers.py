@@ -122,7 +122,7 @@ def test_transformer_single_position_attention_weight_is_one(attention_calls):
     rng = np.random.default_rng(3)
     block = ly.TransformerBlock(g, rng, model_dim=6, head_count=2, ffn_mult=2, name="b")
     seq = g.constant(rng.normal(size=(1, 1, 6)))
-    out = block.forward(seq, ly._additive_mask(g, np.ones((1, 1))))
+    out = block.forward(seq, ly.additive_mask(g, np.ones((1, 1))))
     assert out.shape == (1, 1, 6)
     assert len(attention_calls) == 2
     for (q, k, v, mask, scale), head in attention_calls:
@@ -136,7 +136,7 @@ def test_transformer_preserves_shape_and_masks_padding_keys(attention_calls):
     block = ly.TransformerBlock(g, rng, model_dim=8, head_count=2, ffn_mult=2, name="b")
     seq = g.constant(rng.normal(size=(3, 5, 8)))
     valid = np.array([[0, 0, 1, 1, 1], [1, 1, 1, 1, 1], [0, 1, 1, 1, 1]], dtype=float)
-    out = block.forward(seq, ly._additive_mask(g, valid))
+    out = block.forward(seq, ly.additive_mask(g, valid))
     assert out.shape == (3, 5, 8)
     assert len(attention_calls) == 2
     for (q, k, v, mask, scale), head in attention_calls:
@@ -156,7 +156,7 @@ def test_transformer_gradients_match_central_differences():
     rng = np.random.default_rng(5)
     block = ly.TransformerBlock(g, rng, model_dim=6, head_count=2, ffn_mult=2, name="b")
     seq = g.constant(rng.normal(size=(2, 3, 6)))
-    mask = ly._additive_mask(g, np.array([[0, 1, 1], [1, 1, 1]], dtype=float))
+    mask = ly.additive_mask(g, np.array([[0, 1, 1], [1, 1, 1]], dtype=float))
 
     def build():
         return ad.sum_all(ad.sigmoid(block.forward(seq, mask)))
@@ -175,13 +175,17 @@ def test_transformer_gradients_match_central_differences():
 
 
 def test_sequence_encoder_adds_positions_and_respects_capacity():
-    g = ad.Graph(seed=0)
+    g = ad.Graph(seed=0, dtype=np.float64)
     rng = np.random.default_rng(6)
     enc = ly.SequenceEncoder(g, rng, model_dim=6, capacity=4, head_count=2, layer_count=1)
-    out = enc.forward(g.constant(rng.normal(size=(2, 4, 6))), np.ones((2, 4)))
+    seq, mask = rng.normal(size=(2, 4, 6)), ly.additive_mask(g, np.ones((2, 4)))
+    out = enc.forward(g.constant(seq), mask)
     assert out.shape == (2, 4, 6)
-    with pytest.raises(ad.ShapeError, match="capacity"):
-        enc.forward(g.constant(rng.normal(size=(2, 5, 6))), np.ones((2, 5)))
+    want = enc.blocks[0].forward(g.constant(seq + enc.positions.data), mask)
+    np.testing.assert_array_equal(out.data, want.data)
+    for length in (5, 3):
+        with pytest.raises(ad.ShapeError, match="capacity"):
+            enc.forward(g.constant(rng.normal(size=(2, length, 6))), ly.additive_mask(g, np.ones((2, length))))
 
 
 def _trigger_weights(attention_calls) -> np.ndarray:
@@ -200,7 +204,7 @@ def test_trigger_attention_uniform_when_scores_equal(attention_calls):
         w.data[...] = 0.0
     trig = g.constant(rng.normal(size=(1, 4)))
     seq = g.constant(rng.normal(size=(1, 2, 6)))
-    pooled = ly.trigger_attention(trig, seq, query, np.ones((1, 2)))
+    pooled = ly.trigger_attention(trig, seq, query, ly.additive_mask(g, np.ones((1, 2))))
     np.testing.assert_allclose(_trigger_weights(attention_calls), [[0.5, 0.5]], atol=1e-12)
     np.testing.assert_allclose(pooled.data, seq.data.mean(axis=1), atol=1e-12)
 
@@ -212,7 +216,7 @@ def test_trigger_attention_masks_padding_positions(attention_calls):
     trig = g.constant(rng.normal(size=(2, 3)))
     seq = g.constant(rng.normal(size=(2, 4, 5)))
     valid = np.array([[0, 0, 1, 1], [1, 1, 1, 1]], dtype=float)
-    ly.trigger_attention(trig, seq, query, valid)
+    ly.trigger_attention(trig, seq, query, ly.additive_mask(g, valid))
     weights = _trigger_weights(attention_calls)
     assert weights[0, :2].max() < 1e-12
     np.testing.assert_allclose(weights.sum(axis=-1), [1.0, 1.0], atol=1e-12)
@@ -227,7 +231,7 @@ def test_trigger_attention_gradients_match_central_differences():
     valid = np.array([[0, 1, 1, 1], [1, 1, 1, 1]], dtype=float)
 
     def build():
-        return ad.sum_all(ad.sigmoid(ly.trigger_attention(trig, seq, query, valid)))
+        return ad.sum_all(ad.sigmoid(ly.trigger_attention(trig, seq, query, ly.additive_mask(g, valid))))
 
     ad.backward(build())
     for p in [trig, seq] + [v for _, v in g.params.items()]:

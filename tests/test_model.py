@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -821,6 +822,23 @@ def test_checkpoint_rejects_corruption(tmp_path):
     short.write_bytes(bytes(blob[: len(blob) // 2]))
     with pytest.raises(ckpt.CheckpointError, match="truncated"):
         ckpt.load_checkpoint(short)
+
+
+def test_checkpoint_refuses_a_file_of_another_kind_before_reading_it(tmp_path):
+    # A 64 MB dataset given as a checkpoint (sparse, so it takes no disk) is
+    # refused from its first bytes, without its contents landing in memory.
+    path = tmp_path / "train.jsonl"
+    with open(path, "wb") as fh:
+        fh.write(b'{"scenario": 0, "user": 1}\n')
+        fh.truncate(64 * 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ckpt.CheckpointError, match=r"not a model checkpoint \(bad magic\)"):
+            ckpt.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_failed_writes_leave_the_old_file_and_no_temp_file(tmp_path):
