@@ -58,6 +58,9 @@ MANIFEST_SUFFIX = ".manifest.json"
 _FIELDS = ("scenario", "user", "user_attrs", "behavior", "target_item", "target_attrs", "trigger", "context", "label")
 _INSTANCE_KEYS = frozenset(_FIELDS)
 _FLOAT_MAX = sys.float_info.max
+_encode_line = json.JSONEncoder(separators=(",", ":")).encode  # a row's line, as write_jsonl writes it
+_DIGITS_AS_ZERO = bytes.maketrans(b"0123456789", b"0" * 10)
+_DIGITS_ONLY = bytes(c if c in b"0123456789" else ord(" ") for c in range(256))
 
 # InstanceTable.trigger_kind codes
 TRIGGER_NONE, TRIGGER_IMAGE, TRIGGER_PRODUCT = 0, 1, 2
@@ -72,7 +75,8 @@ class DataError(ValueError):
 class InstanceTable:
     """Instances column by column: the one in-memory form of an instance.
     Rows exist only as the JSON objects of the file format, which
-    ``_table_of`` reads into columns and ``_objects_of`` writes back out.
+    ``_objects_of`` writes out and ``_table_of`` reads back into columns;
+    ``_template_table`` reads the writer's own lines from their bytes.
 
     Row ``i``'s behaviour sequence, oldest first, is entries ``beh_start[i]``
     to ``beh_start[i] + beh_len[i]`` of the flat ``beh_items`` and
@@ -610,8 +614,7 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
     manifest = (json.dumps(manifest_to_json(m), indent=2) + "\n").encode("utf-8")
     with atomic_writer(manifest_path(path)) as mfh:
         with atomic_writer(path) as fh:
-            encode = json.JSONEncoder(separators=(",", ":")).encode
-            fh.writelines((encode(obj) + "\n").encode("utf-8") for obj in _objects_of(dataset.instances))
+            fh.writelines((_encode_line(obj) + "\n").encode("utf-8") for obj in _objects_of(dataset.instances))
         mfh.write(manifest)
 
 
@@ -879,14 +882,115 @@ def _table_of(objs: list[dict], manifest: DatasetManifest) -> tuple[InstanceTabl
     return table, flagged
 
 
-def read_jsonl(path: str | Path) -> Dataset:
-    """Load and validate a dataset; errors carry the 1-based line number.
+def _line_skeleton(manifest: DatasetManifest, length: int) -> bytes:
+    """The line ``write_jsonl`` writes under ``manifest`` for a row of
+    behaviour ``length`` with every id 0: the skeleton of every such line,
+    with one "0" in place of each number."""
+    schema = manifest.schema
+    trigger = None if manifest.trigger_mode == "recommendation" else {
+        "kind": "product", "item": 0, "attrs": [0] * schema.trigger_attr_count,
+    }
+    row = dict.fromkeys(_FIELDS, 0) | {
+        "user_attrs": [0] * schema.user_attr_count, "behavior": [[0, [0] * schema.item_attr_count]] * length,
+        "target_attrs": [0] * schema.item_attr_count, "trigger": trigger, "context": [0] * schema.context_attr_count,
+    }
+    return (_encode_line(row) + "\n").encode("ascii")
+
+
+def _writer_numbers(data: bytes, manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each line's behaviour length and every number of the file ``data``,
+    in file order, when every line has the form ``write_jsonl`` writes
+    under ``manifest``; None otherwise.
+
+    A line's skeleton is its bytes with each run of digits as one "0". A line
+    has the writer's form when its skeleton is ``_line_skeleton`` of its
+    behaviour length (no key holds a digit, so the runs sit at the
+    template's number slots, one each) and each run is an integer that JSON
+    allows (no leading zero) and int64 holds (at most 18 digits)."""
+    b = np.frombuffer(data.translate(_DIGITS_AS_ZERO), dtype=np.uint8)
+    digit = b == ord("0")
+    keep = np.ones(len(b), dtype=bool)
+    keep[1:] = ~(digit[1:] & digit[:-1])
+    skeleton = b[keep].tobytes()
+    ends = np.flatnonzero(np.frombuffer(skeleton, dtype=np.uint8) == ord("\n")) + 1
+    one = len(_line_skeleton(manifest, 1))
+    step = len(_line_skeleton(manifest, 2)) - one  # a behaviour entry and its comma
+    lengths, odd = np.divmod(np.diff(ends, prepend=0) - one, step)
+    lengths += 1
+    if odd.any() or not ((lengths >= 1) & (lengths <= manifest.schema.max_behavior_len)).all():
+        return None
+    templates = {length: _line_skeleton(manifest, length) for length in np.unique(lengths).tolist()}
+    if skeleton != b"".join(map(templates.__getitem__, lengths.tolist())):
+        return None
+    # The file ends in a newline, as its skeleton does, so every run stops.
+    edges = np.flatnonzero(np.diff(digit, prepend=False))  # where each run starts, then where it stops
+    starts, widths = edges[0::2], edges[1::2] - edges[0::2]
+    if widths.max(initial=1) > 18 or ((widths > 1) & (np.frombuffer(data, dtype=np.uint8)[starts] == ord("0"))).any():
+        return None
+    numbers = np.fromstring(data.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
+    if len(numbers) != len(starts):  # fromstring is lenient (blank text reads as [0]); the checks above rule it out
+        return None
+    return lengths, numbers
+
+
+def _template_table(data: bytes, manifest: DatasetManifest) -> InstanceTable | None:
+    """The table of the file ``data`` when every line has the form
+    ``write_jsonl`` writes (``_writer_numbers``: a product trigger or none)
+    and breaks no read rule; None for any other file, which the json path
+    then reads. A row's numbers come in the order of its fields, so each
+    column is gathered from them by offset. An id out of range, a label other
+    than 0 or 1, a trigger kind other than the scenario's or a row count
+    other than the manifest's gives None, and the json path names it."""
+    vocab, schema = manifest.vocab, manifest.schema
+    read = _writer_numbers(data, manifest)
+    if read is None or len(read[0]) != manifest.count:
+        return None
+    lengths, numbers = read
+    n = len(lengths)
+    u, a, o, c = schema.user_attr_count, schema.item_attr_count, schema.trigger_attr_count, schema.context_attr_count
+    product = manifest.trigger_mode != "recommendation"
+    counts = 2 + u + lengths * (1 + a) + 1 + a + product * (1 + o) + c + 1  # numbers per row
+    at = np.cumsum(counts) - counts
+
+    def take(start: np.ndarray, width: int | None = None) -> np.ndarray:
+        return numbers[start] if width is None else numbers[start[:, None] + np.arange(width)]
+
+    beh_start = np.cumsum(lengths) - lengths
+    entries = np.repeat(at + 2 + u - beh_start * (1 + a), lengths) + np.arange(int(lengths.sum())) * (1 + a)
+    target_at = at + 2 + u + lengths * (1 + a)
+    context_at = target_at + 1 + a + product * (1 + o)
+    trig_item, trig_attrs = np.zeros(n, dtype=np.int64), np.zeros((n, o), dtype=np.int64)
+    if product:
+        trig_item, trig_attrs = take(target_at + 1 + a), take(target_at + 2 + a, o)
+    cols = {
+        "scenario": take(at), "user": take(at + 1), "user_attrs": take(at + 2, u), "target_item": take(target_at),
+        "target_attrs": take(target_at + 1, a), "context": take(context_at, c), "label": take(context_at + c),
+    }
+    beh_items, beh_attrs = take(entries), take(entries + 1, a)
+    bounds = {name: bound for name, (bound, _) in _id_fields(vocab, schema).items()} | {"label": 2}
+    if not (
+        all((cols[name] < bound).all() for name, bound in bounds.items())
+        and (beh_items < vocab.items).all() and (beh_attrs < vocab.item_attrs).all()
+        and (trig_item < vocab.items).all() and (trig_attrs < vocab.trigger_attrs).all()
+    ):
+        return None
+    kinds = {profile.scenario_id: profile.trigger_kind for profile in manifest.profiles}
+    fits = np.array([kinds[s] == ("product" if product else "none") for s in range(vocab.scenarios)])
+    if not fits[cols["scenario"]].all():
+        return None
+    return InstanceTable(
+        beh_start=beh_start, beh_len=lengths, beh_items=beh_items, beh_attrs=beh_attrs,
+        trigger_kind=np.full(n, TRIGGER_PRODUCT if product else TRIGGER_NONE, dtype=np.int8),
+        image_vec=np.zeros((n, schema.image_dim)), trig_item=trig_item, trig_attrs=trig_attrs, **cols,
+    )
+
+
+def _json_table(path: Path, manifest: DatasetManifest) -> InstanceTable:
+    """The table of a dataset file of any form, read line by line with json.
 
     Each line is decoded and its key set checked; the values are then checked
     column by column with numpy. The first line that breaks a rule is named,
     and within it the first field, in the order the fields are written."""
-    path = Path(path)
-    manifest = read_manifest(path)
 
     def checked(objs: list[dict]) -> InstanceTable:
         table, flagged = _table_of(objs, manifest)
@@ -936,6 +1040,21 @@ def read_jsonl(path: str | Path) -> Dataset:
         raise DataError(
             f"{path}: holds {len(instances)} instances but the manifest says {manifest.count} (truncated file?)"
         )
+    return instances
+
+
+def read_jsonl(path: str | Path) -> Dataset:
+    """Load and validate a dataset; errors carry the 1-based line number.
+
+    A file in the form ``write_jsonl`` writes is read column by column from
+    its bytes (``_template_table``); any other file, and any file that
+    breaks a read rule, is read by json (``_json_table``), which gives the
+    same table and names the first line that breaks a rule."""
+    path = Path(path)
+    manifest = read_manifest(path)
+    instances = _template_table(path.read_bytes(), manifest)
+    if instances is None:
+        instances = _json_table(path, manifest)
     return Dataset(manifest=manifest, instances=instances)
 
 

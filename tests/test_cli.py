@@ -288,6 +288,40 @@ def test_eval_of_a_manifest_whose_vocab_was_edited_exits_3(tmp_path, capsys):
     assert str(mpath) in err and "compat_digest does not match" in err
 
 
+def test_eval_reports_the_same_bytes_for_the_writers_form_and_json_dumps_form(tmp_path, capsys):
+    # The writer's lines take datagen's column path; the same rows re-encoded
+    # with json.dumps' default separators take its json path.
+    writers = tmp_path / "w.jsonl"
+    assert run(capsys, "gen-data", *TINY, "--out", str(writers), "--count", "40")[0] == 0
+    ckpt = tmp_path / "m.ckpt"
+    overrides = dict(p.split("=", 1) for p in TINY[1::2])
+    checkpoint.save_model(ckpt, build_model(Graph(seed=0), config.build_run_config({}, overrides)))
+    spaced = tmp_path / "s.jsonl"
+    spaced.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in writers.read_text().splitlines()))
+    manifest_path(spaced).write_bytes(manifest_path(writers).read_bytes())
+    manifest = datagen.read_manifest(writers)
+    assert datagen._template_table(writers.read_bytes(), manifest) is not None
+    assert datagen._template_table(spaced.read_bytes(), manifest) is None
+
+    outputs = []
+    for data in (writers, spaced):
+        for flag in ((), ("--json",)):
+            code, out, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(data), *flag)
+            assert code == 0, err
+            outputs.append(out)
+    assert outputs[:2] == outputs[2:]
+
+    errors = []
+    for data in (writers, spaced):  # line 7's user one past the vocabulary, in each form
+        lines = data.read_bytes().splitlines(keepends=True)
+        lines[6] = re.sub(rb'("user": ?)\d+', rb"\g<1>20", lines[6], count=1)
+        data.write_bytes(b"".join(lines))
+        code, out, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(data))
+        assert (code, out) == (3, "")
+        errors.append(err)
+    assert errors[0] == errors[1] and errors[0].count("\n") == 1 and "line 7: user: 20 outside [0, 20)" in errors[0]
+
+
 @functools.lru_cache(maxsize=None)
 def _eval_inputs() -> dict[str, bytes]:
     """Bytes of a tiny dataset, its manifest and a checkpoint trained on it."""

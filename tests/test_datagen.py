@@ -178,6 +178,83 @@ def test_write_read_round_trip(tmp_path, mix, gathered):
     assert (manifest.vocab, manifest.schema) == (cfg.vocab, cfg.schema)  # the records, not their dicts
 
 
+_PARITY_RECIPES = {
+    "benchmark": lambda count: benchmark_config(count, 5),
+    "default": lambda count: build_run_config({"gen.count": str(count), "gen.seed": "5"}),
+    "recommendation": lambda count: small_cfg(**{"gen.count": str(count), **_MIXES["recommendation"]}),
+    "image_product": lambda count: small_cfg(**{"gen.count": str(count), **_MIXES["image_product"]}),
+}
+
+
+def _read_both_ways(monkeypatch, path):
+    """The table read_jsonl returns, the json path's table of the same file,
+    and whether read_jsonl ran the json path."""
+    manifest = datagen.read_manifest(path)
+    json_table = datagen._json_table(path, manifest)
+    calls = []
+    monkeypatch.setattr(datagen, "_json_table", lambda *args: calls.append(args) or json_table)
+    return datagen.read_jsonl(path).instances, json_table, bool(calls)
+
+
+@pytest.mark.parametrize("count", [0, 1, 300])
+@pytest.mark.parametrize("recipe", ["benchmark", "default", "recommendation"])
+def test_the_column_path_reads_the_writers_file_as_the_json_path_does(tmp_path, monkeypatch, recipe, count):
+    dataset, _ = datagen.generate(_PARITY_RECIPES[recipe](count))
+    if count == 300:
+        assert set(dataset.instances.beh_len.tolist()) == set(range(1, dataset.manifest.schema.max_behavior_len + 1))
+    path = tmp_path / "f.jsonl"
+    datagen.write_jsonl(dataset, path)
+    table, json_table, took_json = _read_both_ways(monkeypatch, path)
+    assert not took_json
+    for field in dataclasses.fields(datagen.InstanceTable):
+        got, want = getattr(table, field.name), getattr(json_table, field.name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) and np.array_equal(got, want), field.name
+    assert table == dataset.instances
+
+
+@pytest.mark.parametrize("count", [0, 300])
+def test_a_file_with_image_triggers_takes_the_json_path(tmp_path, monkeypatch, count):
+    dataset, _ = datagen.generate(_PARITY_RECIPES["image_product"](count))
+    path = tmp_path / "f.jsonl"
+    datagen.write_jsonl(dataset, path)
+    table, _, took_json = _read_both_ways(monkeypatch, path)
+    # An empty file holds no trigger, so the column path reads it.
+    assert took_json == bool(np.any(dataset.instances.trigger_kind == datagen.TRIGGER_IMAGE)) == (count > 0)
+    assert table == dataset.instances
+
+
+def test_a_product_row_of_an_image_scenario_is_refused_as_json_refuses_it(tmp_path):
+    # Only the product rows of an image-and-product log: every line has the
+    # writer's form, so only the trigger-kind check can refuse the edited one.
+    dataset, _ = datagen.generate(_PARITY_RECIPES["image_product"](40))
+    rows = dataset.instances[dataset.instances.trigger_kind == datagen.TRIGGER_PRODUCT]
+    counts = {s: int(np.sum(rows.scenario == s)) for s in dataset.manifest.scenario_counts}
+    manifest = dataclasses.replace(dataset.manifest, count=len(rows), scenario_counts=counts)
+    path = tmp_path / "f.jsonl"
+    datagen.write_jsonl(datagen.Dataset(manifest, rows), path)
+    assert datagen._template_table(path.read_bytes(), manifest) == rows
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines[3].startswith(b'{"scenario":1,')
+    lines[3] = b'{"scenario":0,' + lines[3][len(b'{"scenario":1,'):]
+    path.write_bytes(b"".join(lines))
+    assert datagen._template_table(path.read_bytes(), manifest) is None
+    message = "line 4: trigger: kind 'product' does not match scenario 0 (image)"
+    assert _outcome(datagen.read_jsonl, path) == message == _outcome(_line_reader, path)
+
+
+def test_a_digit_moved_from_a_number_into_a_key_is_refused_as_json_refuses_it(tmp_path):
+    # With its digits removed, the edited line reads as the writer's line; json.loads refuses it.
+    dataset, _ = datagen.generate(small_cfg(**{"gen.count": "3"}))
+    path = tmp_path / "f.jsonl"
+    datagen.write_jsonl(dataset, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = re.sub(rb'"user":\d+,"user_attrs"', b'"user":,"u5ser_attrs"', lines[1])
+    assert lines[1].startswith(b'{"scenario":') and b'"user":,"u5ser_attrs":[' in lines[1]
+    path.write_bytes(b"".join(lines))
+    assert datagen._template_table(path.read_bytes(), datagen.read_manifest(path)) is None
+    assert _outcome(datagen.read_jsonl, path) == "line 2: invalid JSON (Expecting value)" == _outcome(_line_reader, path)
+
+
 def test_a_manifest_that_does_not_count_the_rows_is_refused_before_any_file_opens(tmp_path):
     dataset, _ = datagen.generate(small_cfg(**{"gen.count": "60"}))
     m, rows = dataset.manifest, dataset.instances
@@ -752,6 +829,7 @@ def test_a_nan_popularity_is_refused():
 # ---------------------------------------------------------------------------
 
 _FUZZ_CFGS = {
+    "product": small_cfg(**{"schema.max_behavior": "3", "gen.count": "10"}),  # the form the column path reads
     "search": small_cfg(**{
         "scenario.0.trigger_kind": "image", "scenario.1.trigger_kind": "product",
         "dim.trigger": "4", "schema.image_dim": "4", "schema.max_behavior": "3", "gen.count": "10",
@@ -901,6 +979,14 @@ def _line_reader(path):
     return rows
 
 
+def _outcome(reader, path):
+    """What ``reader`` returns for ``path``, or the text of the DataError it raises."""
+    try:
+        return reader(path)
+    except DataError as exc:
+        return str(exc)
+
+
 def _id_slots(obj, vocab):
     """(container, key, bound) of every id of a decoded line."""
     slots = [(obj, "scenario", vocab.scenarios), (obj, "user", vocab.users), (obj, "target_item", vocab.items)]
@@ -997,7 +1083,9 @@ def _edit_objects(draw, lines, cfg, picks, same_line=False):
     """Apply the object edits ``picks`` in turn, each to a line it applies to,
     and with ``same_line`` to the line of the edit before while it applies.
     An edit that does not find the shape it needs on an already edited line
-    leaves that line as it was."""
+    leaves that line as it was. Edited lines are written with json.dumps'
+    default separators, or on some draws compact, as write_jsonl writes."""
+    separators = draw(st.sampled_from([None, (",", ":")]))
     k = None
     for pick in picks:
         change, applies = _OBJECT_EDITS[pick]
@@ -1010,7 +1098,7 @@ def _edit_objects(draw, lines, cfg, picks, same_line=False):
                 change(draw, obj, cfg)
             except (KeyError, TypeError, IndexError):
                 continue
-        lines[k] = json.dumps(obj).encode()
+        lines[k] = json.dumps(obj, separators=separators).encode()
 
 
 def _edit_text(name):
@@ -1039,15 +1127,43 @@ def _edit_text(name):
     def lines(draw, raw):  # one line fewer or one more
         return draw(st.sampled_from([[], [raw, raw]]))
 
+    # Edits that keep the line's punctuation: with its digits removed, the
+    # line still reads as the line it was.
+    def run_of_digits(draw, raw, pattern=rb"\d+"):
+        return draw(st.sampled_from(list(re.finditer(pattern, raw))))
+
+    def moved_digit(draw, raw):  # one digit of a number moved into a key or a string: "u5ser_attrs"
+        at = draw(st.sampled_from([i for i in range(len(raw)) if raw[i:i + 1].isdigit()]))
+        rest = raw[:at] + raw[at + 1:]
+        word = draw(st.sampled_from(list(re.finditer(rb'"([a-z_]+)"', rest))))
+        into = draw(st.integers(word.start(1), word.end(1)))
+        return [rest[:into] + raw[at:at + 1] + rest[into:]]
+
+    def empty_slot(draw, raw):  # "user":,
+        found = run_of_digits(draw, raw)
+        return [raw[:found.start()] + raw[found.end():]]
+
+    def leading_zero(draw, raw):  # "user":05
+        found = run_of_digits(draw, raw, rb"(?<![\d.])\d+")
+        return [raw[:found.start()] + draw(st.sampled_from([b"0", b"00"])) + raw[found.start():]]
+
+    def long_id(draw, raw):  # 19 or more digits, past int64; or 18, within it but past any bound
+        found = run_of_digits(draw, raw, rb"(?<![\d.])\d+")
+        token = draw(st.sampled_from([b"1000000000000000000", b"9223372036854775808", b"10" * 12, b"999999999999999999"]))
+        return [raw[:found.start()] + token + raw[found.end():]]
+
     return {"truncate": truncate, "blank": blank, "utf-8": utf8, "number": number, "spaces": spaces, "tail": tail,
-            "lines": lines}[name]
+            "lines": lines, "moved digit": moved_digit, "empty slot": empty_slot, "leading zero": leading_zero,
+            "long id": long_id}[name]
 
 
 _NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
-_EDITS = ["clean", "objects"] + list(range(len(_OBJECT_EDITS))) + ["truncate", "blank", "utf-8", "number", "spaces", "tail", "lines"]
+_EDITS = ["clean", "objects"] + list(range(len(_OBJECT_EDITS))) + [
+    "truncate", "blank", "utf-8", "number", "spaces", "tail", "lines", "moved digit", "empty slot", "leading zero", "long id",
+]
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=750, deadline=None)
 @given(mode=st.sampled_from(sorted(_FUZZ_CFGS)), edit=st.sampled_from(_EDITS), data=st.data())
 def test_read_jsonl_matches_the_line_validator(mode, edit, data):
     """One edit to one line of a small file, or 2-3 object edits on one line
@@ -1066,16 +1182,10 @@ def test_read_jsonl_matches_the_line_validator(mode, edit, data):
         k = data.draw(st.integers(0, len(lines) - 1))
         lines[k:k + 1] = _edit_text(edit)(data.draw, lines[k])
 
-    def outcome(reader, path):
-        try:
-            return reader(path)
-        except DataError as exc:
-            return str(exc)
-
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "f.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n")
         datagen.manifest_path(path).write_bytes(manifest)
-        want = outcome(_line_reader, path)
-        got = outcome(lambda p: list(datagen._objects_of(datagen.read_jsonl(p).instances)), path)
+        want = _outcome(_line_reader, path)
+        got = _outcome(lambda p: list(datagen._objects_of(datagen.read_jsonl(p).instances)), path)
     assert got == want
