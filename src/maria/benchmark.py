@@ -10,13 +10,11 @@ divergence of the user-field refiner selection.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import datagen, training
-from .autodiff import Graph
 from .config import RunConfig, build_run_config
 from .metrics import shown
-from .model import build_model
 
 BENCH_KINDS = ("maria", "hard_sharing", "mmoe")
 BENCH_SEEDS = (0, 1, 2)
@@ -58,24 +56,27 @@ def benchmark_config(count: int, gen_seed: int) -> RunConfig:
 
 
 @dataclass
-class BenchRun:
-    kind: str
-    seed: int
-    auc: float | None
-    per_scenario_auc: dict[int, float | None]
-    user_divergence: float | None
-    seconds: float
-
-
-@dataclass
 class BenchmarkReport:
-    runs: list[BenchRun]
-    mean_auc: dict[str, float]
+    runs: list[training.CellResult]
     train_bayes: float | None  # None where the log holds one label class or no rows
     eval_bayes: float | None
     seconds: float
     gen_seconds: float  # generating the train and eval logs
-    user_divergences: list[float] = field(default_factory=list)  # full model, per seed
+
+    @property
+    def mean_auc(self) -> dict[str, float]:
+        """Mean AUC per kind, in run order; a kind with an undefined AUC has none."""
+        out = {}
+        for kind in dict.fromkeys(r.kind for r in self.runs):
+            values = [r.auc for r in self.runs if r.kind == kind]
+            if all(v is not None for v in values):
+                out[kind] = sum(values) / len(values)
+        return out
+
+    @property
+    def user_divergences(self) -> list[float]:
+        """The full model's user-field refiner divergence, per seed."""
+        return [r.user_divergence for r in self.runs if r.kind == "maria" and r.user_divergence is not None]
 
     def gap(self, kind: str) -> float | None:
         if "maria" not in self.mean_auc or kind not in self.mean_auc:
@@ -85,7 +86,14 @@ class BenchmarkReport:
     def to_dict(self) -> dict:
         return {
             "runs": [
-                {**asdict(r), "per_scenario_auc": {str(k): v for k, v in r.per_scenario_auc.items()}}
+                {
+                    "kind": r.kind,
+                    "seed": r.seed,
+                    "auc": r.auc,
+                    "per_scenario_auc": {str(k): v for k, v in r.per_scenario_auc.items()},
+                    "user_divergence": r.user_divergence,
+                    "seconds": r.seconds,
+                }
                 for r in self.runs
             ],
             "mean_auc": self.mean_auc,
@@ -130,7 +138,8 @@ def run_benchmark(
     generator seeds.
     """
     started = time.perf_counter()
-    train_ds, _ = datagen.generate(benchmark_config(train_count, TRAIN_DATA_SEED))
+    cfg = benchmark_config(train_count, TRAIN_DATA_SEED)
+    train_ds, _ = datagen.generate(cfg)
     eval_ds, _ = datagen.generate(benchmark_config(eval_count, EVAL_DATA_SEED))
     gen_seconds = time.perf_counter() - started
     if log_fn:
@@ -140,43 +149,18 @@ def run_benchmark(
             f"eval bayes auc {shown(eval_ds.manifest.bayes_auc.get('overall'))}"
         )
 
-    runs: list[BenchRun] = []
-    divergences: list[float] = []
+    runs = []
     for kind in kinds:
         for seed in seeds:
-            t0 = time.perf_counter()
-            cfg = benchmark_config(train_count, TRAIN_DATA_SEED)
-            cfg = replace(cfg, train=replace(cfg.train, seed=seed))
-            graph = Graph(seed=seed)
-            model = build_model(graph, cfg, kind=kind)
-            training.train(graph, model, train_ds.instances, cfg.train)
-            report = training.evaluate(model, eval_ds.instances, cfg.train.batch_size)
-            divergence = report.refiner_divergence().get("user")
-            if kind == "maria" and divergence is not None:
-                divergences.append(divergence)
-            run = BenchRun(
-                kind=kind,
-                seed=seed,
-                auc=report.auc,
-                per_scenario_auc={s: e.auc for s, e in report.per_scenario.items()},
-                user_divergence=divergence,
-                seconds=time.perf_counter() - t0,
-            )
+            cell_cfg = replace(cfg, train=replace(cfg.train, seed=seed))
+            run = training.run_cell(cell_cfg, train_ds.instances, eval_ds.instances, kind=kind)
             runs.append(run)
             if log_fn:
                 log_fn(f"{kind} seed {seed}: auc {shown(run.auc)} ({run.seconds:.1f}s)")
-
-    mean_auc = {}
-    for kind in kinds:
-        values = [r.auc for r in runs if r.kind == kind]
-        if values and all(v is not None for v in values):
-            mean_auc[kind] = sum(values) / len(values)
     return BenchmarkReport(
         runs=runs,
-        mean_auc=mean_auc,
         train_bayes=train_ds.manifest.bayes_auc.get("overall"),
         eval_bayes=eval_ds.manifest.bayes_auc.get("overall"),
         seconds=time.perf_counter() - started,
         gen_seconds=gen_seconds,
-        user_divergences=divergences,
     )

@@ -985,8 +985,8 @@ def _template_table(data: bytes, manifest: DatasetManifest) -> InstanceTable | N
     )
 
 
-def _json_table(path: Path, manifest: DatasetManifest) -> InstanceTable:
-    """The table of a dataset file of any form, read line by line with json.
+def _json_table(data: bytes, path: Path, manifest: DatasetManifest) -> InstanceTable:
+    """The table of a dataset file's bytes ``data``, in any form, read line by line with json.
 
     Each line is decoded and its key set checked; the values are then checked
     column by column with numpy. The first line that breaks a rule is named,
@@ -1019,23 +1019,15 @@ def _json_table(path: Path, manifest: DatasetManifest) -> InstanceTable:
         return objs
 
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            objs = decoded(fh)
-    except UnicodeDecodeError:
-        # The text reader decodes whole chunks (line by line would slow every
-        # read by about 7%), so the lines of the chunk before the bad byte were
-        # never checked. Check them from the bytes, then name the bad line.
-        data = path.read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            before = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).readlines()
-            if before and not before[-1].endswith("\n"):
-                before.pop()  # the start of the bad line
-            checked(decoded(before))
-            raise DataError(f"line {len(before) + 1}: not UTF-8 ({exc.reason})") from exc
-        raise
-    instances = checked(objs)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The lines before the bad byte are checked first, then the bad line is named.
+        before = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).readlines()
+        if before and not before[-1].endswith("\n"):
+            before.pop()  # the start of the bad line
+        checked(decoded(before))
+        raise DataError(f"line {len(before) + 1}: not UTF-8 ({exc.reason})") from exc
+    instances = checked(decoded(io.StringIO(text, newline=None)))
     if len(instances) != manifest.count:
         raise DataError(
             f"{path}: holds {len(instances)} instances but the manifest says {manifest.count} (truncated file?)"
@@ -1052,9 +1044,10 @@ def read_jsonl(path: str | Path) -> Dataset:
     same table and names the first line that breaks a rule."""
     path = Path(path)
     manifest = read_manifest(path)
-    instances = _template_table(path.read_bytes(), manifest)
+    data = path.read_bytes()
+    instances = _template_table(data, manifest)
     if instances is None:
-        instances = _json_table(path, manifest)
+        instances = _json_table(data, path, manifest)
     return Dataset(manifest=manifest, instances=instances)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Value
-from .layers import Fcn
+from .layers import Fcn, glorot_uniform
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,8 @@ class FieldRefinement:
     sigmoid of those scores feeds the Gumbel-softmax directly. Training uses
     the sampled soft weights; evaluation picks argmax deterministically, so
     the slots of unselected refiners are exactly zero. A field with one
-    refiner skips its selector and draws no Gumbel noise: the weight would
-    be exactly 1.0 and the selector's gradient exactly 0, so the output and
-    every gradient are those of the refiner alone. The selector's
-    parameters are still made, and read a zero gradient.
+    refiner has no selector and draws no Gumbel noise: its weight would be
+    exactly 1.0, so the field refines to its refiner's output.
     """
 
     def __init__(
@@ -141,9 +139,12 @@ class FieldRefinement:
             n = refiner_counts[f.name]
             rw = refiner_width(f.width, compression)
             self.counts[f.name] = n
-            self.selectors[f.name] = Fcn(
-                graph, rng, f.width + scenario_dim, [n], ["linear"], f"{name}.{f.name}.selector"
-            )
+            if n > 1:
+                self.selectors[f.name] = Fcn(
+                    graph, rng, f.width + scenario_dim, [n], ["linear"], f"{name}.{f.name}.selector"
+                )
+            else:  # the unread draw keeps every later parameter's start where it was
+                glorot_uniform(rng, (f.width + scenario_dim, n), f.width + scenario_dim, n)
             self.refiners[f.name] = [
                 Fcn(graph, rng, f.width, [rw], ["relu"], f"{name}.{f.name}.refiner{k}") for k in range(n)
             ]
@@ -161,7 +162,7 @@ class FieldRefinement:
         mode: str,
         trace: dict | None = None,
     ) -> Value:
-        if self.counts[field_name] == 1:
+        if field_name not in self.selectors:
             if trace is not None and mode == "eval":
                 trace.setdefault("refiner_choice", {})[field_name] = np.zeros(field_value.shape[:-1], dtype=np.intp)
             return self.refiners[field_name][0].forward(field_value)

@@ -1,4 +1,4 @@
-"""Training loop, evaluation, ablation sweeps, and the gradient-check harness."""
+"""Training loop, evaluation, experiment cells, ablations, and the gradient-check harness."""
 
 from __future__ import annotations
 
@@ -233,23 +233,48 @@ def evaluate(model, instances: InstanceTable, batch_size: int = 512, workers: in
 
 
 # ---------------------------------------------------------------------------
-# ablation sweep
+# experiment cells and the ablation sweep
 # ---------------------------------------------------------------------------
 
 ABLATION_VARIANTS = ("full",) + tuple(f"wo_{name}" for name in ABLATION_FLAGS)
 
 
 @dataclass
-class VariantResult:
-    variant: str
+class CellResult:
+    """One model of an experiment, trained and scored by ``run_cell``."""
+    kind: str
+    seed: int
     auc: float | None
     per_scenario_auc: dict[int, float | None]
+    user_divergence: float | None  # None for a model without field refinement
     parameters: int
+    seconds: float
+
+
+def run_cell(
+    cfg: RunConfig, train_instances: InstanceTable, eval_instances: InstanceTable, kind: str = "maria"
+) -> CellResult:
+    """Build a model of ``kind`` seeded by ``cfg.train.seed``, train it without
+    mid-training evals and score it at the training batch size."""
+    started = time.perf_counter()
+    graph = Graph(seed=cfg.train.seed)
+    model = build_model(graph, cfg, kind=kind)
+    train(graph, model, train_instances, cfg.train)
+    report = evaluate(model, eval_instances, cfg.train.batch_size)
+    return CellResult(
+        kind=kind,
+        seed=cfg.train.seed,
+        auc=report.auc,
+        per_scenario_auc={s: e.auc for s, e in report.per_scenario.items()},
+        user_divergence=report.refiner_divergence().get("user"),
+        parameters=model.parameter_summary()["total"],
+        seconds=time.perf_counter() - started,
+    )
 
 
 @dataclass
 class AblationReport:
-    results: dict[str, VariantResult]
+    results: dict[str, CellResult]  # variant -> its cell
 
     def gains(self) -> dict[str, dict[str, float | None]]:
         """Per-variant AUC deltas against the full model, per scenario plus
@@ -316,7 +341,7 @@ def ablate(
     log_fn=None,
 ) -> AblationReport:
     """Retrain the model once per variant under identical seeds and data."""
-    results: dict[str, VariantResult] = {}
+    results: dict[str, CellResult] = {}
     for variant in variants:
         if variant == "full":
             cfg_v = cfg
@@ -325,18 +350,9 @@ def ablate(
             if name not in ABLATION_FLAGS:
                 raise ValueError(f"unknown ablation variant {variant!r}")
             cfg_v = replace(cfg, flags=cfg.flags.disable([name]))
-        graph = Graph(seed=cfg.train.seed)
-        model = build_model(graph, cfg_v)
-        train(graph, model, train_instances, cfg_v.train, log_fn=None)
-        report = evaluate(model, eval_instances, cfg_v.train.batch_size)
-        results[variant] = VariantResult(
-            variant=variant,
-            auc=report.auc,
-            per_scenario_auc={s: e.auc for s, e in report.per_scenario.items()},
-            parameters=model.parameter_summary()["total"],
-        )
+        results[variant] = run_cell(cfg_v, train_instances, eval_instances)
         if log_fn:
-            log_fn(f"{variant}: auc {metrics.shown(report.auc)}")
+            log_fn(f"{variant}: auc {metrics.shown(results[variant].auc)}")
     return AblationReport(results=results)
 
 

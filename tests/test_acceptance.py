@@ -160,9 +160,16 @@ def test_criterion_5_analytic_invariants():
 
     out = model.bottom.encode(batch)
     q_s, _ = model.fs.forward(out.q, out.e_user, out.e_item, out.e_scenario)
-    sums_ok, onehot_ok = True, True
+    assert model.fr.selectors, "the tiny recipe has no field that selects"
+    sums_ok, onehot_ok, lone_ok = True, True, True
     for f in model.layout.fields:
         piece = ad.slice_last(q_s, f.offset, f.offset + f.width)
+        if model.fr.counts[f.name] == 1:
+            refined = model.fr.refine_field(f.name, piece, out.e_scenario, "train")
+            lone_ok &= f.name not in model.fr.selectors and bool(
+                np.array_equal(refined.data, model.fr.refiners[f.name][0].forward(piece).data)
+            )
+            continue
         scores = ad.sigmoid(
             model.fr.selectors[f.name].forward(ad.concat([piece, out.e_scenario], axis=-1))
         )
@@ -173,6 +180,7 @@ def test_criterion_5_analytic_invariants():
         onehot_ok &= bool(np.all(top[..., -1] == 1.0) and np.all(top[..., :-1] == 0.0))
     checks.append(("selection weights sum to 1 in training", sums_ok))
     checks.append(("selection exactly one-hot at evaluation", onehot_ok))
+    checks.append(("a one-refiner field has no selector and refines to its refiner's output", lone_ok))
 
     checks.append(("10 correlation terms for 5 fields", model.fcm.out_width == 10 and len(model.layout.fields) == 5))
 

@@ -606,6 +606,25 @@ def test_eval_of_a_checkpoint_whose_parameter_shape_differs_from_its_model_exits
     assert f"parameter 'bottom.trigger_sim.w0': saved shape ({t + d}, 1), model expects ({t}, {d})" in err
 
 
+def test_eval_of_a_checkpoint_holding_a_one_refiner_fields_selector_exits_3(tmp_path, capsys):
+    """A checkpoint saved when every field built a selector also holds the
+    selector records of its one-refiner fields; the model its spec builds
+    has none. It is refused, and the extra records are named."""
+    data, path = tmp_path / "d.jsonl", tmp_path / "m.ckpt"
+    code, _, _ = run(capsys, "gen-data", *TINY, "--out", str(data), "--count", "40")
+    assert code == 0
+    overrides = dict(p.split("=", 1) for p in TINY[1::2])
+    model = build_model(Graph(seed=0), config.build_run_config({}, overrides))
+    lone = [f for f, n in model.fr.counts.items() if n == 1]
+    assert lone and all(f not in model.fr.selectors for f in lone)
+    dead = [(f"adaptive.fr.{f}.selector.{p}", np.zeros(1)) for f in lone for p in ("w0", "b0")]
+    checkpoint.save_checkpoint(path, model.spec(), [(n, v.data) for n, v in model.named_parameters()] + dead)
+    code, _, err = run(capsys, "eval", "--model", str(path), "--data", str(data))
+    assert code == 3, err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"missing [], extra {sorted(n for n, _ in dead)}" in err
+
+
 def test_eval_of_a_checkpoint_whose_spec_cannot_build_a_model_exits_3(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     code, _, _ = run(capsys, "gen-data", *TINY, "--out", str(data), "--count", "40")

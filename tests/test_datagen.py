@@ -190,7 +190,7 @@ def _read_both_ways(monkeypatch, path):
     """The table read_jsonl returns, the json path's table of the same file,
     and whether read_jsonl ran the json path."""
     manifest = datagen.read_manifest(path)
-    json_table = datagen._json_table(path, manifest)
+    json_table = datagen._json_table(path.read_bytes(), path, manifest)
     calls = []
     monkeypatch.setattr(datagen, "_json_table", lambda *args: calls.append(args) or json_table)
     return datagen.read_jsonl(path).instances, json_table, bool(calls)
@@ -548,6 +548,28 @@ def write_small(tmp_path, count=8):
     path = tmp_path / "d.jsonl"
     datagen.write_jsonl(dataset, path)
     return path
+
+
+@pytest.mark.parametrize("form", ["writer", "json.dumps", "bad byte"])
+def test_read_jsonl_reads_the_data_file_once(tmp_path, monkeypatch, form):
+    # The column path and the json path read the same bytes, also when the
+    # column path refuses them or they do not decode.
+    path = write_small(tmp_path, count=12)
+    lines = path.read_bytes().splitlines()
+    if form == "json.dumps":
+        lines = [json.dumps(json.loads(line)).encode() for line in lines]
+    elif form == "bad byte":
+        lines[4] = lines[4][:1] + b"\xff" + lines[4][2:]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    reads = []
+    open_ = Path.open  # Path.read_bytes opens through it
+    monkeypatch.setattr(Path, "open", lambda self, *a, **k: reads.append(self) or open_(self, *a, **k))
+    if form == "bad byte":
+        with pytest.raises(DataError, match=r"^line 5: not UTF-8"):
+            datagen.read_jsonl(path)
+    else:
+        assert len(datagen.read_jsonl(path).instances) == 12
+    assert reads.count(path) == 1
 
 
 def test_read_errors_carry_line_numbers(tmp_path):

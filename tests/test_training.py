@@ -11,10 +11,10 @@ from helpers import BENCHMARK_STEP_NODES
 
 from maria import checkpoint, datagen, metrics, training
 from maria.autodiff import Graph
-from maria.benchmark import benchmark_config, run_benchmark
+from maria.benchmark import EVAL_DATA_SEED, TRAIN_DATA_SEED, benchmark_config, run_benchmark
 from maria.config import build_run_config
 from maria.model import build_model, make_batch, model_from_spec
-from maria.training import TrainingDiverged, ablate, evaluate, gradient_check, train
+from maria.training import TrainingDiverged, ablate, evaluate, gradient_check, run_cell, train
 
 
 def learnable_overrides(**extra):
@@ -473,6 +473,41 @@ def test_ablation_bookkeeping():
     assert report.results["wo_st"].parameters == summary["total"] - summary["shared_tower"]
     table = report.to_table()
     assert "wo_st" in table and "total_gain" in table
+
+
+def _timeless(cell: training.CellResult) -> dict:
+    return {k: v for k, v in dataclasses.asdict(cell).items() if k != "seconds"}
+
+
+def test_every_ablation_result_is_the_cell_run_cell_gives():
+    cfg = benchmark_config(500, 3)
+    dataset, _ = datagen.generate(cfg)
+    train_rows, eval_rows = dataset.instances[:300], dataset.instances[300:]
+    report = ablate(cfg, train_rows, eval_rows, variants=("full", "wo_fr", "wo_st"))
+    for variant, result in report.results.items():
+        cfg_v = cfg if variant == "full" else dataclasses.replace(cfg, flags=cfg.flags.disable([variant[len("wo_"):]]))
+        assert _timeless(result) == _timeless(run_cell(cfg_v, train_rows, eval_rows)), variant
+    assert report.results["wo_fr"].user_divergence is None
+    doc = report.to_dict()
+    assert [list(r) for r in doc["results"].values()] == [["auc", "per_scenario_auc", "parameters"]] * 3
+
+
+def test_every_benchmark_run_is_the_cell_run_cell_gives():
+    report = run_benchmark(kinds=("maria", "mmoe"), seeds=(0, 1), train_count=300, eval_count=200)
+    cfg = benchmark_config(300, TRAIN_DATA_SEED)
+    train_rows = datagen.generate(cfg)[0].instances
+    eval_rows = datagen.generate(benchmark_config(200, EVAL_DATA_SEED))[0].instances
+    assert [(r.kind, r.seed) for r in report.runs] == [("maria", 0), ("maria", 1), ("mmoe", 0), ("mmoe", 1)]
+    for run in report.runs:
+        cell = run_cell(dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=run.seed)),
+                        train_rows, eval_rows, kind=run.kind)
+        assert _timeless(run) == _timeless(cell), (run.kind, run.seed)
+    doc = report.to_dict()
+    keys = ["kind", "seed", "auc", "per_scenario_auc", "user_divergence", "seconds"]
+    assert [list(r) for r in doc["runs"]] == [keys] * 4
+    assert doc["user_divergences"] == [r.user_divergence for r in report.runs[:2]]
+    assert doc["mean_auc"] == {kind: (report.runs[i].auc + report.runs[i + 1].auc) / 2
+                               for kind, i in (("maria", 0), ("mmoe", 2))}
 
 
 def test_gradient_check_harness_passes_and_can_fail():
