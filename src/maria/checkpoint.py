@@ -71,7 +71,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict, list[tuple[str, np.nd
             # A corrupt length can ask for more than the file holds, or than
             # memory does; refuse it before the read allocates its buffer.
             if n > size - fh.tell():
-                raise CheckpointError(f"truncated checkpoint while reading {what}")
+                raise CheckpointError(f"{path}: truncated checkpoint while reading {what}")
             return fh.read(n)
 
         if read(len(MAGIC), "magic") != MAGIC:
@@ -134,10 +134,12 @@ def load_model(path: str | Path, seed: int = 0):
     if set(named) != set(saved_names):
         missing = sorted(set(named) - set(saved_names))
         extra = sorted(set(saved_names) - set(named))
-        raise CheckpointError(f"parameter names disagree with the saved architecture: missing {missing}, extra {extra}")
+        raise CheckpointError(
+            f"{path}: parameter names disagree with the saved architecture: missing {missing}, extra {extra}"
+        )
     for name, arr in params:
         target = named[name]
         if target.data.shape != arr.shape:
-            raise CheckpointError(f"parameter {name!r}: saved shape {arr.shape}, model expects {target.data.shape}")
+            raise CheckpointError(f"{path}: parameter {name!r}: saved shape {arr.shape}, model expects {target.data.shape}")
         target.data[...] = arr
     return model, graph, meta

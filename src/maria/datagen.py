@@ -24,6 +24,10 @@ built once per run; the ids drawn and the stream state after them equal
 those of ``rng.choice(n, size, p=...)``, which runs the same search inside.
 The columns hold the bits that computing each instance on its own gives:
 ``tests/helpers.py`` keeps that per-instance generator as the reference.
+
+``read_jsonl`` reads the writer's own form from its bytes, column by column;
+any other file is read by json, each line checked against the read rules
+that word every error (``_row_rules``) before the next line is read.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ import sys
 from array import array
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import is_not, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +77,8 @@ class DataError(ValueError):
 class InstanceTable:
     """Instances column by column: the one in-memory form of an instance.
     Rows exist only as the JSON objects of the file format, which
-    ``_objects_of`` writes out and ``_table_of`` reads back into columns;
-    ``_template_table`` reads the writer's own lines from their bytes.
+    ``_objects_of`` writes out and ``_table_of`` builds back into columns,
+    unchecked; ``_template_table`` reads the writer's own lines from their bytes.
 
     Row ``i``'s behaviour sequence, oldest first, is entries ``beh_start[i]``
     to ``beh_start[i] + beh_len[i]`` of the flat ``beh_items`` and
@@ -620,11 +622,12 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
 
 def _id_error(name: str, value, bound: int, count: int | None = None) -> str | None:
     """What is wrong with an id, or a list of ``count`` ids, in [0, bound), after ``name``; None if nothing is."""
-    if count is None:
-        return None if type(value) is int and 0 <= value < bound else f"{name} {value!r} outside [0, {bound})"
-    if not (isinstance(value, list) and len(value) == count):
+    if count is not None and not (isinstance(value, list) and len(value) == count):
         return f"{name} expected {count} ids"
-    return next(filter(None, (_id_error(f"{name} id", v, bound) for v in value)), None)
+    for v in [value] if count is None else value:
+        if not (type(v) is int and 0 <= v < bound):
+            return f"{name}{'' if count is None else ' id'} {v!r} outside [0, {bound})"
+    return None
 
 
 def _keys_error(obj) -> str:
@@ -649,14 +652,14 @@ def _behavior_error(raw, vocab: VocabSizes, schema: FeatureSchema) -> str | None
     return None
 
 
-def _trigger_error(raw, sid: int, manifest: DatasetManifest) -> str | None:
-    """What is wrong with the trigger of a row of scenario ``sid``; None if nothing is."""
+def _trigger_error(raw, sid: int, expected: str, manifest: DatasetManifest) -> str | None:
+    """What is wrong with the trigger of a row of scenario ``sid``, of kind ``expected``; None if nothing is."""
     vocab, schema = manifest.vocab, manifest.schema
     if manifest.trigger_mode == "recommendation":
         return None if raw is None else "trigger: must be null in a trigger-free dataset"
     if not (isinstance(raw, dict) and "kind" in raw):
         return "trigger: expected an object with a kind"
-    kind, expected = raw["kind"], {p.scenario_id: p.trigger_kind for p in manifest.profiles}.get(sid)
+    kind = raw["kind"]
     if kind != expected:
         return f"trigger: kind {kind!r} does not match scenario {sid} ({expected})"
     if kind == "image":
@@ -675,23 +678,36 @@ def _trigger_error(raw, sid: int, manifest: DatasetManifest) -> str | None:
     )
 
 
-def _row_error(obj: dict, names: list[str], manifest: DatasetManifest) -> str | None:
-    """The message of the first read rule that ``obj`` breaks in the fields ``names``, taken in order;
-    None if it breaks none, as in a field marked on every row because its column did not convert."""
+def _id_fields(vocab: VocabSizes, schema: FeatureSchema) -> dict[str, tuple[int, int | None]]:
+    """Field -> (bound, count) of the fields that hold an id (count None) or a list of ids."""
+    return {
+        "scenario": (vocab.scenarios, None), "user": (vocab.users, None), "target_item": (vocab.items, None),
+        "user_attrs": (vocab.user_attrs, schema.user_attr_count),
+        "target_attrs": (vocab.item_attrs, schema.item_attr_count),
+        "context": (vocab.context_attrs, schema.context_attr_count),
+    }
+
+
+def _row_rules(manifest: DatasetManifest):
+    """``row_error(obj)``: the message of the first read rule that ``obj``, a
+    decoded line holding the instance keys, breaks, its fields taken in
+    ``_FIELDS`` order; None if it breaks none. The lookups of ``manifest``
+    are built here, once per file."""
     vocab, schema = manifest.vocab, manifest.schema
     ids = _id_fields(vocab, schema)
+    kinds = {p.scenario_id: p.trigger_kind for p in manifest.profiles}
 
-    def error(name: str) -> str | None:
+    def error(obj: dict, name: str) -> str | None:
         value = obj[name]
         if name in ids:
             return _id_error(f"{name}:", value, *ids[name])
         if name == "behavior":
             return _behavior_error(value, vocab, schema)
-        if name == "trigger":
-            return _trigger_error(value, obj["scenario"], manifest)
+        if name == "trigger":  # the scenario, checked before it, is one of kinds
+            return _trigger_error(value, obj["scenario"], kinds[obj["scenario"]], manifest)
         return f"label: {value!r} is not 0 or 1" if type(value) is bool or value not in (0, 1) else None
 
-    return next(filter(None, map(error, names)), None)
+    return lambda obj: next(filter(None, (error(obj, name) for name in _FIELDS)), None)
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
@@ -755,131 +771,35 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     return manifest
 
 
-def _numbers(values: list, width: int | None, types: set, dtype) -> np.ndarray | None:
-    """``values`` as one array of shape (n,), or (n, width) for lists of
-    ``width`` numbers; None unless every number has a type in ``types``."""
-    if width is None:
-        flat = values
-    elif set(map(type, values)) <= {list} and set(map(len, values)) <= {width}:
-        flat = list(chain.from_iterable(values))
-    else:
-        return None
-    try:
-        if set(map(type, flat)) <= types:
-            return np.fromiter(flat, dtype, len(flat)).reshape((len(values),) if width is None else (len(values), width))
-    except OverflowError:  # beyond 64 bits, or beyond the float range
-        pass
-    return None
+def _table_of(objs: list[dict], schema: FeatureSchema) -> InstanceTable:
+    """The table of instance objects in the form of the JSONL lines, as they
+    are: the inverse of ``_objects_of``. Nothing is checked; ``_json_table``
+    checks each line before it builds the table, and rows built in memory
+    need no manifest. A trigger other than an image or a product is none."""
 
+    def column(values: list, width: int | None = None, dtype=np.int64) -> np.ndarray:
+        return np.array(values, dtype=dtype).reshape(len(values) if width is None else (len(values), width))
 
-def _id_fields(vocab: VocabSizes, schema: FeatureSchema) -> dict[str, tuple[int, int | None]]:
-    """Field -> (bound, count) of the fields that hold an id (count None) or a list of ids."""
-    return {
-        "scenario": (vocab.scenarios, None), "user": (vocab.users, None), "target_item": (vocab.items, None),
-        "user_attrs": (vocab.user_attrs, schema.user_attr_count),
-        "target_attrs": (vocab.item_attrs, schema.item_attr_count),
-        "context": (vocab.context_attrs, schema.context_attr_count),
-    }
+    def field(name: str, width: int | None = None) -> np.ndarray:
+        return column([o[name] for o in objs], width)
 
-
-def _ids(values: list, bound: int, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as int64 ids of shape (n,), or (n, width) for lists of
-    ``width`` ids, and the rows holding an id outside [0, bound). Unless every
-    value is an int, or a list of ``width`` ints, every row is marked."""
-    n = len(values)
-    arr = _numbers(values, width, {int}, np.int64)
-    if arr is None:
-        return np.zeros((n,) if width is None else (n, width), dtype=np.int64), np.ones(n, dtype=bool)
-    outside = (arr < 0) | (arr >= bound)
-    return arr, outside if width is None else outside.any(axis=1)
-
-
-def _behavior_columns(values: list, vocab: VocabSizes, schema: FeatureSchema):
-    """``beh_len``, ``beh_items`` and ``beh_attrs`` of the rows'
-    ``[[item, [attrs]], ...]`` lists, and the rows that may break a rule."""
-    n, m = len(values), schema.max_behavior_len
-    pairs = list(chain.from_iterable(values)) if set(map(type, values)) <= {list} else None
-    if pairs is None or not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
-        empty = (np.zeros(n, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, schema.item_attr_count), dtype=np.int64))
-        return empty, np.ones(n, dtype=bool)
-    lengths = np.array(list(map(len, values)), dtype=np.int64)
-    flat = list(chain.from_iterable(pairs))
-    items, item_bad = _ids(flat[0::2], vocab.items)
-    attrs, attrs_bad = _ids(flat[1::2], vocab.item_attrs, schema.item_attr_count)
-    bad = (lengths < 1) | (lengths > m)
-    bad[np.repeat(np.arange(n), lengths)[item_bad | attrs_bad]] = True
-    return (lengths, items, attrs), bad
-
-
-def _trigger_columns(values: list, expected: np.ndarray, manifest: DatasetManifest):
-    """``trigger_kind``, ``image_vec``, ``trig_item`` and ``trig_attrs`` of
-    the rows' trigger objects, and the rows that may break a rule. ``expected`` holds
-    each row's kind code by its scenario, -1 where no kind can match."""
-    vocab, schema = manifest.vocab, manifest.schema
-    n = len(values)
-    kind = np.zeros(n, dtype=np.int8)
-    image_vec = np.zeros((n, schema.image_dim))
-    trig_item = np.zeros(n, dtype=np.int64)
-    trig_attrs = np.zeros((n, schema.trigger_attr_count), dtype=np.int64)
-    columns = (kind, image_vec, trig_item, trig_attrs)
-    if manifest.trigger_mode == "recommendation":
-        return columns, np.fromiter(map(is_not, values, repeat(None)), dtype=bool, count=n)
-    try:
-        got = np.fromiter(map(_KIND_CODES.get, map(dict.get, values, repeat("kind")), repeat(-2)), np.int8, n)
-    except TypeError:  # a trigger that is not an object, or a kind that cannot be a key
-        return columns, np.ones(n, dtype=bool)
-    bad = got != expected
-    kind[~bad] = got[~bad]
-
-    def payloads(code: int, *keys: str):
-        """The rows of a kind, and their payload values per key; a payload
-        with other keys than ``kind`` and these marks its row."""
-        rows = np.flatnonzero(kind == code)
-        objs = [values[r] for r in rows.tolist()]
-        bad[rows[np.array(list(map(len, objs)), dtype=np.int64) != len(keys) + 1]] = True
-        return rows, [list(map(dict.get, objs, repeat(key))) for key in keys]
-
-    rows, (vecs,) = payloads(TRIGGER_IMAGE, "vec")
-    vecs = _numbers(vecs, schema.image_dim, {int, float}, np.float64)
-    if vecs is None:
-        bad[rows] = True
-    else:
-        image_vec[rows] = vecs
-        bad[rows[~np.isfinite(vecs).all(axis=1)]] = True
-    rows, (items, attrs) = payloads(TRIGGER_PRODUCT, "item", "attrs")
-    trig_item[rows], item_bad = _ids(items, vocab.items)
-    trig_attrs[rows], attrs_bad = _ids(attrs, vocab.trigger_attrs, schema.trigger_attr_count)
-    bad[rows[item_bad | attrs_bad]] = True
-    return columns, bad
-
-
-def _table_of(objs: list[dict], manifest: DatasetManifest) -> tuple[InstanceTable, dict[str, np.ndarray]]:
-    """The table of decoded instance objects that hold the instance keys, and
-    per field the rows whose value may break a rule: every row that does, found
-    column by column. A column that does not convert in one call marks all rows."""
-    vocab, schema = manifest.vocab, manifest.schema
-    values = {name: list(map(itemgetter(name), objs)) for name in _FIELDS}
-    cols, flagged = {}, {}
-    for name, (bound, width) in _id_fields(vocab, schema).items():
-        cols[name], flagged[name] = _ids(values[name], bound, width)
-
-    if set(map(type, values["label"])) <= {int, float}:  # 0.0 and 1.0 pass, as they do in _row_error
-        labels = np.array(values["label"])
-        flagged["label"] = (labels != 0) & (labels != 1)
-    else:
-        labels = np.zeros(len(objs))
-        flagged["label"] = np.ones(len(objs), dtype=bool)
-    cols["label"] = (labels == 1).astype(np.int64)
-
-    (lengths, items, attrs), flagged["behavior"] = _behavior_columns(values["behavior"], vocab, schema)
-    cols.update(beh_start=np.cumsum(lengths) - lengths, beh_len=lengths, beh_items=items, beh_attrs=attrs)
-
-    by_scenario = {p.scenario_id: _KIND_CODES.get(p.trigger_kind, -1) for p in manifest.profiles}
-    codes = np.array([by_scenario.get(s, -1) for s in range(vocab.scenarios)] + [-1], dtype=np.int8)
-    expected = codes[np.where(flagged["scenario"], vocab.scenarios, cols["scenario"])]  # -1 on a bad scenario
-    (kind, image_vec, trig_item, trig_attrs), flagged["trigger"] = _trigger_columns(values["trigger"], expected, manifest)
-    table = InstanceTable(trigger_kind=kind, image_vec=image_vec, trig_item=trig_item, trig_attrs=trig_attrs, **cols)
-    return table, flagged
+    triggers = [o["trigger"] or {} for o in objs]
+    kind = column([_KIND_CODES.get(t.get("kind"), TRIGGER_NONE) for t in triggers], dtype=np.int8)
+    image, product = (kind == TRIGGER_IMAGE).tolist(), (kind == TRIGGER_PRODUCT).tolist()
+    zero_vec, zero_attrs = [0.0] * schema.image_dim, [0] * schema.trigger_attr_count
+    pairs = [pair for o in objs for pair in o["behavior"]]
+    lengths = column([len(o["behavior"]) for o in objs])
+    return InstanceTable(
+        scenario=field("scenario"), user=field("user"), user_attrs=field("user_attrs", schema.user_attr_count),
+        beh_start=np.cumsum(lengths) - lengths, beh_len=lengths, beh_items=column([item for item, _ in pairs]),
+        beh_attrs=column([attrs for _, attrs in pairs], schema.item_attr_count),
+        target_item=field("target_item"), target_attrs=field("target_attrs", schema.item_attr_count),
+        trigger_kind=kind,
+        image_vec=column([t["vec"] if i else zero_vec for t, i in zip(triggers, image)], schema.image_dim, np.float64),
+        trig_item=column([t["item"] if p else 0 for t, p in zip(triggers, product)]),
+        trig_attrs=column([t["attrs"] if p else zero_attrs for t, p in zip(triggers, product)], schema.trigger_attr_count),
+        context=field("context", schema.context_attr_count), label=field("label"),
+    )
 
 
 def _line_skeleton(manifest: DatasetManifest, length: int) -> bytes:
@@ -988,60 +908,45 @@ def _template_table(data: bytes, manifest: DatasetManifest) -> InstanceTable | N
 def _json_table(data: bytes, path: Path, manifest: DatasetManifest) -> InstanceTable:
     """The table of a dataset file's bytes ``data``, in any form, read line by line with json.
 
-    Each line is decoded and its key set checked; the values are then checked
-    column by column with numpy. The first line that breaks a rule is named,
-    and within it the first field, in the order the fields are written."""
-
-    def checked(objs: list[dict]) -> InstanceTable:
-        table, flagged = _table_of(objs, manifest)
-        rows = np.logical_or.reduce(list(flagged.values()))
-        for r in np.flatnonzero(rows).tolist():
-            if message := _row_error(objs[r], [name for name in _FIELDS if flagged[name][r]], manifest):
-                raise DataError(f"line {r + 1}: {message}")
-        if rows.any():
-            raise RuntimeError("read_jsonl: the column checks flagged rows that no read rule refuses")
-        return table
-
-    def decoded(lines) -> list[dict]:
-        objs: list[dict] = []
-        for lineno, raw in enumerate(lines, start=1):
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                checked(objs)  # an earlier bad line is reported first
-                if not raw.strip():
-                    raise DataError(f"line {lineno}: blank line inside dataset") from None
-                raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if type(obj) is not dict or obj.keys() != _INSTANCE_KEYS:
-                checked(objs)  # an earlier bad value is reported first
-                raise DataError(f"line {lineno}: {_keys_error(obj)}")
-            objs.append(obj)
-        return objs
-
+    Each line is decoded and checked against every read rule (``_row_rules``)
+    before the next one, so the first line that breaks a rule is named, with
+    the first rule it breaks; a byte that is not UTF-8 is named once the
+    lines before it have passed. Every message starts with the file's path."""
     try:
-        text = data.decode("utf-8")
+        text, bad = data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
-        # The lines before the bad byte are checked first, then the bad line is named.
-        before = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).readlines()
-        if before and not before[-1].endswith("\n"):
-            before.pop()  # the start of the bad line
-        checked(decoded(before))
-        raise DataError(f"line {len(before) + 1}: not UTF-8 ({exc.reason})") from exc
-    instances = checked(decoded(io.StringIO(text, newline=None)))
-    if len(instances) != manifest.count:
-        raise DataError(
-            f"{path}: holds {len(instances)} instances but the manifest says {manifest.count} (truncated file?)"
-        )
-    return instances
+        text, bad = data[:exc.start].decode("utf-8"), exc
+    lines = io.StringIO(text, newline=None).readlines()
+    if bad is not None and lines and not lines[-1].endswith("\n"):
+        lines.pop()  # the start of the bad line
+    row_error = _row_rules(manifest)
+    objs: list[dict] = []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            message = f"invalid JSON ({exc.msg})" if raw.strip() else "blank line inside dataset"
+        else:
+            message = row_error(obj) if type(obj) is dict and obj.keys() == _INSTANCE_KEYS else _keys_error(obj)
+        if message:
+            raise DataError(f"{path}: line {lineno}: {message}")
+        objs.append(obj)
+    if bad is not None:
+        raise DataError(f"{path}: line {len(lines) + 1}: not UTF-8 ({bad.reason})") from bad
+    if len(objs) != manifest.count:
+        raise DataError(f"{path}: holds {len(objs)} instances but the manifest says {manifest.count} (truncated file?)")
+    return _table_of(objs, manifest.schema)
 
 
 def read_jsonl(path: str | Path) -> Dataset:
-    """Load and validate a dataset; errors carry the 1-based line number.
+    """Load and validate a dataset; an error names the file and, for a bad
+    line, its 1-based number.
 
     A file in the form ``write_jsonl`` writes is read column by column from
     its bytes (``_template_table``); any other file, and any file that
-    breaks a read rule, is read by json (``_json_table``), which gives the
-    same table and names the first line that breaks a rule."""
+    breaks a read rule, is read by json (``_json_table``), which checks each
+    line as it decodes it, gives the same table and names the first line
+    that breaks a rule."""
     path = Path(path)
     manifest = read_manifest(path)
     data = path.read_bytes()

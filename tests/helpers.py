@@ -3,7 +3,7 @@ The reference generator takes from ``maria.datagen`` only what defines the
 data or holds it: the keyed hashes and CDFs, the trigger codes, the table
 and the manifest. Its rows, like every row the tests build, are instance
 objects in the form of the JSONL lines, and ``table_of_objects`` makes them
-a table."""
+a table with the reader's unchecked builder, ``datagen._table_of``."""
 
 from functools import lru_cache
 
@@ -134,53 +134,11 @@ def batched_matmul(a: ad.Value, b: ad.Value) -> ad.Value:
 # rows as instance objects
 # ---------------------------------------------------------------------------
 
-# InstanceTable column -> the FeatureSchema count that is its second dimension
-_WIDTHS = {
-    "user_attrs": "user_attr_count",
-    "beh_attrs": "item_attr_count",
-    "target_attrs": "item_attr_count",
-    "image_vec": "image_dim",
-    "trig_attrs": "trigger_attr_count",
-    "context": "context_attr_count",
-}
-
-
 def table_of_objects(objs, schema) -> datagen.InstanceTable:
     """The table of instance objects in the form of the JSONL lines, as they
-    are: nothing is checked. ``datagen._table_of`` checks each value against
-    a manifest, which generated rows have no file for yet and rows drawn
-    free-form, trigger kinds and all, need not match."""
-    objs = list(objs)
-    zero_vec, zero_attrs = [0.0] * schema.image_dim, [0] * schema.trigger_attr_count
-    kinds = [(o["trigger"] or {}).get("kind") for o in objs]
-    image = [k == "image" for k in kinds]
-    product = [k == "product" for k in kinds]
-    columns = {
-        "scenario": [o["scenario"] for o in objs],
-        "user": [o["user"] for o in objs],
-        "user_attrs": [o["user_attrs"] for o in objs],
-        "beh_len": [len(o["behavior"]) for o in objs],
-        "beh_items": [item for o in objs for item, _ in o["behavior"]],
-        "beh_attrs": [attrs for o in objs for _, attrs in o["behavior"]],
-        "target_item": [o["target_item"] for o in objs],
-        "target_attrs": [o["target_attrs"] for o in objs],
-        "trigger_kind": [
-            datagen.TRIGGER_IMAGE if i else datagen.TRIGGER_PRODUCT if p else datagen.TRIGGER_NONE
-            for i, p in zip(image, product)
-        ],
-        "image_vec": [o["trigger"]["vec"] if i else zero_vec for o, i in zip(objs, image)],
-        "trig_item": [o["trigger"]["item"] if p else 0 for o, p in zip(objs, product)],
-        "trig_attrs": [o["trigger"]["attrs"] if p else zero_attrs for o, p in zip(objs, product)],
-        "context": [o["context"] for o in objs],
-        "label": [o["label"] for o in objs],
-    }
-    arrays = {}
-    for name, values in columns.items():
-        dtype = np.float64 if name == "image_vec" else np.int8 if name == "trigger_kind" else np.int64
-        arr = np.array(values, dtype=dtype)
-        arrays[name] = arr.reshape(len(values), getattr(schema, _WIDTHS[name])) if name in _WIDTHS else arr
-    lengths = arrays["beh_len"]
-    return datagen.InstanceTable(beh_start=np.cumsum(lengths) - lengths, **arrays)
+    are: nothing is checked, so generated rows need no file and rows drawn
+    free-form, trigger kinds and all, need not match a manifest."""
+    return datagen._table_of(list(objs), schema)
 
 
 @np.errstate(over="ignore")

@@ -260,8 +260,7 @@ def test_eval_of_a_corrupt_dataset_exits_3(tmp_path, capsys, target, corrupt, me
     code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(data))
     assert code == 3, err
     assert message in err
-    if target != "data":
-        assert str(mpath) in err
+    assert str(data if target == "data" else mpath) in err
 
 
 def test_eval_of_a_manifest_whose_vocab_was_edited_exits_3(tmp_path, capsys):
@@ -319,7 +318,7 @@ def test_eval_reports_the_same_bytes_for_the_writers_form_and_json_dumps_form(tm
         code, out, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(data))
         assert (code, out) == (3, "")
         errors.append(err)
-    assert errors[0] == errors[1] and errors[0].count("\n") == 1 and "line 7: user: 20 outside [0, 20)" in errors[0]
+    assert errors == [f"error: {data}: line 7: user: 20 outside [0, 20)\n" for data in (writers, spaced)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -416,9 +415,9 @@ def _list_scenario_id(raw: bytes) -> bytes:
     "target, damage, message",
     [
         # 2**62 bytes of data: the read's buffer could not be allocated
-        ("checkpoint", _with_first_dims(2**31, 2**28), "truncated checkpoint while reading"),
+        ("checkpoint", _with_first_dims(2**31, 2**28), "m.ckpt: truncated checkpoint while reading"),
         # more bytes than an int64 holds: the product wrapped to a negative length
-        ("checkpoint", _with_first_dims(2**32 - 1, 2**32 - 1), "truncated checkpoint while reading"),
+        ("checkpoint", _with_first_dims(2**32 - 1, 2**32 - 1), "m.ckpt: truncated checkpoint while reading"),
         ("checkpoint", _first_name_not_utf8, "parameter name is not UTF-8"),
         ("manifest", _list_scenario_id, "profile scenario ids must be integers"),
     ],
@@ -453,6 +452,23 @@ def test_workers_flag_is_a_usage_error(capsys, argv):
         cli.main([*argv, "--workers", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_train_names_the_eval_file_that_breaks_a_read_rule(data_files, tmp_path, capsys):
+    # The training and the held-out file go through the same reader; its
+    # error says which of the two is bad.
+    train, heldout = data_files
+    bad = tmp_path / "b.jsonl"
+    lines = heldout.read_text().splitlines()
+    obj = json.loads(lines[4])
+    obj["user"] = -1
+    bad.write_text("\n".join(lines[:4] + [json.dumps(obj)] + lines[5:]) + "\n")
+    manifest_path(bad).write_bytes(manifest_path(heldout).read_bytes())
+    code, out, err = run(
+        capsys, "train", *TINY, "--data", str(train), "--eval-data", str(bad), "--model-out", str(tmp_path / "m.ckpt"),
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: {bad}: line 5: user: -1 outside [0, 20)\n"
 
 
 def test_train_eval_round_trip(data_files, tmp_path, capsys):
@@ -603,7 +619,7 @@ def test_eval_of_a_checkpoint_whose_parameter_shape_differs_from_its_model_exits
     code, _, err = run(capsys, "eval", "--model", str(path), "--data", str(data))
     assert code == 3, err
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert f"parameter 'bottom.trigger_sim.w0': saved shape ({t + d}, 1), model expects ({t}, {d})" in err
+    assert f"{path}: parameter 'bottom.trigger_sim.w0': saved shape ({t + d}, 1), model expects ({t}, {d})" in err
 
 
 def test_eval_of_a_checkpoint_holding_a_one_refiner_fields_selector_exits_3(tmp_path, capsys):
@@ -622,7 +638,8 @@ def test_eval_of_a_checkpoint_holding_a_one_refiner_fields_selector_exits_3(tmp_
     code, _, err = run(capsys, "eval", "--model", str(path), "--data", str(data))
     assert code == 3, err
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert f"missing [], extra {sorted(n for n, _ in dead)}" in err
+    extra = sorted(n for n, _ in dead)
+    assert f"{path}: parameter names disagree with the saved architecture: missing [], extra {extra}" in err
 
 
 def test_eval_of_a_checkpoint_whose_spec_cannot_build_a_model_exits_3(tmp_path, capsys):

@@ -238,7 +238,7 @@ def test_a_product_row_of_an_image_scenario_is_refused_as_json_refuses_it(tmp_pa
     lines[3] = b'{"scenario":0,' + lines[3][len(b'{"scenario":1,'):]
     path.write_bytes(b"".join(lines))
     assert datagen._template_table(path.read_bytes(), manifest) is None
-    message = "line 4: trigger: kind 'product' does not match scenario 0 (image)"
+    message = f"{path}: line 4: trigger: kind 'product' does not match scenario 0 (image)"
     assert _outcome(datagen.read_jsonl, path) == message == _outcome(_line_reader, path)
 
 
@@ -252,7 +252,8 @@ def test_a_digit_moved_from_a_number_into_a_key_is_refused_as_json_refuses_it(tm
     assert lines[1].startswith(b'{"scenario":') and b'"user":,"u5ser_attrs":[' in lines[1]
     path.write_bytes(b"".join(lines))
     assert datagen._template_table(path.read_bytes(), datagen.read_manifest(path)) is None
-    assert _outcome(datagen.read_jsonl, path) == "line 2: invalid JSON (Expecting value)" == _outcome(_line_reader, path)
+    message = f"{path}: line 2: invalid JSON (Expecting value)"
+    assert _outcome(datagen.read_jsonl, path) == message == _outcome(_line_reader, path)
 
 
 def test_a_manifest_that_does_not_count_the_rows_is_refused_before_any_file_opens(tmp_path):
@@ -565,7 +566,7 @@ def test_read_jsonl_reads_the_data_file_once(tmp_path, monkeypatch, form):
     open_ = Path.open  # Path.read_bytes opens through it
     monkeypatch.setattr(Path, "open", lambda self, *a, **k: reads.append(self) or open_(self, *a, **k))
     if form == "bad byte":
-        with pytest.raises(DataError, match=r"^line 5: not UTF-8"):
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}: line 5: not UTF-8")):
             datagen.read_jsonl(path)
     else:
         assert len(datagen.read_jsonl(path).instances) == 12
@@ -627,20 +628,22 @@ def test_trigger_validation_on_read(tmp_path):
 
 @pytest.mark.parametrize("later", [b"{not json", b"[1, 2]", b"   ", b'{"user": 1}', b'{"user": 1\xff}'])
 def test_an_earlier_bad_value_is_reported_before_a_later_bad_line(tmp_path, later):
-    # Values are checked column by column once the lines are decoded; a later
-    # line that does not decode must not hide a bad value above it. The file
-    # spans several 8 KB chunks of the text reader, and the later line sits in
-    # the last one.
+    # Lines are checked in file order, each as it is decoded: a later line
+    # that does not decode, or does not hold an instance, is refused on its
+    # own, and must not hide a bad value above it.
     path = write_small(tmp_path, count=60)
     lines = path.read_bytes().splitlines()
+    lines[-2] = later
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: line 59: ")):
+        datagen.read_jsonl(path)
     obj = json.loads(lines[1])
     obj["user"] = -1
-    lines[1], lines[-2] = json.dumps(obj).encode(), later
-    assert len(b"\n".join(lines[:-2])) > 8192
+    lines[1] = json.dumps(obj).encode()
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(DataError) as err:
         datagen.read_jsonl(path)
-    assert str(err.value) == "line 2: user: -1 outside [0, 30)"
+    assert str(err.value) == f"{path}: line 2: user: -1 outside [0, 30)"
 
 
 @pytest.mark.parametrize(
@@ -650,22 +653,24 @@ def test_an_earlier_bad_value_is_reported_before_a_later_bad_line(tmp_path, late
         (None, "line 3: user: -1 outside [0, 30)"),
     ],
 )
-def test_a_bad_line_before_a_bad_byte_in_the_same_chunk_is_reported_first(tmp_path, line_3, message):
-    # The text reader decodes 8 KB chunks, and a chunk that does not decode
-    # fails before any of its lines reach the line loop.
+def test_a_bad_line_before_a_bad_byte_is_reported_first(tmp_path, line_3, message):
+    # A byte that is not UTF-8 is named only once the lines before it have
+    # been decoded and checked, in file order.
     path = write_small(tmp_path, count=30)
     lines = path.read_bytes().splitlines()
+    lines[6] = lines[6][:1] + b"\xff" + lines[6][2:]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: line 7: not UTF-8")):
+        datagen.read_jsonl(path)
     if line_3 is None:
         obj = json.loads(lines[2])
         obj["user"] = -1
         line_3 = json.dumps(obj).encode()
     lines[2] = line_3
-    lines[6] = lines[6][:1] + b"\xff" + lines[6][2:]
-    assert len(b"\n".join(lines[:7])) < 8192
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(DataError) as err:
         datagen.read_jsonl(path)
-    assert str(err.value) == message
+    assert str(err.value) == f"{path}: {message}"
 
 
 def _set_trigger(key, value):
@@ -732,7 +737,7 @@ def test_each_read_rule_names_its_line(tmp_path, kind, mutate, message):
     path, k = _mutated_file(tmp_path, kind, mutate)
     with pytest.raises(DataError) as err:
         datagen.read_jsonl(path)
-    assert str(err.value) == f"line {k + 1}: {message}"
+    assert str(err.value) == f"{path}: line {k + 1}: {message}"
 
 
 def _set_vec_entry(value):
@@ -760,7 +765,7 @@ def test_non_finite_vectors_and_booleans_are_refused(tmp_path, kind, mutate, mes
     path, k = _mutated_file(tmp_path, kind, mutate)
     with pytest.raises(DataError) as err:
         datagen.read_jsonl(path)
-    assert str(err.value) == f"line {k + 1}: {message}"
+    assert str(err.value) == f"{path}: line {k + 1}: {message}"
 
 
 def test_read_rules_outside_the_instance_object(tmp_path):
@@ -770,7 +775,7 @@ def test_read_rules_outside_the_instance_object(tmp_path):
         path.write_text("\n".join(lines[:4] + [bad] + lines[5:]) + "\n")
         with pytest.raises(DataError) as err:
             datagen.read_jsonl(path)
-        assert str(err.value) == f"line 5: {message}"
+        assert str(err.value) == f"{path}: line 5: {message}"
 
     rec_cfg = small_cfg(**{
         "scenario.0.trigger_kind": "none", "scenario.1.trigger_kind": "none",
@@ -784,7 +789,7 @@ def test_read_rules_outside_the_instance_object(tmp_path):
     path.write_text("\n".join(lines[:2] + [json.dumps(obj)] + lines[3:]) + "\n")
     with pytest.raises(DataError) as err:
         datagen.read_jsonl(path)
-    assert str(err.value) == "line 3: trigger: must be null in a trigger-free dataset"
+    assert str(err.value) == f"{path}: line 3: trigger: must be null in a trigger-free dataset"
 
 
 def test_batch_iter_partitions_and_shuffles():
@@ -980,22 +985,26 @@ def _instance_parser(manifest: datagen.DatasetManifest):
 
 
 def _line_reader(path):
-    """The reader the column checks replaced: the line validator on every line."""
+    """The fuzz reference of ``read_jsonl``: the line validator on every line,
+    each line's error after the file's path."""
     manifest = datagen.read_manifest(path)
     parse = _instance_parser(manifest)
     rows = []
-    for lineno, line in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
-        try:
-            raw = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"line {lineno}: not UTF-8 ({exc.reason})") from exc
-        if not raw.strip():
-            raise DataError(f"line {lineno}: blank line inside dataset")
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        rows.append(parse(obj, lineno))
+    try:
+        for lineno, line in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
+            try:
+                raw = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"line {lineno}: not UTF-8 ({exc.reason})") from exc
+            if not raw.strip():
+                raise DataError(f"line {lineno}: blank line inside dataset")
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            rows.append(parse(obj, lineno))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if len(rows) != manifest.count:
         raise DataError(f"{path}: holds {len(rows)} instances but the manifest says {manifest.count} (truncated file?)")
     return rows
