@@ -8,10 +8,14 @@ buffer: constants and parameters are cast to it, and each primitive
 allocates in its operands' dtype. A grad buffer is made on first use: the
 first contribution backward adds to a node becomes its buffer, and a read
 of a node that has none makes a zero one. A forward pass alone, as in eval,
-allocates no grad bytes. The graph also owns the random source used for
-Gumbel noise, so runs are reproducible bit for bit and a recorded pass
-can be replayed with the same noise (finite-difference checks need the same
-noise on every perturbed pass).
+allocates no grad bytes. After :func:`backward` only leaves (parameters,
+and leaves made with ``requires_grad``) hold d loss / d node: an interior
+node's grad is final when its backward recipe receives it, and the sweep
+drops the buffer once the recipe has run, so a step holds its parameters'
+grads plus only those the sweep has yet to hand down. The graph also owns
+the random source used for Gumbel noise, so runs are reproducible bit for
+bit and a recorded pass can be replayed with the same noise
+(finite-difference checks need the same noise on every perturbed pass).
 """
 
 from __future__ import annotations
@@ -65,7 +69,10 @@ class Value:
     @property
     def grad(self) -> Array:
         """d loss / d node, full-shape and of the node's dtype; an all-zero
-        buffer is made on the first read of a node that has none."""
+        buffer is made on the first read of a node that has none. After
+        :func:`backward` a leaf holds its grad; a node whose recipe the sweep
+        ran holds none (it was dropped once the recipe had read it) and reads
+        as zeros, as after :meth:`Graph.zero_grads`."""
         if self._grad is None:
             self._grad = np.zeros(self.data.shape, dtype=self.data.dtype)
         return self._grad
@@ -126,7 +133,9 @@ class Graph:
     def zero_grads(self) -> None:
         """Clear every grad that :func:`backward` may have written since the
         last clear, by dropping its buffer; younger nodes have none yet, or
-        zeros that a read made. A dropped grad reads as zeros again.
+        zeros that a read made. A dropped grad reads as zeros again. Backward
+        has already dropped the grads of the nodes whose recipes it ran, so
+        after a sweep this clears the leaves' grads.
 
         Only :func:`backward` marks grads as written. A grad set any other
         way (by hand, or by running a node's backward recipe directly) is
@@ -854,11 +863,14 @@ def argmax_one_hot(logits: Value) -> Value:
 
 
 def backward(loss: Value) -> None:
-    """Accumulate d loss / d node into every reachable node's grad.
+    """Accumulate d loss / d node into the grad of every reachable leaf.
 
     Single reverse sweep over the arena: creation order is topological, so by
     the time the sweep reaches a node, every consumer has already marked it
-    reachable and added its contribution to its grad.
+    reachable and added its contribution to its grad. That grad is then
+    final: the node's recipe hands it down to its parents, and the sweep
+    drops it, so a node whose recipe ran holds no grad afterwards (it reads
+    as zeros). Leaves keep theirs, added onto whatever they held before.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -874,3 +886,4 @@ def backward(loss: Value) -> None:
                 needed[p.index] = True
             if node.requires_grad and node._backward is not None:
                 node._backward(node.grad)
+                node._grad = None

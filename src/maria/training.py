@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -144,15 +145,14 @@ class EvalReport:
 
     def refiner_divergence(self) -> dict[str, float]:
         """Largest pairwise total-variation distance between the scenario
-        selection histograms of each field; empty without refiners."""
+        selection histograms of each field; empty without refiners, or when
+        fewer than two scenarios hold rows and there is no pair to compare."""
         out: dict[str, float] = {}
         for fname, hist in self.refiner_hist.items():
-            best = 0.0
             rows = [r for r in hist if r.sum() > 0]
-            for i in range(len(rows)):
-                for j in range(i + 1, len(rows)):
-                    best = max(best, metrics.total_variation(rows[i], rows[j]))
-            out[fname] = best
+            if len(rows) < 2:  # every field's rows total the same scenario counts
+                return {}
+            out[fname] = max(metrics.total_variation(a, b) for a, b in combinations(rows, 2))
         return out
 
     def to_dict(self) -> dict:

@@ -44,6 +44,38 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-3) -> float:
     return float((np.abs(a - b) / denom).max())
 
 
+def recipe_grads(loss: ad.Value, backward=ad.backward) -> dict[int, np.ndarray]:
+    """Run ``backward(loss)`` and return a copy of the grad each backward
+    recipe received, keyed by node index.
+
+    After the sweep only leaves hold their grads: an interior node's grad is
+    final when its recipe receives it, and the sweep drops it once the recipe
+    has run, so this is where it is read. Each received buffer must still
+    hold its bytes after the sweep: a recipe, or a parent that takes more
+    contributions later, must not write into a consumer's grad.
+    """
+    recipes = {node: node._backward for node in loss.graph.nodes if node._backward is not None}
+    received: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def recording(index, recipe):
+        def run(g):
+            received[index] = (g, g.copy())
+            recipe(g)
+
+        return run
+
+    for node, recipe in recipes.items():
+        node._backward = recording(node.index, recipe)
+    try:
+        backward(loss)
+    finally:
+        for node, recipe in recipes.items():
+            node._backward = recipe
+    for index, (g, copy) in received.items():
+        assert g.tobytes() == copy.tobytes(), f"node {index}: its grad changed after its recipe received it"
+    return {index: copy for index, (_, copy) in received.items()}
+
+
 def pairwise_auc(scores, labels):
     """O(n^2) probability that a positive outranks a negative; ties count half.
 

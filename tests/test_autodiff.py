@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import batched_matmul, fd_gradient, max_rel_err, mean_last, power, sub
+from helpers import batched_matmul, fd_gradient, max_rel_err, mean_last, power, recipe_grads, sub
 
 from maria import autodiff as ad
 
@@ -74,8 +74,12 @@ def test_zero_grads_after_truncate_and_a_longer_step():
     g.truncate(mark)
     h = ad.relu(ad.add(x, x))
     loss = ad.sum_all(ad.mul(ad.sigmoid(h), ad.add(h, x)))
-    ad.backward(loss)
-    assert all(node.grad.any() for node in g.nodes)
+    received = recipe_grads(loss)
+    # Every node past the parameter is interior: its recipe received a
+    # nonzero grad, and the sweep dropped it once the recipe had run.
+    assert sorted(received) == [node.index for node in g.nodes[1:]]
+    assert all(grad.any() for grad in received.values()) and x.grad.any()
+    assert all(node._grad is None for node in g.nodes[1:])
     g.zero_grads()
     for node in g.nodes:
         assert not node.grad.any()
@@ -219,13 +223,14 @@ def test_reverse_sweep_agrees_with_independent_topological_backward():
         loss = ad.sum_all(functools.reduce(ad.add, pool[3:], pool[0]))
         want = _reference_grads(loss)
         g.zero_grads()
-        ad.backward(loss)
+        received = recipe_grads(loss)
+        assert all(node._grad is None for node in g.nodes if node._backward is not None)
         # accumulation order differs between the two traversals, so compare
-        # tightly rather than bitwise
+        # tightly rather than bitwise; interior grads as their recipes
+        # received them, leaf grads after the sweep
         for idx, ref in want.items():
-            np.testing.assert_allclose(
-                g.nodes[idx].grad, ref, rtol=1e-12, atol=1e-12, err_msg=f"trial {trial} node {idx}"
-            )
+            got = received[idx] if g.nodes[idx]._backward is not None else g.nodes[idx].grad
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12, err_msg=f"trial {trial} node {idx}")
 
 
 # ---------------------------------------------------------------------------
@@ -611,44 +616,41 @@ def test_grads_made_on_first_use_equal_the_zero_start_path_bit_for_bit(program, 
     zero_graph, zero_loss = _build_program(program, seed)
     for node in zero_graph.nodes:
         node.grad  # every node gets a zero buffer, so backward only adds
-    ad.backward(zero_loss)
+    zero_received = recipe_grads(zero_loss)
 
     graph, loss = _build_program(program, seed)
     assert all(node._grad is None for node in graph.nodes)
     # A node's grad is final when its recipe runs; parents that take more
-    # contributions afterwards must not write through into it.
-    final: dict[int, bytes] = {}
-    for node in graph.nodes:
-        if node._backward is not None:
-            def recorded(g, recipe=node._backward, index=node.index):
-                recipe(g)
-                final[index] = g.tobytes()
+    # contributions afterwards must not write through into it (recipe_grads
+    # checks each received buffer after the sweep).
+    received = recipe_grads(loss)
 
-            node._backward = recorded
-    ad.backward(loss)
-
-    assert final
-    for index, snapshot in final.items():
-        assert graph.nodes[index].grad.tobytes() == snapshot, f"node {index} changed after its recipe ran"
+    assert received and sorted(received) == sorted(zero_received)
     for mine, ref in zip(graph.nodes, zero_graph.nodes):
+        if mine.index in received:
+            assert mine._grad is None and ref._grad is None, f"{mine.op} node {mine.index} kept its grad"
+        mine_grad = received.get(mine.index, mine.grad)
+        ref_grad = zero_received.get(ref.index, ref.grad)
         # tobytes tells -0.0 from +0.0; the dtype and shape must match too.
-        assert mine.grad.dtype == ref.grad.dtype and mine.grad.shape == ref.grad.shape
-        assert mine.grad.tobytes() == ref.grad.tobytes(), f"{mine.op} node {mine.index}"
+        assert mine_grad.dtype == ref_grad.dtype and mine_grad.shape == ref_grad.shape
+        assert mine_grad.tobytes() == ref_grad.tobytes(), f"{mine.op} node {mine.index}"
 
 
 def test_a_grad_handed_down_whole_is_copied_not_shared():
     # shift hands h its own grad as h's first contribution; scale, which
-    # runs later in the sweep, adds into h. shift's grad must not move.
+    # runs later in the sweep, adds into h. shift's grad must not move
+    # (recipe_grads checks each received buffer after the sweep).
     g = ad.Graph(seed=0)
     x = g.parameter([1.0, -2.0, 3.0])
     h = ad.mul(x, x)
     scaled = ad.scale(h, 2.0)
     shifted = ad.shift(h, 1.0)
     weights = g.constant([0.5, -1.0, 4.0])
-    ad.backward(ad.sum_all(ad.add(ad.mul(shifted, weights), scaled)))
-    np.testing.assert_array_equal(shifted.grad, [0.5, -1.0, 4.0])
-    np.testing.assert_array_equal(h.grad, [2.5, 1.0, 6.0])
+    received = recipe_grads(ad.sum_all(ad.add(ad.mul(shifted, weights), scaled)))
+    np.testing.assert_array_equal(received[shifted.index], [0.5, -1.0, 4.0])
+    np.testing.assert_array_equal(received[h.index], [2.5, 1.0, 6.0])
     np.testing.assert_array_equal(x.grad, [5.0, -4.0, 36.0])
+    assert shifted._grad is None and h._grad is None
 
 
 # ---------------------------------------------------------------------------
@@ -717,11 +719,12 @@ def test_a_one_column_weight_gives_the_input_grad_of_the_gemm_bit_for_bit(lead, 
     g.dtype = np.dtype(dtype)
     x, w, b, up = _one_column_case(g, seed, lead, d_in, zeros)
     out = _one_column_product(x, w, b, op)
-    ad.backward(ad.sum_all(ad.mul(out, up)))
+    out_grad = recipe_grads(ad.sum_all(ad.mul(out, up)))[out.index]
+    assert out._grad is None
     # The GEMM of inner size 1 that the broadcast product replaces, through
     # the + 0.0 of a first grad contribution.
     gemm = np.empty(lead + (d_in,), dtype=dtype)
-    np.matmul(out.grad.reshape(-1, 1), w.data.T, out=gemm.reshape(-1, d_in))
+    np.matmul(out_grad.reshape(-1, 1), w.data.T, out=gemm.reshape(-1, d_in))
     want = np.add(gemm, 0.0)
     assert x.grad.dtype == dtype
     assert x.grad.tobytes() == want.tobytes()

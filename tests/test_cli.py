@@ -529,6 +529,24 @@ def test_eval_of_no_instances_reports_no_loss(data_files, tmp_path, capsys):
     assert code == 0 and text.startswith("instances 0  loss n/a  auc n/a")
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_eval_over_fewer_than_two_scenarios_reports_no_refiner_divergence(data_files, tmp_path, capsys, count):
+    # A divergence compares the selection histograms of two scenarios that
+    # hold rows; a log of one row, or none, has no such pair.
+    train, _ = data_files
+    ckpt, small = tmp_path / "model.ckpt", tmp_path / "small.jsonl"
+    assert run(capsys, "train", *TINY, "--data", str(train), "--model-out", str(ckpt))[0] == 0
+    assert run(capsys, "gen-data", *TINY, "--out", str(small), "--count", str(count))[0] == 0
+    code, text, _ = run(capsys, "eval", "--model", str(ckpt), "--data", str(small), "--json")
+    assert code == 0
+    doc = _strict_json(text)
+    assert doc["count"] == count and len(doc["per_scenario"]) == count
+    assert doc["refiner_divergence"] == {}
+    code, text, _ = run(capsys, "eval", "--model", str(ckpt), "--data", str(small))
+    assert code == 0 and text.startswith(f"instances {count} ")
+    assert "divergence" not in text
+
+
 def test_train_exits_1_on_a_non_finite_gradient(data_files, tmp_path, capsys, monkeypatch):
     backward = autodiff.backward
 

@@ -949,6 +949,19 @@ def _benchmark_block() -> datagen.InstanceTable:
     return datagen.generate(benchmark_config(512, 3))[0].instances
 
 
+def _benchmark_model(kind: str, batch_size: int):
+    """A fresh ``kind`` model on the benchmark recipe and its batch of the
+    first ``batch_size`` rows of a full block."""
+    graph = Graph(seed=3)
+    model = build_model(graph, benchmark_config(512, 3), kind=kind)
+    return graph, model, make_batch(_benchmark_block()[:batch_size], model.vocab, model.schema, model.trigger_mode)
+
+
+def _benchmark_step_loss(kind: str, batch_size: int):
+    graph, model, batch = _benchmark_model(kind, batch_size)
+    return graph, bce_loss(model.forward(batch, mode="train").score, batch.labels)
+
+
 @pytest.mark.parametrize(
     "workload, kind, flow, batch_size, nodes",
     [(w, k, f, b, BENCHMARK_STEP_NODES[w]) for w, k, f, b in [
@@ -961,13 +974,42 @@ def test_graph_size_of_each_benchmark_step_is_pinned(workload, kind, flow, batch
     """Nodes one step of each benchmark workload builds on a full block: the
     forward plus the loss for a training step, the forward for an eval batch.
     The counts are ``helpers.BENCHMARK_STEP_NODES``."""
-    cfg = benchmark_config(512, 3)
-    graph = Graph(seed=3)
-    model = build_model(graph, cfg, kind=kind)
-    batch = make_batch(_benchmark_block()[:batch_size], model.vocab, model.schema, model.trigger_mode)
+    graph, model, batch = _benchmark_model(kind, batch_size)
     mark = graph.mark()
     if flow == "train":
         bce_loss(model.forward(batch, mode="train").score, batch.labels)
     else:
         model.forward(batch, mode="eval")
     assert len(graph.nodes) - mark == nodes, workload
+
+
+@pytest.mark.parametrize("kind, batch_size", [("maria", 512), ("mmoe", 64)])
+def test_a_training_step_keeps_only_the_parameters_grads(kind, batch_size):
+    """After backward on one step of a benchmark training workload, no node
+    with a recipe holds a grad and every parameter does: the bits of a sweep
+    whose grads were all read as zero buffers before it ran."""
+    zero_graph, zero_loss = _benchmark_step_loss(kind, batch_size)
+    for node in zero_graph.nodes:
+        node.grad  # every node gets a zero buffer, so backward only adds
+    ad.backward(zero_loss)
+
+    graph, loss = _benchmark_step_loss(kind, batch_size)
+    ad.backward(loss)
+    assert all(node._grad is None for node in graph.nodes if node._backward is not None)
+    for name, value in graph.params.items():
+        assert value._grad is not None, name
+        assert value._grad.tobytes() == zero_graph.params[name]._grad.tobytes(), name
+
+
+def test_backward_peak_at_maria_batch_512_stays_under_half_the_interior_data():
+    """The sweep frees each interior grad once its recipe has read it, so it
+    never holds a second copy of the forward pass."""
+    graph, loss = _benchmark_step_loss("maria", 512)
+    interior = sum(node.data.nbytes for node in graph.nodes if node._backward is not None)
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < interior / 2, (peak, interior)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import BENCHMARK_STEP_NODES
+from helpers import BENCHMARK_STEP_NODES, recipe_grads
 
 from maria import checkpoint, datagen, metrics, training
 from maria.autodiff import Graph
@@ -142,7 +142,9 @@ def _not_float32(graph) -> list:
 def test_a_training_step_builds_only_float32_node_data_and_grads(monkeypatch):
     """One step on the benchmark recipe at batch 64: no float64 constant,
     default-dtype buffer or bincount sum promotes a node or a grad, or
-    reaches a grad as a float64 contribution."""
+    reaches a grad as a float64 contribution. Interior grads are read as
+    their recipes receive them; at ``truncate`` only the parameters hold
+    grads."""
     cfg = benchmark_config(64, 3)
     cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, batch_size=64, epochs=1))
     dataset, graph, model = make_run(cfg)
@@ -154,22 +156,27 @@ def test_a_training_step_builds_only_float32_node_data_and_grads(monkeypatch):
         accumulate(node, contribution, g)
 
     monkeypatch.setattr(training.ad, "_accumulate", recording_accumulate)
+    received = {}
+    backward = training.ad.backward
+    monkeypatch.setattr(training.ad, "backward", lambda loss: received.update(recipe_grads(loss, backward)))
     seen = []
     truncate = graph.truncate
 
     def checked_truncate(m):
-        grads = sum(node._grad is not None for node in graph.nodes)
-        seen.append((len(graph) - m, grads, _not_float32(graph)))
+        holders = [node for node in graph.nodes if node._grad is not None]
+        seen.append((len(graph) - m, holders, _not_float32(graph)))
         truncate(m)
 
     graph.truncate = checked_truncate
     train(graph, model, dataset.instances, cfg.train)
     del graph.truncate
     assert len(seen) == 1
-    built, grads, promoted = seen[0]
+    built, holders, promoted = seen[0]
     # One full step: the graph the benchmark pins for train-maria at batch 512.
-    assert built == BENCHMARK_STEP_NODES["train-maria"] and grads > len(model.parameter_values())
+    assert built == BENCHMARK_STEP_NODES["train-maria"]
+    assert {id(node) for node in holders} == {id(value) for value in model.parameter_values()}
     assert promoted == []
+    assert received and {grad.dtype for grad in received.values()} == {np.dtype(np.float32)}
     assert contributions == {np.dtype(np.float32)}
 
 
