@@ -1,7 +1,7 @@
 """Run the scenario-diversity comparison and print the summary.
 
 The default sizes (50k train / 10k eval, 3 seeds, 3 model kinds) finish in
-a couple of minutes on one core. Use --train-count/--eval-count for a
+under a minute on a 2-core machine. Use --train-count/--eval-count for a
 quicker look.
 """
 

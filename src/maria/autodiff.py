@@ -2,7 +2,9 @@
 
 A :class:`Graph` owns an append-only arena of :class:`Value` nodes. Nodes are
 appended in creation order, so the arena index is a valid topological order
-and :func:`backward` is a single reverse sweep over it. The graph's ``dtype``,
+and :func:`backward` is a single reverse sweep over it. A pass runs inside
+:meth:`Graph.scope`, which drops its nodes on every exit, and
+:meth:`Graph.zero_grads` drops every grad before it. The graph's ``dtype``,
 fixed when the graph is made (float32 by default), is the dtype of every
 buffer: constants and parameters are cast to it, and each primitive
 allocates in its operands' dtype. A grad buffer is made on first use: the
@@ -20,6 +22,7 @@ bit and a recorded pass can be replayed with the same noise
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from itertools import accumulate
@@ -105,9 +108,6 @@ class Graph:
         self.dtype = np.dtype(dtype)
         self.rng = np.random.default_rng(seed)
         self.clamp_events = 0
-        # Nodes at or past this index hold no grad that a backward wrote
-        # since the last clear: no buffer, or zeros that a read made.
-        self._grads_written = 0
         # "context" = everything a forward pass consumes besides node data:
         # sampled noise and gradient-frozen views. Replaying it bit for bit
         # lets finite differences probe exactly the partial derivative the
@@ -128,23 +128,25 @@ class Graph:
     def truncate(self, mark: int) -> None:
         """Drop every node created at or after ``mark`` (parameters stay if older)."""
         del self.nodes[mark:]
-        self._grads_written = min(self._grads_written, mark)
+
+    @contextlib.contextmanager
+    def scope(self):
+        """Run one pass whose nodes are dropped on every exit, normal or
+        raised; older nodes and their grads stay. :meth:`truncate` runs only
+        if the block made nodes."""
+        mark = len(self.nodes)
+        try:
+            yield
+        finally:
+            if len(self.nodes) > mark:
+                self.truncate(mark)
 
     def zero_grads(self) -> None:
-        """Clear every grad that :func:`backward` may have written since the
-        last clear, by dropping its buffer; younger nodes have none yet, or
-        zeros that a read made. A dropped grad reads as zeros again. Backward
-        has already dropped the grads of the nodes whose recipes it ran, so
-        after a sweep this clears the leaves' grads.
-
-        Only :func:`backward` marks grads as written. A grad set any other
-        way (by hand, or by running a node's backward recipe directly) is
-        cleared here only if a backward has reached that node since the last
-        clear; otherwise clearing it is the caller's job.
-        """
-        for node in self.nodes[: self._grads_written]:
+        """Drop every node's grad; a dropped grad reads as zeros. Called
+        before a pass, when the graph holds only the parameters, this clears
+        their grads and nothing else."""
+        for node in self.nodes:
             node._grad = None
-        self._grads_written = 0
 
     # -- frozen views and the record/replay context ---------------------------
     def frozen_view(self, data: Array) -> Array:
@@ -877,7 +879,6 @@ def backward(loss: Value) -> None:
     nodes = loss.graph.nodes
     needed = [False] * (loss.index + 1)
     needed[loss.index] = True
-    loss.graph._grads_written = max(loss.graph._grads_written, loss.index + 1)
     loss._grad = np.ones(loss.data.shape, dtype=loss.data.dtype)
     for i in range(loss.index, -1, -1):
         if needed[i]:

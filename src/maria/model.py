@@ -469,6 +469,6 @@ def bce_loss(score: Value, labels: np.ndarray) -> Value:
     y = graph.constant(np.asarray(labels, dtype=np.float64))
     log_p = ad.log(p)
     log_not = ad.log(ad.shift(ad.scale(p, -1.0), 1.0))
-    not_y = ad.shift(ad.scale(y, -1.0), 1.0)
+    not_y = graph.constant(1.0 - np.asarray(labels, dtype=np.float64))
     ll = ad.add(ad.mul(y, log_p), ad.mul(not_y, log_not))
     return ad.scale(ad.sum_all(ll), -1.0)

@@ -44,23 +44,14 @@ def train(
     """Optimize the model in place; deterministic given settings.seed.
 
     The steps, and mid-training evals, run at the graph's dtype: float32
-    for a default graph. If a step raises, the arena is truncated to its
-    entry mark.
+    for a default graph. Each step clears the grads, then runs in a
+    :meth:`Graph.scope`, so a step that raises leaves no nodes behind.
     """
     if len(instances) == 0:
         raise ValueError("train: no instances")
     named = model.named_parameters()
     opt = Adam([value for _, value in named], learning_rate=settings.learning_rate,
                weight_decay=settings.weight_decay)
-    start = graph.mark()
-    try:
-        return _train_steps(graph, model, named, opt, instances, settings, eval_instances, log_fn)
-    finally:
-        if len(graph) > start:  # a step that raised left its nodes behind
-            graph.truncate(start)
-
-
-def _train_steps(graph, model, named, opt, instances, settings, eval_instances, log_fn) -> TrainReport:
     step = 0
     step_losses: list[float] = []
     epoch_losses: list[float] = []
@@ -73,21 +64,20 @@ def _train_steps(graph, model, named, opt, instances, settings, eval_instances, 
         total, seen = 0.0, 0
         for block in batch_iter(instances, settings.batch_size, seed=settings.seed, epoch=epoch):
             batch = make_batch(block, model.vocab, model.schema, model.trigger_mode)
-            mark = graph.mark()
-            loss = bce_loss(model.forward(batch, mode="train").score, batch.labels)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDiverged(f"loss became {value} at step {step}")
             graph.zero_grads()
-            ad.backward(loss)
-            try:
-                opt.step()
-            except NonFiniteGradient as exc:
-                name = named[exc.index][0]
-                raise TrainingDiverged(
-                    f"gradient of {name} ({group_of_parameter(name)}) became non-finite at step {step}"
-                ) from None
-            graph.truncate(mark)
+            with graph.scope():
+                loss = bce_loss(model.forward(batch, mode="train").score, batch.labels)
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise TrainingDiverged(f"loss became {value} at step {step}")
+                ad.backward(loss)
+                try:
+                    opt.step()
+                except NonFiniteGradient as exc:
+                    name = named[exc.index][0]
+                    raise TrainingDiverged(
+                        f"gradient of {name} ({group_of_parameter(name)}) became non-finite at step {step}"
+                    ) from None
             step_losses.append(value / batch.size)
             total += value
             seen += batch.size
@@ -145,10 +135,13 @@ class EvalReport:
 
     def refiner_divergence(self) -> dict[str, float]:
         """Largest pairwise total-variation distance between the scenario
-        selection histograms of each field; empty without refiners, or when
-        fewer than two scenarios hold rows and there is no pair to compare."""
+        selection histograms of each field that has a choice (two or more
+        refiners); empty without such a field, or when fewer than two
+        scenarios hold rows and there is no pair to compare."""
         out: dict[str, float] = {}
         for fname, hist in self.refiner_hist.items():
+            if hist.shape[1] < 2:  # one refiner: no selection to diverge
+                continue
             rows = [r for r in hist if r.sum() > 0]
             if len(rows) < 2:  # every field's rows total the same scenario counts
                 return {}
@@ -186,18 +179,13 @@ def evaluate(model, instances: InstanceTable, batch_size: int = 512, workers: in
     if fr is not None:
         refiner_hist = {fname: np.zeros((model.vocab.scenarios, count)) for fname, count in fr.counts.items()}
     scores_parts = []
-    start = graph.mark()
-    try:
-        for block in blocks:
+    for block in blocks:
+        with graph.scope():
             batch = make_batch(block, model.vocab, model.schema, model.trigger_mode)
             result = model.forward(batch, mode="eval")
             scores_parts.append(result.score.data.copy())
             for fname, picks in result.trace.get("refiner_choice", {}).items():
                 np.add.at(refiner_hist[fname], (block.scenario, picks), 1.0)
-            graph.truncate(start)
-    finally:
-        if len(graph) > start:  # a batch that raised left its nodes behind
-            graph.truncate(start)
 
     labels = instances.label.astype(np.float64)
     scenario = instances.scenario
@@ -396,12 +384,10 @@ def gradient_check(
     named = model.named_parameters()
 
     graph.record_context()
-    mark = graph.mark()
-    loss = bce_loss(model.forward(batch, mode="train").score, batch.labels)
     graph.zero_grads()
-    ad.backward(loss)
-    grads = {name: value.grad.copy() for name, value in named}
-    graph.truncate(mark)
+    with graph.scope():
+        ad.backward(bce_loss(model.forward(batch, mode="train").score, batch.labels))
+        grads = {name: value.grad.copy() for name, value in named}
 
     if corrupt_group is not None:
         touched = 0
@@ -414,10 +400,8 @@ def gradient_check(
 
     def loss_value() -> float:
         graph.replay_context()
-        inner = graph.mark()
-        value = float(bce_loss(model.forward(batch, mode="train").score, batch.labels).data)
-        graph.truncate(inner)
-        return value
+        with graph.scope():
+            return float(bce_loss(model.forward(batch, mode="train").score, batch.labels).data)
 
     rng = np.random.default_rng(0)
     per_group: dict[str, list[float]] = {}

@@ -90,16 +90,44 @@ def test_zero_grads_after_truncate_and_a_longer_step():
     assert not x.grad.any()
 
 
-def test_zero_grads_clears_what_backward_wrote_not_hand_set_grads():
+def test_zero_grads_drops_every_grad():
     g = ad.Graph(seed=0)
     x = g.parameter([1.0, 2.0])
-    x.grad[...] = 5.0  # no backward since the graph was built
+    x.grad[...] = 5.0  # set by hand, no backward since the graph was built
     g.zero_grads()
-    np.testing.assert_array_equal(x.grad, [5.0, 5.0])
+    assert x._grad is None and not x.grad.any()
     ad.backward(ad.sum_all(ad.mul(x, x)))
-    np.testing.assert_array_equal(x.grad, [7.0, 9.0])
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
     g.zero_grads()
-    assert not x.grad.any()
+    assert x._grad is None and not x.grad.any()
+
+
+def test_scope_drops_the_nodes_of_its_block_on_every_exit(monkeypatch):
+    g = ad.Graph(seed=0)
+    x = g.parameter([1.0, 2.0])
+    ad.backward(ad.sum_all(ad.mul(x, x)))
+    g.truncate(1)
+    older = ad.relu(x)
+    start = len(g)
+    with g.scope():
+        ad.backward(ad.sum_all(ad.mul(older, x)))
+    assert len(g) == start and g.nodes[-1] is older
+    np.testing.assert_array_equal(x.grad, [4.0, 8.0])  # older nodes keep their grads
+    with pytest.raises(RuntimeError, match="inside"):
+        with g.scope():
+            ad.sigmoid(older)
+            raise RuntimeError("raised inside the scope")
+    assert len(g) == start and g.nodes[-1] is older
+    # truncate runs only when the block made nodes
+    calls = []
+    truncate = ad.Graph.truncate
+    monkeypatch.setattr(ad.Graph, "truncate", lambda graph, mark: calls.append(mark) or truncate(graph, mark))
+    with g.scope():
+        pass
+    assert calls == []
+    with g.scope():
+        ad.relu(older)
+    assert calls == [start] and len(g) == start
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,26 @@ def test_train_eval_round_trip(data_files, tmp_path, capsys):
     assert set(evaluated["refiner_hist"]) == {"behavior", "user", "item", "trigger", "context"}
 
 
+@pytest.mark.parametrize("refiners, fields", [("1,2,1,1,1", ["user"]), ("1,1,1,1,1", [])])
+def test_eval_reports_refiner_divergence_only_for_fields_with_a_choice(data_files, tmp_path, capsys, refiners, fields):
+    # A field with one refiner has no selector: there is no selection to diverge.
+    train, heldout = data_files
+    ckpt = tmp_path / "model.ckpt"
+    args = ("--set", f"model.refiners={refiners}", "--data", str(train), "--model-out", str(ckpt))
+    assert run(capsys, "train", *TINY, *args)[0] == 0
+    code, text, _ = run(capsys, "eval", "--model", str(ckpt), "--data", str(heldout), "--json")
+    assert code == 0
+    doc = _strict_json(text)
+    assert len(doc["per_scenario"]) == 2
+    assert set(doc["refiner_hist"]) == {"behavior", "user", "item", "trigger", "context"}
+    assert list(doc["refiner_divergence"]) == fields
+    code, text, _ = run(capsys, "eval", "--model", str(ckpt), "--data", str(heldout))
+    assert code == 0
+    shown = [f"{f} {doc['refiner_divergence'][f]:.3f}" for f in fields]
+    want = [f"refiner selection divergence across scenarios: {', '.join(shown)}"] if fields else []
+    assert [line for line in text.splitlines() if "divergence" in line] == want
+
+
 def _strict_json(text: str):
     """``json.loads`` that refuses NaN and the infinities, as a strict parser does."""
 

@@ -218,6 +218,20 @@ def test_train_truncates_the_arena_and_keeps_the_last_completed_step_when_it_rai
     assert all(np.array_equal(a, v.data) for a, v in zip(before, model.parameter_values()))
 
 
+def test_train_clears_the_grads_once_per_step_before_its_pass(monkeypatch):
+    # Cleared before the forward, the grads dropped are the parameters' alone.
+    cfg = learnable_overrides(**{"train.epochs": "2", "gen.count": "300"})
+    dataset, graph, model = make_run(cfg)
+    sizes = []
+    zero_grads = Graph.zero_grads
+    monkeypatch.setattr(Graph, "zero_grads", lambda g: sizes.append(len(g)) or zero_grads(g))
+    settings = dataclasses.replace(cfg.train, eval_every=1)
+    report = train(graph, model, dataset.instances[:200], settings, eval_instances=dataset.instances[200:])
+    assert len(report.eval_history) == 2
+    assert report.steps > 0 and sizes == [len(graph.params)] * report.steps
+    assert len(graph) == len(graph.params)
+
+
 def test_evaluate_on_a_float32_graph_gives_a_finite_loss():
     cfg = learnable_overrides(**{"gen.count": "100"})
     dataset, graph, model = make_run(cfg)
